@@ -7,7 +7,7 @@ rejected so a typo fails fast instead of silently running defaults.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -125,7 +125,3 @@ def load_config(path: Path, base: Optional[RunConfig] = None) -> RunConfig:
     if noise_updates:
         updates["noise"] = replace(cfg.noise, **noise_updates)
     return replace(cfg, **updates)
-
-
-def config_field_names() -> list[str]:
-    return [f.name for f in fields(RunConfig)]

@@ -6,8 +6,9 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .. import montecarlo as mc
 from .. import protocols
@@ -24,6 +25,29 @@ from .svgplot import PlotStyle, SweepRow, emit_plot
 AXES = ("z", "x", "y")
 
 FIG2_VARIANTS = ("single", "double", "reversal")
+STEERING = "steering"  # Bell pair, unconditional electron rotation, readout
+
+MEAN = "mean"  # the kept shots' mean tomography outcome
+KEPT = "kept"  # the fraction of shots that pass post-selection
+
+THETA_LABEL = "rotation angle theta (rad)"
+
+
+@dataclass(frozen=True)
+class Panel:
+    """One theta-sweep CSV (and SVG) and where its numbers come from.
+
+    At each theta the panel reads the ensemble of ``sequence`` with nuclear
+    tomography along ``axis``, takes its ``statistic`` and sets it beside
+    ``analytic(theta)``.
+    """
+
+    name: str
+    sequence: str  # one of FIG2_VARIANTS, or STEERING
+    axis: str
+    statistic: str  # MEAN or KEPT
+    analytic: Callable[[float], Optional[float]]
+    style: PlotStyle
 
 
 def _fmt(value) -> str:
@@ -46,29 +70,6 @@ def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> No
                 writer.writerow([_fmt(v) for v in row])
     except OSError as err:
         raise OSError(f"cannot write output file {path}: {err}") from err
-
-
-def _write_panel(
-    config: RunConfig,
-    name: str,
-    rows: list[SweepRow],
-    style: PlotStyle,
-    paths: list[Path],
-) -> None:
-    csv_path = config.output_dir / f"{name}.csv"
-    write_csv(
-        csv_path,
-        ["sweep_value", "analytic", "mc_mean", "mc_std_error", "n_kept", "n_total"],
-        [
-            (r.sweep_value, r.analytic, r.mc_mean, r.mc_std_error, r.n_kept, r.n_total)
-            for r in rows
-        ],
-    )
-    paths.append(csv_path)
-    if config.emit_svg:
-        svg_path = config.output_dir / f"{name}.svg"
-        svg_path.write_text(emit_plot(rows, style), encoding="utf-8")
-        paths.append(svg_path)
 
 
 def fig2_pulse_sequence(variant: str, theta: float) -> list[tuple[float, Frequency]]:
@@ -100,39 +101,110 @@ def fig2_analytic(variant: str, theta: float, axis: str) -> Optional[float]:
     return getattr(tomo, f"sigma_{axis}")
 
 
-def run_fig2(config: RunConfig, variants: Sequence[str] = FIG2_VARIANTS) -> list[Path]:
-    """Tomography of the weak-measurement protocols versus rotation angle."""
+def _success_probability(variant: str, theta: float) -> float:
+    if variant == "reversal":
+        return protocols.reversal_success_probability(theta)
+    return protocols.success_probability_n(theta, 1 if variant == "single" else 2)
+
+
+def _sigma_panel(name, sequence, axis, analytic, title, xlabel=THETA_LABEL) -> Panel:
+    ylabel = f"&lt;sigma_{axis}&gt;"
+    style = PlotStyle(f"{title}: sigma_{axis}", xlabel, ylabel, -1.1, 1.1)
+    return Panel(name, sequence, axis, MEAN, analytic, style)
+
+
+# Every theta-sweep panel, in output order.  fig2, supp4 and supp5 read the
+# same fig2 ensembles; supp4 reads their kept fraction.
+PANELS: tuple[Panel, ...] = (
+    *(
+        _sigma_panel(f"fig2_{v}_sigma_{a}", v, a,
+                     lambda t, v=v, a=a: fig2_analytic(v, t, a), f"{v} measurement")
+        for v in FIG2_VARIANTS
+        for a in AXES
+    ),
+    *(
+        Panel(f"supp4_success_{v}", v, "z", KEPT, lambda t, v=v: _success_probability(v, t),
+              PlotStyle(f"success probability: {v}", THETA_LABEL, "P(success)", -0.05, 1.05))
+        for v in FIG2_VARIANTS
+    ),
+    *(
+        _sigma_panel(f"supp5_expectations_{v}_sigma_{a}", v, a,
+                     lambda t, v=v, a=a: fig2_analytic(v, t, a), f"{v} measurement")
+        for v in ("single", "double")
+        for a in AXES
+    ),
+    *(
+        _sigma_panel(f"supp6_steering_sigma_{a}", STEERING, a,
+                     lambda t, a=a: getattr(protocols.steering_scan(t), f"sigma_{a}"),
+                     "steering scan", "unconditional electron rotation theta (rad)")
+        for a in AXES
+    ),
+)
+
+
+def _sweep_protocol(sequence: str, theta: float, axis: str) -> mc.Protocol:
+    if sequence == STEERING:
+        return mc.Protocol(
+            (
+                mc.Pulse(RotationPulse(Frequency.ESR_BOTH, theta)),
+                mc.ReadoutWindow(TunnelModel.projective(), keep="no_blip"),
+                mc.NuclearTomography(axis),
+            ),
+            initial=prepare_bell(),
+        )
+    return fig2_protocol(sequence, theta, axis)
+
+
+def _run_panels(
+    config: RunConfig, prefix: str, ensembles: dict[tuple, mc.EnsembleStats]
+) -> list[Path]:
+    """Write every panel of PANELS whose name starts with ``prefix``.
+
+    ``ensembles`` holds the run's EnsembleStats by (sequence, theta, axis).
+    Noise, shots and seed are fixed for a run, so equal keys are equal
+    ensembles: each is simulated once, however many panels read it.
+    """
     paths: list[Path] = []
-    for variant in variants:
-        for axis in AXES:
-            rows = []
-            for theta in config.theta_grid:
-                stats = mc.run_ensemble(
-                    fig2_protocol(variant, theta, axis),
+    for panel in PANELS:
+        if not panel.name.startswith(prefix):
+            continue
+        rows = []
+        for theta in config.theta_grid:
+            key = (panel.sequence, theta, panel.axis)
+            if key not in ensembles:
+                ensembles[key] = mc.run_ensemble(
+                    _sweep_protocol(*key),
                     config.noise,
                     config.n_shots,
                     config.rng_seed,
                     config.n_jobs,
                 )
-                rows.append(
-                    SweepRow(
-                        sweep_value=theta,
-                        analytic=fig2_analytic(variant, theta, axis),
-                        mc_mean=stats.mean,
-                        mc_std_error=stats.std_error,
-                        n_kept=stats.n_kept,
-                        n_total=stats.n_total,
-                    )
-                )
-            style = PlotStyle(
-                title=f"{variant} measurement: sigma_{axis}",
-                xlabel="rotation angle theta (rad)",
-                ylabel=f"&lt;sigma_{axis}&gt;",
-                y_min=-1.1,
-                y_max=1.1,
+            stats = ensembles[key]
+            if panel.statistic == KEPT:
+                value = stats.success_fraction
+                error = math.sqrt(value * (1.0 - value) / stats.n_total)
+            else:
+                value, error = stats.mean, stats.std_error
+            rows.append(
+                SweepRow(theta, panel.analytic(theta), value, error,
+                         stats.n_kept, stats.n_total)
             )
-            _write_panel(config, f"fig2_{variant}_sigma_{axis}", rows, style, paths)
+        csv_path = config.output_dir / f"{panel.name}.csv"
+        write_csv(csv_path, [f.name for f in fields(SweepRow)], [astuple(r) for r in rows])
+        paths.append(csv_path)
+        if config.emit_svg:
+            svg_path = config.output_dir / f"{panel.name}.svg"
+            svg_path.write_text(emit_plot(rows, panel.style), encoding="utf-8")
+            paths.append(svg_path)
+    if not paths:
+        raise ValueError(f"no panel name starts with {prefix!r}")
     return paths
+
+
+def run_fig2(config: RunConfig, variants: Sequence[str] = FIG2_VARIANTS) -> list[Path]:
+    """Tomography of the weak-measurement protocols versus rotation angle."""
+    ensembles: dict = {}
+    return [p for v in variants for p in _run_panels(config, f"fig2_{v}_", ensembles)]
 
 
 def bell_window_protocol(gamma: float, t_m: float, axis: str = "z") -> mc.Protocol:
@@ -262,101 +334,20 @@ def run_fig3(config: RunConfig) -> list[Path]:
 
 def run_supp_figs(config: RunConfig) -> list[Path]:
     """Success probabilities, expectation curves and the steering scan."""
-    paths: list[Path] = []
-
-    # success probabilities (one and two measurements, reversal)
-    for variant in FIG2_VARIANTS:
-        rows = []
-        for theta in config.theta_grid:
-            if variant == "reversal":
-                p = protocols.reversal_success_probability(theta)
-            else:
-                p = protocols.success_probability_n(theta, 1 if variant == "single" else 2)
-            stats = mc.run_ensemble(
-                fig2_protocol(variant, theta, "z"),
-                config.noise,
-                config.n_shots,
-                config.rng_seed,
-                config.n_jobs,
-            )
-            f = stats.success_fraction
-            se = math.sqrt(f * (1.0 - f) / stats.n_total)
-            rows.append(SweepRow(theta, p, f, se, stats.n_kept, stats.n_total))
-        style = PlotStyle(
-            title=f"success probability: {variant}",
-            xlabel="rotation angle theta (rad)",
-            ylabel="P(success)",
-            y_min=-0.05,
-            y_max=1.05,
-        )
-        _write_panel(config, f"supp4_success_{variant}", rows, style, paths)
-
-    # expectation-value curves for one and two measurements
-    for variant in ("single", "double"):
-        for axis in AXES:
-            rows = []
-            for theta in config.theta_grid:
-                stats = mc.run_ensemble(
-                    fig2_protocol(variant, theta, axis),
-                    config.noise,
-                    config.n_shots,
-                    config.rng_seed,
-                    config.n_jobs,
-                )
-                rows.append(
-                    SweepRow(theta, fig2_analytic(variant, theta, axis),
-                             stats.mean, stats.std_error, stats.n_kept, stats.n_total)
-                )
-            style = PlotStyle(
-                title=f"{variant} measurement: sigma_{axis}",
-                xlabel="rotation angle theta (rad)",
-                ylabel=f"&lt;sigma_{axis}&gt;",
-                y_min=-1.1,
-                y_max=1.1,
-            )
-            _write_panel(config, f"supp5_expectations_{variant}_sigma_{axis}", rows, style, paths)
-
-    # steering scan
-    for axis in AXES:
-        rows = []
-        for theta in config.theta_grid:
-            tomo = protocols.steering_scan(theta)
-            protocol = mc.Protocol(
-                (
-                    mc.Pulse(RotationPulse(Frequency.ESR_BOTH, theta)),
-                    mc.ReadoutWindow(TunnelModel.projective(), keep="no_blip"),
-                    mc.NuclearTomography(axis),
-                ),
-                initial=prepare_bell(),
-            )
-            stats = mc.run_ensemble(
-                protocol, config.noise, config.n_shots, config.rng_seed, config.n_jobs
-            )
-            rows.append(
-                SweepRow(theta, getattr(tomo, f"sigma_{axis}"),
-                         stats.mean, stats.std_error, stats.n_kept, stats.n_total)
-            )
-        style = PlotStyle(
-            title=f"steering scan: sigma_{axis}",
-            xlabel="unconditional electron rotation theta (rad)",
-            ylabel=f"&lt;sigma_{axis}&gt;",
-            y_min=-1.1,
-            y_max=1.1,
-        )
-        _write_panel(config, f"supp6_steering_sigma_{axis}", rows, style, paths)
-    return paths
+    return _run_panels(config, "supp", {})
 
 
 def run_experiment(config: RunConfig) -> list[Path]:
-    """Dispatch a RunConfig to the matching preset."""
+    """Run the panels whose names start with the configured experiment name;
+    ``custom`` runs them all, sharing every ensemble between figures."""
     exp = config.experiment
-    if exp.startswith("fig2_"):
-        return run_fig2(config, variants=(exp.removeprefix("fig2_"),))
     if exp == "fig3_tunnel":
         return run_fig3(config)
-    if exp in ("supp4_success", "supp5_expectations", "supp6_steering"):
-        return run_supp_figs(config)
     if exp == "custom":
-        # the full figure suite
-        return run_fig2(config) + run_fig3(config) + run_supp_figs(config)
-    raise ValueError(f"experiment {exp!r} has no preset runner")
+        ensembles: dict = {}
+        return (
+            _run_panels(config, "fig2", ensembles)
+            + run_fig3(config)
+            + _run_panels(config, "supp", ensembles)
+        )
+    return _run_panels(config, exp, {})

@@ -19,7 +19,6 @@ class PlotStyle:
     ylabel: str
     y_min: Optional[float] = None
     y_max: Optional[float] = None
-    log_y: bool = False
 
 
 @dataclass(frozen=True)

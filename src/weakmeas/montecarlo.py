@@ -34,17 +34,14 @@ from .qmath import DensityMatrix
 from .protocols import (
     BLIP,
     NO_BLIP,
-    ImpossibleBranchError,
     PostSelectedState,
     TunnelModel,
+    weak_electron_window,
 )
 from .spinsys import (
     JointState,
     NuclearState,
-    PROJ_DOWN,
-    PROJ_UP,
     RotationPulse,
-    pauli,
     prepare_initial,
     pulse_unitary,
 )
@@ -104,10 +101,6 @@ class NuclearTomography:
     def __post_init__(self):
         if self.axis not in ("x", "y", "z"):
             raise ProtocolError(f"unknown tomography axis {self.axis!r}")
-
-    @cached_property
-    def observable(self) -> np.ndarray:
-        return pauli(self.axis, "nuclear-only-2x2")
 
 
 ProtocolStep = Union[Pulse, ReadoutWindow, NuclearTomography]
@@ -188,17 +181,6 @@ class EnsembleStats:
     @property
     def empty(self) -> bool:
         return self.n_kept == 0
-
-
-def apply_dephasing(state: NuclearState, duration: float, t2star: float) -> NuclearState:
-    """Gaussian coherence decay: off-diagonals shrink by exp(-(t/T2*)^2)."""
-    if duration <= 0 or t2star <= 0:
-        raise ValueError("duration and t2star must be positive")
-    f = math.exp(-((duration / t2star) ** 2))
-    m = state.rho.matrix.copy()
-    m[0, 1] *= f
-    m[1, 0] *= f
-    return NuclearState(DensityMatrix(m))
 
 
 def _shot_rng(rng_seed: int, shot_index: int) -> np.random.Generator:
@@ -721,9 +703,10 @@ def conditional_state(
 ) -> PostSelectedState:
     """Deterministic evolution with forced readout outcomes.
 
-    Applies exactly the branch operators the sampler uses, one forced
-    outcome ("no_blip" or "blip") per readout window, and returns the final
-    nuclear state with the joint probability of that outcome sequence.
+    Applies ``protocols.weak_electron_window`` with one forced outcome
+    ("no_blip" or "blip") per readout window, reloading a down electron
+    after each, and returns the final nuclear state with the joint
+    probability of that outcome sequence.
     """
     outcomes = list(window_outcomes)
     if len(outcomes) != len(protocol.windows):
@@ -732,30 +715,14 @@ def conditional_state(
     probability = 1.0
     for step in protocol.steps[:-1]:
         if isinstance(step, Pulse):
-            u = step.unitary
-            joint = u @ joint @ u.conj().T
+            joint = step.unitary @ joint @ step.unitary_h
             continue
-        model = step.model
-        e_up, e_down = model.survival_up, model.survival_down
         outcome = outcomes.pop(0)
-        if outcome == NO_BLIP:
-            kraus = math.sqrt(e_up) * PROJ_UP + math.sqrt(e_down) * PROJ_DOWN
-            k = np.kron(np.eye(2, dtype=complex), kraus)
-            joint = k @ joint @ k.conj().T
-        elif outcome == BLIP:
-            pieces = np.zeros_like(joint)
-            for survival, proj in ((e_up, PROJ_UP), (e_down, PROJ_DOWN)):
-                if survival < 1.0:
-                    k = np.kron(np.eye(2, dtype=complex), proj)
-                    pieces = pieces + (1.0 - survival) * (k @ joint @ k.conj().T)
-            joint = pieces
-        else:
+        if outcome not in (NO_BLIP, BLIP):
             raise ProtocolError(f"unknown forced outcome {outcome!r}")
-        w = float(np.trace(joint).real)
-        if w < 1e-15:
-            raise ImpossibleBranchError("forced outcome sequence has zero probability")
-        probability *= w
-        joint = _reload_down_fast(joint / w)
+        post = weak_electron_window(JointState(DensityMatrix(joint)), step.model, outcome)
+        probability *= post.success_probability
+        joint = _embed_nuclear(post.state.rho.matrix)
     nuclear = qmath.partial_trace(joint, qmath.ELECTRON)
     return PostSelectedState(NuclearState(DensityMatrix(nuclear)), probability)
 
@@ -777,6 +744,23 @@ class GammaEstimate:
     n_censored: int
 
 
+def _bisect(f, lo: float, hi: float) -> float:
+    """Root of ``f`` between ``lo`` and ``hi``, where it changes sign, found
+    by halving the bracket until no float lies strictly inside it."""
+    lo_positive = f(lo) > 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0.0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+
+
 def estimate_gamma_from_blips(
     records: Sequence[ShotRecord],
     t_m: float,
@@ -789,9 +773,6 @@ def estimate_gamma_from_blips(
     which occurs with the given probability (1/2 for the Bell protocol).
     The 95% interval comes from the likelihood-ratio statistic.
     """
-    # imported here, so that starting the CLI does not load scipy
-    from scipy.optimize import brentq
-
     if any(len(r.blip_times) != 1 for r in records):
         raise ProtocolError("records must come from a single-window protocol")
     times = [r.blip_times[0] for r in records if r.blip_times[0] is not None]
@@ -818,15 +799,15 @@ def estimate_gamma_from_blips(
         raise NoInformationError("likelihood is maximized at zero rate")
     if score(hi) >= 0.0:
         raise NoInformationError("likelihood is maximized at infinite rate")
-    gamma_hat = brentq(score, lo, hi, xtol=1e-14, rtol=1e-13)
+    gamma_hat = _bisect(score, lo, hi)
 
     target = loglik(gamma_hat) - CHI2_1DOF_95 / 2.0
 
     def deficit(gamma: float) -> float:
         return loglik(gamma) - target
 
-    g_low = brentq(deficit, lo, gamma_hat) if deficit(lo) < 0 else lo
-    g_high = brentq(deficit, gamma_hat, hi) if deficit(hi) < 0 else hi
+    g_low = _bisect(deficit, lo, gamma_hat) if deficit(lo) < 0 else lo
+    g_high = _bisect(deficit, gamma_hat, hi) if deficit(hi) < 0 else hi
     # low rate -> long tunnel time
     return GammaEstimate(
         inv_gamma=1.0 / gamma_hat,

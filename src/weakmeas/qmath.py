@@ -38,24 +38,6 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    a, b = _as_matrix(a), _as_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    return _as_matrix(a).conj().T
-
-
-def kron(a, b) -> np.ndarray:
-    a, b = _as_matrix(a), _as_matrix(b)
-    if a.shape[0] * b.shape[0] > 4:
-        raise DimensionError("tensor products above dimension 4 are out of scope")
-    return np.kron(a, b)
-
-
 def partial_trace(a, subsystem: str) -> np.ndarray:
     """Trace the 4x4 matrix ``a`` over the named subsystem.
 

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from weakmeas import montecarlo as mc
 from weakmeas.experiments.cli import main
 from weakmeas.experiments.config import (
+    EXPERIMENTS,
     RunConfig,
     default_gamma_grid,
     default_theta_grid,
@@ -290,7 +292,55 @@ class TestCli:
         rc = main(["custom", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 0
         out = capsys.readouterr().out.strip().splitlines()
-        assert any("supp6_steering" in line for line in out)
+        assert sorted(Path(line).name for line in out) == [
+            f"supp6_steering_sigma_{axis}.csv" for axis in ("x", "y", "z")
+        ]
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_experiment_selects_its_panels(self, tmp_path, capsys, experiment):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(
+            f"experiment: {experiment}\n"
+            "theta_grid: [0.0, 3.141592653589793]\n"
+            "gamma_grid: [0.5]\n"
+            "n_shots: 10\n"
+            "emit_svg: false\n",
+            encoding="utf-8",
+        )
+        rc = main(["custom", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 0
+        names = [Path(line).name for line in capsys.readouterr().out.splitlines()]
+        assert names
+        prefix = "" if experiment == "custom" else experiment
+        assert all(name.startswith(prefix) for name in names)
+        assert sorted(names) == sorted(p.name for p in (tmp_path / "out").iterdir())
+
+    def test_custom_runs_each_ensemble_once(self, tmp_path, monkeypatch):
+        calls = []
+        run_shots = mc.run_shots
+
+        def counted(protocol, noise, n_shots, rng_seed, n_jobs):
+            calls.append(
+                (repr(protocol.steps), protocol.initial.rho.matrix.tobytes(),
+                 noise, n_shots, rng_seed)
+            )
+            return run_shots(protocol, noise, n_shots, rng_seed, n_jobs)
+
+        monkeypatch.setattr(mc, "run_shots", counted)
+        theta_grid = [0.0, 1.0, math.pi, 5.0]
+        gamma_grid = [0.5, 2.0]
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(
+            "experiment: custom\n"
+            f"theta_grid: {theta_grid}\n"
+            f"gamma_grid: {gamma_grid}\n"
+            "n_shots: 10\n"
+            "emit_svg: false\n",
+            encoding="utf-8",
+        )
+        assert main(["custom", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 12 * len(theta_grid) + len(gamma_grid)
+        assert len(set(calls)) == len(calls)
 
     def test_seed_changes_output(self, tmp_path):
         common = ["fig2", "--variant", "single", "--shots", "40", "--grid", "3",

@@ -1,12 +1,14 @@
 """Trajectory sampler tests: determinism, agreement with the closed forms,
 noise knobs and the tunnel-rate estimator."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from weakmeas.montecarlo import (
+    CHI2_1DOF_95,
     NO_NOISE,
     NoInformationError,
     NoiseConfig,
@@ -16,7 +18,7 @@ from weakmeas.montecarlo import (
     Pulse,
     ReadoutWindow,
     ShotRecord,
-    apply_dephasing,
+    _dephase_joint,
     conditional_state,
     estimate_gamma_from_blips,
     run_ensemble,
@@ -32,10 +34,9 @@ from weakmeas.protocols import (
     sigma_z_noblip,
     success_probability_n,
 )
-from weakmeas.qmath import DensityMatrix
+from weakmeas.qmath import ELECTRON, partial_trace
 from weakmeas.spinsys import (
     Frequency,
-    NuclearState,
     RotationPulse,
     prepare_bell,
     prepare_initial,
@@ -215,26 +216,22 @@ class TestForcedOutcomes:
         assert w == pytest.approx(1.0, abs=1e-12)
 
 
+DOWN_ELECTRON = np.array([[0, 0], [0, 1]], dtype=complex)
+
+
 class TestDephasing:
     def test_frozen_factor(self):
-        rho = NuclearState(DensityMatrix(np.full((2, 2), 0.5, dtype=complex)))
-        out = apply_dephasing(rho, duration=1.0, t2star=1.0)
-        assert out.rho.matrix[0, 1].real == pytest.approx(
-            0.18393972058572117, abs=1e-15
-        )
+        joint = np.kron(np.full((2, 2), 0.5, dtype=complex), DOWN_ELECTRON)
+        out = _dephase_joint(joint, duration=1.0, t2star=1.0)
+        nuclear = partial_trace(out, ELECTRON)
+        assert nuclear[0, 1].real == pytest.approx(0.18393972058572117, abs=1e-15)
 
     def test_populations_untouched(self):
         m = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
-        out = apply_dephasing(NuclearState(DensityMatrix(m)), 2.0, 0.5)
-        assert out.rho.matrix[0, 0].real == pytest.approx(0.7)
-        assert out.rho.matrix[1, 1].real == pytest.approx(0.3)
-
-    def test_rejects_bad_args(self):
-        rho = NuclearState(DensityMatrix(np.eye(2, dtype=complex) / 2))
-        with pytest.raises(ValueError):
-            apply_dephasing(rho, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            apply_dephasing(rho, 1.0, -1.0)
+        out = _dephase_joint(np.kron(m, DOWN_ELECTRON), 2.0, 0.5)
+        nuclear = partial_trace(out, ELECTRON)
+        assert nuclear[0, 0].real == pytest.approx(0.7)
+        assert nuclear[1, 1].real == pytest.approx(0.3)
 
     def test_shrinks_transverse_not_longitudinal(self):
         noise = NoiseConfig(nuclear_dephasing_time=0.1)
@@ -359,3 +356,42 @@ class TestGammaEstimator:
             run_shots(p, n_shots=8_000, rng_seed=14), t_m
         )
         assert (large.ci_high - large.ci_low) < (small.ci_high - small.ci_low)
+
+    def test_matches_brentq(self):
+        """The estimator's roots equal scipy's brentq run at its finest
+        tolerance, on a grid of (n_blips, n_censored, sum of times, p, t_m)."""
+        from scipy.optimize import brentq
+
+        def reference(n_blips, n_censored, sum_t, p, t_m):
+            def loglik(g):
+                return (n_blips * math.log(p * g) - g * sum_t
+                        + n_censored * math.log(1.0 - p + p * math.exp(-g * t_m)))
+
+            def score(g):
+                e = math.exp(-g * t_m)
+                return n_blips / g - sum_t - n_censored * p * t_m * e / (1.0 - p + p * e)
+
+            tight = dict(xtol=1e-300, rtol=4 * np.finfo(float).eps)
+            lo, hi = 1e-9 / t_m, 1e6 / t_m
+            g_hat = brentq(score, lo, hi, **tight)
+            target = loglik(g_hat) - CHI2_1DOF_95 / 2.0
+
+            def deficit(g):
+                return loglik(g) - target
+
+            g_low = brentq(deficit, lo, g_hat, **tight) if deficit(lo) < 0 else lo
+            g_high = brentq(deficit, g_hat, hi, **tight) if deficit(hi) < 0 else hi
+            return 1.0 / g_hat, 1.0 / g_high, math.inf if g_low <= lo else 1.0 / g_low
+
+        for n_blips, n_censored, mean_t, p, t_m in itertools.product(
+            (1, 40, 900), (0, 25, 1500), (0.05, 0.3), (0.5, 0.8), (0.2, 1.5, 12.0)
+        ):
+            times = [mean_t * t_m * (0.5 + (i % 5) / 4) for i in range(n_blips)]
+            recs = [ShotRecord(True, (t,), 1, i) for i, t in enumerate(times)]
+            recs += [ShotRecord(True, (None,), 1, n_blips + i) for i in range(n_censored)]
+            est = estimate_gamma_from_blips(recs, t_m, p)
+            expected = reference(n_blips, n_censored, float(sum(times)), p, t_m)
+            case = (n_blips, n_censored, mean_t, p, t_m)
+            assert (est.inv_gamma, est.ci_low, est.ci_high) == pytest.approx(
+                expected, rel=1e-12
+            ), case

@@ -11,10 +11,7 @@ from weakmeas.qmath import (
     DensityMatrix,
     DimensionError,
     NotHermitianError,
-    adjoint,
     hermitian_eigenvalues,
-    kron,
-    matmul,
     partial_trace,
     partial_transpose_electron,
     purity,
@@ -22,12 +19,6 @@ from weakmeas.qmath import (
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
-
-
-def rot(theta):
-    # the package's half-angle rotation at phase 0, written out by hand
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, s], [-s, c]], dtype=complex)
 
 
 def random_density(rng, dim):
@@ -42,68 +33,6 @@ def char_poly_eigs_oracle(m):
     roots = np.roots(coeffs)
     assert np.max(np.abs(roots.imag)) < 1e-8
     return sorted(roots.real)
-
-
-class TestMatmul:
-    def test_identity(self):
-        assert np.allclose(matmul(I2, X), X)
-
-    def test_pauli_involution(self):
-        assert np.allclose(matmul(X, X), I2)
-
-    def test_rotation_composition(self):
-        # two quarter rotations make a half rotation
-        assert np.allclose(matmul(rot(math.pi / 2), rot(math.pi / 2)), rot(math.pi), atol=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            matmul(I2, np.eye(4))
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            matmul(np.array([[np.nan, 0], [0, 1]]), I2)
-
-
-class TestAdjoint:
-    def test_conjugate_transpose(self):
-        a = np.array([[0, 1j], [0, 0]])
-        assert np.allclose(adjoint(a), np.array([[0, 0], [-1j, 0]]))
-
-    def test_hermitian_fixed_point(self):
-        assert np.allclose(adjoint(X), X)
-
-    def test_involution(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert np.allclose(adjoint(adjoint(a)), a)
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.allclose(kron(I2, I2), np.eye(4))
-
-    def test_basis_order(self):
-        # |nuclear up><up| x |electron down><down| must land in slot (1, 1)
-        up = np.array([[1, 0], [0, 0]], dtype=complex)
-        down = np.array([[0, 0], [0, 1]], dtype=complex)
-        k = kron(up, down)
-        expected = np.zeros((4, 4))
-        expected[1, 1] = 1
-        assert np.allclose(k, expected)
-
-    def test_initial_joint_state(self):
-        # nuclear x-superposition with a down electron
-        rho_n0 = np.full((2, 2), 0.5, dtype=complex)
-        down = np.array([[0, 0], [0, 1]], dtype=complex)
-        expected = np.zeros((4, 4))
-        for i in (1, 3):
-            for j in (1, 3):
-                expected[i, j] = 0.5
-        assert np.allclose(kron(rho_n0, down), expected)
-
-    def test_rejects_oversize(self):
-        with pytest.raises(DimensionError):
-            kron(np.eye(4), I2)
 
 
 class TestPartialTrace:
@@ -152,6 +81,12 @@ class TestPartialTrace:
     def test_rejects_wrong_dim(self):
         with pytest.raises(DimensionError):
             partial_trace(I2, qmath.ELECTRON)
+
+    def test_rejects_nonfinite(self):
+        m = np.eye(4, dtype=complex)
+        m[0, 0] = np.nan
+        with pytest.raises(ValueError):
+            partial_trace(m, qmath.ELECTRON)
 
 
 class TestHermitianEigenvalues:
@@ -235,14 +170,8 @@ class TestProperties:
     @settings(deadline=None, max_examples=60)
     @given(density_matrices(2), density_matrices(2))
     def test_kron_partial_trace_roundtrip(self, rho_a, rho_b):
-        assert np.max(np.abs(partial_trace(kron(rho_a, rho_b), qmath.ELECTRON) - rho_a)) < 1e-12
-        assert np.max(np.abs(partial_trace(kron(rho_a, rho_b), qmath.NUCLEUS) - rho_b)) < 1e-12
-
-    def test_matmul_associative(self):
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            a, b, c = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(3))
-            assert np.max(np.abs(matmul(matmul(a, b), c) - matmul(a, matmul(b, c)))) < 1e-12
+        assert np.max(np.abs(partial_trace(np.kron(rho_a, rho_b), qmath.ELECTRON) - rho_a)) < 1e-12
+        assert np.max(np.abs(partial_trace(np.kron(rho_a, rho_b), qmath.NUCLEUS) - rho_b)) < 1e-12
 
     @settings(deadline=None, max_examples=60)
     @given(density_matrices(4))

@@ -1,6 +1,6 @@
 """Block shot engine tests: its Philox uniforms, record-for-record equality
 with the scalar ``sample_shot``, byte-identical CSVs, no leftover worker
-processes, and a CLI start that does not import scipy."""
+processes, and a CLI start and fig3 run that do not import scipy."""
 
 import math
 import multiprocessing
@@ -282,20 +282,28 @@ def test_chi2_quantile_constant():
     assert mc.CHI2_1DOF_95 == chi2.ppf(0.95, df=1)
 
 
-def test_cli_import_skips_scipy():
+def test_cli_import_skips_scipy(tmp_path):
+    """scipy is a test dependency only: neither starting the CLI nor a whole
+    fig3 run (the blip-time MLE included) may load it."""
     src = Path(weakmeas.__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    code = (
-        "import sys, weakmeas.experiments.cli\n"
-        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=120,
-    )
-    assert out.stdout.strip() == "[]"
+    for run in (
+        "",
+        "weakmeas.experiments.cli.main(['fig3', '--no-svg', '--out', sys.argv[1]])\n",
+    ):
+        code = (
+            "import sys, weakmeas.experiments.cli\n"
+            + run
+            + "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "fig3_tunnel.csv").exists()
