@@ -13,6 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from ..montecarlo import worker_pool
 from .config import RunConfig, default_theta_grid, load_config
 from .presets import run_experiment, run_fig2, run_fig3, run_supp_figs
 
@@ -73,21 +74,23 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _build_config(args)
-        if args.command == "fig2":
-            variants = (
-                ("single", "double", "reversal")
-                if args.variant == "all"
-                else (args.variant,)
-            )
-            paths = run_fig2(cfg, variants=variants)
-        elif args.command == "fig3":
-            paths = run_fig3(cfg)
-        elif args.command == "supp":
-            paths = run_supp_figs(cfg)
-        else:
-            if args.config is None:
-                raise ValueError("the custom subcommand requires --config")
-            paths = run_experiment(cfg)
+        # every ensemble of the run shares one pool of worker processes
+        with worker_pool(min(cfg.n_jobs, cfg.n_shots)):
+            if args.command == "fig2":
+                variants = (
+                    ("single", "double", "reversal")
+                    if args.variant == "all"
+                    else (args.variant,)
+                )
+                paths = run_fig2(cfg, variants=variants)
+            elif args.command == "fig3":
+                paths = run_fig3(cfg)
+            elif args.command == "supp":
+                paths = run_supp_figs(cfg)
+            else:
+                if args.config is None:
+                    raise ValueError("the custom subcommand requires --config")
+                paths = run_experiment(cfg)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -243,14 +243,14 @@ def run_fig3(config: RunConfig) -> list[Path]:
     for gamma in sorted(config.gamma_grid):
         model = TunnelModel(gamma_up_out=gamma, t_m=t_m)
         analytic = protocols.sigma_z_noblip(math.pi, model)
-        records = mc.run_shots(
+        shots = mc.run_shots(
             bell_window_protocol(gamma, t_m),
             config.noise,
             config.n_shots,
             config.rng_seed,
             config.n_jobs,
         )
-        stats = mc.stats_from_records(records)
+        stats = mc.stats_from_records(shots)
 
         inv_ext = inv_lo = inv_hi = None
         if not stats.empty:
@@ -265,7 +265,7 @@ def run_fig3(config: RunConfig) -> list[Path]:
 
         mle = mle_lo = mle_hi = None
         try:
-            est = mc.estimate_gamma_from_blips(records, t_m)
+            est = mc.estimate_gamma_from_blips(shots, t_m)
             mle, mle_lo, mle_hi = est.inv_gamma, est.ci_low, est.ci_high
         except mc.NoInformationError:
             pass

@@ -14,18 +14,26 @@ parallel runs (any worker count) give bit-identical aggregates.
 every shot come from one vectorised Philox4x64-10 pass, each shot keeps its
 own draw pointer, and the state is evolved once per distinct branch
 history (the state is a function of the outcomes drawn so far, not of the
-shot), with the same arithmetic as the scalar code.  ``sample_shot`` is
-that scalar code, one shot at a time; it is the reference the block engine
-is tested against, record for record.
+shot).  It returns ``Shots``, one array row per shot: the tomography
+outcome (0 for a rejected shot), the blip time of each window (NaN where
+none was recorded) and the windows each shot reached.  The estimators read
+these columns directly.
+
+With ``n_jobs > 1`` the shot range is split into chunks that run in worker
+processes.  ``worker_pool`` opens one pool that every ``run_shots`` call
+inside it shares, so a whole CLI run starts its workers once; a call made
+outside any ``worker_pool`` opens a pool for itself.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -155,14 +163,33 @@ class NoiseConfig:
 NO_NOISE = NoiseConfig()
 
 
-@dataclass(frozen=True)
-class ShotRecord:
-    """Outcome of one trajectory."""
+@dataclass(frozen=True, eq=False)
+class Shots:
+    """Outcomes of consecutive shots, one array row per shot, in shot order."""
 
-    kept: bool
-    blip_times: tuple[Optional[float], ...]
-    nuclear_outcome: Optional[int]
-    rng_stream_id: int
+    outcome: np.ndarray  # int8 tomography eigenvalue, 0 where the shot was rejected
+    blip_times: np.ndarray  # (shots, windows) float, NaN where no blip was recorded
+    windows_seen: np.ndarray  # windows reached; a rejected shot stops at its window
+
+    def __len__(self) -> int:
+        return len(self.outcome)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Shots):
+            return NotImplemented
+        return (
+            np.array_equal(self.outcome, other.outcome)
+            and np.array_equal(self.blip_times, other.blip_times, equal_nan=True)
+            and np.array_equal(self.windows_seen, other.windows_seen)
+        )
+
+    @staticmethod
+    def concat(parts: Sequence["Shots"]) -> "Shots":
+        if len(parts) == 1:
+            return parts[0]
+        return Shots(
+            *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(Shots))
+        )
 
 
 @dataclass(frozen=True)
@@ -181,12 +208,6 @@ class EnsembleStats:
     @property
     def empty(self) -> bool:
         return self.n_kept == 0
-
-
-def _shot_rng(rng_seed: int, shot_index: int) -> np.random.Generator:
-    """Independent counter-based stream for one shot."""
-    key = np.array([rng_seed & 0xFFFFFFFFFFFFFFFF, shot_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _dephase_joint(joint: np.ndarray, duration: float, t2star: float) -> np.ndarray:
@@ -224,142 +245,6 @@ def _reload_down_fast(joint: np.ndarray) -> np.ndarray:
     return _embed_nuclear(_nuclear_reduced(joint))
 
 
-def sample_shot(
-    protocol: Protocol,
-    noise: NoiseConfig = NO_NOISE,
-    rng_seed: int = 0,
-    shot_index: int = 0,
-) -> ShotRecord:
-    """Simulate one trajectory; deterministic given (rng_seed, shot_index).
-
-    Zero-dephasing trajectories stay pure, so the hot path evolves a
-    4-amplitude statevector and only falls back to a density matrix when
-    dephasing is on or a partially-collapsed electron must be traced out
-    mid-sequence.  Both representations consume the random stream in the
-    same order, so the sampled record does not depend on the path taken.
-    """
-    rng = _shot_rng(rng_seed, shot_index)
-    rand = rng.random
-    steps = protocol.steps
-    n_steps = len(steps) - 1
-
-    psi: Optional[np.ndarray] = protocol.initial_statevector
-    joint: Optional[np.ndarray] = None
-    if psi is None or noise.nuclear_dephasing_time is not None:
-        psi = None
-        joint = protocol.initial.rho.matrix
-    blip_times: list[Optional[float]] = []
-    kept = True
-
-    for step_index in range(n_steps):
-        step = steps[step_index]
-        if type(step) is Pulse:
-            if psi is not None:
-                psi = step.unitary @ psi
-            else:
-                joint = step.unitary @ joint @ step.unitary_h
-            continue
-
-        # readout window
-        e_up, e_down = step.survival
-        if psi is not None:
-            p_up = psi[0].real**2 + psi[0].imag**2 + psi[2].real**2 + psi[2].imag**2
-        else:
-            p_up = joint[0, 0].real + joint[2, 2].real
-        p_down = 1.0 - p_up
-        w_blip_up = p_up * (1.0 - e_up)
-        w_blip_down = p_down * (1.0 - e_down)
-        p_blip = w_blip_up + w_blip_down
-        true_blip = rand() < p_blip
-        t_blip: Optional[float] = None
-
-        if true_blip:
-            # which electron state tunneled, and when
-            if w_blip_down > 0.0 and rand() * p_blip >= w_blip_up:
-                gamma, e_gone = step.model.gamma_down_out, 1
-            else:
-                gamma, e_gone = step.model.gamma_up_out, 0
-            t_blip = _truncated_exp_time(rand(), gamma, step.model.t_m)
-            # project the electron onto the tunneled branch, reload it down
-            if psi is not None:
-                a0, a1 = psi[e_gone], psi[2 + e_gone]
-                norm = math.sqrt(
-                    a0.real**2 + a0.imag**2 + a1.real**2 + a1.imag**2
-                )
-                psi = np.array([0.0, a0 / norm, 0.0, a1 / norm], dtype=complex)
-            else:
-                nuc = joint.reshape(2, 2, 2, 2)[:, e_gone, :, e_gone]
-                joint = _embed_nuclear(nuc / (nuc[0, 0].real + nuc[1, 1].real))
-        else:
-            # amplitude damping of the surviving branches
-            if psi is not None:
-                psi = psi * step.damping_amplitudes
-                norm_sq = float(np.vdot(psi, psi).real)
-                psi = psi / math.sqrt(norm_sq)
-                if psi[0] != 0 or psi[2] != 0:
-                    # electron only partially collapsed; tracing it out for
-                    # a later reload makes the nuclear state mixed
-                    if step_index + 1 < n_steps:
-                        joint = np.outer(psi, psi.conj())
-                        joint = _reload_down_fast(joint)
-                        psi = None
-                else:
-                    psi = np.array([0.0, psi[1], 0.0, psi[3]], dtype=complex)
-            else:
-                joint = joint * step.damping_matrix
-                w = (joint[0, 0] + joint[1, 1] + joint[2, 2] + joint[3, 3]).real
-                joint = _reload_down_fast(joint / w)
-
-        # label error: the classified outcome, not the state, is flipped
-        model = step.model
-        flip_p = (
-            model.readout_false_negative + noise.readout_false_negative
-            - model.readout_false_negative * noise.readout_false_negative
-            if true_blip
-            else model.readout_false_positive + noise.readout_false_positive
-            - model.readout_false_positive * noise.readout_false_positive
-        )
-        observed_blip = true_blip
-        if flip_p > 0.0 and rand() < flip_p:
-            observed_blip = not true_blip
-        blip_times.append(t_blip if (true_blip and observed_blip) else None)
-
-        if noise.nuclear_dephasing_time is not None:
-            joint = _dephase_joint(joint, model.t_m, noise.nuclear_dephasing_time)
-
-        if step.keep != "both":
-            wanted_blip = step.keep == BLIP
-            if observed_blip != wanted_blip:
-                kept = False
-                break
-
-    outcome: Optional[int] = None
-    if kept:
-        axis = steps[-1].axis
-        if psi is not None:
-            n00 = psi[0].real**2 + psi[0].imag**2 + psi[1].real**2 + psi[1].imag**2
-            n01 = psi[0] * psi[2].conjugate() + psi[1] * psi[3].conjugate()
-            n11 = 1.0 - n00
-        else:
-            nuc = _nuclear_reduced(joint)
-            n00, n11, n01 = nuc[0, 0].real, nuc[1, 1].real, nuc[0, 1]
-        if axis == "z":
-            expectation = n00 - n11
-        elif axis == "x":
-            expectation = 2.0 * n01.real
-        else:
-            expectation = -2.0 * n01.imag
-        p_plus = min(max((1.0 + expectation) / 2.0, 0.0), 1.0)
-        outcome = 1 if rand() < p_plus else -1
-
-    return ShotRecord(
-        kept=kept,
-        blip_times=tuple(blip_times),
-        nuclear_outcome=outcome,
-        rng_stream_id=shot_index,
-    )
-
-
 # Block engine: the shots of one block advance together.
 SHOT_BLOCK = 4096  # shots per block; bounds the engine's per-shot arrays
 
@@ -394,8 +279,8 @@ def _philox_mulhilo(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _philox_uniforms(rng_seed: int, start: int, stop: int, n_draws: int) -> np.ndarray:
     """The first ``n_draws`` uniforms of shots start..stop-1, one row each.
 
-    Row j equals ``_shot_rng(rng_seed, start + j).random(n_draws)`` bit for
-    bit: numpy's ``Philox`` increments its counter before each output of
+    Row j equals ``Generator(Philox(key=(rng_seed, start + j))).random(n_draws)``
+    bit for bit: numpy's ``Philox`` increments its counter before each output of
     four words, so draw k is word k % 4 of the output at counter k // 4 + 1,
     mapped to ``(x >> 11) * 2**-53``.  Every (shot, counter) lane runs in
     one pass.
@@ -421,43 +306,11 @@ def _philox_uniforms(rng_seed: int, start: int, stop: int, n_draws: int) -> np.n
     return (words[:, :n_draws] >> 11) * 2.0**-53
 
 
-@dataclass(frozen=True)
-class _ShotColumns:
-    """Outcomes of consecutive shots, one array entry per shot."""
-
-    outcome: np.ndarray  # int8 tomography eigenvalue, 0 where not kept
-    blip_times: np.ndarray  # (shots, windows) float, NaN where none recorded
-    windows_seen: np.ndarray  # windows reached; a rejected shot stops early
-
-    @staticmethod
-    def concat(parts: Sequence["_ShotColumns"]) -> "_ShotColumns":
-        if len(parts) == 1:
-            return parts[0]
-        return _ShotColumns(
-            *(
-                np.concatenate([getattr(p, f.name) for p in parts])
-                for f in fields(_ShotColumns)
-            )
-        )
-
-    def records(self, start: int) -> list[ShotRecord]:
-        """The shots as ShotRecords, numbered from ``start``."""
-        times = self.blip_times.astype(object)
-        times[np.isnan(self.blip_times)] = None
-        return [
-            ShotRecord(o != 0, tuple(t[:seen]), o or None, i)
-            for i, o, t, seen in zip(
-                range(start, start + len(self.outcome)),
-                self.outcome.tolist(),
-                times.tolist(),
-                self.windows_seen.tolist(),
-            )
-        ]
-
-
-# A node is the (psi, joint) pair of sample_shot shared by every shot with
-# the same outcomes so far.  Nodes evolve with sample_shot's arithmetic, so
-# each shot sees the probabilities it would see on its own.
+# A node is the (psi, joint) state pair shared by every shot with the same
+# outcomes so far.  Nodes evolve with the arithmetic of a lone shot (the
+# scalar ``sample_shot`` in tests/reference_sampler.py, which keeps a
+# statevector while the state stays pure), so each shot sees the
+# probabilities it would see on its own.
 
 
 def _node_start(protocol: Protocol, noise: NoiseConfig) -> tuple:
@@ -552,8 +405,8 @@ def _flip_probabilities(model: TunnelModel, noise: NoiseConfig) -> tuple[float, 
 
 def _shot_block(
     protocol: Protocol, noise: NoiseConfig, rng_seed: int, start: int, stop: int
-) -> _ShotColumns:
-    """Shots start..stop-1, drawing from their streams in sample_shot's order."""
+) -> Shots:
+    """Shots start..stop-1, drawing from their streams in a lone shot's order."""
     steps = protocol.steps
     n_steps = len(steps) - 1
     windows = protocol.windows
@@ -585,7 +438,7 @@ def _shot_block(
         p_blip = w_up + w_down
         blip = u[cursor] < p_blip
         cursor += 1
-        # sample_shot draws which electron tunneled only where w_blip_down > 0
+        # a lone shot draws which electron tunneled only where w_blip_down > 0
         down = choose = blip & (w_down > 0.0)
         if choose.any():
             down = choose & (u[cursor] * p_blip >= w_up)
@@ -630,17 +483,49 @@ def _shot_block(
     if rows.size:
         p_plus = np.array([_node_p_plus(x, steps[-1].axis) for x in nodes])
         outcome[rows] = np.where(u[cursor] < p_plus[node], 1, -1)
-    return _ShotColumns(outcome, blip_times, windows_seen)
+    return Shots(outcome, blip_times, windows_seen)
 
 
-def _run_chunk(args) -> _ShotColumns:
+def _run_chunk(args) -> Shots:
     protocol, noise, rng_seed, start, stop = args
-    return _ShotColumns.concat(
+    return Shots.concat(
         [
             _shot_block(protocol, noise, rng_seed, a, min(a + SHOT_BLOCK, stop))
             for a in range(start, stop, SHOT_BLOCK)
         ]
     )
+
+
+# The pool that run_shots sends its chunks to while a worker_pool block is open.
+_OPEN_POOL: ContextVar[Optional[ProcessPoolExecutor]] = ContextVar(
+    "weakmeas_worker_pool", default=None
+)
+
+
+@contextmanager
+def worker_pool(n_jobs: int) -> Iterator[Optional[ProcessPoolExecutor]]:
+    """One process pool for every ``run_shots`` call made inside the block.
+
+    Opens a pool of ``n_jobs`` workers, unless ``n_jobs`` is 1 or a pool is
+    open already: then the block uses that pool (or none), so nested blocks
+    share the outermost one.  The pool a block opens is shut down and its
+    workers joined when that block exits, whether or not it raised.
+    """
+    pool = _OPEN_POOL.get()
+    if pool is not None or n_jobs <= 1:
+        yield pool
+        return
+    # The platform's default start method (fork on Linux): the pool starts
+    # its workers on the first submit, before its own manager thread.  Two
+    # spawned workers took 0.45-0.65 s to start on a 2-vCPU machine, about
+    # as long as a whole `fig2 --shots 2000` run.
+    pool = ProcessPoolExecutor(max_workers=n_jobs)
+    token = _OPEN_POOL.set(pool)
+    try:
+        yield pool
+    finally:
+        _OPEN_POOL.reset(token)
+        pool.shutdown(cancel_futures=True)
 
 
 def run_shots(
@@ -649,40 +534,36 @@ def run_shots(
     n_shots: int = 1,
     rng_seed: int = 0,
     n_jobs: int = 1,
-) -> list[ShotRecord]:
-    """All shot records for indices 0..n_shots-1, in index order.
+) -> Shots:
+    """The outcomes of shots 0..n_shots-1, in shot order.
 
-    Equal, record for record, to ``sample_shot`` over the same indices.
-    ``n_jobs > 1`` splits the index range over worker processes; the result
-    is identical to the serial run because every shot has its own stream.
+    ``n_jobs > 1`` splits the shots into ``min(n_jobs, n_shots)`` chunks
+    that run in the pool of the enclosing ``worker_pool`` block, or in a
+    pool opened for this call when there is none.  The result is identical
+    to the serial run because every shot has its own stream.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
+    n_jobs = min(n_jobs, n_shots)
     if n_jobs <= 1:
-        return _run_chunk((protocol, noise, rng_seed, 0, n_shots)).records(0)
+        return _run_chunk((protocol, noise, rng_seed, 0, n_shots))
     bounds = np.linspace(0, n_shots, n_jobs + 1, dtype=int)
     chunks = [
         (protocol, noise, rng_seed, int(a), int(b))
         for a, b in zip(bounds[:-1], bounds[1:])
         if b > a
     ]
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(_run_chunk, chunks))
-    return _ShotColumns.concat(parts).records(0)
+    with worker_pool(n_jobs) as pool:
+        return Shots.concat(list(pool.map(_run_chunk, chunks)))
 
 
-def stats_from_records(records: Sequence[ShotRecord]) -> EnsembleStats:
-    """Order-insensitive aggregation of the kept-shot tomography outcomes."""
-    n_total = len(records)
-    n_kept = 0
-    total = 0
-    for r in records:
-        if r.kept:
-            n_kept += 1
-            total += r.nuclear_outcome
+def stats_from_records(shots: Shots) -> EnsembleStats:
+    """Order-insensitive aggregation of the kept shots' tomography outcomes."""
+    n_total = len(shots)
+    n_kept = int(np.count_nonzero(shots.outcome))
     if n_kept == 0:
         return EnsembleStats(n_total=n_total, n_kept=0, mean=None, std_error=None)
-    mean = total / n_kept
+    mean = int(shots.outcome.sum()) / n_kept
     std_error = math.sqrt(max(1.0 - mean * mean, 0.0) / n_kept)
     return EnsembleStats(n_total=n_total, n_kept=n_kept, mean=mean, std_error=std_error)
 
@@ -694,7 +575,7 @@ def run_ensemble(
     rng_seed: int = 0,
     n_jobs: int = 1,
 ) -> EnsembleStats:
-    """Aggregate sample_shot over shot indices 0..n_shots-1."""
+    """Aggregate the outcomes of shots 0..n_shots-1."""
     return stats_from_records(run_shots(protocol, noise, n_shots, rng_seed, n_jobs))
 
 
@@ -762,7 +643,7 @@ def _bisect(f, lo: float, hi: float) -> float:
 
 
 def estimate_gamma_from_blips(
-    records: Sequence[ShotRecord],
+    shots: Shots,
     t_m: float,
     up_branch_probability: float = 0.5,
 ) -> GammaEstimate:
@@ -773,15 +654,23 @@ def estimate_gamma_from_blips(
     which occurs with the given probability (1/2 for the Bell protocol).
     The 95% interval comes from the likelihood-ratio statistic.
     """
-    if any(len(r.blip_times) != 1 for r in records):
-        raise ProtocolError("records must come from a single-window protocol")
-    times = [r.blip_times[0] for r in records if r.blip_times[0] is not None]
-    n_blips = len(times)
-    n_censored = len(records) - n_blips
+    if np.any(shots.windows_seen != 1):
+        raise ProtocolError("shots must come from a single-window protocol")
+    column = shots.blip_times[:, 0]
+    times = column[~np.isnan(column)].tolist()
+    # Python's left-to-right sum in shot order, not np.sum's pairwise one:
+    # the fig3 CSV depends on the last bit of it.
+    return _censored_exp_mle(
+        len(times), len(shots) - len(times), float(sum(times)), t_m, up_branch_probability
+    )
+
+
+def _censored_exp_mle(
+    n_blips: int, n_censored: int, sum_t: float, t_m: float, p: float
+) -> GammaEstimate:
+    """The MLE of ``estimate_gamma_from_blips`` from its sufficient statistics."""
     if n_blips == 0:
         raise NoInformationError("no tunnel events observed")
-    sum_t = float(sum(times))
-    p = up_branch_probability
 
     def loglik(gamma: float) -> float:
         return (

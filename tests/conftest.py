@@ -1,6 +1,10 @@
-"""Shared pytest wiring: print one PASS/FAIL line per acceptance criterion."""
+"""Shared pytest wiring: fail a test that leaves a worker process running,
+and print one PASS/FAIL line per acceptance criterion."""
 
+import multiprocessing
 import re
+
+import pytest
 
 _ACCEPTANCE_RESULTS: dict[int, str] = {}
 
@@ -15,6 +19,18 @@ _DESCRIPTIONS = {
     8: "determinism",
     9: "end-to-end figure suite",
 }
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left_running():
+    """Every worker process a test starts must be gone when it ends; any
+    left over are stopped here, so the failure shows in that test alone."""
+    yield
+    left = multiprocessing.active_children()
+    for proc in left:
+        proc.terminate()
+        proc.join(timeout=10)
+    assert not left, f"worker processes left running: {left}"
 
 
 def pytest_runtest_logreport(report):

@@ -1,5 +1,5 @@
 """Trajectory sampler tests: determinism, agreement with the closed forms,
-noise knobs and the tunnel-rate estimator."""
+noise knobs, the shot columns and the estimators that read them."""
 
 import itertools
 import math
@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
+import reference_sampler as ref
 from weakmeas.montecarlo import (
     CHI2_1DOF_95,
     NO_NOISE,
+    GammaEstimate,
     NoInformationError,
     NoiseConfig,
     NuclearTomography,
@@ -17,13 +19,12 @@ from weakmeas.montecarlo import (
     ProtocolError,
     Pulse,
     ReadoutWindow,
-    ShotRecord,
+    Shots,
     _dephase_joint,
     conditional_state,
     estimate_gamma_from_blips,
     run_ensemble,
     run_shots,
-    sample_shot,
     stats_from_records,
 )
 from weakmeas.protocols import (
@@ -96,16 +97,13 @@ class TestProtocolValidation:
 class TestDeterminism:
     def test_same_stream_same_record(self):
         p = measure_protocol(math.pi / 2)
-        a = sample_shot(p, rng_seed=7, shot_index=3)
-        b = sample_shot(p, rng_seed=7, shot_index=3)
+        a = run_shots(p, n_shots=8, rng_seed=7)
+        b = run_shots(p, n_shots=8, rng_seed=7)
         assert a == b
 
     def test_streams_are_independent(self):
-        p = measure_protocol(math.pi / 2)
-        outcomes = {
-            sample_shot(p, rng_seed=7, shot_index=i).nuclear_outcome
-            for i in range(64)
-        }
+        p = bell_window_protocol(gamma=1.0, t_m=1.5)
+        outcomes = set(run_shots(p, n_shots=64, rng_seed=7).outcome.tolist())
         assert outcomes >= {1, -1}
 
     def test_parallel_matches_serial(self):
@@ -115,9 +113,15 @@ class TestDeterminism:
         assert serial == parallel
 
     def test_record_carries_stream_id(self):
-        p = measure_protocol(1.0)
-        recs = run_shots(p, n_shots=5, rng_seed=0)
-        assert [r.rng_stream_id for r in recs] == list(range(5))
+        """Row i of the columns is shot i, drawn from stream (seed, i)."""
+        p = bell_window_protocol(gamma=1.0, t_m=1.5)
+        shots = run_shots(p, n_shots=40, rng_seed=3)
+        for i in range(40):
+            one = ref.to_shots([ref.sample_shot(p, rng_seed=3, shot_index=i)], 1)
+            assert (shots.outcome[i], shots.windows_seen[i]) == (
+                one.outcome[0], one.windows_seen[0]
+            )
+            assert np.array_equal(shots.blip_times[i], one.blip_times[0], equal_nan=True)
 
 
 class TestTrivialProtocols:
@@ -288,18 +292,20 @@ class TestLabelErrors:
 
 class TestStats:
     def test_empty_records(self):
-        rec = ShotRecord(
-            kept=False, blip_times=(None,), nuclear_outcome=None, rng_stream_id=0
+        rejected = Shots(
+            np.zeros(10, dtype=np.int8), np.full((10, 1), np.nan), np.ones(10, dtype=int)
         )
-        stats = stats_from_records([rec] * 10)
+        stats = stats_from_records(rejected)
         assert stats.empty
         assert stats.mean is None and stats.std_error is None
 
     def test_order_insensitive(self):
         p = measure_protocol(math.pi / 2)
-        recs = run_shots(p, n_shots=500, rng_seed=8)
-        a = stats_from_records(recs)
-        b = stats_from_records(list(reversed(recs)))
+        shots = run_shots(p, n_shots=500, rng_seed=8)
+        a = stats_from_records(shots)
+        b = stats_from_records(
+            Shots(shots.outcome[::-1], shots.blip_times[::-1], shots.windows_seen[::-1])
+        )
         assert (a.mean, a.std_error, a.n_kept) == (b.mean, b.std_error, b.n_kept)
 
     def test_rejects_zero_shots(self):
@@ -307,46 +313,102 @@ class TestStats:
             run_shots(measure_protocol(1.0), n_shots=0)
 
 
+class TestShots:
+    def test_equality_is_a_bool_and_nan_aware(self):
+        times = [[0.25, np.nan], [np.nan, np.nan], [np.nan, 1.5]]
+
+        def shots(outcome=(1, 0, -1), change_time=None):
+            t = np.array(times)
+            if change_time is not None:
+                t[change_time] = 0.5
+            return Shots(np.array(outcome, dtype=np.int8), t, np.array([2, 1, 2]))
+
+        assert (shots() == shots()) is True
+        assert (shots() == shots(outcome=(1, 0, 1))) is False
+        assert (shots() == shots(change_time=(2, 1))) is False  # a recorded time
+        assert (shots() == shots(change_time=(0, 1))) is False  # NaN against a time
+        assert shots() != "not shots"
+
+    def test_length_is_the_shot_count(self):
+        assert len(run_shots(measure_protocol(1.0), n_shots=7)) == 7
+
+
+def outcome_of(fn, *args):
+    """``fn(*args)``, or the type of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return type(err)
+
+
+class TestEstimatorsMatchRecords:
+    """The column estimators give, float for float, what the record-based
+    arithmetic of the reference sampler gives on the same shots."""
+
+    @pytest.mark.parametrize(
+        "protocol, noise, n_shots, gamma_error",
+        [
+            (  # fig3's ensemble: Bell pair, one finite window kept on no-blip
+                bell_window_protocol(1.0, 1.5, keep=NO_BLIP),
+                NoiseConfig(nuclear_dephasing_time=2.0),
+                10_000,
+                None,
+            ),
+            (measure_protocol(0.0, keep=BLIP), NO_NOISE, 300, NoInformationError),
+            # every shot is rejected in the first of two windows: the records
+            # hold one window each, so this is no-information, not malformed
+            (measure_protocol(0.0, keep=BLIP, n=2), NO_NOISE, 300, NoInformationError),
+            (measure_protocol(math.pi / 2, n=2), NO_NOISE, 300, ProtocolError),
+        ],
+        ids=["dephased bell window", "all rejected", "all rejected, two windows",
+             "two windows"],
+    )
+    def test_estimators(self, protocol, noise, n_shots, gamma_error):
+        # at seed 22 the dephased ensemble's blip times sum to a different
+        # last bit in shot order than pairwise (np.sum), and so does the MLE
+        shots = run_shots(protocol, noise, n_shots, 22)
+        records = ref.sample_records(protocol, noise, 22, 0, n_shots)
+        assert shots == ref.to_shots(records, len(protocol.windows))
+        assert stats_from_records(shots) == ref.stats_from_records(records)
+        t_m = protocol.windows[0].model.t_m
+        got = outcome_of(estimate_gamma_from_blips, shots, t_m)
+        assert got == outcome_of(ref.estimate_gamma_from_records, records, t_m)
+        if gamma_error is None:
+            assert isinstance(got, GammaEstimate)
+        else:
+            assert got is gamma_error
+
+
 class TestGammaEstimator:
     def test_recovers_rate_within_five_percent(self):
         gamma, t_m = 1.0, 1.5
-        recs = run_shots(
+        shots = run_shots(
             bell_window_protocol(gamma, t_m), n_shots=10_000, rng_seed=12
         )
-        est = estimate_gamma_from_blips(recs, t_m)
+        est = estimate_gamma_from_blips(shots, t_m)
         assert est.inv_gamma == pytest.approx(1.0 / gamma, rel=0.05)
         assert est.ci_low < 1.0 / gamma < est.ci_high
         assert est.n_blips + est.n_censored == 10_000
 
     def test_recovers_fast_rate(self):
         gamma, t_m = 4.0, 1.5
-        recs = run_shots(
+        shots = run_shots(
             bell_window_protocol(gamma, t_m), n_shots=10_000, rng_seed=13
         )
-        est = estimate_gamma_from_blips(recs, t_m)
+        est = estimate_gamma_from_blips(shots, t_m)
         assert est.inv_gamma == pytest.approx(1.0 / gamma, rel=0.05)
 
     def test_no_blips_raises(self):
-        recs = [
-            ShotRecord(
-                kept=True, blip_times=(None,), nuclear_outcome=1, rng_stream_id=i
-            )
-            for i in range(10)
-        ]
+        shots = Shots(
+            np.ones(10, dtype=np.int8), np.full((10, 1), np.nan), np.ones(10, dtype=int)
+        )
         with pytest.raises(NoInformationError):
-            estimate_gamma_from_blips(recs, 1.5)
+            estimate_gamma_from_blips(shots, 1.5)
 
     def test_rejects_multi_window_records(self):
-        recs = [
-            ShotRecord(
-                kept=True,
-                blip_times=(0.1, None),
-                nuclear_outcome=1,
-                rng_stream_id=0,
-            )
-        ]
+        shots = Shots(np.ones(1, dtype=np.int8), np.array([[0.1, np.nan]]), np.array([2]))
         with pytest.raises(ProtocolError):
-            estimate_gamma_from_blips(recs, 1.5)
+            estimate_gamma_from_blips(shots, 1.5)
 
     def test_interval_narrows_with_data(self):
         gamma, t_m = 1.0, 1.5
@@ -387,9 +449,13 @@ class TestGammaEstimator:
             (1, 40, 900), (0, 25, 1500), (0.05, 0.3), (0.5, 0.8), (0.2, 1.5, 12.0)
         ):
             times = [mean_t * t_m * (0.5 + (i % 5) / 4) for i in range(n_blips)]
-            recs = [ShotRecord(True, (t,), 1, i) for i, t in enumerate(times)]
-            recs += [ShotRecord(True, (None,), 1, n_blips + i) for i in range(n_censored)]
-            est = estimate_gamma_from_blips(recs, t_m, p)
+            n = n_blips + n_censored
+            shots = Shots(
+                np.ones(n, dtype=np.int8),
+                np.array(times + [np.nan] * n_censored)[:, None],
+                np.ones(n, dtype=int),
+            )
+            est = estimate_gamma_from_blips(shots, t_m, p)
             expected = reference(n_blips, n_censored, float(sum(times)), p, t_m)
             case = (n_blips, n_censored, mean_t, p, t_m)
             assert (est.inv_gamma, est.ci_low, est.ci_high) == pytest.approx(

@@ -1,6 +1,7 @@
-"""Block shot engine tests: its Philox uniforms, record-for-record equality
-with the scalar ``sample_shot``, byte-identical CSVs, no leftover worker
-processes, and a CLI start and fig3 run that do not import scipy."""
+"""Block shot engine tests: its Philox uniforms, shot-for-shot equality
+with the scalar ``sample_shot`` of ``reference_sampler``, byte-identical
+CSVs, one worker pool per run and none left over, and a CLI start and fig3
+run that do not import scipy."""
 
 import math
 import multiprocessing
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference_sampler as ref
 import weakmeas
 from weakmeas import montecarlo as mc
 from weakmeas.experiments.cli import main
@@ -28,15 +30,6 @@ from weakmeas.spinsys import (
 MASK64 = (1 << 64) - 1
 
 
-def scalar_chunk(protocol, noise, rng_seed, start, stop):
-    """The per-shot loop the block engine replaced."""
-    return [mc.sample_shot(protocol, noise, rng_seed, i) for i in range(start, stop)]
-
-
-def scalar_run_shots(protocol, noise=mc.NO_NOISE, n_shots=1, rng_seed=0, n_jobs=1):
-    return scalar_chunk(protocol, noise, rng_seed, 0, n_shots)
-
-
 class TestPhiloxUniforms:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -47,7 +40,7 @@ class TestPhiloxUniforms:
     def test_matches_numpy_philox(self, seed, start, n_draws):
         got = mc._philox_uniforms(seed, start, start + 9, n_draws)
         want = np.array(
-            [mc._shot_rng(seed, i).random(n_draws) for i in range(start, start + 9)]
+            [ref.shot_rng(seed, i).random(n_draws) for i in range(start, start + 9)]
         )
         assert got.shape == (9, n_draws)
         assert np.array_equal(got, want)
@@ -188,15 +181,16 @@ class TestAgainstSampleShot:
     @pytest.mark.parametrize("name", list(NAMED_CASES))
     def test_named_case(self, name):
         protocol, noise = NAMED_CASES[name]
-        assert mc.run_shots(protocol, noise, 600, 17) == scalar_run_shots(
+        assert mc.run_shots(protocol, noise, 600, 17) == ref.run_shots(
             protocol, noise, 600, 17
         )
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_case_chunk(self, seed):
         protocol, noise, rng_seed, start = random_case(seed)
-        got = mc._run_chunk((protocol, noise, rng_seed, start, start + 250)).records(start)
-        assert got == scalar_chunk(protocol, noise, rng_seed, start, start + 250)
+        got = mc._run_chunk((protocol, noise, rng_seed, start, start + 250))
+        want = ref.sample_records(protocol, noise, rng_seed, start, start + 250)
+        assert got == ref.to_shots(want, len(protocol.windows))
 
     def test_random_cases_cover_every_branch(self):
         """The random cases reach rejections, both tunnel branches, label
@@ -207,7 +201,7 @@ class TestAgainstSampleShot:
         for seed in range(40):
             protocol, noise, _, _ = random_case(seed)
             windows = protocol.windows
-            recs = scalar_chunk(protocol, noise, 0, 0, 50)
+            recs = ref.sample_records(protocol, noise, 0, 0, 50)
             seen["rejected"] += sum(not r.kept for r in recs)
             seen["kept"] += sum(r.kept for r in recs)
             seen["mixed"] += protocol.initial_statevector is None
@@ -222,7 +216,7 @@ class TestAgainstSampleShot:
         protocol, noise = NAMED_CASES["bell window, dephasing"]
         n = mc.SHOT_BLOCK + 150
         got = mc.run_shots(protocol, noise, n, 5)
-        assert got == scalar_run_shots(protocol, noise, n, 5)
+        assert got == ref.run_shots(protocol, noise, n, 5)
 
     def test_blip_times_bit_equal(self):
         protocol = mc.Protocol(
@@ -232,10 +226,13 @@ class TestAgainstSampleShot:
             ),
             initial=prepare_bell(),
         )
-        got = [r.blip_times[0] for r in mc.run_shots(protocol, n_shots=3000)]
-        want = [r.blip_times[0] for r in scalar_run_shots(protocol, n_shots=3000)]
+        got = mc.run_shots(protocol, n_shots=3000).blip_times[:, 0].tolist()
+        records = ref.sample_records(protocol, mc.NO_NOISE, 0, 0, 3000)
+        want = [r.blip_times[0] for r in records]
         assert sum(t is not None for t in want) > 500
-        assert [t is None or t.hex() for t in got] == [t is None or t.hex() for t in want]
+        assert [math.isnan(t) or t.hex() for t in got] == [
+            t is None or t.hex() for t in want
+        ]
 
 
 CLI_CASES = {
@@ -260,20 +257,108 @@ def test_csv_bytes_match_scalar_sampler(tmp_path, monkeypatch, capsys, name):
         (tmp_path / "run.yaml").write_text(config, encoding="utf-8")
         argv = argv + ["--config", str(tmp_path / "run.yaml")]
     assert main(argv + ["--no-svg", "--out", str(tmp_path / "engine")]) == 0
-    monkeypatch.setattr(mc, "run_shots", scalar_run_shots)
+    monkeypatch.setattr(mc, "run_shots", ref.run_shots)
     assert main(argv + ["--no-svg", "--out", str(tmp_path / "scalar")]) == 0
     engine = {p.name: p.read_bytes() for p in (tmp_path / "engine").glob("*.csv")}
     scalar = {p.name: p.read_bytes() for p in (tmp_path / "scalar").glob("*.csv")}
     assert engine and engine == scalar
 
 
+SMALL_FIG2 = ["fig2", "--variant", "single", "--shots", "40", "--grid", "3", "--no-svg"]
+
+
 def test_no_worker_process_left(tmp_path, capsys):
-    argv = ["fig2", "--variant", "single", "--shots", "40", "--grid", "3", "--no-svg"]
-    assert main(argv + ["--jobs", "2", "--out", str(tmp_path)]) == 0
+    assert main(SMALL_FIG2 + ["--jobs", "2", "--out", str(tmp_path)]) == 0
     assert multiprocessing.active_children() == []
     protocol, noise = NAMED_CASES["bell window, dephasing"]
     mc.run_shots(protocol, noise, 300, 9, n_jobs=3)
     assert multiprocessing.active_children() == []
+
+
+def test_no_worker_process_left_after_a_failed_run(tmp_path, monkeypatch, capsys):
+    """--out names a file: the first panel's ensembles run in the pool, then
+    writing its CSV raises OSError and main returns 2."""
+    ensembles = []
+    run_shots = mc.run_shots
+
+    def counted(*args):
+        ensembles.append(args)
+        return run_shots(*args)
+
+    monkeypatch.setattr(mc, "run_shots", counted)
+    out = tmp_path / "taken"
+    out.write_text("", encoding="utf-8")
+    assert main(SMALL_FIG2 + ["--jobs", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert len(ensembles) == 3
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Stands in for ProcessPoolExecutor: records the worker count each pool
+    asks for and runs the chunks in this process, so no worker starts."""
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
+    return asked
+
+
+def test_one_pool_per_run(tmp_path, monkeypatch, capsys):
+    """A --jobs 2 run of several ensembles starts its workers once."""
+    pools = []
+
+    class CountingPool(mc.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers", args[0] if args else None))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", CountingPool)
+    assert main(SMALL_FIG2 + ["--jobs", "2", "--out", str(tmp_path / "par")]) == 0
+    assert pools == [2]
+    assert main(SMALL_FIG2 + ["--out", str(tmp_path / "serial")]) == 0
+    assert pools == [2]
+    par, serial = (
+        {p.name: p.read_bytes() for p in (tmp_path / d).glob("*.csv")} for d in ("par", "serial")
+    )
+    assert par and par == serial
+
+
+@pytest.mark.parametrize(
+    "shots, jobs, workers", [("3", "64", 3), ("40", "3", 3), ("1", "8", None)]
+)
+def test_run_pool_workers_bounded(tmp_path, recording_pool, capsys, shots, jobs, workers):
+    """The run's pool gets min(--jobs, --shots) workers, and none at all when
+    that is one."""
+    argv = ["fig2", "--variant", "single", "--grid", "3", "--no-svg", "--shots", shots]
+    assert main(argv + ["--jobs", jobs, "--out", str(tmp_path)]) == 0
+    assert recording_pool == ([] if workers is None else [workers])
+
+
+def test_worker_pool_is_shared_and_call_pools_bounded(recording_pool):
+    protocol, noise = NAMED_CASES["bell window, dephasing"]
+    serial = mc.run_shots(protocol, noise, 50, 4)
+    two_shots = mc.run_shots(protocol, noise, 2, 4)
+    assert mc.run_shots(protocol, noise, 2, 4, n_jobs=8) == two_shots
+    assert recording_pool == [2]
+    with mc.worker_pool(3) as outer:
+        with mc.worker_pool(5) as inner:
+            assert inner is outer
+            assert mc.run_shots(protocol, noise, 50, 4, n_jobs=4) == serial
+    assert recording_pool == [2, 3]
+    with mc.worker_pool(1) as none:
+        assert none is None
+    assert recording_pool == [2, 3]
 
 
 def test_chi2_quantile_constant():
