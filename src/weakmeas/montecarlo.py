@@ -19,20 +19,24 @@ outcome (0 for a rejected shot), the blip time of each window (NaN where
 none was recorded) and the windows each shot reached.  The estimators read
 these columns directly.
 
-With ``n_jobs > 1`` the shot range is split into chunks that run in worker
-processes.  ``worker_pool`` opens one pool that every ``run_shots`` call
-inside it shares, so a whole CLI run starts its workers once; a call made
-outside any ``worker_pool`` opens a pool for itself.
+With ``n_jobs > 1`` the caller and ``n_jobs - 1`` worker processes claim
+the chunks of the shot range from one shared counter, and the caller waits
+only for chunks a worker claimed: a worker the machine is slow to schedule
+costs no more than running its chunk in the caller.  ``worker_pool`` opens
+one pool that every ``run_shots`` call inside it shares, so a whole CLI run
+starts its workers once; a call outside any ``worker_pool`` opens its own.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
+import signal
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from multiprocessing.connection import Connection, wait
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -496,36 +500,133 @@ def _run_chunk(args) -> Shots:
     )
 
 
-# The pool that run_shots sends its chunks to while a worker_pool block is open.
-_OPEN_POOL: ContextVar[Optional[ProcessPoolExecutor]] = ContextVar(
+def _claim_chunk(claim, call: int, n_chunks: int) -> Optional[int]:
+    """The next unclaimed chunk of call number ``call``, if one is left;
+    ``claim`` holds the current call number and its next unclaimed chunk."""
+    with claim.get_lock():
+        current = claim.get_obj()
+        if current[0] != call or current[1] >= n_chunks:
+            return None
+        current[1] += 1
+        return current[1] - 1
+
+
+def _serve(conn: Connection, claim, inherited: list[Connection]) -> None:
+    """Worker loop: run the chunks it can claim of each (call, chunks)
+    received and answer (call, [(chunk index, Shots), ...], error)."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
+    for other in inherited:  # else the pool's closing them would not end us
+        other.close()
+    while True:
+        try:
+            call, chunks = conn.recv()
+        except (EOFError, OSError):  # the pool shut down
+            return
+        done, error = [], None
+        try:
+            while (i := _claim_chunk(claim, call, len(chunks))) is not None:
+                done.append((i, _run_chunk(chunks[i])))
+        except Exception as err:
+            error = err
+        try:
+            conn.send((call, done, error))
+        except OSError:
+            return
+
+
+class WorkerPool:
+    """``n_jobs - 1`` worker processes that share each call's chunks with
+    the caller.  They start by the platform's default method, fork on Linux:
+    two spawned workers took 0.45-0.65 s to start on a 2-vCPU machine, about
+    as long as a whole ``fig2 --shots 2000`` run."""
+
+    def __init__(self, n_jobs: int):
+        ctx = multiprocessing.get_context()
+        self._claim = ctx.Array("q", 2)  # call number, next unclaimed chunk
+        self._calls = 0
+        self._conns: list[Connection] = []
+        self._procs = []
+        self._busy: set[Connection] = set()  # workers yet to answer a call
+        for _ in range(n_jobs - 1):
+            here, there = ctx.Pipe()
+            proc = ctx.Process(
+                target=_serve, args=(there, self._claim, [*self._conns, here]), daemon=True
+            )
+            proc.start()
+            there.close()
+            self._conns.append(here)
+            self._procs.append(proc)
+
+    def _answer(self, conn: Connection) -> tuple:
+        try:
+            answer = conn.recv()
+        except EOFError:
+            raise RuntimeError("a worker process exited unexpectedly") from None
+        self._busy.discard(conn)
+        return answer
+
+    def run_chunks(self, chunks: Sequence[tuple]) -> list[Shots]:
+        """``[_run_chunk(c) for c in chunks]``: idle workers get the chunks,
+        then this process claims chunks too and waits only for the ones a
+        worker claimed."""
+        self._calls += 1
+        call = self._calls
+        with self._claim.get_lock():
+            self._claim.get_obj()[:] = [call, 0]
+        for conn in self._conns:
+            if conn in self._busy:
+                if not conn.poll():
+                    continue  # still on an earlier call
+                self._answer(conn)  # an earlier call's late answer
+            conn.send((call, chunks))
+            self._busy.add(conn)
+        results = {}
+        while (i := _claim_chunk(self._claim, call, len(chunks))) is not None:
+            results[i] = _run_chunk(chunks[i])
+        while len(results) < len(chunks):
+            for conn in wait(list(self._busy)):
+                answer_call, done, error = self._answer(conn)
+                if answer_call == call:
+                    if error is not None:
+                        raise error
+                    results.update(done)
+        return [results[i] for i in range(len(chunks))]
+
+    def shutdown(self) -> None:
+        """Close the pipes and join the workers; each ends its chunk first."""
+        for conn in self._conns:
+            conn.close()
+        for proc in self._procs:
+            proc.join()
+
+
+# The pool that run_shots shares its chunks with while a worker_pool block is open.
+_OPEN_POOL: ContextVar[Optional[WorkerPool]] = ContextVar(
     "weakmeas_worker_pool", default=None
 )
 
 
 @contextmanager
-def worker_pool(n_jobs: int) -> Iterator[Optional[ProcessPoolExecutor]]:
+def worker_pool(n_jobs: int) -> Iterator[Optional[WorkerPool]]:
     """One process pool for every ``run_shots`` call made inside the block.
 
-    Opens a pool of ``n_jobs`` workers, unless ``n_jobs`` is 1 or a pool is
-    open already: then the block uses that pool (or none), so nested blocks
-    share the outermost one.  The pool a block opens is shut down and its
-    workers joined when that block exits, whether or not it raised.
+    Opens a pool for ``n_jobs`` processes (the caller and ``n_jobs - 1``
+    workers), unless ``n_jobs`` is 1 or a pool is open already: then the
+    block uses that pool (or none), so nested blocks share the outermost
+    one.  The pool a block opens is shut down and its workers joined when
+    that block exits, whether or not it raised.
     """
     pool = _OPEN_POOL.get()
     if pool is not None or n_jobs <= 1:
         yield pool
         return
-    # The platform's default start method (fork on Linux): the pool starts
-    # its workers on the first submit, before its own manager thread.  Two
-    # spawned workers took 0.45-0.65 s to start on a 2-vCPU machine, about
-    # as long as a whole `fig2 --shots 2000` run.
-    pool = ProcessPoolExecutor(max_workers=n_jobs)
+    pool = WorkerPool(n_jobs)
     token = _OPEN_POOL.set(pool)
     try:
         yield pool
     finally:
         _OPEN_POOL.reset(token)
-        pool.shutdown(cancel_futures=True)
+        pool.shutdown()
 
 
 def run_shots(
@@ -538,9 +639,10 @@ def run_shots(
     """The outcomes of shots 0..n_shots-1, in shot order.
 
     ``n_jobs > 1`` splits the shots into ``min(n_jobs, n_shots)`` chunks
-    that run in the pool of the enclosing ``worker_pool`` block, or in a
-    pool opened for this call when there is none.  The result is identical
-    to the serial run because every shot has its own stream.
+    that this process shares with the pool of the enclosing ``worker_pool``
+    block, or with a pool opened for this call when there is none.  The
+    result is identical to the serial run because every shot has its own
+    stream.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
@@ -554,7 +656,7 @@ def run_shots(
         if b > a
     ]
     with worker_pool(n_jobs) as pool:
-        return Shots.concat(list(pool.map(_run_chunk, chunks)))
+        return Shots.concat(pool.run_chunks(chunks))
 
 
 def stats_from_records(shots: Shots) -> EnsembleStats:

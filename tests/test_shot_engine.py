@@ -1,13 +1,17 @@
 """Block shot engine tests: its Philox uniforms, shot-for-shot equality
 with the scalar ``sample_shot`` of ``reference_sampler``, byte-identical
-CSVs, one worker pool per run and none left over, and a CLI start and fig3
-run that do not import scipy."""
+CSVs, one worker pool per run that shares each call's chunks with the
+caller and leaves no process behind, and a CLI start and fig3 run that do
+not import scipy."""
 
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -296,21 +300,21 @@ def test_no_worker_process_left_after_a_failed_run(tmp_path, monkeypatch, capsys
 
 @pytest.fixture
 def recording_pool(monkeypatch):
-    """Stands in for ProcessPoolExecutor: records the worker count each pool
-    asks for and runs the chunks in this process, so no worker starts."""
+    """Stands in for WorkerPool: records the process count each pool asks
+    for and runs the chunks in this process, so no worker starts."""
     asked = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
+        def __init__(self, n_jobs):
+            asked.append(n_jobs)
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def run_chunks(self, chunks):
+            return [mc._run_chunk(c) for c in chunks]
 
-        def shutdown(self, cancel_futures=False):
+        def shutdown(self):
             pass
 
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(mc, "WorkerPool", RecordingPool)
     return asked
 
 
@@ -318,12 +322,12 @@ def test_one_pool_per_run(tmp_path, monkeypatch, capsys):
     """A --jobs 2 run of several ensembles starts its workers once."""
     pools = []
 
-    class CountingPool(mc.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs.get("max_workers", args[0] if args else None))
-            super().__init__(*args, **kwargs)
+    class CountingPool(mc.WorkerPool):
+        def __init__(self, n_jobs):
+            pools.append(n_jobs)
+            super().__init__(n_jobs)
 
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(mc, "WorkerPool", CountingPool)
     assert main(SMALL_FIG2 + ["--jobs", "2", "--out", str(tmp_path / "par")]) == 0
     assert pools == [2]
     assert main(SMALL_FIG2 + ["--out", str(tmp_path / "serial")]) == 0
@@ -338,8 +342,8 @@ def test_one_pool_per_run(tmp_path, monkeypatch, capsys):
     "shots, jobs, workers", [("3", "64", 3), ("40", "3", 3), ("1", "8", None)]
 )
 def test_run_pool_workers_bounded(tmp_path, recording_pool, capsys, shots, jobs, workers):
-    """The run's pool gets min(--jobs, --shots) workers, and none at all when
-    that is one."""
+    """The run's pool is for min(--jobs, --shots) processes, and there is none
+    at all when that is one."""
     argv = ["fig2", "--variant", "single", "--grid", "3", "--no-svg", "--shots", shots]
     assert main(argv + ["--jobs", jobs, "--out", str(tmp_path)]) == 0
     assert recording_pool == ([] if workers is None else [workers])
@@ -359,6 +363,68 @@ def test_worker_pool_is_shared_and_call_pools_bounded(recording_pool):
     with mc.worker_pool(1) as none:
         assert none is None
     assert recording_pool == [2, 3]
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail with TimeoutError instead of hanging past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_caller_runs_the_chunks_of_a_stopped_worker():
+    """A worker that is not running costs the call nothing: the caller
+    claims every chunk and does not wait for it."""
+    protocol, noise = NAMED_CASES["bell window, dephasing"]
+    serial = mc.run_shots(protocol, noise, 300, 9)
+    with mc.worker_pool(2):
+        (worker,) = multiprocessing.active_children()
+        os.kill(worker.pid, signal.SIGSTOP)
+        try:
+            with time_limit(30):
+                assert mc.run_shots(protocol, noise, 300, 9, n_jobs=2) == serial
+                assert mc.run_shots(protocol, noise, 300, 9, n_jobs=4) == serial
+        finally:
+            os.kill(worker.pid, signal.SIGCONT)
+        for _ in range(20):  # the late answers are taken and the worker rejoins
+            assert mc.run_shots(protocol, noise, 300, 9, n_jobs=2) == serial
+
+
+def test_worker_error_reaches_the_caller(monkeypatch):
+    """A chunk that raises in a worker raises in the caller; the caller's
+    own chunk is slowed so that the worker surely claims one."""
+    caller = os.getpid()
+    run_chunk = mc._run_chunk
+
+    def failing_in_workers(chunk):
+        if os.getpid() != caller:
+            raise ValueError("failed in a worker")
+        time.sleep(0.2)
+        return run_chunk(chunk)
+
+    monkeypatch.setattr(mc, "_run_chunk", failing_in_workers)
+    protocol, noise = NAMED_CASES["bell window, dephasing"]
+    with time_limit(30), pytest.raises(ValueError, match="failed in a worker"):
+        mc.run_shots(protocol, noise, 300, 9, n_jobs=2)
+
+
+def test_lost_worker_is_reported():
+    protocol, noise = NAMED_CASES["bell window, dephasing"]
+    with mc.worker_pool(2):
+        (worker,) = multiprocessing.active_children()
+        worker.kill()
+        worker.join()
+        with time_limit(30), pytest.raises((RuntimeError, BrokenPipeError)):
+            mc.run_shots(protocol, noise, 300, 9, n_jobs=2)
 
 
 def test_chi2_quantile_constant():
