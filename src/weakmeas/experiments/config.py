@@ -62,8 +62,12 @@ class RunConfig:
             raise ValueError("n_shots must be >= 1")
         if not self.theta_grid or not self.gamma_grid:
             raise ValueError("parameter grids must be non-empty")
-        if self.t_m <= 0:
-            raise ValueError("t_m must be positive")
+        if not (math.isfinite(self.t_m) and self.t_m > 0):
+            raise ValueError("t_m must be finite and positive")
+        if not all(math.isfinite(g) and g > 0 for g in self.gamma_grid):
+            raise ValueError("gamma_grid entries must be finite and positive")
+        if not all(math.isfinite(t) for t in self.theta_grid):
+            raise ValueError("theta_grid entries must be finite")
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
 

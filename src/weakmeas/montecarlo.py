@@ -14,10 +14,13 @@ parallel runs (any worker count) give bit-identical aggregates.
 every shot come from one vectorised Philox4x64-10 pass, each shot keeps its
 own draw pointer, and the state is evolved once per distinct branch
 history (the state is a function of the outcomes drawn so far, not of the
-shot).  It returns ``Shots``, one array row per shot: the tomography
-outcome (0 for a rejected shot), the blip time of each window (NaN where
-none was recorded) and the windows each shot reached.  The estimators read
-these columns directly.
+shot).  That state is always the 4x4 electron-nuclear density matrix: a
+finite readout window leaves the nucleus mixed once the electron is traced
+out, so the pulse, the window and the tomography each have one arithmetic,
+with or without dephasing.  It returns ``Shots``, one array row per shot:
+the tomography outcome (0 for a rejected shot), the blip time of each
+window (NaN where none was recorded) and the windows each shot reached.
+The estimators read these columns directly.
 
 With ``n_jobs > 1`` the caller and ``n_jobs - 1`` worker processes claim
 the chunks of the shot range from one shared counter, and the caller waits
@@ -157,7 +160,8 @@ class NoiseConfig:
     readout_false_positive: float = 0.0
 
     def __post_init__(self):
-        if self.nuclear_dephasing_time is not None and self.nuclear_dephasing_time <= 0:
+        t2star = self.nuclear_dephasing_time
+        if t2star is not None and not t2star > 0:  # NaN included
             raise ValueError("nuclear_dephasing_time must be positive")
         for p in (self.readout_false_negative, self.readout_false_positive):
             if not 0.0 <= p <= 1.0:
@@ -310,101 +314,51 @@ def _philox_uniforms(rng_seed: int, start: int, stop: int, n_draws: int) -> np.n
     return (words[:, :n_draws] >> 11) * 2.0**-53
 
 
-# A node is the (psi, joint) state pair shared by every shot with the same
-# outcomes so far.  Nodes evolve with the arithmetic of a lone shot (the
-# scalar ``sample_shot`` in tests/reference_sampler.py, which keeps a
-# statevector while the state stays pure), so each shot sees the
-# probabilities it would see on its own.
+# A node is the 4x4 joint density matrix shared by every shot with the
+# same outcomes so far.  Each shot therefore sees the probabilities the
+# scalar ``sample_shot`` in tests/reference_sampler.py gives it on its
+# own, up to rounding: that reference keeps a statevector while the
+# state stays pure, an independent arithmetic for the same channels.
 
 
-def _node_start(protocol: Protocol, noise: NoiseConfig) -> tuple:
-    psi = protocol.initial_statevector
-    if psi is None or noise.nuclear_dephasing_time is not None:
-        return None, protocol.initial.rho.matrix
-    return psi, None
+def _node_pulse(joint: np.ndarray, step: Pulse) -> np.ndarray:
+    return step.unitary @ joint @ step.unitary_h
 
 
-def _node_pulse(node: tuple, step: Pulse) -> tuple:
-    psi, joint = node
-    if psi is not None:
-        return step.unitary @ psi, None
-    return None, step.unitary @ joint @ step.unitary_h
-
-
-def _node_blip_weights(node: tuple, step: ReadoutWindow) -> tuple[float, float]:
+def _node_blip_weights(joint: np.ndarray, step: ReadoutWindow) -> tuple[float, float]:
     """Probabilities that the up / the down electron tunnels out."""
-    psi, joint = node
     e_up, e_down = step.survival
-    if psi is not None:
-        p_up = psi[0].real**2 + psi[0].imag**2 + psi[2].real**2 + psi[2].imag**2
-    else:
-        p_up = joint[0, 0].real + joint[2, 2].real
-    p_down = 1.0 - p_up
-    return p_up * (1.0 - e_up), p_down * (1.0 - e_down)
+    p_up = joint[0, 0].real + joint[2, 2].real
+    return p_up * (1.0 - e_up), (1.0 - p_up) * (1.0 - e_down)
 
 
 def _node_after_window(
-    node: tuple,
-    step: ReadoutWindow,
-    branch: int,
-    more_steps: bool,
-    t2star: Optional[float],
-) -> tuple:
+    joint: np.ndarray, step: ReadoutWindow, branch: int, t2star: Optional[float]
+) -> np.ndarray:
     """State after a window with no blip (branch 0) or with the up (1) or
     down (2) electron tunneled out, dephased when ``t2star`` is set."""
-    psi, joint = node
     if branch:
-        e_gone = branch - 1
-        if psi is not None:
-            a0, a1 = psi[e_gone], psi[2 + e_gone]
-            norm = math.sqrt(a0.real**2 + a0.imag**2 + a1.real**2 + a1.imag**2)
-            psi = np.array([0.0, a0 / norm, 0.0, a1 / norm], dtype=complex)
-        else:
-            nuc = joint.reshape(2, 2, 2, 2)[:, e_gone, :, e_gone]
-            joint = _embed_nuclear(nuc / (nuc[0, 0].real + nuc[1, 1].real))
-    elif psi is not None:
-        psi = psi * step.damping_amplitudes
-        psi = psi / math.sqrt(float(np.vdot(psi, psi).real))
-        if psi[0] != 0 or psi[2] != 0:
-            if more_steps:
-                psi, joint = None, _reload_down_fast(np.outer(psi, psi.conj()))
-        else:
-            psi = np.array([0.0, psi[1], 0.0, psi[3]], dtype=complex)
+        nuc = joint.reshape(2, 2, 2, 2)[:, branch - 1, :, branch - 1]
+        joint = _embed_nuclear(nuc / (nuc[0, 0].real + nuc[1, 1].real))
     else:
         joint = joint * step.damping_matrix
         w = (joint[0, 0] + joint[1, 1] + joint[2, 2] + joint[3, 3]).real
         joint = _reload_down_fast(joint / w)
     if t2star is not None:
         joint = _dephase_joint(joint, step.model.t_m, t2star)
-    return psi, joint
+    return joint
 
 
-def _node_p_plus(node: tuple, axis: str) -> float:
+def _node_p_plus(joint: np.ndarray, axis: str) -> float:
     """Probability of the +1 tomography outcome."""
-    psi, joint = node
-    if psi is not None:
-        n00 = psi[0].real**2 + psi[0].imag**2 + psi[1].real**2 + psi[1].imag**2
-        n01 = psi[0] * psi[2].conjugate() + psi[1] * psi[3].conjugate()
-        n11 = 1.0 - n00
-    else:
-        nuc = _nuclear_reduced(joint)
-        n00, n11, n01 = nuc[0, 0].real, nuc[1, 1].real, nuc[0, 1]
+    nuc = _nuclear_reduced(joint)
     if axis == "z":
-        expectation = n00 - n11
+        expectation = nuc[0, 0].real - nuc[1, 1].real
     elif axis == "x":
-        expectation = 2.0 * n01.real
+        expectation = 2.0 * nuc[0, 1].real
     else:
-        expectation = -2.0 * n01.imag
+        expectation = -2.0 * nuc[0, 1].imag
     return min(max((1.0 + expectation) / 2.0, 0.0), 1.0)
-
-
-def _flip_probabilities(model: TunnelModel, noise: NoiseConfig) -> tuple[float, float]:
-    """Label-flip probabilities of a true blip and of a true no-blip."""
-    fn, fp = noise.readout_false_negative, noise.readout_false_positive
-    return (
-        model.readout_false_negative + fn - model.readout_false_negative * fn,
-        model.readout_false_positive + fp - model.readout_false_positive * fp,
-    )
 
 
 def _shot_block(
@@ -412,13 +366,11 @@ def _shot_block(
 ) -> Shots:
     """Shots start..stop-1, drawing from their streams in a lone shot's order."""
     steps = protocol.steps
-    n_steps = len(steps) - 1
     windows = protocol.windows
-    flips = [_flip_probabilities(step.model, noise) for step in windows]
+    p_fn, p_fp = noise.readout_false_negative, noise.readout_false_positive
+    flip = p_fn > 0.0 or p_fp > 0.0
     # per window at most: blip?, which electron, when, label flip; then the tomography
-    n_draws = 1 + sum(
-        2 + (step.survival[1] < 1.0) + (max(f) > 0.0) for step, f in zip(windows, flips)
-    )
+    n_draws = 1 + sum(2 + (step.survival[1] < 1.0) + flip for step in windows)
     u = _philox_uniforms(rng_seed, start, stop, n_draws).ravel()
     n = stop - start
     outcome = np.zeros(n, dtype=np.int8)
@@ -428,11 +380,10 @@ def _shot_block(
     rows = np.arange(n)
     node = np.zeros(n, dtype=np.intp)
     cursor = rows * n_draws
-    nodes = [_node_start(protocol, noise)]
+    nodes = [protocol.initial.rho.matrix]
     t2star = noise.nuclear_dephasing_time
     w = -1
-    for step_index in range(n_steps):
-        step = steps[step_index]
+    for step in steps[:-1]:
         if type(step) is Pulse:
             nodes = [_node_pulse(x, step) for x in nodes]
             continue
@@ -450,8 +401,7 @@ def _shot_block(
         t_draw = u[cursor]
         cursor += blip
         observed = blip
-        p_fn, p_fp = flips[w]
-        if p_fn > 0.0 or p_fp > 0.0:
+        if flip:
             flip_p = np.where(blip, p_fn, p_fp)
             drawn = flip_p > 0.0
             observed = blip ^ (drawn & (u[cursor] < flip_p))
@@ -478,10 +428,8 @@ def _shot_block(
         used = np.flatnonzero(np.bincount(key, minlength=3 * len(nodes)))
         remap = np.empty(3 * len(nodes), dtype=np.intp)
         remap[used] = np.arange(used.size)
-        more_steps = step_index + 1 < n_steps
         nodes = [
-            _node_after_window(nodes[k // 3], step, k % 3, more_steps, t2star)
-            for k in used.tolist()
+            _node_after_window(nodes[k // 3], step, k % 3, t2star) for k in used.tolist()
         ]
         node = remap[key]
     if rows.size:

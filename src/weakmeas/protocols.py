@@ -24,7 +24,6 @@ from .spinsys import (
     PROJ_UP,
     RotationPulse,
     conditional_unitary,
-    pauli,
     prepare_bell,
     unconditional_unitary,
 )
@@ -65,18 +64,17 @@ class PostSelectedState:
 
 @dataclass(frozen=True)
 class TunnelModel:
-    """Readout-window physics: tunnel-out rates, duration, label errors.
+    """Readout-window physics: tunnel-out rates and duration.
 
-    Rates are in 1/ms, the window duration in ms.  With the defaults
-    (no down-tunneling, no label errors) the closed forms of this module
-    are exact; the extra knobs only perturb the Monte Carlo sampler.
+    Rates are in 1/ms, the window duration in ms.  With the default (no
+    down-tunneling) the closed forms of this module are exact.  Label
+    errors belong to the classifier, not the window: they are
+    ``montecarlo.NoiseConfig``'s rates.
     """
 
     gamma_up_out: float
     t_m: float
     gamma_down_out: float = 0.0
-    readout_false_negative: float = 0.0
-    readout_false_positive: float = 0.0
 
     def __post_init__(self):
         if not (isfinite(self.gamma_up_out) and self.gamma_up_out > 0):
@@ -85,9 +83,6 @@ class TunnelModel:
             raise ValueError("t_m must be finite and non-negative")
         if not (isfinite(self.gamma_down_out) and self.gamma_down_out >= 0):
             raise ValueError("gamma_down_out must be finite and non-negative")
-        for p in (self.readout_false_negative, self.readout_false_positive):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("readout error rates must be in [0, 1]")
 
     @property
     def survival_up(self) -> float:

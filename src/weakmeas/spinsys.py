@@ -26,7 +26,6 @@ from . import qmath
 from .qmath import DensityMatrix, DimensionError
 
 I2 = np.eye(2, dtype=complex)
-I4 = np.eye(4, dtype=complex)
 
 KET_UP = np.array([1.0, 0.0], dtype=complex)
 KET_DOWN = np.array([0.0, 1.0], dtype=complex)

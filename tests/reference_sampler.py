@@ -2,7 +2,12 @@
 
 ``sample_shot`` simulates one trajectory at a time on its own
 ``Philox(key=(seed, shot))`` stream, as ``montecarlo`` did before its
-shots were vectorised; ``ShotRecord`` is its per-shot result.  The
+shots were vectorised; ``ShotRecord`` is its per-shot result.  It keeps
+the pure-statevector path that the engine dropped: the engine evolves
+every history as a 4x4 density matrix, so comparing it with this
+reference checks the engine's channel arithmetic against an independent
+one, not against a copy of itself.  The two agree on each shot's
+probabilities up to rounding, so they sample the same outcomes.  The
 helpers turn records into the engine's ``Shots`` columns and compute the
 ensemble statistics and the blip-time estimate from records, with the
 arithmetic the estimators had when they read records.
@@ -125,11 +130,7 @@ def sample_shot(
         # label error: the classified outcome, not the state, is flipped
         model = step.model
         flip_p = (
-            model.readout_false_negative + noise.readout_false_negative
-            - model.readout_false_negative * noise.readout_false_negative
-            if true_blip
-            else model.readout_false_positive + noise.readout_false_positive
-            - model.readout_false_positive * noise.readout_false_positive
+            noise.readout_false_negative if true_blip else noise.readout_false_positive
         )
         observed_blip = true_blip
         if flip_p > 0.0 and rand() < flip_p:

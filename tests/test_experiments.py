@@ -64,6 +64,23 @@ class TestDefaults:
         with pytest.raises(ValueError):
             RunConfig(t_m=-1.0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"t_m": math.nan},
+            {"t_m": math.inf},
+            {"gamma_grid": [0.5, -1.0]},
+            {"gamma_grid": [0.0]},
+            {"gamma_grid": [math.nan]},
+            {"gamma_grid": [math.inf]},
+            {"theta_grid": [0.0, math.nan]},
+            {"theta_grid": [-math.inf]},
+        ],
+    )
+    def test_run_config_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            RunConfig(**bad)
+
 
 class TestLoadConfig:
     def write(self, tmp_path, text) -> Path:
@@ -279,6 +296,27 @@ class TestCli:
         rc = main(["fig3", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 2
         assert "mystery_knob" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["custom", "--grid", "3", "--no-svg"], "gamma_grid: [-1.0]\n"),
+            (["fig3"], "t_m: .nan\n"),
+            (["fig2"], "t_m: .inf\n"),
+            (["fig2"], "theta_grid: [0.0, .nan]\n"),
+            (["fig2", "--variant", "single", "--shots", "200", "--grid", "3"],
+             "noise_t2star: .nan\n"),
+        ],
+        ids=["gamma_negative", "t_m_nan", "t_m_inf", "theta_nan", "t2star_nan"],
+    )
+    def test_invalid_config_writes_nothing(self, tmp_path, capsys, argv, config):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(config, encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main([*argv, "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     def test_custom_with_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"

@@ -273,21 +273,13 @@ class TestLabelErrors:
         stats = run_ensemble(p, noise=noise, n_shots=100, rng_seed=6)
         assert stats.n_kept == 0
 
-    def test_model_and_noise_rates_combine(self):
-        model = TunnelModel(
-            gamma_up_out=1.0, t_m=1.0, readout_false_positive=1.0
-        )
-        p = Protocol(
-            steps=(ReadoutWindow(model), NuclearTomography("z")),
-            initial=prepare_initial("up"),
-        )
-        assert run_ensemble(p, n_shots=50, rng_seed=0).n_kept == 0
-
     def test_noise_validation(self):
         with pytest.raises(ValueError):
             NoiseConfig(readout_false_positive=-0.1)
         with pytest.raises(ValueError):
             NoiseConfig(nuclear_dephasing_time=0.0)
+        with pytest.raises(ValueError):
+            NoiseConfig(nuclear_dephasing_time=math.nan)
 
 
 class TestStats:

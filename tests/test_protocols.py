@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from weakmeas import montecarlo as mc
 from weakmeas import qmath
 from weakmeas.protocols import (
     BLIP,
@@ -221,8 +222,6 @@ class TestTunnelModel:
             TunnelModel(gamma_up_out=0.0, t_m=1.0)
         with pytest.raises(ValueError):
             TunnelModel(gamma_up_out=1.0, t_m=-1.0)
-        with pytest.raises(ValueError):
-            TunnelModel(gamma_up_out=1.0, t_m=1.0, readout_false_negative=1.5)
 
 
 class TestWeakElectronWindow:
@@ -233,12 +232,48 @@ class TestWeakElectronWindow:
         u = conditional_unitary(RotationPulse(Frequency.NU_E2, theta))
         return JointState(DensityMatrix(u @ state.rho.matrix @ u.conj().T))
 
-    def test_branch_weights_complete(self):
-        model = TunnelModel(gamma_up_out=1.0, t_m=1.0)
-        state = self.entangled_state()
-        w_nb = weak_electron_window(state, model, NO_BLIP).success_probability
-        w_b = weak_electron_window(state, model, BLIP).success_probability
-        assert w_nb + w_b == pytest.approx(1.0, abs=1e-12)
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.floats(1e-3, 1e6),
+        st.floats(0.0, 5.0),
+        st.one_of(st.just(0.0), st.floats(1e-3, 1e2)),
+        st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32),
+    )
+    def test_branch_weights_complete(self, gamma_up, t_m, gamma_down, entries):
+        """Against the engine's window on a random mixed joint state: the
+        branch weights sum to 1 (sum of K^dagger K is the identity), and the
+        engine's weights and nuclear states equal the closed form's."""
+        re, im = np.array(entries).reshape(2, 4, 4)
+        a = re + 1j * im
+        rho = a @ a.conj().T
+        trace = np.trace(rho).real
+        assume(trace > 1e-6)
+        joint = (rho + rho.conj().T) / (2.0 * trace)
+        model = TunnelModel(gamma_up_out=gamma_up, t_m=t_m, gamma_down_out=gamma_down)
+        step = mc.ReadoutWindow(model)
+        w_up, w_down = mc._node_blip_weights(joint, step)
+        closed, weight = {}, dict.fromkeys((NO_BLIP, BLIP), 0.0)
+        for outcome in weight:
+            try:
+                closed[outcome] = weak_electron_window(
+                    JointState(DensityMatrix(joint)), model, outcome
+                )
+            except ImpossibleBranchError:  # weight below ZERO_BRANCH_TOL
+                continue
+            weight[outcome] = closed[outcome].success_probability
+        assert weight[NO_BLIP] + weight[BLIP] == pytest.approx(1.0, abs=1e-12)
+        assert 1.0 - (w_up + w_down) == pytest.approx(weight[NO_BLIP], abs=1e-12)
+
+        def nuclear_after(branch):
+            return mc._nuclear_reduced(mc._node_after_window(joint, step, branch, None))
+
+        if NO_BLIP in closed:
+            want = closed[NO_BLIP].state.rho.matrix
+            assert np.max(np.abs(nuclear_after(0) - want)) < 1e-12
+        if BLIP in closed:
+            mix = sum(w * nuclear_after(b) for b, w in ((1, w_up), (2, w_down)) if w > 0.0)
+            want = closed[BLIP].state.rho.matrix
+            assert np.max(np.abs(mix / (w_up + w_down) - want)) < 1e-12
 
     def test_projective_blip_heralds_nuclear_up(self):
         # the conditional pulse flips the electron on the nuclear-up branch,

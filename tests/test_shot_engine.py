@@ -85,8 +85,6 @@ def random_window(rng):
             gamma_up_out=float(10 ** rng.uniform(-1.5, 1.0)),
             t_m=float(rng.uniform(0.2, 2.0)),
             gamma_down_out=sometimes(rng, 0.5, 10 ** rng.uniform(-1.5, 0.5), 0.0),
-            readout_false_negative=sometimes(rng, 0.4, rng.uniform(0, 0.3), 0.0),
-            readout_false_positive=sometimes(rng, 0.4, rng.uniform(0, 0.3), 0.0),
         )
     return mc.ReadoutWindow(model, keep=str(rng.choice(["no_blip", "blip", "both"])))
 
@@ -162,14 +160,12 @@ NAMED_CASES = {
     "bell window, label errors, kept on blip": (
         mc.Protocol(
             (
-                mc.ReadoutWindow(
-                    TunnelModel(2.0, 1.5, readout_false_positive=0.1), keep="blip"
-                ),
+                mc.ReadoutWindow(TunnelModel(2.0, 1.5), keep="blip"),
                 mc.NuclearTomography("x"),
             ),
             initial=prepare_bell(),
         ),
-        mc.NoiseConfig(readout_false_negative=0.2, readout_false_positive=0.05),
+        mc.NoiseConfig(readout_false_negative=0.2, readout_false_positive=0.15),
     ),
     "mixed initial state, no window": (
         mc.Protocol(
@@ -211,8 +207,8 @@ class TestAgainstSampleShot:
             seen["mixed"] += protocol.initial_statevector is None
             seen["dephased"] += noise.nuclear_dephasing_time is not None
             seen["down_tunnel_draws"] += any(w.model.gamma_down_out > 0 for w in windows)
-            seen["flips"] += any(
-                max(mc._flip_probabilities(w.model, noise)) > 0 for w in windows
+            seen["flips"] += bool(windows) and (
+                noise.readout_false_negative > 0 or noise.readout_false_positive > 0
             )
         assert all(count > 0 for count in seen.values()), seen
 
