@@ -118,7 +118,9 @@ def load_config(path: Path, base: Optional[RunConfig] = None) -> RunConfig:
                 raise ValueError(f"{path}: output_dir must be a string")
             updates[key] = Path(value)
         elif key in _NOISE_KEYS:
-            if value is not None and not isinstance(value, (int, float)):
+            if value is not None and (
+                not isinstance(value, (int, float)) or isinstance(value, bool)
+            ):
                 raise ValueError(f"{path}: key {key!r} must be a number or null")
             noise_updates[_NOISE_KEYS[key]] = None if value is None else float(value)
         else:

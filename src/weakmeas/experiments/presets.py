@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .. import montecarlo as mc
 from .. import protocols
@@ -16,6 +16,7 @@ from ..protocols import (
     ImpossibleBranchError,
     MeasurementTooWeakError,
     ProjectiveLimitError,
+    TomographyResult,
     TunnelModel,
 )
 from ..spinsys import Frequency, RotationPulse, prepare_bell
@@ -37,17 +38,27 @@ THETA_LABEL = "rotation angle theta (rad)"
 class Panel:
     """One theta-sweep CSV (and SVG) and where its numbers come from.
 
-    At each theta the panel reads the ensemble of ``sequence`` with nuclear
-    tomography along ``axis``, takes its ``statistic`` and sets it beside
-    ``analytic(theta)``.
+    At each theta the panel reads the run's ``SweepPoint`` of ``sequence``.
+    A MEAN panel sets the kept shots' mean outcome along ``axis`` beside the
+    closed-form sigma along ``axis``; a KEPT panel sets the kept fraction
+    beside the sequence's closed-form success probability.
     """
 
     name: str
     sequence: str  # one of FIG2_VARIANTS, or STEERING
     axis: str
     statistic: str  # MEAN or KEPT
-    analytic: Callable[[float], Optional[float]]
     style: PlotStyle
+
+
+@dataclass(frozen=True)
+class SweepPoint:
+    """Everything the panels read at one (sequence, theta): the statistics
+    of one ensemble on each tomography axis, and the closed-form tomography
+    (None where no shot can be kept)."""
+
+    stats: dict[str, mc.EnsembleStats]
+    closed_form: Optional[TomographyResult]
 
 
 def _fmt(value) -> str:
@@ -83,22 +94,27 @@ def fig2_pulse_sequence(variant: str, theta: float) -> list[tuple[float, Frequen
     raise ValueError(f"unknown fig2 variant {variant!r}")
 
 
-def fig2_protocol(variant: str, theta: float, axis: str) -> mc.Protocol:
+def fig2_protocol(variant: str, theta: float, axes: Sequence[str]) -> mc.Protocol:
+    """A fig2 variant's pulses, each followed by a projective readout kept on
+    no-blip, then nuclear tomography along ``axes``."""
     steps: list[mc.ProtocolStep] = []
     for angle, freq in fig2_pulse_sequence(variant, theta):
         steps.append(mc.Pulse(RotationPulse(freq, angle)))
         steps.append(mc.ReadoutWindow(TunnelModel.projective(), keep="no_blip"))
-    steps.append(mc.NuclearTomography(axis))
+    steps.append(mc.NuclearTomography(axes))
     return mc.Protocol(tuple(steps))
 
 
-def fig2_analytic(variant: str, theta: float, axis: str) -> Optional[float]:
+def closed_form_tomography(sequence: str, theta: float) -> Optional[TomographyResult]:
+    """The closed-form Bloch vector of the kept nuclear state of a sweep
+    sequence, or None where no shot can be kept."""
+    if sequence == STEERING:
+        return protocols.steering_scan(theta)
     try:
-        post = protocols.closed_form_sequence(fig2_pulse_sequence(variant, theta))
+        post = protocols.closed_form_sequence(fig2_pulse_sequence(sequence, theta))
     except ImpossibleBranchError:
         return None
-    tomo = protocols.tomography_expectations(post.state)
-    return getattr(tomo, f"sigma_{axis}")
+    return protocols.tomography_expectations(post.state)
 
 
 def _success_probability(variant: str, theta: float) -> float:
@@ -107,93 +123,102 @@ def _success_probability(variant: str, theta: float) -> float:
     return protocols.success_probability_n(theta, 1 if variant == "single" else 2)
 
 
-def _sigma_panel(name, sequence, axis, analytic, title, xlabel=THETA_LABEL) -> Panel:
+def _sigma_panel(name, sequence, axis, title, xlabel=THETA_LABEL) -> Panel:
     ylabel = f"&lt;sigma_{axis}&gt;"
     style = PlotStyle(f"{title}: sigma_{axis}", xlabel, ylabel, -1.1, 1.1)
-    return Panel(name, sequence, axis, MEAN, analytic, style)
+    return Panel(name, sequence, axis, MEAN, style)
 
 
 # Every theta-sweep panel, in output order.  fig2, supp4 and supp5 read the
 # same fig2 ensembles; supp4 reads their kept fraction.
 PANELS: tuple[Panel, ...] = (
     *(
-        _sigma_panel(f"fig2_{v}_sigma_{a}", v, a,
-                     lambda t, v=v, a=a: fig2_analytic(v, t, a), f"{v} measurement")
+        _sigma_panel(f"fig2_{v}_sigma_{a}", v, a, f"{v} measurement")
         for v in FIG2_VARIANTS
         for a in AXES
     ),
     *(
-        Panel(f"supp4_success_{v}", v, "z", KEPT, lambda t, v=v: _success_probability(v, t),
+        Panel(f"supp4_success_{v}", v, "z", KEPT,
               PlotStyle(f"success probability: {v}", THETA_LABEL, "P(success)", -0.05, 1.05))
         for v in FIG2_VARIANTS
     ),
     *(
-        _sigma_panel(f"supp5_expectations_{v}_sigma_{a}", v, a,
-                     lambda t, v=v, a=a: fig2_analytic(v, t, a), f"{v} measurement")
+        _sigma_panel(f"supp5_expectations_{v}_sigma_{a}", v, a, f"{v} measurement")
         for v in ("single", "double")
         for a in AXES
     ),
     *(
-        _sigma_panel(f"supp6_steering_sigma_{a}", STEERING, a,
-                     lambda t, a=a: getattr(protocols.steering_scan(t), f"sigma_{a}"),
-                     "steering scan", "unconditional electron rotation theta (rad)")
+        _sigma_panel(f"supp6_steering_sigma_{a}", STEERING, a, "steering scan",
+                     "unconditional electron rotation theta (rad)")
         for a in AXES
     ),
 )
 
 
-def _sweep_protocol(sequence: str, theta: float, axis: str) -> mc.Protocol:
+def _sweep_protocol(sequence: str, theta: float) -> mc.Protocol:
+    """A sweep point's protocol, with nuclear tomography along every axis."""
     if sequence == STEERING:
         return mc.Protocol(
             (
                 mc.Pulse(RotationPulse(Frequency.ESR_BOTH, theta)),
                 mc.ReadoutWindow(TunnelModel.projective(), keep="no_blip"),
-                mc.NuclearTomography(axis),
+                mc.NuclearTomography(AXES),
             ),
             initial=prepare_bell(),
         )
-    return fig2_protocol(sequence, theta, axis)
+    return fig2_protocol(sequence, theta, AXES)
+
+
+def _sweep_point(config: RunConfig, sequence: str, theta: float) -> SweepPoint:
+    shots = mc.run_shots(
+        _sweep_protocol(sequence, theta),
+        config.noise,
+        config.n_shots,
+        config.rng_seed,
+        config.n_jobs,
+    )
+    return SweepPoint(
+        {axis: mc.stats_from_records(shots, k) for k, axis in enumerate(AXES)},
+        closed_form_tomography(sequence, theta),
+    )
 
 
 def _run_panels(
-    config: RunConfig, prefix: str, ensembles: dict[tuple, mc.EnsembleStats]
+    config: RunConfig, prefix: str, points: dict[tuple[str, float], SweepPoint]
 ) -> list[Path]:
     """Write every panel of PANELS whose name starts with ``prefix``.
 
-    ``ensembles`` holds the run's EnsembleStats by (sequence, theta, axis).
-    Noise, shots and seed are fixed for a run, so equal keys are equal
-    ensembles: each is simulated once, however many panels read it.
+    ``points`` holds the run's SweepPoint by (sequence, theta).  Noise,
+    shots and seed are fixed for a run, so equal keys are equal ensembles:
+    each is simulated once, for all three tomography axes, and its closed
+    form evaluated once, however many panels read them.
     """
     paths: list[Path] = []
     for panel in PANELS:
         if not panel.name.startswith(prefix):
             continue
-        rows = []
+        table = []
         for theta in config.theta_grid:
-            key = (panel.sequence, theta, panel.axis)
-            if key not in ensembles:
-                ensembles[key] = mc.run_ensemble(
-                    _sweep_protocol(*key),
-                    config.noise,
-                    config.n_shots,
-                    config.rng_seed,
-                    config.n_jobs,
-                )
-            stats = ensembles[key]
+            key = (panel.sequence, theta)
+            if key not in points:
+                points[key] = _sweep_point(config, *key)
+            point = points[key]
+            stats = point.stats[panel.axis]
             if panel.statistic == KEPT:
+                analytic = _success_probability(panel.sequence, theta)
                 value = stats.success_fraction
                 error = math.sqrt(value * (1.0 - value) / stats.n_total)
             else:
+                tomo = point.closed_form
+                analytic = None if tomo is None else getattr(tomo, f"sigma_{panel.axis}")
                 value, error = stats.mean, stats.std_error
-            rows.append(
-                SweepRow(theta, panel.analytic(theta), value, error,
-                         stats.n_kept, stats.n_total)
-            )
+            table.append((theta, analytic, value, error, stats.n_kept, stats.n_total))
         csv_path = config.output_dir / f"{panel.name}.csv"
-        write_csv(csv_path, [f.name for f in fields(SweepRow)], [astuple(r) for r in rows])
+        write_csv(csv_path, [f.name for f in fields(SweepRow)], table)
         paths.append(csv_path)
         if config.emit_svg:
             svg_path = config.output_dir / f"{panel.name}.svg"
+            rows = [SweepRow(*row) for row in table]
             svg_path.write_text(emit_plot(rows, panel.style), encoding="utf-8")
             paths.append(svg_path)
     if not paths:
@@ -203,8 +228,8 @@ def _run_panels(
 
 def run_fig2(config: RunConfig, variants: Sequence[str] = FIG2_VARIANTS) -> list[Path]:
     """Tomography of the weak-measurement protocols versus rotation angle."""
-    ensembles: dict = {}
-    return [p for v in variants for p in _run_panels(config, f"fig2_{v}_", ensembles)]
+    points: dict = {}
+    return [p for v in variants for p in _run_panels(config, f"fig2_{v}_", points)]
 
 
 def bell_window_protocol(gamma: float, t_m: float, axis: str = "z") -> mc.Protocol:
@@ -344,10 +369,10 @@ def run_experiment(config: RunConfig) -> list[Path]:
     if exp == "fig3_tunnel":
         return run_fig3(config)
     if exp == "custom":
-        ensembles: dict = {}
+        points: dict = {}
         return (
-            _run_panels(config, "fig2", ensembles)
+            _run_panels(config, "fig2", points)
             + run_fig3(config)
-            + _run_panels(config, "supp", ensembles)
+            + _run_panels(config, "supp", points)
         )
     return _run_panels(config, exp, {})

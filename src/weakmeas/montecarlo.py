@@ -4,7 +4,7 @@ A protocol is data: a list of pulses, readout windows and one terminal
 nuclear tomography.  Each shot evolves the electron-nuclear state through
 the steps, draws tunnel events and times, applies optional label errors
 and dephasing, and records whether the shot passed post-selection plus the
-sampled tomography eigenvalue.
+sampled tomography eigenvalue on each axis the tomography names.
 
 Reproducibility contract: shot ``i`` of a run with root seed ``s`` always
 uses the counter-based stream ``Philox(key=(s, i))``, so serial and
@@ -18,9 +18,15 @@ shot).  That state is always the 4x4 electron-nuclear density matrix: a
 finite readout window leaves the nucleus mixed once the electron is traced
 out, so the pulse, the window and the tomography each have one arithmetic,
 with or without dephasing.  It returns ``Shots``, one array row per shot:
-the tomography outcome (0 for a rejected shot), the blip time of each
-window (NaN where none was recorded) and the windows each shot reached.
-The estimators read these columns directly.
+one tomography outcome per named axis (0 for a rejected shot), the blip
+time of each window (NaN where none was recorded) and the windows each
+shot reached.  The estimators read these columns directly.
+
+The axis only sets the threshold the shot's last uniform is compared
+with, so one pass samples every named axis, and column k equals a run of
+the same protocol with axis k alone, bit for bit.  Every ensemble of a run
+reads the same seed and shot ranges, so each range's uniforms are
+generated once per process and shared from a small cache.
 
 With ``n_jobs > 1`` the caller and ``n_jobs - 1`` worker processes claim
 the chunks of the shot range from one shared counter, and the caller waits
@@ -38,7 +44,7 @@ import signal
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from multiprocessing.connection import Connection, wait
 from typing import Iterator, Optional, Sequence, Union
 
@@ -111,11 +117,18 @@ class ReadoutWindow:
 
 @dataclass(frozen=True)
 class NuclearTomography:
-    axis: str  # "x", "y" or "z"
+    """Projective nuclear measurement along each of ``axes`` ("x", "zxy", ...),
+    all sampled from the shot's one tomography draw."""
+
+    axes: tuple[str, ...]
 
     def __post_init__(self):
-        if self.axis not in ("x", "y", "z"):
-            raise ProtocolError(f"unknown tomography axis {self.axis!r}")
+        object.__setattr__(self, "axes", tuple(self.axes))
+        for axis in self.axes:
+            if axis not in ("x", "y", "z"):
+                raise ProtocolError(f"unknown tomography axis {axis!r}")
+        if not self.axes or len(set(self.axes)) != len(self.axes):
+            raise ProtocolError(f"tomography needs distinct axes, got {self.axes!r}")
 
 
 ProtocolStep = Union[Pulse, ReadoutWindow, NuclearTomography]
@@ -123,7 +136,8 @@ ProtocolStep = Union[Pulse, ReadoutWindow, NuclearTomography]
 
 @dataclass(frozen=True)
 class Protocol:
-    """Declarative pulse sequence ending in one nuclear tomography."""
+    """Declarative pulse sequence ending in one nuclear tomography, which
+    may name several axes."""
 
     steps: tuple[ProtocolStep, ...]
     initial: JointState = field(default_factory=prepare_initial)
@@ -175,7 +189,7 @@ NO_NOISE = NoiseConfig()
 class Shots:
     """Outcomes of consecutive shots, one array row per shot, in shot order."""
 
-    outcome: np.ndarray  # int8 tomography eigenvalue, 0 where the shot was rejected
+    outcome: np.ndarray  # (shots, axes) int8 eigenvalue per named axis, 0 if rejected
     blip_times: np.ndarray  # (shots, windows) float, NaN where no blip was recorded
     windows_seen: np.ndarray  # windows reached; a rejected shot stops at its window
 
@@ -284,6 +298,11 @@ def _philox_mulhilo(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, a * _PHILOX_M  # array products wrap mod 2**64
 
 
+# Each (seed, start, stop, draws) is generated once per process and then
+# shared; the arrays are read-only, and the bound keeps the cache at a few
+# SHOT_BLOCK blocks.  Forked workers start from the parent's cache and
+# fill their own.
+@lru_cache(maxsize=16)
 def _philox_uniforms(rng_seed: int, start: int, stop: int, n_draws: int) -> np.ndarray:
     """The first ``n_draws`` uniforms of shots start..stop-1, one row each.
 
@@ -311,7 +330,9 @@ def _philox_uniforms(rng_seed: int, start: int, stop: int, n_draws: int) -> np.n
         a[1] ^= key1[r]
         b = lo[::-1]
     words = np.stack((a[0], b[0], a[1], b[1]), axis=1).reshape(n, 4 * n_counters)
-    return (words[:, :n_draws] >> 11) * 2.0**-53
+    u = (words[:, :n_draws] >> 11) * 2.0**-53
+    u.flags.writeable = False
+    return u
 
 
 # A node is the 4x4 joint density matrix shared by every shot with the
@@ -373,7 +394,8 @@ def _shot_block(
     n_draws = 1 + sum(2 + (step.survival[1] < 1.0) + flip for step in windows)
     u = _philox_uniforms(rng_seed, start, stop, n_draws).ravel()
     n = stop - start
-    outcome = np.zeros(n, dtype=np.int8)
+    axes = steps[-1].axes
+    outcome = np.zeros((n, len(axes)), dtype=np.int8)
     blip_times = np.full((n, len(windows)), np.nan)
     windows_seen = np.full(n, len(windows))
     # shots still kept: block row, branch-history node, index of next draw in u
@@ -433,8 +455,10 @@ def _shot_block(
         ]
         node = remap[key]
     if rows.size:
-        p_plus = np.array([_node_p_plus(x, steps[-1].axis) for x in nodes])
-        outcome[rows] = np.where(u[cursor] < p_plus[node], 1, -1)
+        draw = u[cursor]  # one draw serves every axis
+        for k, axis in enumerate(axes):
+            p_plus = np.array([_node_p_plus(x, axis) for x in nodes])
+            outcome[rows, k] = np.where(draw < p_plus[node], 1, -1)
     return Shots(outcome, blip_times, windows_seen)
 
 
@@ -607,13 +631,15 @@ def run_shots(
         return Shots.concat(pool.run_chunks(chunks))
 
 
-def stats_from_records(shots: Shots) -> EnsembleStats:
-    """Order-insensitive aggregation of the kept shots' tomography outcomes."""
+def stats_from_records(shots: Shots, column: int = 0) -> EnsembleStats:
+    """Order-insensitive aggregation of the kept shots' tomography outcomes
+    on the ``column``-th axis the protocol's tomography names."""
+    outcome = shots.outcome[:, column]
     n_total = len(shots)
-    n_kept = int(np.count_nonzero(shots.outcome))
+    n_kept = int(np.count_nonzero(outcome))
     if n_kept == 0:
         return EnsembleStats(n_total=n_total, n_kept=0, mean=None, std_error=None)
-    mean = int(shots.outcome.sum()) / n_kept
+    mean = int(outcome.sum()) / n_kept
     std_error = math.sqrt(max(1.0 - mean * mean, 0.0) / n_kept)
     return EnsembleStats(n_total=n_total, n_kept=n_kept, mean=mean, std_error=std_error)
 
@@ -625,7 +651,7 @@ def run_ensemble(
     rng_seed: int = 0,
     n_jobs: int = 1,
 ) -> EnsembleStats:
-    """Aggregate the outcomes of shots 0..n_shots-1."""
+    """Aggregate the outcomes of shots 0..n_shots-1 on the first named axis."""
     return stats_from_records(run_shots(protocol, noise, n_shots, rng_seed, n_jobs))
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache
 from math import cos, isfinite, sin
 
 import numpy as np
@@ -157,6 +158,9 @@ _NUCLEAR_PREPARATIONS = {
 }
 
 
+# The prepared states are immutable, so each is built (and validated) once
+# per process and shared by every protocol that starts from it.
+@cache
 def prepare_initial(nuclear: str = "superposition_x") -> JointState:
     """Product state: requested nuclear pure state with the electron down."""
     try:
@@ -167,6 +171,7 @@ def prepare_initial(nuclear: str = "superposition_x") -> JointState:
     return JointState(DensityMatrix(np.kron(rho_n, PROJ_DOWN)))
 
 
+@cache
 def prepare_bell() -> JointState:
     """Maximally entangled state (|down,down> + |up,up>)/sqrt(2).
 

@@ -7,10 +7,13 @@ the pure-statevector path that the engine dropped: the engine evolves
 every history as a 4x4 density matrix, so comparing it with this
 reference checks the engine's channel arithmetic against an independent
 one, not against a copy of itself.  The two agree on each shot's
-probabilities up to rounding, so they sample the same outcomes.  The
-helpers turn records into the engine's ``Shots`` columns and compute the
-ensemble statistics and the blip-time estimate from records, with the
-arithmetic the estimators had when they read records.
+probabilities up to rounding, so they sample the same outcomes.
+``sample_shot`` measures one tomography axis; a protocol whose tomography
+names several is sampled once per axis, and the engine must give the same
+outcomes in one pass.  The helpers turn records into the engine's
+``Shots`` columns and compute the ensemble statistics and the blip-time
+estimate from records, with the arithmetic the estimators had when they
+read records.
 """
 
 from __future__ import annotations
@@ -148,7 +151,7 @@ def sample_shot(
 
     outcome: Optional[int] = None
     if kept:
-        axis = steps[-1].axis
+        (axis,) = steps[-1].axes
         if psi is not None:
             n00 = psi[0].real**2 + psi[0].imag**2 + psi[1].real**2 + psi[1].imag**2
             n01 = psi[0] * psi[2].conjugate() + psi[1] * psi[3].conjugate()
@@ -174,27 +177,47 @@ def sample_shot(
 
 
 def sample_records(protocol, noise, rng_seed, start, stop) -> list[ShotRecord]:
-    """Shots start..stop-1, one ``sample_shot`` at a time."""
+    """Shots start..stop-1 of a one-axis protocol, one ``sample_shot`` at a time."""
     return [sample_shot(protocol, noise, rng_seed, i) for i in range(start, stop)]
 
 
 def to_shots(records: Sequence[ShotRecord], n_windows: int) -> mc.Shots:
-    """The records as ``Shots`` columns: outcome 0 for a rejected shot, NaN
-    for a window without a recorded blip or not reached."""
+    """The records as one-axis ``Shots`` columns: outcome 0 for a rejected
+    shot, NaN for a window without a recorded blip or not reached."""
     blip_times = np.full((len(records), n_windows), np.nan)
     for row, r in zip(blip_times, records):
         row[: len(r.blip_times)] = [np.nan if t is None else t for t in r.blip_times]
     return mc.Shots(
-        np.array([r.nuclear_outcome or 0 for r in records], dtype=np.int8),
+        np.array([[r.nuclear_outcome or 0] for r in records], dtype=np.int8),
         blip_times,
         np.array([len(r.blip_times) for r in records], dtype=int),
     )
 
 
+def with_axes(protocol: mc.Protocol, axes) -> mc.Protocol:
+    """The protocol with its tomography along ``axes`` ("x", "zxy", ...)."""
+    steps = protocol.steps[:-1] + (mc.NuclearTomography(axes),)
+    return mc.Protocol(steps, initial=protocol.initial)
+
+
+def sample_columns(protocol, noise, rng_seed, start, stop) -> mc.Shots:
+    """Shots start..stop-1, one ``sample_shot`` at a time and one run per
+    tomography axis, the outcome columns side by side."""
+    runs = [
+        to_shots(
+            sample_records(with_axes(protocol, axis), noise, rng_seed, start, stop),
+            len(protocol.windows),
+        )
+        for axis in protocol.steps[-1].axes
+    ]
+    return mc.Shots(
+        np.hstack([run.outcome for run in runs]), runs[0].blip_times, runs[0].windows_seen
+    )
+
+
 def run_shots(protocol, noise=mc.NO_NOISE, n_shots=1, rng_seed=0, n_jobs=1) -> mc.Shots:
     """``montecarlo.run_shots`` computed one ``sample_shot`` at a time."""
-    records = sample_records(protocol, noise, rng_seed, 0, n_shots)
-    return to_shots(records, len(protocol.windows))
+    return sample_columns(protocol, noise, rng_seed, 0, n_shots)
 
 
 def stats_from_records(records: Sequence[ShotRecord]) -> mc.EnsembleStats:

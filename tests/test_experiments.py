@@ -18,7 +18,7 @@ from weakmeas.experiments.config import (
 )
 from weakmeas.experiments.presets import (
     _fmt,
-    fig2_analytic,
+    closed_form_tomography,
     run_fig2,
     run_fig3,
     write_csv,
@@ -122,6 +122,11 @@ class TestLoadConfig:
             load_config(self.write(tmp_path, "theta_grid: 1.0\n"))
         with pytest.raises(ValueError):
             load_config(self.write(tmp_path, "- just\n- a list\n"))
+        # a YAML boolean is not a rate: true would load as 1.0
+        for key in ("noise_t2star", "noise_false_negative", "noise_false_positive"):
+            for value in ("true", "false"):
+                with pytest.raises(ValueError, match=key):
+                    load_config(self.write(tmp_path, f"{key}: {value}\n"))
 
     def test_empty_file_keeps_defaults(self, tmp_path):
         cfg = load_config(self.write(tmp_path, ""))
@@ -260,8 +265,8 @@ class TestPresets:
             assert float(row["gamma_t_m"]) == pytest.approx(gamma * cfg.t_m)
 
     def test_analytic_none_only_at_impossible(self):
-        assert fig2_analytic("reversal", math.pi, "z") is None
-        assert fig2_analytic("reversal", 1.0, "z") is not None
+        assert closed_form_tomography("reversal", math.pi) is None
+        assert closed_form_tomography("reversal", 1.0) is not None
 
 
 class TestCli:
@@ -377,7 +382,7 @@ class TestCli:
             encoding="utf-8",
         )
         assert main(["custom", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-        assert len(calls) == 12 * len(theta_grid) + len(gamma_grid)
+        assert len(calls) == 4 * len(theta_grid) + len(gamma_grid)
         assert len(set(calls)) == len(calls)
 
     def test_seed_changes_output(self, tmp_path):

@@ -103,7 +103,7 @@ class TestDeterminism:
 
     def test_streams_are_independent(self):
         p = bell_window_protocol(gamma=1.0, t_m=1.5)
-        outcomes = set(run_shots(p, n_shots=64, rng_seed=7).outcome.tolist())
+        outcomes = set(run_shots(p, n_shots=64, rng_seed=7).outcome[:, 0].tolist())
         assert outcomes >= {1, -1}
 
     def test_parallel_matches_serial(self):
@@ -285,7 +285,7 @@ class TestLabelErrors:
 class TestStats:
     def test_empty_records(self):
         rejected = Shots(
-            np.zeros(10, dtype=np.int8), np.full((10, 1), np.nan), np.ones(10, dtype=int)
+            np.zeros((10, 1), dtype=np.int8), np.full((10, 1), np.nan), np.ones(10, dtype=int)
         )
         stats = stats_from_records(rejected)
         assert stats.empty
@@ -313,7 +313,7 @@ class TestShots:
             t = np.array(times)
             if change_time is not None:
                 t[change_time] = 0.5
-            return Shots(np.array(outcome, dtype=np.int8), t, np.array([2, 1, 2]))
+            return Shots(np.array(outcome, dtype=np.int8)[:, None], t, np.array([2, 1, 2]))
 
         assert (shots() == shots()) is True
         assert (shots() == shots(outcome=(1, 0, 1))) is False
@@ -392,13 +392,13 @@ class TestGammaEstimator:
 
     def test_no_blips_raises(self):
         shots = Shots(
-            np.ones(10, dtype=np.int8), np.full((10, 1), np.nan), np.ones(10, dtype=int)
+            np.ones((10, 1), dtype=np.int8), np.full((10, 1), np.nan), np.ones(10, dtype=int)
         )
         with pytest.raises(NoInformationError):
             estimate_gamma_from_blips(shots, 1.5)
 
     def test_rejects_multi_window_records(self):
-        shots = Shots(np.ones(1, dtype=np.int8), np.array([[0.1, np.nan]]), np.array([2]))
+        shots = Shots(np.ones((1, 1), dtype=np.int8), np.array([[0.1, np.nan]]), np.array([2]))
         with pytest.raises(ProtocolError):
             estimate_gamma_from_blips(shots, 1.5)
 
@@ -443,7 +443,7 @@ class TestGammaEstimator:
             times = [mean_t * t_m * (0.5 + (i % 5) / 4) for i in range(n_blips)]
             n = n_blips + n_censored
             shots = Shots(
-                np.ones(n, dtype=np.int8),
+                np.ones((n, 1), dtype=np.int8),
                 np.array(times + [np.nan] * n_censored)[:, None],
                 np.ones(n, dtype=int),
             )

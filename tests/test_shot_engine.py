@@ -235,6 +235,94 @@ class TestAgainstSampleShot:
         ]
 
 
+def assert_columns_are_one_axis_runs(got, protocol, run):
+    """Column k of ``got`` equals ``run`` of ``protocol`` on axis k alone."""
+    for k, axis in enumerate(protocol.steps[-1].axes):
+        one = run(ref.with_axes(protocol, axis))
+        assert one.outcome.shape == (len(got), 1)
+        assert mc.Shots(got.outcome[:, [k]], got.blip_times, got.windows_seen) == one
+
+
+class TestSeveralAxes:
+    """One pass samples every axis the tomography names: column k is the
+    one-axis run on axis k, and the reference sampler's run on axis k."""
+
+    @pytest.mark.parametrize("name", list(NAMED_CASES))
+    def test_named_case(self, name):
+        protocol, noise = NAMED_CASES[name]
+        several = ref.with_axes(protocol, "zxy")
+        got = mc.run_shots(several, noise, 600, 17)
+        assert got.outcome.shape == (600, 3)
+        assert got == ref.run_shots(several, noise, 600, 17)
+        assert_columns_are_one_axis_runs(
+            got, several, lambda p: mc.run_shots(p, noise, 600, 17)
+        )
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_case_chunk(self, seed):
+        protocol, noise, rng_seed, start = random_case(seed)
+        axes = "".join(np.random.default_rng(seed).permutation(list("xyz"))[: 2 + seed % 2])
+        several = ref.with_axes(protocol, axes)
+        got = mc._run_chunk((several, noise, rng_seed, start, start + 250))
+        assert got == ref.sample_columns(several, noise, rng_seed, start, start + 250)
+        assert_columns_are_one_axis_runs(
+            got, several, lambda p: mc._run_chunk((p, noise, rng_seed, start, start + 250))
+        )
+
+    def test_more_shots_than_a_block_and_parallel(self):
+        for name in ("bell window, dephasing", "bell window, label errors, kept on blip"):
+            protocol, noise = NAMED_CASES[name]
+            several = ref.with_axes(protocol, "xyz")
+            n = mc.SHOT_BLOCK + 150
+            got = mc.run_shots(several, noise, n, 5)
+            assert got == ref.run_shots(several, noise, n, 5)
+            assert mc.run_shots(several, noise, n, 5, n_jobs=2) == got
+
+    def test_stats_read_one_column(self):
+        protocol, noise = NAMED_CASES["two finite windows, down tunneling, both kept"]
+        shots = mc.run_shots(ref.with_axes(protocol, "yz"), noise, 500, 3)
+        for k, axis in enumerate("yz"):
+            one = mc.run_ensemble(ref.with_axes(protocol, axis), noise, 500, 3)
+            assert mc.stats_from_records(shots, k) == one
+
+    @pytest.mark.parametrize("axes", ["", "xx", "zxz", "xw"])
+    def test_rejects_repeated_or_missing_axes(self, axes):
+        with pytest.raises(mc.ProtocolError):
+            mc.NuclearTomography(axes)
+
+
+def test_philox_ranges_are_cached_and_read_only():
+    """Runs at two seeds and two shot ranges, interleaved and on protocols
+    with different draw counts, equal each run alone."""
+    runs = [
+        (NAMED_CASES[name], seed, start)
+        for name in ("bell window, label errors, kept on blip",
+                     "two finite windows, down tunneling, both kept")
+        for seed in (3, 8)
+        for start in (0, 5000)
+    ]
+
+    def run(case, seed, start):
+        protocol, noise = case
+        return mc._run_chunk((protocol, noise, seed, start, start + 300))
+
+    alone = []
+    for args in runs:
+        mc._philox_uniforms.cache_clear()
+        alone.append(run(*args))
+    mc._philox_uniforms.cache_clear()
+    for _ in range(2):
+        assert [run(*args) for args in runs] == alone
+    info = mc._philox_uniforms.cache_info()
+    assert info.hits >= len(runs) and info.currsize <= info.maxsize
+    u = mc._philox_uniforms(3, 0, 300, 5)
+    assert u is mc._philox_uniforms(3, 0, 300, 5)
+    assert not u.flags.writeable
+    with pytest.raises(ValueError):
+        u[0, 0] = 0.5
+    assert np.array_equal(u, np.array([ref.shot_rng(3, i).random(5) for i in range(300)]))
+
+
 CLI_CASES = {
     "fig2": (["fig2", "--variant", "all", "--shots", "150", "--grid", "5"], None),
     "fig2 dephased": (
