@@ -92,7 +92,11 @@ def load_config(path: Path, base: Optional[RunConfig] = None) -> RunConfig:
     """Parse a flat YAML config file on top of ``base`` (or the defaults)."""
     cfg = base if base is not None else RunConfig()
     with open(path, encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as err:
+            detail = " ".join(str(err).split())  # PyYAML's message spans lines
+            raise ValueError(f"{path}: not valid YAML: {detail}") from None
     if data is None:
         return cfg
     if not isinstance(data, dict):

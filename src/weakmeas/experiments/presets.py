@@ -99,7 +99,7 @@ def fig2_protocol(variant: str, theta: float, axes: Sequence[str]) -> mc.Protoco
     no-blip, then nuclear tomography along ``axes``."""
     steps: list[mc.ProtocolStep] = []
     for angle, freq in fig2_pulse_sequence(variant, theta):
-        steps.append(mc.Pulse(RotationPulse(freq, angle)))
+        steps.append(RotationPulse(freq, angle))
         steps.append(mc.ReadoutWindow(TunnelModel.projective(), keep="no_blip"))
     steps.append(mc.NuclearTomography(axes))
     return mc.Protocol(tuple(steps))
@@ -160,7 +160,7 @@ def _sweep_protocol(sequence: str, theta: float) -> mc.Protocol:
     if sequence == STEERING:
         return mc.Protocol(
             (
-                mc.Pulse(RotationPulse(Frequency.ESR_BOTH, theta)),
+                RotationPulse(Frequency.ESR_BOTH, theta),
                 mc.ReadoutWindow(TunnelModel.projective(), keep="no_blip"),
                 mc.NuclearTomography(AXES),
             ),

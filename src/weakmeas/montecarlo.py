@@ -1,10 +1,14 @@
 """Single-shot trajectory simulation of the full pulse-and-readout sequence.
 
-A protocol is data: a list of pulses, readout windows and one terminal
-nuclear tomography.  Each shot evolves the electron-nuclear state through
-the steps, draws tunnel events and times, applies optional label errors
-and dephasing, and records whether the shot passed post-selection plus the
-sampled tomography eigenvalue on each axis the tomography names.
+A protocol is data: a list of immutable physics steps (``RotationPulse``s,
+``ReadoutWindow``s of a ``TunnelModel`` and a keep policy) and one terminal
+``NuclearTomography``.  The arrays derived from a step, a pulse's unitary
+and a window's no-blip damping, are memoised by value: equal steps of any
+protocols share one read-only array per process.  Each shot evolves the
+electron-nuclear state through the steps, draws tunnel events and times,
+applies optional label errors and dephasing, and records whether the shot
+passed post-selection plus the sampled tomography eigenvalue on each axis
+the tomography names.
 
 Reproducibility contract: shot ``i`` of a run with root seed ``s`` always
 uses the counter-based stream ``Philox(key=(s, i))``, so serial and
@@ -25,8 +29,9 @@ shot reached.  The estimators read these columns directly.
 The axis only sets the threshold the shot's last uniform is compared
 with, so one pass samples every named axis, and column k equals a run of
 the same protocol with axis k alone, bit for bit.  Every ensemble of a run
-reads the same seed and shot ranges, so each range's uniforms are
-generated once per process and shared from a small cache.
+reads the same seed and chunk ranges, so each chunk range's uniforms are
+generated once per process, kept as one read-only cache entry per range,
+and shared by every ensemble that reads them.
 
 With ``n_jobs > 1`` the caller and ``n_jobs - 1`` worker processes claim
 the chunks of the shot range from one shared counter, and the caller waits
@@ -44,7 +49,7 @@ import signal
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from multiprocessing.connection import Connection, wait
 from typing import Iterator, Optional, Sequence, Union
 
@@ -77,19 +82,6 @@ class ProtocolError(ValueError):
 
 
 @dataclass(frozen=True)
-class Pulse:
-    pulse: RotationPulse
-
-    @cached_property
-    def unitary(self) -> np.ndarray:
-        return pulse_unitary(self.pulse)
-
-    @cached_property
-    def unitary_h(self) -> np.ndarray:
-        return self.unitary.conj().T
-
-
-@dataclass(frozen=True)
 class ReadoutWindow:
     model: TunnelModel
     keep: str = NO_BLIP  # "no_blip", "blip" or "both"
@@ -97,22 +89,6 @@ class ReadoutWindow:
     def __post_init__(self):
         if self.keep not in (NO_BLIP, BLIP, "both"):
             raise ProtocolError(f"unknown keep policy {self.keep!r}")
-
-    @cached_property
-    def survival(self) -> tuple[float, float]:
-        return self.model.survival_up, self.model.survival_down
-
-    @cached_property
-    def damping_amplitudes(self) -> np.ndarray:
-        """Per-basis-state amplitude factors of the no-blip branch."""
-        e_up, e_down = self.survival
-        su, sd = math.sqrt(e_up), math.sqrt(e_down)
-        return np.array([su, sd, su, sd])
-
-    @cached_property
-    def damping_matrix(self) -> np.ndarray:
-        d = self.damping_amplitudes
-        return d[:, None] * d[None, :]
 
 
 @dataclass(frozen=True)
@@ -131,7 +107,7 @@ class NuclearTomography:
             raise ProtocolError(f"tomography needs distinct axes, got {self.axes!r}")
 
 
-ProtocolStep = Union[Pulse, ReadoutWindow, NuclearTomography]
+ProtocolStep = Union[RotationPulse, ReadoutWindow, NuclearTomography]
 
 
 @dataclass(frozen=True)
@@ -262,9 +238,17 @@ def _embed_nuclear(nuc: np.ndarray) -> np.ndarray:
     return out
 
 
-def _reload_down_fast(joint: np.ndarray) -> np.ndarray:
-    """Trace out the electron and load a fresh down electron."""
-    return _embed_nuclear(_nuclear_reduced(joint))
+# The tunnel model is hashable, so each window's matrix is built once per
+# process; it is read-only because every protocol shares it.
+@cache
+def _no_blip_damping(model: TunnelModel) -> np.ndarray:
+    """Elementwise factor a no-blip window applies to the joint density
+    matrix: d d^T for the per-basis-state amplitudes d."""
+    su, sd = math.sqrt(model.survival_up), math.sqrt(model.survival_down)
+    d = np.array([su, sd, su, sd])
+    damping = d[:, None] * d[None, :]
+    damping.flags.writeable = False
+    return damping
 
 
 # Block engine: the shots of one block advance together.
@@ -298,12 +282,7 @@ def _philox_mulhilo(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, a * _PHILOX_M  # array products wrap mod 2**64
 
 
-# Each (seed, start, stop, draws) is generated once per process and then
-# shared; the arrays are read-only, and the bound keeps the cache at a few
-# SHOT_BLOCK blocks.  Forked workers start from the parent's cache and
-# fill their own.
-@lru_cache(maxsize=16)
-def _philox_uniforms(rng_seed: int, start: int, stop: int, n_draws: int) -> np.ndarray:
+def _philox_block(rng_seed: int, start: int, stop: int, n_draws: int) -> np.ndarray:
     """The first ``n_draws`` uniforms of shots start..stop-1, one row each.
 
     Row j equals ``Generator(Philox(key=(rng_seed, start + j))).random(n_draws)``
@@ -330,7 +309,22 @@ def _philox_uniforms(rng_seed: int, start: int, stop: int, n_draws: int) -> np.n
         a[1] ^= key1[r]
         b = lo[::-1]
     words = np.stack((a[0], b[0], a[1], b[1]), axis=1).reshape(n, 4 * n_counters)
-    u = (words[:, :n_draws] >> 11) * 2.0**-53
+    return (words[:, :n_draws] >> 11) * 2.0**-53
+
+
+# Every ensemble of a run reads the same seed and chunk ranges, so each
+# (seed, start, stop, draws) is generated once per process, one entry per
+# chunk whatever its length, and shared read-only; a run touches a few
+# entries per chunk, one per draw count.  Each entry is built block by block
+# to keep the Philox temporaries at SHOT_BLOCK rows.  Forked workers start
+# from the parent's cache and fill their own.
+@lru_cache(maxsize=16)
+def _philox_uniforms(rng_seed: int, start: int, stop: int, n_draws: int) -> np.ndarray:
+    """``_philox_block`` of shots start..stop-1, as one read-only array."""
+    u = np.empty((stop - start, n_draws))
+    for a in range(start, stop, SHOT_BLOCK):
+        b = min(a + SHOT_BLOCK, stop)
+        u[a - start : b - start] = _philox_block(rng_seed, a, b, n_draws)
     u.flags.writeable = False
     return u
 
@@ -342,15 +336,16 @@ def _philox_uniforms(rng_seed: int, start: int, stop: int, n_draws: int) -> np.n
 # state stays pure, an independent arithmetic for the same channels.
 
 
-def _node_pulse(joint: np.ndarray, step: Pulse) -> np.ndarray:
-    return step.unitary @ joint @ step.unitary_h
+def _node_pulse(joint: np.ndarray, pulse: RotationPulse) -> np.ndarray:
+    u = pulse_unitary(pulse)
+    return u @ joint @ u.conj().T
 
 
 def _node_blip_weights(joint: np.ndarray, step: ReadoutWindow) -> tuple[float, float]:
     """Probabilities that the up / the down electron tunnels out."""
-    e_up, e_down = step.survival
+    model = step.model
     p_up = joint[0, 0].real + joint[2, 2].real
-    return p_up * (1.0 - e_up), (1.0 - p_up) * (1.0 - e_down)
+    return p_up * (1.0 - model.survival_up), (1.0 - p_up) * (1.0 - model.survival_down)
 
 
 def _node_after_window(
@@ -362,9 +357,9 @@ def _node_after_window(
         nuc = joint.reshape(2, 2, 2, 2)[:, branch - 1, :, branch - 1]
         joint = _embed_nuclear(nuc / (nuc[0, 0].real + nuc[1, 1].real))
     else:
-        joint = joint * step.damping_matrix
+        joint = joint * _no_blip_damping(step.model)
         w = (joint[0, 0] + joint[1, 1] + joint[2, 2] + joint[3, 3]).real
-        joint = _reload_down_fast(joint / w)
+        joint = _embed_nuclear(_nuclear_reduced(joint / w))  # reload a down electron
     if t2star is not None:
         joint = _dephase_joint(joint, step.model.t_m, t2star)
     return joint
@@ -382,18 +377,15 @@ def _node_p_plus(joint: np.ndarray, axis: str) -> float:
     return min(max((1.0 + expectation) / 2.0, 0.0), 1.0)
 
 
-def _shot_block(
-    protocol: Protocol, noise: NoiseConfig, rng_seed: int, start: int, stop: int
-) -> Shots:
-    """Shots start..stop-1, drawing from their streams in a lone shot's order."""
+def _shot_block(protocol: Protocol, noise: NoiseConfig, uniforms: np.ndarray) -> Shots:
+    """The shots whose uniforms are the rows of ``uniforms``, drawing from
+    them in a lone shot's order."""
     steps = protocol.steps
     windows = protocol.windows
     p_fn, p_fp = noise.readout_false_negative, noise.readout_false_positive
     flip = p_fn > 0.0 or p_fp > 0.0
-    # per window at most: blip?, which electron, when, label flip; then the tomography
-    n_draws = 1 + sum(2 + (step.survival[1] < 1.0) + flip for step in windows)
-    u = _philox_uniforms(rng_seed, start, stop, n_draws).ravel()
-    n = stop - start
+    n, n_draws = uniforms.shape
+    u = uniforms.ravel()
     axes = steps[-1].axes
     outcome = np.zeros((n, len(axes)), dtype=np.int8)
     blip_times = np.full((n, len(windows)), np.nan)
@@ -406,7 +398,7 @@ def _shot_block(
     t2star = noise.nuclear_dephasing_time
     w = -1
     for step in steps[:-1]:
-        if type(step) is Pulse:
+        if type(step) is RotationPulse:
             nodes = [_node_pulse(x, step) for x in nodes]
             continue
         w += 1
@@ -464,12 +456,12 @@ def _shot_block(
 
 def _run_chunk(args) -> Shots:
     protocol, noise, rng_seed, start, stop = args
-    return Shots.concat(
-        [
-            _shot_block(protocol, noise, rng_seed, a, min(a + SHOT_BLOCK, stop))
-            for a in range(start, stop, SHOT_BLOCK)
-        ]
-    )
+    flip = noise.readout_false_negative > 0.0 or noise.readout_false_positive > 0.0
+    # per window at most: blip?, which electron, when, label flip; then the tomography
+    n_draws = 1 + sum(2 + (w.model.survival_down < 1.0) + flip for w in protocol.windows)
+    u = _philox_uniforms(rng_seed, start, stop, n_draws)
+    blocks = range(0, stop - start, SHOT_BLOCK)
+    return Shots.concat([_shot_block(protocol, noise, u[a : a + SHOT_BLOCK]) for a in blocks])
 
 
 def _claim_chunk(claim, call: int, n_chunks: int) -> Optional[int]:
@@ -614,10 +606,13 @@ def run_shots(
     that this process shares with the pool of the enclosing ``worker_pool``
     block, or with a pool opened for this call when there is none.  The
     result is identical to the serial run because every shot has its own
-    stream.
+    stream.  ``rng_seed`` must be a key numpy's ``Philox`` takes, in
+    [-2**63, 2**64); a negative seed keys the stream as its 64-bit mask.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
+    if not -(1 << 63) <= rng_seed <= _MASK64:
+        raise ValueError(f"rng_seed {rng_seed} is outside [-2**63, 2**64)")
     n_jobs = min(n_jobs, n_shots)
     if n_jobs <= 1:
         return _run_chunk((protocol, noise, rng_seed, 0, n_shots))
@@ -644,17 +639,6 @@ def stats_from_records(shots: Shots, column: int = 0) -> EnsembleStats:
     return EnsembleStats(n_total=n_total, n_kept=n_kept, mean=mean, std_error=std_error)
 
 
-def run_ensemble(
-    protocol: Protocol,
-    noise: NoiseConfig = NO_NOISE,
-    n_shots: int = 1,
-    rng_seed: int = 0,
-    n_jobs: int = 1,
-) -> EnsembleStats:
-    """Aggregate the outcomes of shots 0..n_shots-1 on the first named axis."""
-    return stats_from_records(run_shots(protocol, noise, n_shots, rng_seed, n_jobs))
-
-
 def conditional_state(
     protocol: Protocol, window_outcomes: Sequence[str]
 ) -> PostSelectedState:
@@ -671,8 +655,8 @@ def conditional_state(
     joint = protocol.initial.rho.matrix
     probability = 1.0
     for step in protocol.steps[:-1]:
-        if isinstance(step, Pulse):
-            joint = step.unitary @ joint @ step.unitary_h
+        if isinstance(step, RotationPulse):
+            joint = _node_pulse(joint, step)
             continue
         outcome = outcomes.pop(0)
         if outcome not in (NO_BLIP, BLIP):

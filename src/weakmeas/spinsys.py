@@ -144,11 +144,17 @@ def unconditional_unitary(pulse: RotationPulse) -> np.ndarray:
     return np.kron(r, I2)
 
 
+# Pulses are immutable, so each distinct pulse's unitary is built once per
+# process and shared, read-only, by every protocol that applies it.
+@cache
 def pulse_unitary(pulse: RotationPulse) -> np.ndarray:
     """Joint-space unitary for any pulse type."""
     if pulse.frequency.is_conditional:
-        return conditional_unitary(pulse)
-    return unconditional_unitary(pulse)
+        u = conditional_unitary(pulse)
+    else:
+        u = unconditional_unitary(pulse)
+    u.flags.writeable = False
+    return u
 
 
 _NUCLEAR_PREPARATIONS = {
@@ -188,8 +194,3 @@ def negativity(state: JointState) -> float:
     pt = qmath.partial_transpose_electron(state.rho.matrix)
     return -sum(x for x in qmath.hermitian_eigenvalues(pt) if x < 0.0)
 
-
-def is_entangled_ppt(state: JointState, tol: float = 1e-9) -> tuple[bool, float]:
-    """PPT entanglement test; returns (entangled, negativity)."""
-    n = negativity(state)
-    return n > tol, n

@@ -26,6 +26,7 @@ import numpy as np
 
 from weakmeas import montecarlo as mc
 from weakmeas.protocols import BLIP
+from weakmeas.spinsys import RotationPulse, pulse_unitary
 
 
 @dataclass(frozen=True)
@@ -73,15 +74,18 @@ def sample_shot(
 
     for step_index in range(n_steps):
         step = steps[step_index]
-        if type(step) is mc.Pulse:
+        if type(step) is RotationPulse:
+            u = pulse_unitary(step)
             if psi is not None:
-                psi = step.unitary @ psi
+                psi = u @ psi
             else:
-                joint = step.unitary @ joint @ step.unitary_h
+                joint = u @ joint @ u.conj().T
             continue
 
         # readout window
-        e_up, e_down = step.survival
+        e_up, e_down = step.model.survival_up, step.model.survival_down
+        # amplitude factor of each basis state when no electron tunnels
+        damping = np.sqrt([e_up, e_down, e_up, e_down])
         if psi is not None:
             p_up = psi[0].real**2 + psi[0].imag**2 + psi[2].real**2 + psi[2].imag**2
         else:
@@ -113,7 +117,7 @@ def sample_shot(
         else:
             # amplitude damping of the surviving branches
             if psi is not None:
-                psi = psi * step.damping_amplitudes
+                psi = psi * damping
                 norm_sq = float(np.vdot(psi, psi).real)
                 psi = psi / math.sqrt(norm_sq)
                 if psi[0] != 0 or psi[2] != 0:
@@ -121,14 +125,14 @@ def sample_shot(
                     # a later reload makes the nuclear state mixed
                     if step_index + 1 < n_steps:
                         joint = np.outer(psi, psi.conj())
-                        joint = mc._reload_down_fast(joint)
+                        joint = mc._embed_nuclear(mc._nuclear_reduced(joint))
                         psi = None
                 else:
                     psi = np.array([0.0, psi[1], 0.0, psi[3]], dtype=complex)
             else:
-                joint = joint * step.damping_matrix
+                joint = joint * np.outer(damping, damping)
                 w = (joint[0, 0] + joint[1, 1] + joint[2, 2] + joint[3, 3]).real
-                joint = mc._reload_down_fast(joint / w)
+                joint = mc._embed_nuclear(mc._nuclear_reduced(joint / w))
 
         # label error: the classified outcome, not the state, is flipped
         model = step.model

@@ -116,9 +116,8 @@ def test_criterion_3_success_probabilities():
         cases.append(("double", theta, success_probability_n(theta, 2)))
         cases.append(("reversal", theta, reversal_success_probability(theta)))
     for variant, theta, expected in cases:
-        stats = mc.run_ensemble(
-            fig2_protocol(variant, theta, "z"), n_shots=n_shots, rng_seed=101
-        )
+        protocol = fig2_protocol(variant, theta, "z")
+        stats = mc.stats_from_records(mc.run_shots(protocol, n_shots=n_shots, rng_seed=101))
         sigma = math.sqrt(expected * (1.0 - expected) / n_shots)
         assert abs(stats.success_fraction - expected) <= 4.0 * sigma + 1e-12
     assert time.perf_counter() - start < 30.0
@@ -158,13 +157,13 @@ def test_criterion_5_steering_scan():
         for axis in ("x", "y", "z"):
             protocol = mc.Protocol(
                 (
-                    mc.Pulse(RotationPulse(Frequency.ESR_BOTH, theta)),
+                    RotationPulse(Frequency.ESR_BOTH, theta),
                     mc.ReadoutWindow(TunnelModel.projective(), keep=NO_BLIP),
                     mc.NuclearTomography(axis),
                 ),
                 initial=prepare_bell(),
             )
-            stats = mc.run_ensemble(protocol, n_shots=200, rng_seed=303)
+            stats = mc.stats_from_records(mc.run_shots(protocol, n_shots=200, rng_seed=303))
             expected = getattr(tomo, f"sigma_{axis}")
             assert abs(stats.mean - expected) <= 4.0 * stats.std_error + 1e-12
 
@@ -190,7 +189,7 @@ def test_criterion_7_oracle_equivalence():
         closed = closed_form_sequence(seq)
         steps = []
         for angle, freq in seq:
-            steps.append(mc.Pulse(RotationPulse(freq, angle)))
+            steps.append(RotationPulse(freq, angle))
             steps.append(mc.ReadoutWindow(TunnelModel.projective(), keep=NO_BLIP))
         steps.append(mc.NuclearTomography("z"))
         stepwise = mc.conditional_state(

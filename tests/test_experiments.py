@@ -24,6 +24,7 @@ from weakmeas.experiments.presets import (
     write_csv,
 )
 from weakmeas.experiments.svgplot import PlotStyle, SweepRow, emit_plot
+from weakmeas.spinsys import pulse_unitary
 
 STYLE = PlotStyle(title="t", xlabel="x", ylabel="y")
 
@@ -322,6 +323,40 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["custom"], "n_shots: [1, 2\n"),
+            (["fig2", "--seed", "18446744073709551621"], ""),  # 2**64 + 5
+            (["fig3", "--seed", "-9223372036854775809"], ""),  # -2**63 - 1
+        ],
+        ids=["malformed_yaml", "seed_above_range", "seed_below_range"],
+    )
+    def test_rejected_run_reports_one_line(self, tmp_path, capsys, argv, config):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(config, encoding="utf-8")
+        out = tmp_path / "out"
+        argv = [*argv, "--shots", "20", "--grid", "3", "--no-svg"]
+        rc = main([*argv, "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:")
+        assert not out.exists()
+
+    def test_custom_builds_each_pulse_unitary_once(self, tmp_path, capsys):
+        """3 distinct pulses per theta (NU_E2, NU_E1 and both ESR lines).
+        With 20 shots every sequence keeps a shot past its first window, so
+        the engine applies every pulse (with 3 shots, all 3 shots of the
+        reversal at pi are rejected there and its NU_E1 pulse never runs)."""
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("experiment: custom\n", encoding="utf-8")
+        pulse_unitary.cache_clear()
+        argv = ["custom", "--config", str(cfg), "--grid", "5", "--shots", "20", "--no-svg"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert pulse_unitary.cache_info().misses == 3 * 5
 
     def test_custom_with_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"

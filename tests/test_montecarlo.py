@@ -17,13 +17,12 @@ from weakmeas.montecarlo import (
     NuclearTomography,
     Protocol,
     ProtocolError,
-    Pulse,
     ReadoutWindow,
     Shots,
     _dephase_joint,
+    _no_blip_damping,
     conditional_state,
     estimate_gamma_from_blips,
-    run_ensemble,
     run_shots,
     stats_from_records,
 )
@@ -50,7 +49,7 @@ def measure_protocol(theta, axis="z", keep=NO_BLIP, n=1):
     """n equal conditional measurements, each read out projectively."""
     steps = []
     for _ in range(n):
-        steps.append(Pulse(RotationPulse(Frequency.NU_E2, theta)))
+        steps.append(RotationPulse(Frequency.NU_E2, theta))
         steps.append(ReadoutWindow(PROJECTIVE, keep=keep))
     steps.append(NuclearTomography(axis))
     return Protocol(steps=tuple(steps))
@@ -69,14 +68,14 @@ def bell_window_protocol(gamma, t_m, keep="both", axis="z"):
 class TestProtocolValidation:
     def test_requires_terminal_tomography(self):
         with pytest.raises(ProtocolError):
-            Protocol(steps=(Pulse(RotationPulse(Frequency.NU_E2, 1.0)),))
+            Protocol(steps=(RotationPulse(Frequency.NU_E2, 1.0),))
 
     def test_rejects_mid_sequence_tomography(self):
         with pytest.raises(ProtocolError):
             Protocol(
                 steps=(
                     NuclearTomography("z"),
-                    Pulse(RotationPulse(Frequency.NU_E2, 1.0)),
+                    RotationPulse(Frequency.NU_E2, 1.0),
                     NuclearTomography("z"),
                 )
             )
@@ -93,6 +92,15 @@ class TestProtocolValidation:
         p = measure_protocol(1.0, n=3)
         assert len(p.windows) == 3
 
+    def test_no_blip_damping_is_shared_and_read_only(self):
+        model = TunnelModel(gamma_up_out=0.7, t_m=1.5, gamma_down_out=0.2)
+        damping = _no_blip_damping(model)
+        assert _no_blip_damping(TunnelModel(0.7, 1.5, 0.2)) is damping
+        d = np.sqrt([model.survival_up, model.survival_down] * 2)
+        assert np.array_equal(damping, np.outer(d, d))
+        with pytest.raises(ValueError):
+            damping[0, 0] = 1.0
+
 
 class TestDeterminism:
     def test_same_stream_same_record(self):
@@ -105,6 +113,17 @@ class TestDeterminism:
         p = bell_window_protocol(gamma=1.0, t_m=1.5)
         outcomes = set(run_shots(p, n_shots=64, rng_seed=7).outcome[:, 0].tolist())
         assert outcomes >= {1, -1}
+
+    def test_seed_must_be_a_philox_key(self):
+        p = measure_protocol(math.pi / 2)
+        for seed in (2**64 + 5, -(2**63) - 1):
+            with pytest.raises(ValueError, match="rng_seed"):
+                run_shots(p, n_shots=8, rng_seed=seed)
+        # a negative seed keys the stream as its 64-bit mask
+        assert run_shots(p, n_shots=8, rng_seed=-5) == run_shots(
+            p, n_shots=8, rng_seed=2**64 - 5
+        )
+        run_shots(p, n_shots=8, rng_seed=-(2**63))
 
     def test_parallel_matches_serial(self):
         p = bell_window_protocol(gamma=1.0, t_m=1.5)
@@ -127,18 +146,18 @@ class TestDeterminism:
 class TestTrivialProtocols:
     def test_eigenstate_tomography_is_deterministic(self):
         p = Protocol(steps=(NuclearTomography("z"),), initial=prepare_initial("up"))
-        stats = run_ensemble(p, n_shots=50, rng_seed=1)
+        stats = stats_from_records(run_shots(p, n_shots=50, rng_seed=1))
         assert stats.n_kept == 50
         assert stats.mean == 1.0
 
     def test_superposition_x_tomography(self):
         p = Protocol(steps=(NuclearTomography("x"),))
-        stats = run_ensemble(p, n_shots=50, rng_seed=1)
+        stats = stats_from_records(run_shots(p, n_shots=50, rng_seed=1))
         assert stats.mean == 1.0
 
     def test_superposition_z_is_a_coin_flip(self):
         p = Protocol(steps=(NuclearTomography("z"),))
-        stats = run_ensemble(p, n_shots=4000, rng_seed=1)
+        stats = stats_from_records(run_shots(p, n_shots=4000, rng_seed=1))
         assert abs(stats.mean) < 4 * stats.std_error + 1e-12
         assert stats.std_error == pytest.approx(
             math.sqrt((1 - stats.mean**2) / 4000)
@@ -149,19 +168,20 @@ class TestAgainstClosedForms:
     def test_single_measurement_success_fraction(self):
         theta = math.pi / 2
         p = measure_protocol(theta)
-        stats = run_ensemble(p, n_shots=10_000, rng_seed=3)
+        stats = stats_from_records(run_shots(p, n_shots=10_000, rng_seed=3))
         expected = success_probability_n(theta, 1)
         se = math.sqrt(expected * (1 - expected) / 10_000)
         assert abs(stats.success_fraction - expected) < 4 * se
 
     def test_single_measurement_mean(self):
         p = measure_protocol(math.pi / 2)
-        stats = run_ensemble(p, n_shots=10_000, rng_seed=3)
+        stats = stats_from_records(run_shots(p, n_shots=10_000, rng_seed=3))
         assert abs(stats.mean - (-1 / 3)) < 4 * stats.std_error
 
     def test_repeated_measurement_success_fraction(self):
         theta, n = math.pi / 2, 3
-        stats = run_ensemble(measure_protocol(theta, n=n), n_shots=10_000, rng_seed=5)
+        shots = run_shots(measure_protocol(theta, n=n), n_shots=10_000, rng_seed=5)
+        stats = stats_from_records(shots)
         expected = success_probability_n(theta, n)
         se = math.sqrt(expected * (1 - expected) / 10_000)
         assert abs(stats.success_fraction - expected) < 4 * se
@@ -170,18 +190,18 @@ class TestAgainstClosedForms:
         model = TunnelModel(gamma_up_out=1.0, t_m=1.0)
         p = Protocol(
             steps=(
-                Pulse(RotationPulse(Frequency.NU_E2, math.pi / 2)),
+                RotationPulse(Frequency.NU_E2, math.pi / 2),
                 ReadoutWindow(model, keep=NO_BLIP),
                 NuclearTomography("z"),
             )
         )
-        stats = run_ensemble(p, n_shots=20_000, rng_seed=9)
+        stats = stats_from_records(run_shots(p, n_shots=20_000, rng_seed=9))
         expected = sigma_z_noblip(math.pi / 2, model)
         assert abs(stats.mean - expected) < 4 * stats.std_error
 
     def test_blip_branch_heralds_nuclear_up(self):
         p = measure_protocol(math.pi / 2, keep=BLIP)
-        stats = run_ensemble(p, n_shots=2_000, rng_seed=2)
+        stats = stats_from_records(run_shots(p, n_shots=2_000, rng_seed=2))
         assert stats.mean == 1.0  # every kept shot has the nucleus up
 
 
@@ -242,15 +262,16 @@ class TestDephasing:
         window = ReadoutWindow(TunnelModel(gamma_up_out=1e-6, t_m=1.0))
         # coherence protocol: x tomography on the untouched superposition
         px = Protocol(steps=(window, NuclearTomography("x")))
-        clean = run_ensemble(px, n_shots=4000, rng_seed=4)
-        noisy = run_ensemble(px, noise=noise, n_shots=4000, rng_seed=4)
+        clean = stats_from_records(run_shots(px, n_shots=4000, rng_seed=4))
+        noisy = stats_from_records(run_shots(px, noise=noise, n_shots=4000, rng_seed=4))
         assert clean.mean == 1.0
         assert abs(noisy.mean) < 0.05
         # population protocol: z tomography on an eigenstate is unaffected
         pz = Protocol(
             steps=(window, NuclearTomography("z")), initial=prepare_initial("up")
         )
-        assert run_ensemble(pz, noise=noise, n_shots=200, rng_seed=4).mean == 1.0
+        shots = run_shots(pz, noise=noise, n_shots=200, rng_seed=4)
+        assert stats_from_records(shots).mean == 1.0
 
 
 class TestLabelErrors:
@@ -263,14 +284,14 @@ class TestLabelErrors:
             ),
             initial=prepare_initial("up"),  # electron down: never tunnels
         )
-        stats = run_ensemble(p, noise=noise, n_shots=100, rng_seed=6)
+        stats = stats_from_records(run_shots(p, noise=noise, n_shots=100, rng_seed=6))
         assert stats.n_kept == 0
         assert stats.empty
 
     def test_certain_false_negative_hides_blips(self):
         noise = NoiseConfig(readout_false_negative=1.0)
         p = bell_window_protocol(gamma=1e3, t_m=1.0, keep=BLIP)
-        stats = run_ensemble(p, noise=noise, n_shots=100, rng_seed=6)
+        stats = stats_from_records(run_shots(p, noise=noise, n_shots=100, rng_seed=6))
         assert stats.n_kept == 0
 
     def test_noise_validation(self):

@@ -72,8 +72,8 @@ def sometimes(rng, p, value, otherwise):
 
 def random_pulse(rng):
     freq = list(Frequency)[int(rng.integers(len(Frequency)))]
-    return mc.Pulse(
-        RotationPulse(freq, float(rng.uniform(0.0, 2 * math.pi)), float(rng.uniform(-1, 1)))
+    return RotationPulse(
+        freq, float(rng.uniform(0.0, 2 * math.pi)), float(rng.uniform(-1, 1))
     )
 
 
@@ -115,9 +115,9 @@ NAMED_CASES = {
     "two finite windows, down tunneling, both kept": (
         mc.Protocol(
             (
-                mc.Pulse(RotationPulse(Frequency.NU_E2, 1.3)),
+                RotationPulse(Frequency.NU_E2, 1.3),
                 mc.ReadoutWindow(TunnelModel(1.0, 1.0, gamma_down_out=0.4), keep="both"),
-                mc.Pulse(RotationPulse(Frequency.NMR, 0.8)),
+                RotationPulse(Frequency.NMR, 0.8),
                 mc.ReadoutWindow(TunnelModel(2.0, 0.5, gamma_down_out=0.2), keep="both"),
                 mc.NuclearTomography("x"),
             )
@@ -127,9 +127,9 @@ NAMED_CASES = {
     "partial collapse, then a projective window kept on blip": (
         mc.Protocol(
             (
-                mc.Pulse(RotationPulse(Frequency.ESR_BOTH, 1.1)),
+                RotationPulse(Frequency.ESR_BOTH, 1.1),
                 mc.ReadoutWindow(TunnelModel(0.5, 1.0), keep="no_blip"),
-                mc.Pulse(RotationPulse(Frequency.NU_E1, 2.0)),
+                RotationPulse(Frequency.NU_E1, 2.0),
                 mc.ReadoutWindow(TunnelModel.projective(), keep="blip"),
                 mc.NuclearTomography("y"),
             )
@@ -141,9 +141,9 @@ NAMED_CASES = {
     "tunnel branch drawn for some histories only": (
         mc.Protocol(
             (
-                mc.Pulse(RotationPulse(Frequency.NU_E2, math.pi)),
+                RotationPulse(Frequency.NU_E2, math.pi),
                 mc.ReadoutWindow(TunnelModel.projective(), keep="both"),
-                mc.Pulse(RotationPulse(Frequency.NU_E2, math.pi)),
+                RotationPulse(Frequency.NU_E2, math.pi),
                 mc.ReadoutWindow(TunnelModel(1.0, 1.0, gamma_down_out=0.5), keep="both"),
                 mc.NuclearTomography("x"),
             )
@@ -169,7 +169,7 @@ NAMED_CASES = {
     ),
     "mixed initial state, no window": (
         mc.Protocol(
-            (mc.Pulse(RotationPulse(Frequency.NMR, 0.9)), mc.NuclearTomography("x")),
+            (RotationPulse(Frequency.NMR, 0.9), mc.NuclearTomography("x")),
             initial=mixed_initial(0.3),
         ),
         mc.NO_NOISE,
@@ -282,8 +282,8 @@ class TestSeveralAxes:
         protocol, noise = NAMED_CASES["two finite windows, down tunneling, both kept"]
         shots = mc.run_shots(ref.with_axes(protocol, "yz"), noise, 500, 3)
         for k, axis in enumerate("yz"):
-            one = mc.run_ensemble(ref.with_axes(protocol, axis), noise, 500, 3)
-            assert mc.stats_from_records(shots, k) == one
+            one = mc.run_shots(ref.with_axes(protocol, axis), noise, 500, 3)
+            assert mc.stats_from_records(shots, k) == mc.stats_from_records(one)
 
     @pytest.mark.parametrize("axes", ["", "xx", "zxz", "xw"])
     def test_rejects_repeated_or_missing_axes(self, axes):
@@ -321,6 +321,29 @@ def test_philox_ranges_are_cached_and_read_only():
     with pytest.raises(ValueError):
         u[0, 0] = 0.5
     assert np.array_equal(u, np.array([ref.shot_rng(3, i).random(5) for i in range(300)]))
+
+
+def test_each_philox_block_is_generated_once(monkeypatch):
+    """A serial range of more than 16 blocks is one cache entry, so a second
+    run over it generates no block again."""
+    calls = []
+    block = mc._philox_block
+
+    def counted(rng_seed, start, stop, n_draws):
+        calls.append((start, stop))
+        return block(rng_seed, start, stop, n_draws)
+
+    monkeypatch.setattr(mc, "_philox_block", counted)
+    protocol, noise = NAMED_CASES["bell window, label errors, kept on blip"]
+    n = 17 * mc.SHOT_BLOCK + 5
+    mc._philox_uniforms.cache_clear()
+    try:
+        first = mc.run_shots(protocol, noise, n, 11)
+        assert mc.run_shots(protocol, noise, n, 11) == first
+    finally:
+        mc._philox_uniforms.cache_clear()
+    blocks = [(a, min(a + mc.SHOT_BLOCK, n)) for a in range(0, n, mc.SHOT_BLOCK)]
+    assert len(blocks) == 18 and calls == blocks
 
 
 CLI_CASES = {

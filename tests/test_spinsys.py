@@ -12,11 +12,11 @@ from weakmeas.spinsys import (
     RotationPulse,
     conditional_unitary,
     half_angle_rotation,
-    is_entangled_ppt,
     negativity,
     pauli,
     prepare_bell,
     prepare_initial,
+    pulse_unitary,
     unconditional_unitary,
 )
 
@@ -146,6 +146,15 @@ class TestUnconditionalUnitary:
             assert np.allclose(before, after, atol=1e-14)
 
 
+class TestPulseUnitary:
+    def test_equal_pulses_share_one_read_only_array(self):
+        u = pulse_unitary(RotationPulse(Frequency.NU_E2, 1.3, 0.2))
+        assert pulse_unitary(RotationPulse(Frequency.NU_E2, 1.3, 0.2)) is u
+        assert not u.flags.writeable
+        with pytest.raises(ValueError):
+            u[0, 0] = 0.0
+
+
 class TestPreparations:
     def test_superposition_matches_reference(self):
         expected = np.zeros((4, 4))
@@ -187,14 +196,10 @@ class TestPreparations:
 
 class TestEntanglement:
     def test_bell_negativity(self):
-        entangled, n = is_entangled_ppt(prepare_bell())
-        assert entangled
-        assert n == pytest.approx(0.5, abs=1e-10)
+        assert negativity(prepare_bell()) == pytest.approx(0.5, abs=1e-10)
 
     def test_product_state_not_entangled(self):
-        entangled, n = is_entangled_ppt(prepare_initial("up"))
-        assert not entangled
-        assert n < 1e-12
+        assert negativity(prepare_initial("up")) < 1e-12
 
     def test_post_rotation_negativity_profile(self):
         from weakmeas.qmath import DensityMatrix
