@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from ..montecarlo import worker_pool
+from ..montecarlo import chunk_count, worker_pool
 from .config import RunConfig, default_theta_grid, load_config
 from .presets import run_experiment, run_fig2, run_fig3, run_supp_figs
 
@@ -74,8 +74,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _build_config(args)
-        # every ensemble of the run shares one pool of worker processes
-        with worker_pool(min(cfg.n_jobs, cfg.n_shots)):
+        # every ensemble of the run has n_shots shots and shares one pool,
+        # sized as run_shots splits them: none when they are not split
+        with worker_pool(chunk_count(cfg.n_shots, cfg.n_jobs)):
             if args.command == "fig2":
                 variants = (
                     ("single", "double", "reversal")

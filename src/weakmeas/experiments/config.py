@@ -11,8 +11,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-import yaml
-
 from ..montecarlo import NoiseConfig
 
 EXPERIMENTS = (
@@ -90,6 +88,8 @@ _NOISE_KEYS = {
 
 def load_config(path: Path, base: Optional[RunConfig] = None) -> RunConfig:
     """Parse a flat YAML config file on top of ``base`` (or the defaults)."""
+    import yaml  # here, so that a run without a config file never loads PyYAML
+
     cfg = base if base is not None else RunConfig()
     with open(path, encoding="utf-8") as fh:
         try:

@@ -33,25 +33,28 @@ reads the same seed and chunk ranges, so each chunk range's uniforms are
 generated once per process, kept as one read-only cache entry per range,
 and shared by every ensemble that reads them.
 
-With ``n_jobs > 1`` the caller and ``n_jobs - 1`` worker processes claim
-the chunks of the shot range from one shared counter, and the caller waits
-only for chunks a worker claimed: a worker the machine is slow to schedule
-costs no more than running its chunk in the caller.  ``worker_pool`` opens
-one pool that every ``run_shots`` call inside it shares, so a whole CLI run
-starts its workers once; a call outside any ``worker_pool`` opens its own.
+``n_jobs`` splits the shot range into ``chunk_count(n_shots, n_jobs)``
+chunks: at most ``n_jobs``, each of at least ``SHOT_BLOCK`` shots, since a
+smaller chunk saves less than its round trip through a worker costs.  One
+chunk runs in the caller, with no pool.  Several are claimed from one
+shared counter by the caller and the pool's worker processes, and the
+caller waits only for chunks a worker claimed: a worker the machine is slow
+to schedule costs no more than running its chunk in the caller.
+``worker_pool`` opens one pool that every ``run_shots`` call inside it
+shares, so a whole CLI run starts its workers once; a call outside any
+``worker_pool`` opens its own.  ``multiprocessing`` is imported only when a
+pool starts.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import signal
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property, lru_cache
-from multiprocessing.connection import Connection, wait
-from typing import Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -71,6 +74,9 @@ from .spinsys import (
     prepare_initial,
     pulse_unitary,
 )
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 
 class NoInformationError(ValueError):
@@ -505,6 +511,8 @@ class WorkerPool:
     as long as a whole ``fig2 --shots 2000`` run."""
 
     def __init__(self, n_jobs: int):
+        import multiprocessing  # here, so that a run with no pool never loads it
+
         ctx = multiprocessing.get_context()
         self._claim = ctx.Array("q", 2)  # call number, next unclaimed chunk
         self._calls = 0
@@ -533,6 +541,8 @@ class WorkerPool:
         """``[_run_chunk(c) for c in chunks]``: idle workers get the chunks,
         then this process claims chunks too and waits only for the ones a
         worker claimed."""
+        from multiprocessing.connection import wait
+
         self._calls += 1
         call = self._calls
         with self._claim.get_lock():
@@ -570,6 +580,14 @@ _OPEN_POOL: ContextVar[Optional[WorkerPool]] = ContextVar(
 )
 
 
+def chunk_count(n_shots: int, n_jobs: int) -> int:
+    """How many chunks ``run_shots`` splits ``n_shots`` shots into at
+    ``n_jobs`` processes: at most ``n_jobs``, each of at least ``SHOT_BLOCK``
+    shots, and never fewer than one.  A chunk smaller than a block saves
+    less time than its round trip through the pool costs."""
+    return max(1, min(n_jobs, n_shots // SHOT_BLOCK))
+
+
 @contextmanager
 def worker_pool(n_jobs: int) -> Iterator[Optional[WorkerPool]]:
     """One process pool for every ``run_shots`` call made inside the block.
@@ -577,8 +595,10 @@ def worker_pool(n_jobs: int) -> Iterator[Optional[WorkerPool]]:
     Opens a pool for ``n_jobs`` processes (the caller and ``n_jobs - 1``
     workers), unless ``n_jobs`` is 1 or a pool is open already: then the
     block uses that pool (or none), so nested blocks share the outermost
-    one.  The pool a block opens is shut down and its workers joined when
-    that block exits, whether or not it raised.
+    one.  A caller that knows its shot counts sizes the pool with
+    ``chunk_count``, so that it starts no worker its calls would not use.
+    The pool a block opens is shut down and its workers joined when that
+    block exits, whether or not it raised.
     """
     pool = _OPEN_POOL.get()
     if pool is not None or n_jobs <= 1:
@@ -602,27 +622,25 @@ def run_shots(
 ) -> Shots:
     """The outcomes of shots 0..n_shots-1, in shot order.
 
-    ``n_jobs > 1`` splits the shots into ``min(n_jobs, n_shots)`` chunks
-    that this process shares with the pool of the enclosing ``worker_pool``
-    block, or with a pool opened for this call when there is none.  The
-    result is identical to the serial run because every shot has its own
-    stream.  ``rng_seed`` must be a key numpy's ``Philox`` takes, in
+    The shots are split into ``chunk_count(n_shots, n_jobs)`` contiguous
+    chunks, each of at least ``SHOT_BLOCK`` shots.  One chunk runs in this
+    process and touches no pool, inside a ``worker_pool`` block or not.
+    Several are shared between this process and the pool of the enclosing
+    ``worker_pool`` block, or a pool opened for this call when there is
+    none.  The result is identical to the serial run because every shot has
+    its own stream.  ``rng_seed`` must be a key numpy's ``Philox`` takes, in
     [-2**63, 2**64); a negative seed keys the stream as its 64-bit mask.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
     if not -(1 << 63) <= rng_seed <= _MASK64:
         raise ValueError(f"rng_seed {rng_seed} is outside [-2**63, 2**64)")
-    n_jobs = min(n_jobs, n_shots)
-    if n_jobs <= 1:
+    n_chunks = chunk_count(n_shots, n_jobs)
+    if n_chunks == 1:
         return _run_chunk((protocol, noise, rng_seed, 0, n_shots))
-    bounds = np.linspace(0, n_shots, n_jobs + 1, dtype=int)
-    chunks = [
-        (protocol, noise, rng_seed, int(a), int(b))
-        for a, b in zip(bounds[:-1], bounds[1:])
-        if b > a
-    ]
-    with worker_pool(n_jobs) as pool:
+    bounds = np.linspace(0, n_shots, n_chunks + 1, dtype=int).tolist()
+    chunks = [(protocol, noise, rng_seed, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    with worker_pool(n_chunks) as pool:
         return Shots.concat(pool.run_chunks(chunks))
 
 

@@ -18,6 +18,7 @@ from . import qmath
 from .qmath import DensityMatrix
 from .spinsys import (
     Frequency,
+    I2,
     JointState,
     NuclearState,
     PROJ_DOWN,
@@ -121,7 +122,7 @@ class TomographyResult:
 
 def _post_select(joint: np.ndarray, kraus_e: np.ndarray) -> tuple[np.ndarray, float]:
     """Apply an electron-space Kraus operator, return (nuclear state, weight)."""
-    k = np.kron(np.eye(2, dtype=complex), kraus_e)
+    k = qmath.kron(I2, kraus_e)
     branch = k @ joint @ k.conj().T
     weight = float(np.trace(branch).real)
     if weight < ZERO_BRANCH_TOL:
@@ -221,7 +222,7 @@ def weak_electron_window(
     for survival, proj in ((e_up, PROJ_UP), (e_down, PROJ_DOWN)):
         if survival >= 1.0:
             continue
-        k = np.kron(np.eye(2, dtype=complex), proj)
+        k = qmath.kron(I2, proj)
         branch = k @ joint @ k.conj().T
         w = (1.0 - survival) * float(np.trace(branch).real)
         if w > 0.0:

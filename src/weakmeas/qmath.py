@@ -67,9 +67,18 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a))) if np.asarray(a).size else 0.0
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two 2x2 arrays, the same products bit for bit, by one
+    broadcast multiply instead of ``np.kron``'s generic reshaping."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
+def _is_hermitian(m: np.ndarray, tol: float) -> bool:
+    return max_abs(m - m.conj().T) <= tol
+
+
 def is_hermitian(a, tol: float = HERMITICITY_TOL) -> bool:
-    a = _as_matrix(a)
-    return max_abs(a - a.conj().T) <= tol
+    return _is_hermitian(_as_matrix(a), tol)
 
 
 def hermitian_eigenvalues(a, tol: float = HERMITICITY_TOL) -> list[float]:
@@ -79,8 +88,14 @@ def hermitian_eigenvalues(a, tol: float = HERMITICITY_TOL) -> list[float]:
     which converges far below the 1e-12 residual we need.
     """
     a = _as_matrix(a)
-    if not is_hermitian(a, tol):
+    if not _is_hermitian(a, tol):
         raise NotHermitianError("hermitian_eigenvalues requires a Hermitian matrix")
+    return _eigenvalues(a)
+
+
+def _eigenvalues(a: np.ndarray) -> list[float]:
+    """``hermitian_eigenvalues`` of a matrix already checked to be a
+    finite Hermitian 2x2 or 4x4."""
     if a.shape[0] == 2:
         tr = (a[0, 0] + a[1, 1]).real
         det = (a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]).real
@@ -101,11 +116,11 @@ class DensityMatrix:
         m = _as_matrix(self.matrix)
         if m.shape[0] not in (2, 4):
             raise DimensionError("only dimensions 2 and 4 are supported")
-        if not is_hermitian(m):
+        if not _is_hermitian(m, HERMITICITY_TOL):
             raise NotHermitianError("density matrix must be Hermitian")
         if abs(np.trace(m) - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace is {np.trace(m)}, expected 1")
-        if min(hermitian_eigenvalues(m)) < -PSD_TOL:
+        if min(_eigenvalues(m)) < -PSD_TOL:
             raise ValueError("density matrix has a negative eigenvalue")
         m = m.copy()
         m.flags.writeable = False

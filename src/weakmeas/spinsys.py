@@ -102,9 +102,9 @@ def pauli(axis: str, subsystem: str) -> np.ndarray:
     if subsystem == "nuclear-only-2x2":
         return p.copy()
     if subsystem == qmath.NUCLEUS:
-        return np.kron(p, I2)
+        return qmath.kron(p, I2)
     if subsystem == qmath.ELECTRON:
-        return np.kron(I2, p)
+        return qmath.kron(I2, p)
     raise ValueError(f"unknown subsystem {subsystem!r}")
 
 
@@ -128,8 +128,8 @@ def conditional_unitary(pulse: RotationPulse) -> np.ndarray:
         raise ValueError("conditional_unitary needs an NU_E1 or NU_E2 pulse")
     r = half_angle_rotation(pulse.angle, pulse.phase)
     if pulse.frequency is Frequency.NU_E2:
-        return np.kron(PROJ_UP, r) + np.kron(PROJ_DOWN, I2)
-    return np.kron(PROJ_UP, I2) + np.kron(PROJ_DOWN, r)
+        return qmath.kron(PROJ_UP, r) + qmath.kron(PROJ_DOWN, I2)
+    return qmath.kron(PROJ_UP, I2) + qmath.kron(PROJ_DOWN, r)
 
 
 def unconditional_unitary(pulse: RotationPulse) -> np.ndarray:
@@ -140,8 +140,8 @@ def unconditional_unitary(pulse: RotationPulse) -> np.ndarray:
     """
     r = half_angle_rotation(pulse.angle, pulse.phase)
     if pulse.frequency.is_esr:
-        return np.kron(I2, r)
-    return np.kron(r, I2)
+        return qmath.kron(I2, r)
+    return qmath.kron(r, I2)
 
 
 # Pulses are immutable, so each distinct pulse's unitary is built once per
@@ -174,7 +174,7 @@ def prepare_initial(nuclear: str = "superposition_x") -> JointState:
     except KeyError:
         raise ValueError(f"unknown nuclear preparation {nuclear!r}") from None
     rho_n = np.outer(psi, psi.conj())
-    return JointState(DensityMatrix(np.kron(rho_n, PROJ_DOWN)))
+    return JointState(DensityMatrix(qmath.kron(rho_n, PROJ_DOWN)))
 
 
 @cache

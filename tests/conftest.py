@@ -1,10 +1,15 @@
 """Shared pytest wiring: fail a test that leaves a worker process running,
-and print one PASS/FAIL line per acceptance criterion."""
+count the chunks worker processes ran, and print one PASS/FAIL line per
+acceptance criterion."""
 
 import multiprocessing
+import os
 import re
+import time
 
 import pytest
+
+from weakmeas import montecarlo as mc
 
 _ACCEPTANCE_RESULTS: dict[int, str] = {}
 
@@ -31,6 +36,37 @@ def no_worker_left_running():
         proc.terminate()
         proc.join(timeout=10)
     assert not left, f"worker processes left running: {left}"
+
+
+@pytest.fixture
+def worker_chunks(monkeypatch):
+    """A function giving how many chunks worker processes have run in the
+    pool calls returned so far: the chunks of each call less those this
+    process ran.  Until a worker has run one, each chunk this process takes
+    in a pool call is slowed, so that an idle worker surely claims one."""
+    caller = os.getpid()
+    run_chunk, run_chunks = mc._run_chunk, mc.WorkerPool.run_chunks
+    count = {"workers": 0, "in_caller": None}  # in_caller: None outside a pool call
+
+    def counted_run_chunks(self, chunks):
+        count["in_caller"] = 0
+        try:
+            results = run_chunks(self, chunks)
+        finally:
+            in_caller, count["in_caller"] = count["in_caller"], None
+        count["workers"] += len(chunks) - in_caller
+        return results
+
+    def counted_run_chunk(chunk):
+        if os.getpid() == caller and count["in_caller"] is not None:
+            count["in_caller"] += 1
+            if count["workers"] == 0:
+                time.sleep(0.2)
+        return run_chunk(chunk)
+
+    monkeypatch.setattr(mc.WorkerPool, "run_chunks", counted_run_chunks)
+    monkeypatch.setattr(mc, "_run_chunk", counted_run_chunk)
+    return lambda: count["workers"]
 
 
 def pytest_runtest_logreport(report):

@@ -203,12 +203,14 @@ def _csv_bytes(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.glob("*.csv"))}
 
 
-def test_criterion_8_determinism(tmp_path):
-    common = ["fig2", "--seed", "42", "--shots", "1000", "--no-svg"]
+def test_criterion_8_determinism(tmp_path, worker_chunks):
+    # enough shots for --jobs 4 to split each ensemble in four
+    common = ["fig2", "--seed", "42", "--shots", "16400", "--grid", "5", "--no-svg"]
     dirs = [tmp_path / name for name in ("run1", "run2", "par4")]
     assert main(common + ["--out", str(dirs[0])]) == 0
     assert main(common + ["--out", str(dirs[1])]) == 0
     assert main(common + ["--out", str(dirs[2]), "--jobs", "4"]) == 0
+    assert worker_chunks() > 0
     serial = _csv_bytes(dirs[0])
     assert serial  # the run actually produced CSVs
     assert serial == _csv_bytes(dirs[1])

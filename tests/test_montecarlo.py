@@ -18,6 +18,7 @@ from weakmeas.montecarlo import (
     Protocol,
     ProtocolError,
     ReadoutWindow,
+    SHOT_BLOCK,
     Shots,
     _dephase_joint,
     _no_blip_damping,
@@ -125,11 +126,13 @@ class TestDeterminism:
         )
         run_shots(p, n_shots=8, rng_seed=-(2**63))
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, worker_chunks):
         p = bell_window_protocol(gamma=1.0, t_m=1.5)
-        serial = run_shots(p, n_shots=300, rng_seed=11)
-        parallel = run_shots(p, n_shots=300, rng_seed=11, n_jobs=3)
+        n = 3 * SHOT_BLOCK + 7  # three chunks at n_jobs=3
+        serial = run_shots(p, n_shots=n, rng_seed=11)
+        parallel = run_shots(p, n_shots=n, rng_seed=11, n_jobs=3)
         assert serial == parallel
+        assert worker_chunks() > 0
 
     def test_record_carries_stream_id(self):
         """Row i of the columns is shot i, drawn from stream (seed, i)."""

@@ -129,7 +129,46 @@ class TestHermitianEigenvalues:
             assert abs(np.linalg.det(m - lam * np.eye(4))) < 1e-12
 
 
+class TestKron:
+    def test_equals_np_kron_bytes(self):
+        """Every product, signed zeros included, is np.kron's bit for bit."""
+        rng = np.random.default_rng(5)
+        up, down = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+        matrices = [I2.astype(complex), up, down, X, np.array([[-0.0, 0.0], [0.0, -0.0]])]
+        matrices += [
+            math.sqrt(e_up) * up + math.sqrt(e_down) * down  # readout Kraus operators
+            for e_up in (0.0, 0.3, 1.0)
+            for e_down in (0.0, 0.7, 1.0)
+        ]
+        matrices += [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(4)]
+        matrices += [np.array([[1.0, -0.0j], [-1.0 + 0.0j, -0.0]]), rng.normal(size=(2, 2))]
+        for a in matrices:
+            for b in matrices:
+                got, want = qmath.kron(a, b), np.kron(a, b)
+                assert got.dtype == want.dtype and got.shape == want.shape == (4, 4)
+                assert got.tobytes() == want.tobytes()
+
+
 class TestDensityMatrix:
+    @pytest.mark.parametrize(
+        "matrix, error, message",
+        [
+            (np.ones((2, 3)) / 2, DimensionError, "square"),
+            (np.array([[0.5, np.nan], [np.nan, 0.5]]), ValueError, "finite"),
+            (np.array([[0.5, 0.5], [0.0, 0.5]]), NotHermitianError, "Hermitian"),
+            (np.eye(2), ValueError, "trace"),
+            (np.diag([1.5, -0.5]), ValueError, "negative eigenvalue"),
+            (np.diag([1.2, -0.2, 0.0, 0.0]), ValueError, "negative eigenvalue"),
+            (np.eye(3) / 3, DimensionError, "dimensions 2 and 4"),
+        ],
+        ids=["not square", "non-finite", "not hermitian", "trace", "negative 2x2",
+             "negative 4x4", "dimension 3"],
+    )
+    def test_each_invalid_input_raises_its_error(self, matrix, error, message):
+        with pytest.raises(error, match=message) as info:
+            DensityMatrix(matrix)
+        assert type(info.value) is error
+
     def test_rejects_non_unit_trace(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(2))

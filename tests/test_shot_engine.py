@@ -1,8 +1,9 @@
 """Block shot engine tests: its Philox uniforms, shot-for-shot equality
 with the scalar ``sample_shot`` of ``reference_sampler``, byte-identical
 CSVs, one worker pool per run that shares each call's chunks with the
-caller and leaves no process behind, and a CLI start and fig3 run that do
-not import scipy."""
+caller and leaves no process behind, a CLI start and fig3 run that do
+not import scipy, and a CLI start that imports neither PyYAML nor
+multiprocessing until a run reads a config or opens a pool."""
 
 import math
 import multiprocessing
@@ -269,14 +270,16 @@ class TestSeveralAxes:
             got, several, lambda p: mc._run_chunk((p, noise, rng_seed, start, start + 250))
         )
 
-    def test_more_shots_than_a_block_and_parallel(self):
+    def test_more_shots_than_a_block_and_parallel(self, worker_chunks):
         for name in ("bell window, dephasing", "bell window, label errors, kept on blip"):
             protocol, noise = NAMED_CASES[name]
             several = ref.with_axes(protocol, "xyz")
             n = mc.SHOT_BLOCK + 150
+            assert mc.run_shots(several, noise, n, 5) == ref.run_shots(several, noise, n, 5)
+            n = 2 * mc.SHOT_BLOCK + 150  # two chunks at n_jobs=2
             got = mc.run_shots(several, noise, n, 5)
-            assert got == ref.run_shots(several, noise, n, 5)
             assert mc.run_shots(several, noise, n, 5, n_jobs=2) == got
+        assert worker_chunks() > 0
 
     def test_stats_read_one_column(self):
         protocol, noise = NAMED_CASES["two finite windows, down tunneling, both kept"]
@@ -375,15 +378,20 @@ def test_csv_bytes_match_scalar_sampler(tmp_path, monkeypatch, capsys, name):
     assert engine and engine == scalar
 
 
-SMALL_FIG2 = ["fig2", "--variant", "single", "--shots", "40", "--grid", "3", "--no-svg"]
+# shots that run_shots splits in two chunks of at least a block, off block boundaries
+SPLIT = 2 * mc.SHOT_BLOCK + 5
+SPLIT_FIG2 = ["fig2", "--variant", "single", "--shots", str(SPLIT), "--grid", "3", "--no-svg"]
 
 
-def test_no_worker_process_left(tmp_path, capsys):
-    assert main(SMALL_FIG2 + ["--jobs", "2", "--out", str(tmp_path)]) == 0
+def test_no_worker_process_left(tmp_path, capsys, worker_chunks):
+    assert main(SPLIT_FIG2 + ["--jobs", "2", "--out", str(tmp_path)]) == 0
     assert multiprocessing.active_children() == []
+    ran = worker_chunks()
+    assert ran > 0
     protocol, noise = NAMED_CASES["bell window, dephasing"]
-    mc.run_shots(protocol, noise, 300, 9, n_jobs=3)
+    mc.run_shots(protocol, noise, 3 * mc.SHOT_BLOCK, 9, n_jobs=3)
     assert multiprocessing.active_children() == []
+    assert worker_chunks() > ran
 
 
 def test_no_worker_process_left_after_a_failed_run(tmp_path, monkeypatch, capsys):
@@ -399,7 +407,7 @@ def test_no_worker_process_left_after_a_failed_run(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(mc, "run_shots", counted)
     out = tmp_path / "taken"
     out.write_text("", encoding="utf-8")
-    assert main(SMALL_FIG2 + ["--jobs", "2", "--out", str(out)]) == 2
+    assert main(SPLIT_FIG2 + ["--jobs", "2", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert len(ensembles) == 3
     assert multiprocessing.active_children() == []
@@ -408,14 +416,17 @@ def test_no_worker_process_left_after_a_failed_run(tmp_path, monkeypatch, capsys
 @pytest.fixture
 def recording_pool(monkeypatch):
     """Stands in for WorkerPool: records the process count each pool asks
-    for and runs the chunks in this process, so no worker starts."""
+    for and runs the chunks in this process, so no worker starts.  Each pool
+    keeps the chunks of each of its calls in ``calls``."""
     asked = []
 
     class RecordingPool:
         def __init__(self, n_jobs):
             asked.append(n_jobs)
+            self.calls = []
 
         def run_chunks(self, chunks):
+            self.calls.append(chunks)
             return [mc._run_chunk(c) for c in chunks]
 
         def shutdown(self):
@@ -425,7 +436,7 @@ def recording_pool(monkeypatch):
     return asked
 
 
-def test_one_pool_per_run(tmp_path, monkeypatch, capsys):
+def test_one_pool_per_run(tmp_path, monkeypatch, capsys, worker_chunks):
     """A --jobs 2 run of several ensembles starts its workers once."""
     pools = []
 
@@ -435,9 +446,10 @@ def test_one_pool_per_run(tmp_path, monkeypatch, capsys):
             super().__init__(n_jobs)
 
     monkeypatch.setattr(mc, "WorkerPool", CountingPool)
-    assert main(SMALL_FIG2 + ["--jobs", "2", "--out", str(tmp_path / "par")]) == 0
+    assert main(SPLIT_FIG2 + ["--jobs", "2", "--out", str(tmp_path / "par")]) == 0
     assert pools == [2]
-    assert main(SMALL_FIG2 + ["--out", str(tmp_path / "serial")]) == 0
+    assert worker_chunks() > 0
+    assert main(SPLIT_FIG2 + ["--out", str(tmp_path / "serial")]) == 0
     assert pools == [2]
     par, serial = (
         {p.name: p.read_bytes() for p in (tmp_path / d).glob("*.csv")} for d in ("par", "serial")
@@ -446,30 +458,83 @@ def test_one_pool_per_run(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "shots, jobs, workers", [("3", "64", 3), ("40", "3", 3), ("1", "8", None)]
+    "shots, jobs, workers",
+    [
+        (2 * mc.SHOT_BLOCK, 64, 2),
+        (3 * mc.SHOT_BLOCK + 1, 3, 3),
+        (2 * mc.SHOT_BLOCK - 1, 8, None),
+        (1, 8, None),
+    ],
 )
 def test_run_pool_workers_bounded(tmp_path, recording_pool, capsys, shots, jobs, workers):
-    """The run's pool is for min(--jobs, --shots) processes, and there is none
+    """The run's pool is for as many processes as run_shots makes chunks of
+    --shots, at most --jobs and each of at least a block, and there is none
     at all when that is one."""
-    argv = ["fig2", "--variant", "single", "--grid", "3", "--no-svg", "--shots", shots]
-    assert main(argv + ["--jobs", jobs, "--out", str(tmp_path)]) == 0
+    argv = ["fig2", "--variant", "single", "--grid", "3", "--no-svg", "--shots", str(shots)]
+    assert main(argv + ["--jobs", str(jobs), "--out", str(tmp_path)]) == 0
     assert recording_pool == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize(
+    "n_shots, counts",
+    [
+        (1, {1: 1, 2: 1, 8: 1}),
+        (2 * mc.SHOT_BLOCK - 1, {1: 1, 2: 1, 64: 1}),
+        (2 * mc.SHOT_BLOCK, {1: 1, 2: 2, 3: 2, 64: 2}),
+        (10**6, {1: 1, 3: 3, 64: 64, 244: 244, 1000: 244}),
+    ],
+)
+def test_chunk_count(n_shots, counts):
+    """At most n_jobs chunks, each of at least a block, and at least one."""
+    assert {n_jobs: mc.chunk_count(n_shots, n_jobs) for n_jobs in counts} == counts
+
+
+@pytest.mark.parametrize(
+    "n_shots, n_jobs", [(2 * mc.SHOT_BLOCK, 64), (3 * mc.SHOT_BLOCK + 1, 3), (5 * mc.SHOT_BLOCK - 1, 8)]
+)
+def test_chunks_are_contiguous_blocks_and_more(recording_pool, n_shots, n_jobs):
+    protocol, noise = NAMED_CASES["bell window, dephasing"]
+    with mc.worker_pool(n_jobs) as pool:
+        mc.run_shots(protocol, noise, n_shots, 4, n_jobs)
+    (chunks,) = pool.calls
+    bounds = [(start, stop) for *_, start, stop in chunks]
+    assert len(bounds) == mc.chunk_count(n_shots, n_jobs)
+    assert [a for a, _ in bounds] == [0] + [b for _, b in bounds[:-1]]
+    assert bounds[-1][1] == n_shots
+    assert min(b - a for a, b in bounds) >= mc.SHOT_BLOCK
 
 
 def test_worker_pool_is_shared_and_call_pools_bounded(recording_pool):
     protocol, noise = NAMED_CASES["bell window, dephasing"]
-    serial = mc.run_shots(protocol, noise, 50, 4)
-    two_shots = mc.run_shots(protocol, noise, 2, 4)
-    assert mc.run_shots(protocol, noise, 2, 4, n_jobs=8) == two_shots
+    serial = mc.run_shots(protocol, noise, SPLIT, 4)
+    sub_block = mc.run_shots(protocol, noise, 2 * mc.SHOT_BLOCK - 1, 4)
+    assert mc.run_shots(protocol, noise, SPLIT, 4, n_jobs=8) == serial
+    assert mc.run_shots(protocol, noise, 2 * mc.SHOT_BLOCK - 1, 4, n_jobs=8) == sub_block
     assert recording_pool == [2]
     with mc.worker_pool(3) as outer:
         with mc.worker_pool(5) as inner:
             assert inner is outer
-            assert mc.run_shots(protocol, noise, 50, 4, n_jobs=4) == serial
+            assert mc.run_shots(protocol, noise, SPLIT, 4, n_jobs=4) == serial
+            # one chunk runs here, not in the open pool
+            assert mc.run_shots(protocol, noise, 2 * mc.SHOT_BLOCK - 1, 4, n_jobs=4) == sub_block
     assert recording_pool == [2, 3]
+    assert [len(chunks) for chunks in outer.calls] == [2]
     with mc.worker_pool(1) as none:
         assert none is None
     assert recording_pool == [2, 3]
+
+
+def test_sub_block_run_starts_no_pool(tmp_path, recording_pool, capsys):
+    """A custom run whose ensembles are all smaller than two blocks opens no
+    pool at --jobs 4 and writes the bytes of --jobs 1."""
+    config = tmp_path / "custom.yaml"
+    config.write_text("experiment: custom\nn_shots: 50\n", encoding="utf-8")
+    argv = ["custom", "--config", str(config), "--grid", "5"]
+    for jobs in ("1", "4"):
+        assert main(argv + ["--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+    assert recording_pool == []
+    one, four = ({p.name: p.read_bytes() for p in (tmp_path / d).glob("*.csv")} for d in ("1", "4"))
+    assert one and one == four
 
 
 @contextmanager
@@ -488,22 +553,24 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_caller_runs_the_chunks_of_a_stopped_worker():
+def test_caller_runs_the_chunks_of_a_stopped_worker(worker_chunks):
     """A worker that is not running costs the call nothing: the caller
     claims every chunk and does not wait for it."""
     protocol, noise = NAMED_CASES["bell window, dephasing"]
-    serial = mc.run_shots(protocol, noise, 300, 9)
+    serial = mc.run_shots(protocol, noise, SPLIT, 9)
     with mc.worker_pool(2):
         (worker,) = multiprocessing.active_children()
         os.kill(worker.pid, signal.SIGSTOP)
         try:
             with time_limit(30):
-                assert mc.run_shots(protocol, noise, 300, 9, n_jobs=2) == serial
-                assert mc.run_shots(protocol, noise, 300, 9, n_jobs=4) == serial
+                assert mc.run_shots(protocol, noise, SPLIT, 9, n_jobs=2) == serial
+                assert mc.run_shots(protocol, noise, SPLIT, 9, n_jobs=4) == serial
         finally:
             os.kill(worker.pid, signal.SIGCONT)
+        assert worker_chunks() == 0
         for _ in range(20):  # the late answers are taken and the worker rejoins
-            assert mc.run_shots(protocol, noise, 300, 9, n_jobs=2) == serial
+            assert mc.run_shots(protocol, noise, SPLIT, 9, n_jobs=2) == serial
+        assert worker_chunks() > 0
 
 
 def test_worker_error_reaches_the_caller(monkeypatch):
@@ -521,7 +588,7 @@ def test_worker_error_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(mc, "_run_chunk", failing_in_workers)
     protocol, noise = NAMED_CASES["bell window, dephasing"]
     with time_limit(30), pytest.raises(ValueError, match="failed in a worker"):
-        mc.run_shots(protocol, noise, 300, 9, n_jobs=2)
+        mc.run_shots(protocol, noise, SPLIT, 9, n_jobs=2)
 
 
 def test_lost_worker_is_reported():
@@ -531,7 +598,7 @@ def test_lost_worker_is_reported():
         worker.kill()
         worker.join()
         with time_limit(30), pytest.raises((RuntimeError, BrokenPipeError)):
-            mc.run_shots(protocol, noise, 300, 9, n_jobs=2)
+            mc.run_shots(protocol, noise, SPLIT, 9, n_jobs=2)
 
 
 def test_chi2_quantile_constant():
@@ -565,3 +632,38 @@ def test_cli_import_skips_scipy(tmp_path):
         )
         assert out.stdout.strip().splitlines()[-1] == "[]"
     assert (tmp_path / "fig3_tunnel.csv").exists()
+
+
+def test_cli_loads_yaml_and_multiprocessing_on_demand(tmp_path):
+    """Importing the CLI loads neither PyYAML nor multiprocessing; a run
+    with a config file at --jobs 2, split in two, then loads both and
+    writes the bytes of the serial run."""
+    src = Path(weakmeas.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    config = tmp_path / "run.yaml"
+    config.write_text("rng_seed: 3\n", encoding="utf-8")
+    argv = SPLIT_FIG2 + ["--config", str(config)]
+    code = (
+        "import sys, weakmeas.experiments.cli as cli\n"
+        "def loaded():\n"
+        "    print(sorted({m.split('.')[0] for m in sys.modules} & {'yaml', 'multiprocessing'}))\n"
+        "loaded()\n"
+        f"assert cli.main({argv!r} + ['--jobs', '2', '--out', sys.argv[1]]) == 0\n"
+        "loaded()\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "par")],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert out.stdout.strip().splitlines()[0] == "[]"
+    assert out.stdout.strip().splitlines()[-1] == "['multiprocessing', 'yaml']"
+    assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
+    par, serial = (
+        {p.name: p.read_bytes() for p in (tmp_path / d).glob("*.csv")} for d in ("par", "serial")
+    )
+    assert par and par == serial

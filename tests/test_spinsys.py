@@ -147,6 +147,25 @@ class TestUnconditionalUnitary:
 
 
 class TestPulseUnitary:
+    def test_joint_unitaries_equal_np_kron_bytes(self):
+        """The joint unitaries of every line at 404 angles and 4 phases equal
+        their np.kron formulas bit for bit, signed zeros included."""
+        angles = np.linspace(-2 * math.pi, 4 * math.pi, 400).tolist()
+        angles += [0.0, -0.0, math.pi, -math.pi]
+        up, down, i2 = spinsys.PROJ_UP, spinsys.PROJ_DOWN, spinsys.I2
+        for phase in (0.0, 0.7, math.pi, -math.pi / 2):
+            for angle in angles:
+                r = half_angle_rotation(angle, phase)
+                for freq, want in (
+                    (Frequency.NU_E2, np.kron(up, r) + np.kron(down, i2)),
+                    (Frequency.NU_E1, np.kron(up, i2) + np.kron(down, r)),
+                    (Frequency.ESR_BOTH, np.kron(i2, r)),
+                    (Frequency.NMR, np.kron(r, i2)),
+                ):
+                    pulse = RotationPulse(freq, angle, phase)
+                    build = conditional_unitary if freq.is_conditional else unconditional_unitary
+                    assert build(pulse).tobytes() == want.tobytes(), pulse
+
     def test_equal_pulses_share_one_read_only_array(self):
         u = pulse_unitary(RotationPulse(Frequency.NU_E2, 1.3, 0.2))
         assert pulse_unitary(RotationPulse(Frequency.NU_E2, 1.3, 0.2)) is u
