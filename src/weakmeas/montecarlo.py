@@ -222,12 +222,6 @@ def _dephase_joint(joint: np.ndarray, duration: float, t2star: float) -> np.ndar
     return out
 
 
-def _truncated_exp_time(u: float, gamma: float, t_m: float) -> float:
-    """Inverse CDF of the tunnel-time law on [0, t_m], given a blip occurred."""
-    q = -math.expm1(-gamma * t_m)  # blip probability within the window
-    return -math.log1p(-u * q) / gamma
-
-
 def _nuclear_reduced(joint: np.ndarray) -> np.ndarray:
     """Manual electron partial trace (hot path; avoids einsum overhead)."""
     t = joint.reshape(2, 2, 2, 2)
@@ -402,6 +396,7 @@ def _shot_block(protocol: Protocol, noise: NoiseConfig, uniforms: np.ndarray) ->
     cursor = rows * n_draws
     nodes = [protocol.initial.rho.matrix]
     t2star = noise.nuclear_dephasing_time
+    log1p = math.log1p  # local: called once per recorded blip
     w = -1
     for step in steps[:-1]:
         if type(step) is RotationPulse:
@@ -433,8 +428,12 @@ def _shot_block(protocol: Protocol, noise: NoiseConfig, uniforms: np.ndarray) ->
             (recorded & down, model.gamma_down_out),
         ):
             if sel.any():
+                # inverse CDF of the tunnel time on [0, t_m] given a blip; q
+                # is the blip probability within the window.  math, not
+                # numpy: np.log1p can differ in the last bit.
+                q = -math.expm1(-gamma * model.t_m)
                 blip_times[rows[sel], w] = [
-                    _truncated_exp_time(x, gamma, model.t_m) for x in t_draw[sel].tolist()
+                    -log1p(-x * q) / gamma for x in t_draw[sel].tolist()
                 ]
         if step.keep != "both":
             ok = observed if step.keep == BLIP else ~observed

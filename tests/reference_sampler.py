@@ -29,6 +29,12 @@ from weakmeas.protocols import BLIP
 from weakmeas.spinsys import RotationPulse, pulse_unitary
 
 
+def _truncated_exp_time(u: float, gamma: float, t_m: float) -> float:
+    """Inverse CDF of the tunnel-time law on [0, t_m], given a blip occurred."""
+    q = -math.expm1(-gamma * t_m)  # blip probability within the window
+    return -math.log1p(-u * q) / gamma
+
+
 @dataclass(frozen=True)
 class ShotRecord:
     """Outcome of one trajectory."""
@@ -103,7 +109,7 @@ def sample_shot(
                 gamma, e_gone = step.model.gamma_down_out, 1
             else:
                 gamma, e_gone = step.model.gamma_up_out, 0
-            t_blip = mc._truncated_exp_time(rand(), gamma, step.model.t_m)
+            t_blip = _truncated_exp_time(rand(), gamma, step.model.t_m)
             # project the electron onto the tunneled branch, reload it down
             if psi is not None:
                 a0, a1 = psi[e_gone], psi[2 + e_gone]

@@ -2,8 +2,9 @@
 with the scalar ``sample_shot`` of ``reference_sampler``, byte-identical
 CSVs, one worker pool per run that shares each call's chunks with the
 caller and leaves no process behind, a CLI start and fig3 run that do
-not import scipy, and a CLI start that imports neither PyYAML nor
-multiprocessing until a run reads a config or opens a pool."""
+not import scipy, a CLI start that imports neither PyYAML nor
+multiprocessing until a run reads a config or opens a pool, and a CLI
+start that runs one BLAS thread unless the caller asks for more."""
 
 import math
 import multiprocessing
@@ -667,3 +668,37 @@ def test_cli_loads_yaml_and_multiprocessing_on_demand(tmp_path):
         {p.name: p.read_bytes() for p in (tmp_path / d).glob("*.csv")} for d in ("par", "serial")
     )
     assert par and par == serial
+
+
+@pytest.mark.parametrize("caller_value", [None, "2"])
+def test_cli_import_runs_one_blas_thread(caller_value):
+    """Importing the CLI leaves one OS thread: weakmeas sets
+    OPENBLAS_NUM_THREADS to 1 before numpy loads, unless the caller set it."""
+    src = Path(weakmeas.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    # this process imported weakmeas, which set the variable; a child that
+    # inherited it would pass without the package doing anything
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if caller_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller_value
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = (
+        "import os, weakmeas.experiments.cli\n"
+        "task = '/proc/self/task'\n"
+        "print(len(os.listdir(task)) if os.path.isdir(task) else -1)\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS', 'unset'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    threads, value = out.stdout.split()
+    assert value == (caller_value or "1")
+    if caller_value is None:
+        if threads == "-1":
+            pytest.skip("no /proc/self/task to count threads")
+        assert threads == "1"
