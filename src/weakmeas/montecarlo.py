@@ -49,7 +49,6 @@ pool starts.
 from __future__ import annotations
 
 import math
-import signal
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
@@ -483,6 +482,8 @@ def _claim_chunk(claim, call: int, n_chunks: int) -> Optional[int]:
 def _serve(conn: Connection, claim, inherited: list[Connection]) -> None:
     """Worker loop: run the chunks it can claim of each (call, chunks)
     received and answer (call, [(chunk index, Shots), ...], error)."""
+    import signal  # here, so that importing the CLI does not load it
+
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
     for other in inherited:  # else the pool's closing them would not end us
         other.close()
@@ -507,7 +508,11 @@ class WorkerPool:
     """``n_jobs - 1`` worker processes that share each call's chunks with
     the caller.  They start by the platform's default method, fork on Linux:
     two spawned workers took 0.45-0.65 s to start on a 2-vCPU machine, about
-    as long as a whole ``fig2 --shots 2000`` run."""
+    as long as a whole ``fig2 --shots 2000`` run.  Under the CLI's ``entry``
+    a forked worker inherits the frozen import-time heap: the collector
+    never walks it there either, so it does not write to those pages and
+    copy them, which is why the ``gc.freeze`` docs advise freezing before
+    ``fork``."""
 
     def __init__(self, n_jobs: int):
         import multiprocessing  # here, so that a run with no pool never loads it

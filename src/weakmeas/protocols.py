@@ -68,7 +68,8 @@ class TunnelModel:
     """Readout-window physics: tunnel-out rates and duration.
 
     Rates are in 1/ms, the window duration in ms.  With the default (no
-    down-tunneling) the closed forms of this module are exact.  Label
+    down-tunneling) the closed forms of this module are exact.  An infinite
+    ``gamma_up_out`` is the projective window (see ``projective``).  Label
     errors belong to the classifier, not the window: they are
     ``montecarlo.NoiseConfig``'s rates.
     """
@@ -78,10 +79,12 @@ class TunnelModel:
     gamma_down_out: float = 0.0
 
     def __post_init__(self):
-        if not (isfinite(self.gamma_up_out) and self.gamma_up_out > 0):
-            raise ValueError("gamma_up_out must be finite and positive")
+        if not self.gamma_up_out > 0:  # NaN included
+            raise ValueError("gamma_up_out must be positive")
         if not (isfinite(self.t_m) and self.t_m >= 0):
             raise ValueError("t_m must be finite and non-negative")
+        if self.gamma_up_out == inf and self.t_m == 0:
+            raise ValueError("a projective window needs a positive t_m")
         if not (isfinite(self.gamma_down_out) and self.gamma_down_out >= 0):
             raise ValueError("gamma_down_out must be finite and non-negative")
 
@@ -95,9 +98,11 @@ class TunnelModel:
         return exp(-self.gamma_down_out * self.t_m)
 
     @classmethod
-    def projective(cls) -> "TunnelModel":
-        # survival_up underflows to exactly 0.0: ideal projective readout
-        return cls(gamma_up_out=1e6, t_m=1.0)
+    def projective(cls, t_m: float) -> "TunnelModel":
+        """Ideal readout over a window of ``t_m`` ms: an up electron always
+        tunnels out, at once, so ``survival_up`` is exactly 0.0.  The window
+        still lasts ``t_m``, which is how long the nucleus dephases."""
+        return cls(gamma_up_out=inf, t_m=t_m)
 
 
 @dataclass(frozen=True)

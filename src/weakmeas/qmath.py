@@ -77,10 +77,6 @@ def _is_hermitian(m: np.ndarray, tol: float) -> bool:
     return max_abs(m - m.conj().T) <= tol
 
 
-def is_hermitian(a, tol: float = HERMITICITY_TOL) -> bool:
-    return _is_hermitian(_as_matrix(a), tol)
-
-
 def hermitian_eigenvalues(a, tol: float = HERMITICITY_TOL) -> list[float]:
     """Ascending real eigenvalues of a Hermitian 2x2 or 4x4 matrix.
 

@@ -116,7 +116,7 @@ def test_criterion_3_success_probabilities():
         cases.append(("double", theta, success_probability_n(theta, 2)))
         cases.append(("reversal", theta, reversal_success_probability(theta)))
     for variant, theta, expected in cases:
-        protocol = fig2_protocol(variant, theta, "z")
+        protocol = fig2_protocol(variant, theta, "z", 1.0)
         stats = mc.stats_from_records(mc.run_shots(protocol, n_shots=n_shots, rng_seed=101))
         sigma = math.sqrt(expected * (1.0 - expected) / n_shots)
         assert abs(stats.success_fraction - expected) <= 4.0 * sigma + 1e-12
@@ -158,7 +158,7 @@ def test_criterion_5_steering_scan():
             protocol = mc.Protocol(
                 (
                     RotationPulse(Frequency.ESR_BOTH, theta),
-                    mc.ReadoutWindow(TunnelModel.projective(), keep=NO_BLIP),
+                    mc.ReadoutWindow(TunnelModel.projective(1.0), keep=NO_BLIP),
                     mc.NuclearTomography(axis),
                 ),
                 initial=prepare_bell(),
@@ -190,7 +190,7 @@ def test_criterion_7_oracle_equivalence():
         steps = []
         for angle, freq in seq:
             steps.append(RotationPulse(freq, angle))
-            steps.append(mc.ReadoutWindow(TunnelModel.projective(), keep=NO_BLIP))
+            steps.append(mc.ReadoutWindow(TunnelModel.projective(1.0), keep=NO_BLIP))
         steps.append(mc.NuclearTomography("z"))
         stepwise = mc.conditional_state(
             mc.Protocol(tuple(steps)), [NO_BLIP] * length

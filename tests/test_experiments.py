@@ -1,12 +1,17 @@
 """Configuration, plotting and CLI tests (fast, small grids)."""
 
 import csv
+import gc
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+import weakmeas
 from weakmeas import montecarlo as mc
 from weakmeas.experiments.cli import main
 from weakmeas.experiments.config import (
@@ -265,6 +270,32 @@ class TestPresets:
             assert float(row["inv_gamma_true"]) == pytest.approx(1.0 / gamma)
             assert float(row["gamma_t_m"]) == pytest.approx(gamma * cfg.t_m)
 
+    def test_fig2_dephases_over_t_m(self, tmp_path):
+        """Each projective fig2 window lasts the configured t_m.  At theta = 0
+        every shot is kept and the Gaussian T2* decay leaves
+        sigma_x = exp(-(t_m/T2*)^2): an exact two-sided binomial test of the
+        +1 count at level alpha = 1e-6, per t_m.  So the two runs' trees differ."""
+        binom = pytest.importorskip("scipy.stats").binom
+        alpha, t2star, n_shots = 1e-6, 1.0, 4000
+        argv = ["fig2", "--variant", "single", "--shots", str(n_shots), "--grid", "3",
+                "--no-svg"]
+        trees = []
+        for t_m in (0.5, 2.0):
+            cfg = tmp_path / f"t_m_{t_m}.yaml"
+            cfg.write_text(f"noise_t2star: {t2star}\nt_m: {t_m}\n", encoding="utf-8")
+            out = tmp_path / f"out_{t_m}"
+            assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+            with open(out / "fig2_single_sigma_x.csv", newline="") as fh:
+                row = next(csv.DictReader(fh))  # theta = 0
+            n = int(row["n_kept"])
+            assert n == int(row["n_total"]) == n_shots
+            k = round(n * (1.0 + float(row["mc_mean"])) / 2.0)  # +1 outcomes
+            p = (1.0 + math.exp(-((t_m / t2star) ** 2))) / 2.0
+            assert binom.cdf(k, n, p) > alpha / 2 and binom.sf(k - 1, n, p) > alpha / 2
+            trees.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert trees[0].keys() == trees[1].keys()
+        assert trees[0] != trees[1]
+
     def test_analytic_none_only_at_impossible(self):
         assert closed_form_tomography("reversal", math.pi) is None
         assert closed_form_tomography("reversal", 1.0) is not None
@@ -428,3 +459,61 @@ class TestCli:
         a = (tmp_path / "s1" / "fig2_single_sigma_z.csv").read_text()
         b = (tmp_path / "s2" / "fig2_single_sigma_z.csv").read_text()
         assert a != b
+
+
+class TestEntry:
+    """Both process entries, ``python -m weakmeas.experiments.cli`` and the
+    ``weakmeas`` console script, freeze the import-time heap before the run;
+    ``main`` called as a library function leaves the collector alone."""
+
+    ARGV = ["fig2", "--variant", "single", "--shots", "10", "--grid", "3", "--no-svg"]
+    # printed at exit, after main ran and the entry raised SystemExit
+    REPORT = "import atexit, gc\natexit.register(lambda: print(gc.get_freeze_count()))\n"
+
+    def run_entry(self, code: str, out: Path) -> int:
+        """Run ``code`` in a fresh interpreter with ``sys.argv[1:]`` the CLI
+        arguments; return the freeze count it reports at exit."""
+        src = Path(weakmeas.__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.REPORT + code, *self.ARGV, "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        *paths, frozen = proc.stdout.splitlines()
+        assert sorted(Path(p).name for p in paths) == [
+            f"fig2_single_sigma_{a}.csv" for a in ("x", "y", "z")
+        ]
+        return int(frozen)
+
+    def test_module_route_freezes(self, tmp_path):
+        code = (
+            "import runpy, sys\n"
+            "sys.argv[0] = 'weakmeas'\n"
+            "runpy.run_module('weakmeas.experiments.cli', run_name='__main__')\n"
+        )
+        # numpy's heap and the package's: tens of thousands of objects
+        assert self.run_entry(code, tmp_path) > 1000
+
+    def test_console_script_freezes(self, tmp_path):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["weakmeas"]
+        module, func = target.split(":")
+        # what the installed script does: import the target and exit with it
+        code = (
+            "import importlib, sys\n"
+            "sys.argv[0] = 'weakmeas'\n"
+            f"sys.exit(getattr(importlib.import_module({module!r}), {func!r})())\n"
+        )
+        assert self.run_entry(code, tmp_path) > 1000
+
+    def test_main_leaves_collector_alone(self, tmp_path):
+        frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+        assert main([*self.ARGV, "--out", str(tmp_path)]) == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)

@@ -43,7 +43,7 @@ from weakmeas.spinsys import (
     prepare_initial,
 )
 
-PROJECTIVE = TunnelModel.projective()
+PROJECTIVE = TunnelModel.projective(1.0)
 
 
 def measure_protocol(theta, axis="z", keep=NO_BLIP, n=1):

@@ -33,6 +33,8 @@ from weakmeas.protocols import (
 )
 from weakmeas.qmath import DensityMatrix
 from weakmeas.spinsys import (
+    PROJ_DOWN,
+    PROJ_UP,
     Frequency,
     JointState,
     NuclearState,
@@ -214,14 +216,55 @@ class TestTunnelModel:
         assert model.survival_up == pytest.approx(math.exp(-3.0))
         assert model.survival_down == 1.0
 
-    def test_projective_limit(self):
-        assert TunnelModel.projective().survival_up == 0.0
+    @given(st.floats(5e-324, 1e3))
+    def test_projective_limit(self, t_m):
+        """Exactly projective however short the window, and as long as asked."""
+        model = TunnelModel.projective(t_m)
+        assert model.survival_up == 0.0 and model.survival_down == 1.0
+        assert model.t_m == t_m
 
     def test_validation(self):
         with pytest.raises(ValueError):
             TunnelModel(gamma_up_out=0.0, t_m=1.0)
         with pytest.raises(ValueError):
+            TunnelModel(gamma_up_out=math.nan, t_m=1.0)
+        with pytest.raises(ValueError):
             TunnelModel(gamma_up_out=1.0, t_m=-1.0)
+        with pytest.raises(ValueError):
+            TunnelModel.projective(0.0)
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.one_of(
+            st.builds(
+                TunnelModel,
+                gamma_up_out=st.floats(1e-300, 1e300),
+                t_m=st.floats(0.0, 1e3),
+                gamma_down_out=st.one_of(st.just(0.0), st.floats(1e-300, 1e300)),
+            ),
+            st.builds(TunnelModel.projective, st.floats(5e-324, 1e3)),
+        )
+    )
+    def test_kraus_complete(self, model):
+        """Sum of K^dagger K is the identity over the window's three Kraus
+        operators (no blip, up tunneled out, down tunneled out), as the
+        closed form builds them and as the engine weighs each basis state."""
+        su, sd = model.survival_up, model.survival_down
+        assert 0.0 <= su <= 1.0 and 0.0 <= sd <= 1.0
+        kraus = (
+            np.sqrt(su) * PROJ_UP + np.sqrt(sd) * PROJ_DOWN,
+            np.sqrt(1.0 - su) * PROJ_UP,
+            np.sqrt(1.0 - sd) * PROJ_DOWN,
+        )
+        total = sum(k.conj().T @ k for k in kraus)
+        assert np.max(np.abs(total - np.eye(2))) <= 1e-15
+        step = mc.ReadoutWindow(model)
+        damping = mc._no_blip_damping(model)
+        for i in range(4):
+            basis = np.zeros((4, 4), dtype=complex)
+            basis[i, i] = 1.0
+            w_up, w_down = mc._node_blip_weights(basis, step)
+            assert damping[i, i] + w_up + w_down == pytest.approx(1.0, abs=1e-15)
 
 
 class TestWeakElectronWindow:
@@ -279,7 +322,7 @@ class TestWeakElectronWindow:
         # the conditional pulse flips the electron on the nuclear-up branch,
         # so a tunnel event heralds the nucleus up
         post = weak_electron_window(
-            self.entangled_state(), TunnelModel.projective(), BLIP
+            self.entangled_state(), TunnelModel.projective(1.0), BLIP
         )
         assert post.state.rho.matrix[0, 0].real == pytest.approx(1.0, abs=1e-12)
         assert post.success_probability == pytest.approx(0.5, abs=1e-12)

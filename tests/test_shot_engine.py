@@ -3,8 +3,9 @@ with the scalar ``sample_shot`` of ``reference_sampler``, byte-identical
 CSVs, one worker pool per run that shares each call's chunks with the
 caller and leaves no process behind, a CLI start and fig3 run that do
 not import scipy, a CLI start that imports neither PyYAML nor
-multiprocessing until a run reads a config or opens a pool, and a CLI
-start that runs one BLAS thread unless the caller asks for more."""
+multiprocessing until a run reads a config or opens a pool (nor signal,
+which only a worker uses), and a CLI start that runs one BLAS thread
+unless the caller asks for more."""
 
 import math
 import multiprocessing
@@ -81,7 +82,7 @@ def random_pulse(rng):
 
 def random_window(rng):
     if rng.random() < 0.3:
-        model = TunnelModel.projective()
+        model = TunnelModel.projective(1.0)
     else:
         model = TunnelModel(
             gamma_up_out=float(10 ** rng.uniform(-1.5, 1.0)),
@@ -132,7 +133,7 @@ NAMED_CASES = {
                 RotationPulse(Frequency.ESR_BOTH, 1.1),
                 mc.ReadoutWindow(TunnelModel(0.5, 1.0), keep="no_blip"),
                 RotationPulse(Frequency.NU_E1, 2.0),
-                mc.ReadoutWindow(TunnelModel.projective(), keep="blip"),
+                mc.ReadoutWindow(TunnelModel.projective(1.0), keep="blip"),
                 mc.NuclearTomography("y"),
             )
         ),
@@ -144,7 +145,7 @@ NAMED_CASES = {
         mc.Protocol(
             (
                 RotationPulse(Frequency.NU_E2, math.pi),
-                mc.ReadoutWindow(TunnelModel.projective(), keep="both"),
+                mc.ReadoutWindow(TunnelModel.projective(1.0), keep="both"),
                 RotationPulse(Frequency.NU_E2, math.pi),
                 mc.ReadoutWindow(TunnelModel(1.0, 1.0, gamma_down_out=0.5), keep="both"),
                 mc.NuclearTomography("x"),
@@ -636,9 +637,9 @@ def test_cli_import_skips_scipy(tmp_path):
 
 
 def test_cli_loads_yaml_and_multiprocessing_on_demand(tmp_path):
-    """Importing the CLI loads neither PyYAML nor multiprocessing; a run
-    with a config file at --jobs 2, split in two, then loads both and
-    writes the bytes of the serial run."""
+    """Importing the CLI loads neither PyYAML, multiprocessing nor signal; a
+    run with a config file at --jobs 2, split in two, then loads the first
+    two and writes the bytes of the serial run."""
     src = Path(weakmeas.__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
@@ -647,11 +648,11 @@ def test_cli_loads_yaml_and_multiprocessing_on_demand(tmp_path):
     argv = SPLIT_FIG2 + ["--config", str(config)]
     code = (
         "import sys, weakmeas.experiments.cli as cli\n"
-        "def loaded():\n"
-        "    print(sorted({m.split('.')[0] for m in sys.modules} & {'yaml', 'multiprocessing'}))\n"
-        "loaded()\n"
+        "def loaded(names):\n"
+        "    print(sorted({m.split('.')[0] for m in sys.modules} & names))\n"
+        "loaded({'yaml', 'multiprocessing', 'signal'})\n"
         f"assert cli.main({argv!r} + ['--jobs', '2', '--out', sys.argv[1]]) == 0\n"
-        "loaded()\n"
+        "loaded({'yaml', 'multiprocessing'})\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code, str(tmp_path / "par")],
