@@ -111,7 +111,7 @@ def entry() -> None:
     Everything the imports built (numpy's heap and the package's, about
     22k objects) lives until exit, so it is moved out of the collector's
     reach first: the interpreter's exit-time collections would otherwise
-    walk it all again, about 25 ms of CPU per process on a 2-vCPU machine.
+    walk it all again, 25-33 ms of CPU per process on a 2-vCPU machine.
     Objects made by the run itself are collected as usual.
     """
     gc.freeze()
