@@ -1,5 +1,5 @@
 from .config import RunConfig, default_gamma_grid, default_theta_grid, load_config
-from .presets import run_experiment, run_fig2, run_fig3, run_supp_figs
+from .presets import PANELS, run_panels
 from .svgplot import PlotStyle, SweepRow, emit_plot
 
 __all__ = [
@@ -7,10 +7,8 @@ __all__ = [
     "default_gamma_grid",
     "default_theta_grid",
     "load_config",
-    "run_experiment",
-    "run_fig2",
-    "run_fig3",
-    "run_supp_figs",
+    "PANELS",
+    "run_panels",
     "PlotStyle",
     "SweepRow",
     "emit_plot",

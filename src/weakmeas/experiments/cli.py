@@ -1,7 +1,9 @@
 """Command-line harness.
 
-Subcommands ``fig2``, ``fig3`` and ``supp`` run the corresponding figure
-presets; ``custom`` takes a config file and runs whatever it describes.
+Subcommands ``fig2``, ``fig3`` and ``supp`` write the corresponding figure
+panels; ``custom`` takes a config file and writes the panels of the
+experiment it names.  Each subcommand only chooses the panel-name prefixes
+that ``presets.run_panels`` writes.
 Exit code 0 on success, nonzero with a one-line diagnostic on any rejected
 input.
 
@@ -18,9 +20,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from ..montecarlo import chunk_count, worker_pool
 from .config import RunConfig, default_theta_grid, load_config
-from .presets import run_experiment, run_fig2, run_fig3, run_supp_figs
+from .presets import run_panels
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -75,28 +76,23 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     return replace(cfg, **overrides)
 
 
+def _prefixes(args: argparse.Namespace, cfg: RunConfig) -> list[str]:
+    """The panel-name prefixes a subcommand selects."""
+    if args.command == "fig2":
+        return ["fig2_" if args.variant == "all" else f"fig2_{args.variant}_"]
+    if args.command in ("fig3", "supp"):
+        return [args.command]
+    if args.config is None:
+        raise ValueError("the custom subcommand requires --config")
+    # the experiment "custom" selects every panel: each name starts with ""
+    return ["" if cfg.experiment == "custom" else cfg.experiment]
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _build_config(args)
-        # every ensemble of the run has n_shots shots and shares one pool,
-        # sized as run_shots splits them: none when they are not split
-        with worker_pool(chunk_count(cfg.n_shots, cfg.n_jobs)):
-            if args.command == "fig2":
-                variants = (
-                    ("single", "double", "reversal")
-                    if args.variant == "all"
-                    else (args.variant,)
-                )
-                paths = run_fig2(cfg, variants=variants)
-            elif args.command == "fig3":
-                paths = run_fig3(cfg)
-            elif args.command == "supp":
-                paths = run_supp_figs(cfg)
-            else:
-                if args.config is None:
-                    raise ValueError("the custom subcommand requires --config")
-                paths = run_experiment(cfg)
+        paths = run_panels(cfg, _prefixes(args, cfg))
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -44,7 +44,9 @@ def default_gamma_grid(t_m: float = DEFAULT_T_M, n: int = 9) -> list[float]:
 class RunConfig:
     experiment: str = "custom"
     theta_grid: list[float] = field(default_factory=default_theta_grid)
-    gamma_grid: list[float] = field(default_factory=default_gamma_grid)
+    # None: default_gamma_grid at this config's t_m, read by the run, so
+    # that replacing t_m (as a config file does) moves the default grid too
+    gamma_grid: Optional[list[float]] = None
     t_m: float = DEFAULT_T_M
     n_shots: int = 200
     rng_seed: int = 1
@@ -58,11 +60,11 @@ class RunConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.n_shots < 1:
             raise ValueError("n_shots must be >= 1")
-        if not self.theta_grid or not self.gamma_grid:
+        if not self.theta_grid or self.gamma_grid == []:
             raise ValueError("parameter grids must be non-empty")
         if not (math.isfinite(self.t_m) and self.t_m > 0):
             raise ValueError("t_m must be finite and positive")
-        if not all(math.isfinite(g) and g > 0 for g in self.gamma_grid):
+        if not all(math.isfinite(g) and g > 0 for g in self.gamma_grid or ()):
             raise ValueError("gamma_grid entries must be finite and positive")
         if not all(math.isfinite(t) for t in self.theta_grid):
             raise ValueError("theta_grid entries must be finite")

@@ -1,6 +1,8 @@
 """Figure-reproduction presets: analytic curves and Monte Carlo ensembles
 side by side, written as CSV (17 significant digits, empty cells for
-flagged values) and optionally as self-contained SVG plots."""
+flagged values) and optionally as self-contained SVG plots.
+
+``PANELS`` lists every output; ``run_panels`` is the one run entry."""
 
 from __future__ import annotations
 
@@ -20,45 +22,55 @@ from ..protocols import (
     TunnelModel,
 )
 from ..spinsys import Frequency, RotationPulse, prepare_bell
-from .config import RunConfig
+from .config import RunConfig, default_gamma_grid
 from .svgplot import PlotStyle, SweepRow, emit_plot
 
 AXES = ("z", "x", "y")
 
 FIG2_VARIANTS = ("single", "double", "reversal")
 STEERING = "steering"  # Bell pair, unconditional electron rotation, readout
+BELL_WINDOW = "bell_window"  # Bell pair, one finite readout window; swept over Gamma
 
 MEAN = "mean"  # the kept shots' mean tomography outcome
 KEPT = "kept"  # the fraction of shots that pass post-selection
+TUNNEL = "tunnel"  # fig3's table: sigma_z inversion and blip-time MLE of 1/Gamma
 
 THETA_LABEL = "rotation angle theta (rad)"
 
 
 @dataclass(frozen=True)
 class Panel:
-    """One theta-sweep CSV (and SVG) and where its numbers come from.
+    """One CSV (and its SVGs) and where its numbers come from.
 
-    At each theta the panel reads the run's ``SweepPoint`` of ``sequence``.
-    A MEAN panel sets the kept shots' mean outcome along ``axis`` beside the
-    closed-form sigma along ``axis``; a KEPT panel sets the kept fraction
-    beside the sequence's closed-form success probability.
+    At each sweep value, theta or (for BELL_WINDOW) Gamma, the panel reads
+    the run's ``SweepPoint`` of ``sequence``.  A MEAN panel sets the kept
+    shots' mean outcome along ``axis`` beside the closed-form sigma along
+    ``axis``; a KEPT panel sets the kept fraction beside the sequence's
+    closed-form success probability; the TUNNEL panel is fig3's table,
+    whose two plots have styles of their own.
     """
 
     name: str
-    sequence: str  # one of FIG2_VARIANTS, or STEERING
+    sequence: str  # one of FIG2_VARIANTS, STEERING or BELL_WINDOW
     axis: str
-    statistic: str  # MEAN or KEPT
-    style: PlotStyle
+    statistic: str  # MEAN, KEPT or TUNNEL
+    style: Optional[PlotStyle] = None
 
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """Everything the panels read at one (sequence, theta): the statistics
-    of one ensemble on each tomography axis, and the closed-form tomography
-    (None where no shot can be kept)."""
+    """Everything the panels read at one (sequence, sweep value): the
+    statistics of one ensemble on each axis its tomography names and, at a
+    theta point, the closed-form tomography (None where no shot can be
+    kept) or, at a Gamma point, the blip-time MLE (None where the blips
+    carry no information)."""
 
     stats: dict[str, mc.EnsembleStats]
     closed_form: Optional[TomographyResult]
+    blip_mle: Optional[mc.GammaEstimate] = None
+
+
+Points = dict[tuple[str, float], SweepPoint]  # the run's points by (sequence, value)
 
 
 def _fmt(value) -> str:
@@ -132,14 +144,15 @@ def _sigma_panel(name, sequence, axis, title, xlabel=THETA_LABEL) -> Panel:
     return Panel(name, sequence, axis, MEAN, style)
 
 
-# Every theta-sweep panel, in output order.  fig2, supp4 and supp5 read the
-# same fig2 ensembles; supp4 reads their kept fraction.
+# Every panel, in output order.  fig2, supp4 and supp5 read the same fig2
+# ensembles; supp4 reads their kept fraction.
 PANELS: tuple[Panel, ...] = (
     *(
         _sigma_panel(f"fig2_{v}_sigma_{a}", v, a, f"{v} measurement")
         for v in FIG2_VARIANTS
         for a in AXES
     ),
+    Panel("fig3_tunnel", BELL_WINDOW, "z", TUNNEL),
     *(
         Panel(f"supp4_success_{v}", v, "z", KEPT,
               PlotStyle(f"success probability: {v}", THETA_LABEL, "P(success)", -0.05, 1.05))
@@ -158,82 +171,6 @@ PANELS: tuple[Panel, ...] = (
 )
 
 
-def _sweep_protocol(sequence: str, theta: float, t_m: float) -> mc.Protocol:
-    """A sweep point's protocol, its readout windows ``t_m`` ms long, with
-    nuclear tomography along every axis."""
-    if sequence == STEERING:
-        return mc.Protocol(
-            (
-                RotationPulse(Frequency.ESR_BOTH, theta),
-                mc.ReadoutWindow(TunnelModel.projective(t_m), keep="no_blip"),
-                mc.NuclearTomography(AXES),
-            ),
-            initial=prepare_bell(),
-        )
-    return fig2_protocol(sequence, theta, AXES, t_m)
-
-
-def _sweep_point(config: RunConfig, sequence: str, theta: float) -> SweepPoint:
-    shots = mc.run_shots(
-        _sweep_protocol(sequence, theta, config.t_m),
-        config.noise,
-        config.n_shots,
-        config.rng_seed,
-        config.n_jobs,
-    )
-    return SweepPoint(
-        {axis: mc.stats_from_records(shots, k) for k, axis in enumerate(AXES)},
-        closed_form_tomography(sequence, theta),
-    )
-
-
-def _run_panels(
-    config: RunConfig, prefix: str, points: dict[tuple[str, float], SweepPoint]
-) -> list[Path]:
-    """Write every panel of PANELS whose name starts with ``prefix``.
-
-    ``points`` holds the run's SweepPoint by (sequence, theta).  Noise,
-    shots and seed are fixed for a run, so equal keys are equal ensembles:
-    each is simulated once, for all three tomography axes, and its closed
-    form evaluated once, however many panels read them.
-    """
-    paths: list[Path] = []
-    for panel in PANELS:
-        if not panel.name.startswith(prefix):
-            continue
-        table = []
-        for theta in config.theta_grid:
-            key = (panel.sequence, theta)
-            if key not in points:
-                points[key] = _sweep_point(config, *key)
-            point = points[key]
-            stats = point.stats[panel.axis]
-            if panel.statistic == KEPT:
-                analytic = _success_probability(panel.sequence, theta)
-                value = stats.success_fraction
-                error = math.sqrt(value * (1.0 - value) / stats.n_total)
-            else:
-                tomo = point.closed_form
-                analytic = None if tomo is None else getattr(tomo, f"sigma_{panel.axis}")
-                value, error = stats.mean, stats.std_error
-            table.append((theta, analytic, value, error, stats.n_kept, stats.n_total))
-        csv_path = config.output_dir / f"{panel.name}.csv"
-        write_csv(csv_path, [f.name for f in fields(SweepRow)], table)
-        paths.append(csv_path)
-        if config.emit_svg:
-            svg_path = config.output_dir / f"{panel.name}.svg"
-            rows = [SweepRow(*row) for row in table]
-            svg_path.write_text(emit_plot(rows, panel.style), encoding="utf-8")
-            paths.append(svg_path)
-    if not paths:
-        raise ValueError(f"no panel name starts with {prefix!r}")
-    return paths
-
-
-def run_fig2(config: RunConfig, variants: Sequence[str] = FIG2_VARIANTS) -> list[Path]:
-    """Tomography of the weak-measurement protocols versus rotation angle."""
-    points: dict = {}
-    return [p for v in variants for p in _run_panels(config, f"fig2_{v}_", points)]
 
 
 def bell_window_protocol(gamma: float, t_m: float, axis: str = "z") -> mc.Protocol:
@@ -247,39 +184,136 @@ def bell_window_protocol(gamma: float, t_m: float, axis: str = "z") -> mc.Protoc
     )
 
 
-def run_fig3(config: RunConfig) -> list[Path]:
-    """Tunnel-rate extraction: no-blip sigma_z inversion vs direct blip MLE."""
-    header = [
-        "gamma",
-        "gamma_t_m",
-        "sigma_z_analytic",
-        "sigma_z_mc",
-        "sigma_z_mc_std_error",
-        "inv_gamma_true",
-        "inv_gamma_extracted",
-        "inv_gamma_extracted_low",
-        "inv_gamma_extracted_high",
-        "inv_gamma_blip_mle",
-        "inv_gamma_blip_mle_low",
-        "inv_gamma_blip_mle_high",
-        "n_kept",
-        "n_total",
-    ]
+def _sweep(config: RunConfig, sequence: str) -> list[float]:
+    """A sequence's sweep values: the tunnel rates in ascending order for
+    BELL_WINDOW, the rotation angles otherwise.  An unset Gamma grid
+    spans the default range of Gamma * t_m at the run's t_m."""
+    if sequence == BELL_WINDOW:
+        return sorted(config.gamma_grid or default_gamma_grid(config.t_m))
+    return config.theta_grid
+
+
+def _sweep_protocol(sequence: str, value: float, t_m: float) -> mc.Protocol:
+    """A sweep point's protocol, its readout windows ``t_m`` ms long.  The
+    theta sweeps take nuclear tomography along every axis; fig3's Gamma
+    sweep reads sigma_z only."""
+    if sequence == BELL_WINDOW:
+        return bell_window_protocol(value, t_m)
+    if sequence == STEERING:
+        return mc.Protocol(
+            (
+                RotationPulse(Frequency.ESR_BOTH, value),
+                mc.ReadoutWindow(TunnelModel.projective(t_m), keep="no_blip"),
+                mc.NuclearTomography(AXES),
+            ),
+            initial=prepare_bell(),
+        )
+    return fig2_protocol(sequence, value, AXES, t_m)
+
+
+def _sweep_point(config: RunConfig, sequence: str, value: float) -> SweepPoint:
+    protocol = _sweep_protocol(sequence, value, config.t_m)
+    shots = mc.run_shots(
+        protocol, config.noise, config.n_shots, config.rng_seed, config.n_jobs
+    )
+    stats = {
+        axis: mc.stats_from_records(shots, k)
+        for k, axis in enumerate(protocol.steps[-1].axes)
+    }
+    if sequence != BELL_WINDOW:
+        return SweepPoint(stats, closed_form_tomography(sequence, value))
+    try:
+        return SweepPoint(stats, None, mc.estimate_gamma_from_blips(shots, config.t_m))
+    except mc.NoInformationError:
+        return SweepPoint(stats, None)
+
+
+def run_panels(config: RunConfig, prefixes: Sequence[str]) -> list[Path]:
+    """Write every panel of PANELS whose name starts with one of
+    ``prefixes``, in PANELS order, and return the paths written.
+
+    The run lists each (sequence, sweep value) the selected panels read and
+    simulates it once, for every axis its tomography names, before anything
+    is written: noise, shots and seed are fixed for a run, so equal keys are
+    equal ensembles.  Every ensemble has ``n_shots`` shots, so the run opens
+    one worker pool sized as ``run_shots`` splits them (none when it does
+    not split them) and shares it between all of them.
+    """
+    selected = [panel for panel in PANELS if panel.name.startswith(tuple(prefixes))]
+    if not selected:
+        raise ValueError(f"no panel name starts with any of {list(prefixes)}")
+    work = dict.fromkeys(
+        (panel.sequence, value) for panel in selected for value in _sweep(config, panel.sequence)
+    )
+    with mc.worker_pool(mc.chunk_count(config.n_shots, config.n_jobs)):
+        points = {key: _sweep_point(config, *key) for key in work}
+    paths: list[Path] = []
+    for panel in selected:
+        tabulate = _tunnel_table if panel.statistic == TUNNEL else _sweep_table
+        header, table, plots = tabulate(config, panel, points)
+        paths.append(config.output_dir / f"{panel.name}.csv")
+        write_csv(paths[-1], header, table)
+        if config.emit_svg:
+            for name, rows, style in plots:
+                paths.append(config.output_dir / f"{name}.svg")
+                paths[-1].write_text(emit_plot(rows, style), encoding="utf-8")
+    return paths
+
+
+# A panel's CSV header and rows, and the (name, rows, style) of each of its SVGs.
+Table = tuple[Sequence[str], list, list[tuple[str, list[SweepRow], PlotStyle]]]
+
+
+def _sweep_table(config: RunConfig, panel: Panel, points: Points) -> Table:
+    """A theta panel: one SweepRow per theta, and one plot of them."""
+    table = []
+    for theta in config.theta_grid:
+        point = points[(panel.sequence, theta)]
+        stats = point.stats[panel.axis]
+        if panel.statistic == KEPT:
+            analytic = _success_probability(panel.sequence, theta)
+            value = stats.success_fraction
+            error = math.sqrt(value * (1.0 - value) / stats.n_total)
+        else:
+            tomo = point.closed_form
+            analytic = None if tomo is None else getattr(tomo, f"sigma_{panel.axis}")
+            value, error = stats.mean, stats.std_error
+        table.append((theta, analytic, value, error, stats.n_kept, stats.n_total))
+    rows = [SweepRow(*row) for row in table]
+    return [f.name for f in fields(SweepRow)], table, [(panel.name, rows, panel.style)]
+
+
+FIG3_HEADER = (
+    "gamma",
+    "gamma_t_m",
+    "sigma_z_analytic",
+    "sigma_z_mc",
+    "sigma_z_mc_std_error",
+    "inv_gamma_true",
+    "inv_gamma_extracted",
+    "inv_gamma_extracted_low",
+    "inv_gamma_extracted_high",
+    "inv_gamma_blip_mle",
+    "inv_gamma_blip_mle_low",
+    "inv_gamma_blip_mle_high",
+    "n_kept",
+    "n_total",
+)
+
+
+def _tunnel_table(config: RunConfig, panel: Panel, points: Points) -> Table:
+    """Tunnel-rate extraction (fig3): no-blip sigma_z inversion vs direct
+    blip MLE, one row per Gamma, and plots of sigma_z and of 1/Gamma."""
     table = []
     sigma_rows = []
     inv_rows = []
     t_m = config.t_m
-    for gamma in sorted(config.gamma_grid):
-        model = TunnelModel(gamma_up_out=gamma, t_m=t_m)
-        analytic = protocols.sigma_z_noblip(math.pi, model)
-        shots = mc.run_shots(
-            bell_window_protocol(gamma, t_m),
-            config.noise,
-            config.n_shots,
-            config.rng_seed,
-            config.n_jobs,
+    for gamma in _sweep(config, panel.sequence):
+        point = points[(panel.sequence, gamma)]
+        stats = point.stats[panel.axis]
+        analytic = protocols.sigma_z_noblip(
+            math.pi, TunnelModel(gamma_up_out=gamma, t_m=t_m)
         )
-        stats = mc.stats_from_records(shots)
 
         inv_ext = inv_lo = inv_hi = None
         if not stats.empty:
@@ -292,12 +326,10 @@ def run_fig3(config: RunConfig) -> list[Path]:
                 inv_lo = protocols.tunnel_rate_limits(stats.mean - half, t_m)
                 inv_hi = protocols.tunnel_rate_limits(stats.mean + half, t_m)
 
-        mle = mle_lo = mle_hi = None
-        try:
-            est = mc.estimate_gamma_from_blips(shots, t_m)
-            mle, mle_lo, mle_hi = est.inv_gamma, est.ci_low, est.ci_high
-        except mc.NoInformationError:
-            pass
+        est = point.blip_mle
+        mle, mle_lo, mle_hi = (None,) * 3 if est is None else (
+            est.inv_gamma, est.ci_low, est.ci_high
+        )
 
         table.append(
             [
@@ -327,56 +359,11 @@ def run_fig3(config: RunConfig) -> list[Path]:
                      else (inv_ext - inv_lo),
                      stats.n_kept, stats.n_total)
         )
-
-    paths: list[Path] = []
-    csv_path = config.output_dir / "fig3_tunnel.csv"
-    write_csv(csv_path, header, table)
-    paths.append(csv_path)
-    if config.emit_svg:
-        for name, rows, style in (
-            (
-                "fig3_tunnel_sigma_z",
-                sigma_rows,
-                PlotStyle(
-                    title="no-blip nuclear polarization vs measurement strength",
-                    xlabel="Gamma * t_m",
-                    ylabel="&lt;sigma_z&gt;",
-                    y_min=-1.1,
-                    y_max=0.4,
-                ),
-            ),
-            (
-                "fig3_tunnel_inv_gamma",
-                inv_rows,
-                PlotStyle(
-                    title="tunnel time: sigma_z inversion (markers) vs true (line)",
-                    xlabel="Gamma * t_m",
-                    ylabel="1/Gamma (ms)",
-                ),
-            ),
-        ):
-            svg_path = config.output_dir / f"{name}.svg"
-            svg_path.write_text(emit_plot(rows, style), encoding="utf-8")
-            paths.append(svg_path)
-    return paths
-
-
-def run_supp_figs(config: RunConfig) -> list[Path]:
-    """Success probabilities, expectation curves and the steering scan."""
-    return _run_panels(config, "supp", {})
-
-
-def run_experiment(config: RunConfig) -> list[Path]:
-    """Run the panels whose names start with the configured experiment name;
-    ``custom`` runs them all, sharing every ensemble between figures."""
-    exp = config.experiment
-    if exp == "fig3_tunnel":
-        return run_fig3(config)
-    if exp == "custom":
-        points: dict = {}
-        return (
-            _run_panels(config, "fig2", points)
-            + run_fig3(config)
-            + _run_panels(config, "supp", points)
-        )
-    return _run_panels(config, exp, {})
+    return FIG3_HEADER, table, [
+        (f"{panel.name}_sigma_z", sigma_rows,
+         PlotStyle("no-blip nuclear polarization vs measurement strength",
+                   "Gamma * t_m", "&lt;sigma_z&gt;", -1.1, 0.4)),
+        (f"{panel.name}_inv_gamma", inv_rows,
+         PlotStyle("tunnel time: sigma_z inversion (markers) vs true (line)",
+                   "Gamma * t_m", "1/Gamma (ms)")),
+    ]

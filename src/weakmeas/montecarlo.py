@@ -22,9 +22,9 @@ shot).  That state is always the 4x4 electron-nuclear density matrix: a
 finite readout window leaves the nucleus mixed once the electron is traced
 out, so the pulse, the window and the tomography each have one arithmetic,
 with or without dephasing.  It returns ``Shots``, one array row per shot:
-one tomography outcome per named axis (0 for a rejected shot), the blip
-time of each window (NaN where none was recorded) and the windows each
-shot reached.  The estimators read these columns directly.
+one tomography outcome per named axis (0 for a rejected shot) and the blip
+time of each window (NaN where none was recorded or the shot was rejected
+before it).  The estimators read these columns directly.
 
 The axis only sets the threshold the shot's last uniform is compared
 with, so one pass samples every named axis, and column k equals a run of
@@ -172,7 +172,6 @@ class Shots:
 
     outcome: np.ndarray  # (shots, axes) int8 eigenvalue per named axis, 0 if rejected
     blip_times: np.ndarray  # (shots, windows) float, NaN where no blip was recorded
-    windows_seen: np.ndarray  # windows reached; a rejected shot stops at its window
 
     def __len__(self) -> int:
         return len(self.outcome)
@@ -183,7 +182,6 @@ class Shots:
         return (
             np.array_equal(self.outcome, other.outcome)
             and np.array_equal(self.blip_times, other.blip_times, equal_nan=True)
-            and np.array_equal(self.windows_seen, other.windows_seen)
         )
 
     @staticmethod
@@ -388,7 +386,6 @@ def _shot_block(protocol: Protocol, noise: NoiseConfig, uniforms: np.ndarray) ->
     axes = steps[-1].axes
     outcome = np.zeros((n, len(axes)), dtype=np.int8)
     blip_times = np.full((n, len(windows)), np.nan)
-    windows_seen = np.full(n, len(windows))
     # shots still kept: block row, branch-history node, index of next draw in u
     rows = np.arange(n)
     node = np.zeros(n, dtype=np.intp)
@@ -436,7 +433,6 @@ def _shot_block(protocol: Protocol, noise: NoiseConfig, uniforms: np.ndarray) ->
                 ]
         if step.keep != "both":
             ok = observed if step.keep == BLIP else ~observed
-            windows_seen[rows[~ok]] = w + 1
             rows, node, cursor, blip, down = (
                 a[ok] for a in (rows, node, cursor, blip, down)
             )
@@ -455,7 +451,7 @@ def _shot_block(protocol: Protocol, noise: NoiseConfig, uniforms: np.ndarray) ->
         for k, axis in enumerate(axes):
             p_plus = np.array([_node_p_plus(x, axis) for x in nodes])
             outcome[rows, k] = np.where(draw < p_plus[node], 1, -1)
-    return Shots(outcome, blip_times, windows_seen)
+    return Shots(outcome, blip_times)
 
 
 def _run_chunk(args) -> Shots:
@@ -736,7 +732,7 @@ def estimate_gamma_from_blips(
     which occurs with the given probability (1/2 for the Bell protocol).
     The 95% interval comes from the likelihood-ratio statistic.
     """
-    if np.any(shots.windows_seen != 1):
+    if shots.blip_times.shape[1] != 1:
         raise ProtocolError("shots must come from a single-window protocol")
     column = shots.blip_times[:, 0]
     times = column[~np.isnan(column)].tolist()

@@ -198,9 +198,7 @@ def to_shots(records: Sequence[ShotRecord], n_windows: int) -> mc.Shots:
     for row, r in zip(blip_times, records):
         row[: len(r.blip_times)] = [np.nan if t is None else t for t in r.blip_times]
     return mc.Shots(
-        np.array([[r.nuclear_outcome or 0] for r in records], dtype=np.int8),
-        blip_times,
-        np.array([len(r.blip_times) for r in records], dtype=int),
+        np.array([[r.nuclear_outcome or 0] for r in records], dtype=np.int8), blip_times
     )
 
 
@@ -220,9 +218,7 @@ def sample_columns(protocol, noise, rng_seed, start, stop) -> mc.Shots:
         )
         for axis in protocol.steps[-1].axes
     ]
-    return mc.Shots(
-        np.hstack([run.outcome for run in runs]), runs[0].blip_times, runs[0].windows_seen
-    )
+    return mc.Shots(np.hstack([run.outcome for run in runs]), runs[0].blip_times)
 
 
 def run_shots(protocol, noise=mc.NO_NOISE, n_shots=1, rng_seed=0, n_jobs=1) -> mc.Shots:
@@ -249,10 +245,14 @@ def stats_from_records(records: Sequence[ShotRecord]) -> mc.EnsembleStats:
 
 
 def estimate_gamma_from_records(
-    records: Sequence[ShotRecord], t_m: float, up_branch_probability: float = 0.5
+    records: Sequence[ShotRecord],
+    n_windows: int,
+    t_m: float,
+    up_branch_probability: float = 0.5,
 ) -> mc.GammaEstimate:
-    """The blip-time MLE's statistics gathered from records, then solved."""
-    if any(len(r.blip_times) != 1 for r in records):
+    """The blip-time MLE's statistics gathered from the records of a
+    protocol with ``n_windows`` readout windows, then solved."""
+    if n_windows != 1:
         raise mc.ProtocolError("records must come from a single-window protocol")
     times = [r.blip_times[0] for r in records if r.blip_times[0] is not None]
     n_blips = len(times)

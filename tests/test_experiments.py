@@ -24,8 +24,7 @@ from weakmeas.experiments.config import (
 from weakmeas.experiments.presets import (
     _fmt,
     closed_form_tomography,
-    run_fig2,
-    run_fig3,
+    run_panels,
     write_csv,
 )
 from weakmeas.experiments.svgplot import PlotStyle, SweepRow, emit_plot
@@ -212,7 +211,7 @@ class TestCsv:
 class TestPresets:
     def test_fig2_outputs(self, tmp_path):
         cfg = tiny_config(tmp_path)
-        paths = run_fig2(cfg, variants=("single",))
+        paths = run_panels(cfg, ["fig2_single_"])
         names = sorted(p.name for p in paths)
         assert names == [
             "fig2_single_sigma_x.csv",
@@ -229,7 +228,7 @@ class TestPresets:
 
     def test_fig2_csv_contents(self, tmp_path):
         cfg = tiny_config(tmp_path)
-        run_fig2(cfg, variants=("single",))
+        run_panels(cfg, ["fig2_single_"])
         with open(tmp_path / "fig2_single_sigma_z.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3
@@ -239,14 +238,14 @@ class TestPresets:
 
     def test_fig2_determinism(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-        run_fig2(tiny_config(tmp_path, output_dir=a_dir), variants=("single",))
-        run_fig2(tiny_config(tmp_path, output_dir=b_dir), variants=("single",))
+        run_panels(tiny_config(tmp_path, output_dir=a_dir), ["fig2_single_"])
+        run_panels(tiny_config(tmp_path, output_dir=b_dir), ["fig2_single_"])
         for name in ("fig2_single_sigma_z.csv", "fig2_single_sigma_z.svg"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
     def test_fig2_reversal_flags_impossible_point(self, tmp_path):
         cfg = tiny_config(tmp_path)
-        run_fig2(cfg, variants=("reversal",))
+        run_panels(cfg, ["fig2_reversal_"])
         with open(tmp_path / "fig2_reversal_sigma_z.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         pi_row = rows[2]  # theta = pi: reversal cannot succeed
@@ -256,7 +255,7 @@ class TestPresets:
 
     def test_fig3_table(self, tmp_path):
         cfg = tiny_config(tmp_path, n_shots=400)
-        paths = run_fig3(cfg)
+        paths = run_panels(cfg, ["fig3"])
         assert [p.name for p in paths] == [
             "fig3_tunnel.csv",
             "fig3_tunnel_sigma_z.svg",
@@ -450,6 +449,39 @@ class TestCli:
         assert main(["custom", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert len(calls) == 4 * len(theta_grid) + len(gamma_grid)
         assert len(set(calls)) == len(calls)
+
+    def test_custom_equals_separate_figure_runs(self, tmp_path, capsys):
+        """Sharing ensembles between figures changes no byte: custom's
+        files are those of separate fig2, fig3 and supp runs."""
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("experiment: custom\n", encoding="utf-8")
+        common = ["--shots", "30", "--grid", "5", "--seed", "7"]
+
+        def tree(name, argv):
+            out = tmp_path / name
+            assert main([*argv, *common, "--out", str(out)]) == 0
+            return {f.name: f.read_bytes() for f in out.iterdir()}
+
+        custom = tree("custom", ["custom", "--config", str(cfg)])
+        separate = {}
+        for command in ("fig2", "fig3", "supp"):
+            separate.update(tree(command, [command]))
+        assert len(custom) == 45
+        assert custom == separate
+
+    def test_default_gamma_grid_follows_t_m(self, tmp_path, capsys):
+        """An unset Gamma grid spans Gamma * t_m over [0.05, 10] at the
+        t_m the config file sets, not at the default t_m."""
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("t_m: 1.0e-3\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["fig3", "--config", str(cfg), "--shots", "20", "--no-svg"]
+        assert main([*argv, "--out", str(out)]) == 0
+        with open(out / "fig3_tunnel.csv", newline="") as fh:
+            gamma_t_m = [float(row["gamma_t_m"]) for row in csv.DictReader(fh)]
+        assert len(gamma_t_m) == 9
+        assert gamma_t_m[0] == pytest.approx(0.05)
+        assert gamma_t_m[-1] == pytest.approx(10.0)
 
     def test_seed_changes_output(self, tmp_path):
         common = ["fig2", "--variant", "single", "--shots", "40", "--grid", "3",

@@ -140,9 +140,7 @@ class TestDeterminism:
         shots = run_shots(p, n_shots=40, rng_seed=3)
         for i in range(40):
             one = ref.to_shots([ref.sample_shot(p, rng_seed=3, shot_index=i)], 1)
-            assert (shots.outcome[i], shots.windows_seen[i]) == (
-                one.outcome[0], one.windows_seen[0]
-            )
+            assert shots.outcome[i] == one.outcome[0]
             assert np.array_equal(shots.blip_times[i], one.blip_times[0], equal_nan=True)
 
 
@@ -308,9 +306,7 @@ class TestLabelErrors:
 
 class TestStats:
     def test_empty_records(self):
-        rejected = Shots(
-            np.zeros((10, 1), dtype=np.int8), np.full((10, 1), np.nan), np.ones(10, dtype=int)
-        )
+        rejected = Shots(np.zeros((10, 1), dtype=np.int8), np.full((10, 1), np.nan))
         stats = stats_from_records(rejected)
         assert stats.empty
         assert stats.mean is None and stats.std_error is None
@@ -320,7 +316,7 @@ class TestStats:
         shots = run_shots(p, n_shots=500, rng_seed=8)
         a = stats_from_records(shots)
         b = stats_from_records(
-            Shots(shots.outcome[::-1], shots.blip_times[::-1], shots.windows_seen[::-1])
+            Shots(shots.outcome[::-1], shots.blip_times[::-1])
         )
         assert (a.mean, a.std_error, a.n_kept) == (b.mean, b.std_error, b.n_kept)
 
@@ -337,7 +333,7 @@ class TestShots:
             t = np.array(times)
             if change_time is not None:
                 t[change_time] = 0.5
-            return Shots(np.array(outcome, dtype=np.int8)[:, None], t, np.array([2, 1, 2]))
+            return Shots(np.array(outcome, dtype=np.int8)[:, None], t)
 
         assert (shots() == shots()) is True
         assert (shots() == shots(outcome=(1, 0, 1))) is False
@@ -371,9 +367,9 @@ class TestEstimatorsMatchRecords:
                 None,
             ),
             (measure_protocol(0.0, keep=BLIP), NO_NOISE, 300, NoInformationError),
-            # every shot is rejected in the first of two windows: the records
-            # hold one window each, so this is no-information, not malformed
-            (measure_protocol(0.0, keep=BLIP, n=2), NO_NOISE, 300, NoInformationError),
+            # every shot is rejected in the first of two windows: the
+            # protocol still has two windows, so the estimator refuses it
+            (measure_protocol(0.0, keep=BLIP, n=2), NO_NOISE, 300, ProtocolError),
             (measure_protocol(math.pi / 2, n=2), NO_NOISE, 300, ProtocolError),
         ],
         ids=["dephased bell window", "all rejected", "all rejected, two windows",
@@ -388,7 +384,9 @@ class TestEstimatorsMatchRecords:
         assert stats_from_records(shots) == ref.stats_from_records(records)
         t_m = protocol.windows[0].model.t_m
         got = outcome_of(estimate_gamma_from_blips, shots, t_m)
-        assert got == outcome_of(ref.estimate_gamma_from_records, records, t_m)
+        assert got == outcome_of(
+            ref.estimate_gamma_from_records, records, len(protocol.windows), t_m
+        )
         if gamma_error is None:
             assert isinstance(got, GammaEstimate)
         else:
@@ -415,14 +413,27 @@ class TestGammaEstimator:
         assert est.inv_gamma == pytest.approx(1.0 / gamma, rel=0.05)
 
     def test_no_blips_raises(self):
-        shots = Shots(
-            np.ones((10, 1), dtype=np.int8), np.full((10, 1), np.nan), np.ones(10, dtype=int)
-        )
+        shots = Shots(np.ones((10, 1), dtype=np.int8), np.full((10, 1), np.nan))
         with pytest.raises(NoInformationError):
             estimate_gamma_from_blips(shots, 1.5)
 
     def test_rejects_multi_window_records(self):
-        shots = Shots(np.ones((1, 1), dtype=np.int8), np.array([[0.1, np.nan]]), np.array([2]))
+        shots = Shots(np.ones((1, 1), dtype=np.int8), np.array([[0.1, np.nan]]))
+        with pytest.raises(ProtocolError):
+            estimate_gamma_from_blips(shots, 1.5)
+
+    def test_rejects_two_windows_when_every_shot_stops_at_the_first(self):
+        """Every up electron tunnels in the first window and is rejected
+        there, so no shot reaches the second; the blip times still come
+        from a two-window protocol."""
+        window = ReadoutWindow(TunnelModel(20.0, 1.5), keep=NO_BLIP)
+        p = Protocol(
+            steps=(RotationPulse(Frequency.ESR_BOTH, math.pi), window, window,
+                   NuclearTomography("z"))
+        )
+        shots = run_shots(p, n_shots=1000, rng_seed=1)
+        assert not shots.outcome.any()
+        assert np.isnan(shots.blip_times[:, 1]).all()
         with pytest.raises(ProtocolError):
             estimate_gamma_from_blips(shots, 1.5)
 
@@ -469,7 +480,6 @@ class TestGammaEstimator:
             shots = Shots(
                 np.ones((n, 1), dtype=np.int8),
                 np.array(times + [np.nan] * n_censored)[:, None],
-                np.ones(n, dtype=int),
             )
             est = estimate_gamma_from_blips(shots, t_m, p)
             expected = reference(n_blips, n_censored, float(sum(times)), p, t_m)

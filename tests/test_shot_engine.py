@@ -243,7 +243,7 @@ def assert_columns_are_one_axis_runs(got, protocol, run):
     for k, axis in enumerate(protocol.steps[-1].axes):
         one = run(ref.with_axes(protocol, axis))
         assert one.outcome.shape == (len(got), 1)
-        assert mc.Shots(got.outcome[:, [k]], got.blip_times, got.windows_seen) == one
+        assert mc.Shots(got.outcome[:, [k]], got.blip_times) == one
 
 
 class TestSeveralAxes:
