@@ -30,7 +30,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="root RNG seed")
     parser.add_argument("--shots", type=int, help="Monte Carlo shots per point")
     parser.add_argument("--grid", type=int, help="number of theta grid points")
-    parser.add_argument("--jobs", type=int, help="processes that simulate shots")
+    parser.add_argument(
+        "--jobs", type=int,
+        help="processes, this one included, that share the sweep points (or, over "
+        "two points a process or fewer, their shots); at most one per CPU this "
+        "process may run on",
+    )
     svg = parser.add_mutually_exclusive_group()
     svg.add_argument("--svg", dest="svg", action="store_true", default=None)
     svg.add_argument("--no-svg", dest="svg", action="store_false", default=None)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -211,11 +212,10 @@ def _sweep_protocol(sequence: str, value: float, t_m: float) -> mc.Protocol:
     return fig2_protocol(sequence, value, AXES, t_m)
 
 
-def _sweep_point(config: RunConfig, sequence: str, value: float) -> SweepPoint:
-    protocol = _sweep_protocol(sequence, value, config.t_m)
-    shots = mc.run_shots(
-        protocol, config.noise, config.n_shots, config.rng_seed, config.n_jobs
-    )
+def _reduce(config: RunConfig, key: tuple[str, float], protocol: mc.Protocol,
+            shots: mc.Shots) -> SweepPoint:
+    """The ``SweepPoint`` of one (sequence, sweep value) from all its shots."""
+    sequence, value = key
     stats = {
         axis: mc.stats_from_records(shots, k)
         for k, axis in enumerate(protocol.steps[-1].axes)
@@ -228,6 +228,18 @@ def _sweep_point(config: RunConfig, sequence: str, value: float) -> SweepPoint:
         return SweepPoint(stats, None)
 
 
+def _sweep_point(config: RunConfig, item: tuple) -> SweepPoint:
+    """A whole (key, protocol) point: a serial ``run_shots``, reduced."""
+    key, protocol = item
+    shots = mc.run_shots(protocol, config.noise, config.n_shots, config.rng_seed, 1)
+    return _reduce(config, key, protocol, shots)
+
+
+def _run_chunks(chunks: Sequence[tuple]) -> list[mc.Shots]:
+    """The ``Shots`` of one chunk range of every point."""
+    return [mc._run_chunk(chunk) for chunk in chunks]
+
+
 def run_panels(config: RunConfig, prefixes: Sequence[str]) -> list[Path]:
     """Write every panel of PANELS whose name starts with one of
     ``prefixes``, in PANELS order, and return the paths written.
@@ -235,18 +247,38 @@ def run_panels(config: RunConfig, prefixes: Sequence[str]) -> list[Path]:
     The run lists each (sequence, sweep value) the selected panels read and
     simulates it once, for every axis its tomography names, before anything
     is written: noise, shots and seed are fixed for a run, so equal keys are
-    equal ensembles.  Every ensemble has ``n_shots`` shots, so the run opens
-    one worker pool sized as ``run_shots`` splits them (none when it does
-    not split them) and shares it between all of them.
+    equal ensembles.  ``--jobs`` counts processes as ``run_shots`` splits
+    an ensemble's shots, ``n = chunk_count(n_shots, n_jobs)``, so a run
+    whose ensembles ``run_shots`` would not split forks nothing.  The run
+    makes one ``_parallel_map`` over ``n`` processes.  With more than two
+    points a process, each process takes whole points and reduces them
+    where they ran.  With fewer, each takes one of the ``n`` chunk ranges
+    of shots over every point, so that it builds the Philox uniforms of
+    that range alone, and this process joins and reduces each point's
+    chunks.  Either way every point is reduced from its whole ``Shots`` in
+    shot order, so the output bytes do not depend on ``n_jobs``.
     """
     selected = [panel for panel in PANELS if panel.name.startswith(tuple(prefixes))]
     if not selected:
         raise ValueError(f"no panel name starts with any of {list(prefixes)}")
-    work = dict.fromkeys(
+    keys = dict.fromkeys(
         (panel.sequence, value) for panel in selected for value in _sweep(config, panel.sequence)
     )
-    with mc.worker_pool(mc.chunk_count(config.n_shots, config.n_jobs)):
-        points = {key: _sweep_point(config, *key) for key in work}
+    work = {key: _sweep_protocol(*key, config.t_m) for key in keys}
+    n = mc.chunk_count(config.n_shots, config.n_jobs)
+    if n == 1 or len(work) > 2 * n:
+        done = mc._parallel_map(partial(_sweep_point, config), list(work.items()), n)
+        points = dict(zip(work, done))
+    else:
+        chunks = [
+            mc._chunks(protocol, config.noise, config.n_shots, config.rng_seed, n)
+            for protocol in work.values()
+        ]
+        done = mc._parallel_map(_run_chunks, list(zip(*chunks)), n)
+        points = {
+            key: _reduce(config, key, protocol, mc.Shots.concat([part[i] for part in done]))
+            for i, (key, protocol) in enumerate(work.items())
+        }
     paths: list[Path] = []
     for panel in selected:
         tabulate = _tunnel_table if panel.statistic == TUNNEL else _sweep_table
@@ -301,9 +333,23 @@ FIG3_HEADER = (
 )
 
 
+def _wilson_interval(stats: mc.EnsembleStats) -> tuple[float, float]:
+    """The 95% Wilson score interval on the kept shots' +1 fraction.  The
+    Wald interval, mean +- 1.96 SE, under-covers near sigma_z = -1 and is
+    empty when every kept shot reads -1 (Brown, Cai & DasGupta, Statist.
+    Sci. 16, 2001); the score interval has neither fault."""
+    n = stats.n_kept
+    p = round(n * (1.0 + stats.mean) / 2.0) / n
+    z2 = 1.959963984540054**2 / n
+    center = (p + z2 / 2.0) / (1.0 + z2)
+    half = math.sqrt(z2 * (p * (1.0 - p) + z2 / 4.0)) / (1.0 + z2)
+    return center - half, center + half
+
+
 def _tunnel_table(config: RunConfig, panel: Panel, points: Points) -> Table:
-    """Tunnel-rate extraction (fig3): no-blip sigma_z inversion vs direct
-    blip MLE, one row per Gamma, and plots of sigma_z and of 1/Gamma."""
+    """Tunnel-rate extraction (fig3): no-blip sigma_z inversion, with the
+    Wilson interval mapped through it on every row that kept a shot, vs
+    direct blip MLE, one row per Gamma, and plots of sigma_z and of 1/Gamma."""
     table = []
     sigma_rows = []
     inv_rows = []
@@ -321,10 +367,9 @@ def _tunnel_table(config: RunConfig, panel: Panel, points: Points) -> Table:
                 inv_ext = protocols.extract_tunnel_rate(stats.mean, t_m)
             except (MeasurementTooWeakError, ProjectiveLimitError):
                 inv_ext = None
-            if inv_ext is not None:
-                half = 1.959963984540054 * stats.std_error
-                inv_lo = protocols.tunnel_rate_limits(stats.mean - half, t_m)
-                inv_hi = protocols.tunnel_rate_limits(stats.mean + half, t_m)
+            inv_lo, inv_hi = (
+                protocols.tunnel_rate_limits(2.0 * p - 1.0, t_m) for p in _wilson_interval(stats)
+            )
 
         est = point.blip_mle
         mle, mle_lo, mle_hi = (None,) * 3 if est is None else (
@@ -355,8 +400,7 @@ def _tunnel_table(config: RunConfig, panel: Panel, points: Points) -> Table:
         )
         inv_rows.append(
             SweepRow(gamma * t_m, 1.0 / gamma, inv_ext,
-                     None if inv_ext is None or inv_lo is None or not math.isfinite(inv_hi or math.inf)
-                     else (inv_ext - inv_lo),
+                     None if inv_ext is None or not math.isfinite(inv_hi) else inv_ext - inv_lo,
                      stats.n_kept, stats.n_total)
         )
     return FIG3_HEADER, table, [

@@ -36,24 +36,21 @@ and shared by every ensemble that reads them.
 ``n_jobs`` splits the shot range into ``chunk_count(n_shots, n_jobs)``
 chunks: at most ``n_jobs``, each of at least ``SHOT_BLOCK`` shots, since a
 smaller chunk saves less than its round trip through a worker costs.  One
-chunk runs in the caller, with no pool.  Several are claimed from one
-shared counter by the caller and the pool's worker processes, and the
-caller waits only for chunks a worker claimed: a worker the machine is slow
-to schedule costs no more than running its chunk in the caller.
-``worker_pool`` opens one pool that every ``run_shots`` call inside it
-shares, so a whole CLI run starts its workers once; a call outside any
-``worker_pool`` opens its own.  ``multiprocessing`` is imported only when a
-pool starts.
+chunk runs in the caller.  Several go through ``_parallel_map``, the one
+fork-and-join map of the package, which the caller and its worker
+processes share through one counter of claimed items.  A figure run makes
+one such map over its sweep points, each a serial ``run_shots``, or over
+the chunks of all its points when it has too few points to share whole.
+``multiprocessing`` is imported only when a worker starts.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
+import os
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property, lru_cache
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
@@ -464,153 +461,108 @@ def _run_chunk(args) -> Shots:
     return Shots.concat([_shot_block(protocol, noise, u[a : a + SHOT_BLOCK]) for a in blocks])
 
 
-def _claim_chunk(claim, call: int, n_chunks: int) -> Optional[int]:
-    """The next unclaimed chunk of call number ``call``, if one is left;
-    ``claim`` holds the current call number and its next unclaimed chunk."""
-    with claim.get_lock():
-        current = claim.get_obj()
-        if current[0] != call or current[1] >= n_chunks:
-            return None
-        current[1] += 1
-        return current[1] - 1
+def _claim(counter, n_items: int) -> Optional[int]:
+    """The next unclaimed index below ``n_items``, if one is left."""
+    with counter.get_lock():
+        i = counter.value
+        counter.value = i + 1
+    return i if i < n_items else None
 
 
-def _serve(conn: Connection, claim, inherited: list[Connection]) -> None:
-    """Worker loop: run the chunks it can claim of each (call, chunks)
-    received and answer (call, [(chunk index, Shots), ...], error)."""
+def _map_worker(fn, items: Sequence, counter, conn: Connection) -> None:
+    """Run the items this worker claims, then send ``([(index, result),
+    ...], error)`` once and exit."""
     import signal  # here, so that importing the CLI does not load it
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
-    for other in inherited:  # else the pool's closing them would not end us
-        other.close()
-    while True:
-        try:
-            call, chunks = conn.recv()
-        except (EOFError, OSError):  # the pool shut down
-            return
-        done, error = [], None
-        try:
-            while (i := _claim_chunk(claim, call, len(chunks))) is not None:
-                done.append((i, _run_chunk(chunks[i])))
-        except Exception as err:
-            error = err
-        try:
-            conn.send((call, done, error))
-        except OSError:
-            return
+    done, error = [], None
+    try:
+        while (i := _claim(counter, len(items))) is not None:
+            done.append((i, fn(items[i])))
+    except Exception as err:
+        error = err
+    try:
+        conn.send((done, error))
+    except OSError:  # the caller stopped listening: it failed itself
+        pass
+    conn.close()
 
 
-class WorkerPool:
-    """``n_jobs - 1`` worker processes that share each call's chunks with
-    the caller.  They start by the platform's default method, fork on Linux:
-    two spawned workers took 0.45-0.65 s to start on a 2-vCPU machine, about
-    as long as a whole ``fig2 --shots 2000`` run.  Under the CLI's ``entry``
-    a forked worker inherits the frozen import-time heap: the collector
-    never walks it there either, so it does not write to those pages and
-    copy them, which is why the ``gc.freeze`` docs advise freezing before
-    ``fork``."""
+def _parallel_map(fn, items: Sequence, n_jobs: int) -> list:
+    """``[fn(x) for x in items]`` over at most ``n_jobs`` processes.
 
-    def __init__(self, n_jobs: int):
-        import multiprocessing  # here, so that a run with no pool never loads it
+    Starts ``min(n_jobs, len(items), CPUs this process may run on) - 1``
+    workers, and none at all, nor ``multiprocessing``, when that is 0.  The
+    caller and the workers claim item indices from one shared counter, so
+    the caller runs every item a worker has not claimed, then waits for
+    each worker to send its results and any error once and exit.  A
+    worker's error is raised here, and a worker lost before it answered
+    raises ``RuntimeError``.  However the call ends, the counter is moved
+    past the end, so that no worker claims another item, and every worker
+    is joined before it returns.
 
-        ctx = multiprocessing.get_context()
-        self._claim = ctx.Array("q", 2)  # call number, next unclaimed chunk
-        self._calls = 0
-        self._conns: list[Connection] = []
-        self._procs = []
-        self._busy: set[Connection] = set()  # workers yet to answer a call
-        for _ in range(n_jobs - 1):
-            here, there = ctx.Pipe()
-            proc = ctx.Process(
-                target=_serve, args=(there, self._claim, [*self._conns, here]), daemon=True
-            )
-            proc.start()
-            there.close()
-            self._conns.append(here)
-            self._procs.append(proc)
+    Workers start by the platform's default method, fork on Linux: two
+    spawned workers took 0.45-0.65 s to start on a 2-vCPU machine, about as
+    long as a whole ``fig2 --shots 2000`` run.  Under the CLI's ``entry`` a
+    forked worker inherits the frozen import-time heap: the collector never
+    walks it there either, so it does not write to those pages and copy
+    them, which is why the ``gc.freeze`` docs advise freezing before
+    ``fork``.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n_workers = min(n_jobs, len(items), cpus or 1) - 1
+    if n_workers <= 0:
+        return [fn(x) for x in items]
+    import multiprocessing  # here, so that a run with no worker never loads it
 
-    def _answer(self, conn: Connection) -> tuple:
-        try:
-            answer = conn.recv()
-        except EOFError:
-            raise RuntimeError("a worker process exited unexpectedly") from None
-        self._busy.discard(conn)
-        return answer
-
-    def run_chunks(self, chunks: Sequence[tuple]) -> list[Shots]:
-        """``[_run_chunk(c) for c in chunks]``: idle workers get the chunks,
-        then this process claims chunks too and waits only for the ones a
-        worker claimed."""
-        from multiprocessing.connection import wait
-
-        self._calls += 1
-        call = self._calls
-        with self._claim.get_lock():
-            self._claim.get_obj()[:] = [call, 0]
-        for conn in self._conns:
-            if conn in self._busy:
-                if not conn.poll():
-                    continue  # still on an earlier call
-                self._answer(conn)  # an earlier call's late answer
-            conn.send((call, chunks))
-            self._busy.add(conn)
-        results = {}
-        while (i := _claim_chunk(self._claim, call, len(chunks))) is not None:
-            results[i] = _run_chunk(chunks[i])
-        while len(results) < len(chunks):
-            for conn in wait(list(self._busy)):
-                answer_call, done, error = self._answer(conn)
-                if answer_call == call:
-                    if error is not None:
-                        raise error
-                    results.update(done)
-        return [results[i] for i in range(len(chunks))]
-
-    def shutdown(self) -> None:
-        """Close the pipes and join the workers; each ends its chunk first."""
-        for conn in self._conns:
+    ctx = multiprocessing.get_context()
+    counter = ctx.Value("q", 0)
+    conns, procs, results = [], [], {}
+    try:
+        for _ in range(n_workers):
+            here, there = ctx.Pipe(duplex=False)
+            conns.append(here)
+            proc = ctx.Process(target=_map_worker, args=(fn, items, counter, there), daemon=True)
+            try:
+                proc.start()
+            finally:
+                there.close()
+            procs.append(proc)
+        while (i := _claim(counter, len(items))) is not None:
+            results[i] = fn(items[i])
+        for conn in conns:
+            try:
+                done, error = conn.recv()
+            except EOFError:
+                raise RuntimeError("a worker process exited unexpectedly") from None
+            if error is not None:
+                raise error
+            results.update(done)
+    finally:
+        with counter.get_lock():
+            counter.value = len(items)
+        for conn in conns:
             conn.close()
-        for proc in self._procs:
+        for proc in procs:
             proc.join()
-
-
-# The pool that run_shots shares its chunks with while a worker_pool block is open.
-_OPEN_POOL: ContextVar[Optional[WorkerPool]] = ContextVar(
-    "weakmeas_worker_pool", default=None
-)
+    return [results[i] for i in range(len(items))]
 
 
 def chunk_count(n_shots: int, n_jobs: int) -> int:
     """How many chunks ``run_shots`` splits ``n_shots`` shots into at
     ``n_jobs`` processes: at most ``n_jobs``, each of at least ``SHOT_BLOCK``
     shots, and never fewer than one.  A chunk smaller than a block saves
-    less time than its round trip through the pool costs."""
+    less time than its round trip through a worker costs."""
     return max(1, min(n_jobs, n_shots // SHOT_BLOCK))
 
 
-@contextmanager
-def worker_pool(n_jobs: int) -> Iterator[Optional[WorkerPool]]:
-    """One process pool for every ``run_shots`` call made inside the block.
-
-    Opens a pool for ``n_jobs`` processes (the caller and ``n_jobs - 1``
-    workers), unless ``n_jobs`` is 1 or a pool is open already: then the
-    block uses that pool (or none), so nested blocks share the outermost
-    one.  A caller that knows its shot counts sizes the pool with
-    ``chunk_count``, so that it starts no worker its calls would not use.
-    The pool a block opens is shut down and its workers joined when that
-    block exits, whether or not it raised.
-    """
-    pool = _OPEN_POOL.get()
-    if pool is not None or n_jobs <= 1:
-        yield pool
-        return
-    pool = WorkerPool(n_jobs)
-    token = _OPEN_POOL.set(pool)
-    try:
-        yield pool
-    finally:
-        _OPEN_POOL.reset(token)
-        pool.shutdown()
+def _chunks(
+    protocol: Protocol, noise: NoiseConfig, n_shots: int, rng_seed: int, n_chunks: int
+) -> list[tuple]:
+    """``_run_chunk``'s arguments for shots 0..n_shots-1 cut into
+    ``n_chunks`` contiguous chunks of as equal sizes as can be."""
+    bounds = np.linspace(0, n_shots, n_chunks + 1, dtype=int).tolist()
+    return [(protocol, noise, rng_seed, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def run_shots(
@@ -624,12 +576,11 @@ def run_shots(
 
     The shots are split into ``chunk_count(n_shots, n_jobs)`` contiguous
     chunks, each of at least ``SHOT_BLOCK`` shots.  One chunk runs in this
-    process and touches no pool, inside a ``worker_pool`` block or not.
-    Several are shared between this process and the pool of the enclosing
-    ``worker_pool`` block, or a pool opened for this call when there is
-    none.  The result is identical to the serial run because every shot has
-    its own stream.  ``rng_seed`` must be a key numpy's ``Philox`` takes, in
-    [-2**63, 2**64); a negative seed keys the stream as its 64-bit mask.
+    process; several are mapped over that many processes by
+    ``_parallel_map``.  The result is identical to the serial run because
+    every shot has its own stream.  ``rng_seed`` must be a key numpy's
+    ``Philox`` takes, in [-2**63, 2**64); a negative seed keys the stream
+    as its 64-bit mask.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
@@ -638,10 +589,8 @@ def run_shots(
     n_chunks = chunk_count(n_shots, n_jobs)
     if n_chunks == 1:
         return _run_chunk((protocol, noise, rng_seed, 0, n_shots))
-    bounds = np.linspace(0, n_shots, n_chunks + 1, dtype=int).tolist()
-    chunks = [(protocol, noise, rng_seed, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    with worker_pool(n_chunks) as pool:
-        return Shots.concat(pool.run_chunks(chunks))
+    chunks = _chunks(protocol, noise, n_shots, rng_seed, n_chunks)
+    return Shots.concat(_parallel_map(_run_chunk, chunks, n_chunks))
 
 
 def stats_from_records(shots: Shots, column: int = 0) -> EnsembleStats:

@@ -1,6 +1,6 @@
 """Shared pytest wiring: fail a test that leaves a worker process running,
-count the chunks worker processes ran, and print one PASS/FAIL line per
-acceptance criterion."""
+pin the CPU count, count the items worker processes ran, and print one
+PASS/FAIL line per acceptance criterion."""
 
 import multiprocessing
 import os
@@ -39,33 +39,36 @@ def no_worker_left_running():
 
 
 @pytest.fixture
-def worker_chunks(monkeypatch):
-    """A function giving how many chunks worker processes have run in the
-    pool calls returned so far: the chunks of each call less those this
-    process ran.  Until a worker has run one, each chunk this process takes
-    in a pool call is slowed, so that an idle worker surely claims one."""
+def four_cpus(monkeypatch):
+    """This process may run on four CPUs, whatever the machine has, so that
+    a map over up to four processes starts all of them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+
+
+@pytest.fixture
+def worker_chunks(monkeypatch, four_cpus):
+    """A function giving how many items worker processes have run in the
+    ``_parallel_map`` calls returned so far.  In each call that starts a
+    worker, the first item this process takes is slowed, so that the worker
+    surely claims one."""
     caller = os.getpid()
-    run_chunk, run_chunks = mc._run_chunk, mc.WorkerPool.run_chunks
-    count = {"workers": 0, "in_caller": None}  # in_caller: None outside a pool call
+    parallel_map = mc._parallel_map
+    count = {"workers": 0}
 
-    def counted_run_chunks(self, chunks):
-        count["in_caller"] = 0
-        try:
-            results = run_chunks(self, chunks)
-        finally:
-            in_caller, count["in_caller"] = count["in_caller"], None
-        count["workers"] += len(chunks) - in_caller
-        return results
+    def counted_map(fn, items, n_jobs):
+        slow = [n_jobs > 1 and len(items) > 1]
 
-    def counted_run_chunk(chunk):
-        if os.getpid() == caller and count["in_caller"] is not None:
-            count["in_caller"] += 1
-            if count["workers"] == 0:
+        def tagged(item):
+            if os.getpid() == caller and slow[0]:
+                slow[0] = False
                 time.sleep(0.2)
-        return run_chunk(chunk)
+            return os.getpid(), fn(item)
 
-    monkeypatch.setattr(mc.WorkerPool, "run_chunks", counted_run_chunks)
-    monkeypatch.setattr(mc, "_run_chunk", counted_run_chunk)
+        pairs = parallel_map(tagged, items, n_jobs)
+        count["workers"] += sum(pid != caller for pid, _ in pairs)
+        return [result for _, result in pairs]
+
+    monkeypatch.setattr(mc, "_parallel_map", counted_map)
     return lambda: count["workers"]
 
 

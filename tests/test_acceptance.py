@@ -204,7 +204,7 @@ def _csv_bytes(directory):
 
 
 def test_criterion_8_determinism(tmp_path, worker_chunks):
-    # enough shots for --jobs 4 to split each ensemble in four
+    # enough shots for --jobs 4 to ask for four processes, which take whole points
     common = ["fig2", "--seed", "42", "--shots", "16400", "--grid", "5", "--no-svg"]
     dirs = [tmp_path / name for name in ("run1", "run2", "par4")]
     assert main(common + ["--out", str(dirs[0])]) == 0

@@ -269,6 +269,23 @@ class TestPresets:
             assert float(row["inv_gamma_true"]) == pytest.approx(1.0 / gamma)
             assert float(row["gamma_t_m"]) == pytest.approx(gamma * cfg.t_m)
 
+    def test_fig3_inversion_interval_covers(self, tmp_path):
+        """The sigma_z-inversion interval covers the true 1/Gamma as a 95%
+        interval should: over seeds 0-399 at 200 shots, no noise, on the
+        default Gamma grid, at least 365 of 400 at every Gamma.  365 is
+        binom.ppf(1e-3, 400, 0.95), so a true 95% interval falls below it
+        with probability 5.7e-4.  A missing interval counts as a miss."""
+        covered = [0] * len(default_gamma_grid())
+        for seed in range(400):
+            cfg = RunConfig(n_shots=200, rng_seed=seed, output_dir=tmp_path, emit_svg=False)
+            run_panels(cfg, ["fig3"])
+            with open(tmp_path / "fig3_tunnel.csv", newline="") as fh:
+                for k, row in enumerate(csv.DictReader(fh)):
+                    lo, hi = row["inv_gamma_extracted_low"], row["inv_gamma_extracted_high"]
+                    true = float(row["inv_gamma_true"])
+                    covered[k] += bool(lo) and float(lo) <= true <= float(hi)
+        assert min(covered) >= 365, covered
+
     def test_fig2_dephases_over_t_m(self, tmp_path):
         """Each projective fig2 window lasts the configured t_m.  At theta = 0
         every shot is kept and the Gaussian T2* decay leaves

@@ -1,11 +1,12 @@
 """Block shot engine tests: its Philox uniforms, shot-for-shot equality
 with the scalar ``sample_shot`` of ``reference_sampler``, byte-identical
-CSVs, one worker pool per run that shares each call's chunks with the
-caller and leaves no process behind, a CLI start and fig3 run that do
-not import scipy, a CLI start that imports neither PyYAML nor
-multiprocessing until a run reads a config or opens a pool (nor signal,
-which only a worker uses), and a CLI start that runs one BLAS thread
-unless the caller asks for more."""
+CSVs, one fork-and-join map per run that hands out whole sweep points (or
+a lone point's chunks of shots), shares them with the caller and leaves
+no process behind, a CLI start and fig3 run that do not import scipy, a
+CLI start that imports neither PyYAML nor multiprocessing until a run
+reads a config or starts a worker (nor signal, which only a worker uses),
+and a CLI start that runs one BLAS thread unless the caller asks for
+more."""
 
 import math
 import multiprocessing
@@ -13,6 +14,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -23,7 +25,9 @@ import pytest
 import reference_sampler as ref
 import weakmeas
 from weakmeas import montecarlo as mc
+from weakmeas.experiments import presets
 from weakmeas.experiments.cli import main
+from weakmeas.experiments.config import default_theta_grid
 from weakmeas.protocols import TunnelModel
 from weakmeas.qmath import DensityMatrix
 from weakmeas.spinsys import (
@@ -397,66 +401,128 @@ def test_no_worker_process_left(tmp_path, capsys, worker_chunks):
 
 
 def test_no_worker_process_left_after_a_failed_run(tmp_path, monkeypatch, capsys):
-    """--out names a file: the first panel's ensembles run in the pool, then
-    writing its CSV raises OSError and main returns 2."""
-    ensembles = []
-    run_shots = mc.run_shots
+    """--out names a file: the run's two chunk ranges, each over its three
+    points, are mapped over two processes, then writing the first CSV
+    raises OSError and main returns 2."""
+    calls = []
+    parallel_map = mc._parallel_map
 
-    def counted(*args):
-        ensembles.append(args)
-        return run_shots(*args)
+    def counted(fn, items, n_jobs):
+        if n_jobs > 1:
+            calls.append((len(items), n_jobs))
+        return parallel_map(fn, items, n_jobs)
 
-    monkeypatch.setattr(mc, "run_shots", counted)
+    monkeypatch.setattr(mc, "_parallel_map", counted)
     out = tmp_path / "taken"
     out.write_text("", encoding="utf-8")
     assert main(SPLIT_FIG2 + ["--jobs", "2", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
-    assert len(ensembles) == 3
+    assert calls == [(2, 2)]
     assert multiprocessing.active_children() == []
 
 
 @pytest.fixture
-def recording_pool(monkeypatch):
-    """Stands in for WorkerPool: records the process count each pool asks
-    for and runs the chunks in this process, so no worker starts.  Each pool
-    keeps the chunks of each of its calls in ``calls``."""
-    asked = []
+def recording_map(monkeypatch):
+    """Stands in for _parallel_map: records the process count and the items
+    of each call that asks for more than one process, and runs the items in
+    this process, so no worker starts."""
+    calls = []
 
-    class RecordingPool:
-        def __init__(self, n_jobs):
-            asked.append(n_jobs)
-            self.calls = []
+    def recording(fn, items, n_jobs):
+        if n_jobs > 1:
+            calls.append((n_jobs, items))
+        return [fn(item) for item in items]
 
-        def run_chunks(self, chunks):
-            self.calls.append(chunks)
-            return [mc._run_chunk(c) for c in chunks]
-
-        def shutdown(self):
-            pass
-
-    monkeypatch.setattr(mc, "WorkerPool", RecordingPool)
-    return asked
+    monkeypatch.setattr(mc, "_parallel_map", recording)
+    return calls
 
 
-def test_one_pool_per_run(tmp_path, monkeypatch, capsys, worker_chunks):
-    """A --jobs 2 run of several ensembles starts its workers once."""
-    pools = []
+@pytest.fixture
+def process_starts(monkeypatch):
+    """The processes started so far, and the (fn, items, n_jobs) of each
+    ``_parallel_map`` call that asks for more than one process."""
+    starts, maps = [], []
+    start, parallel_map = multiprocessing.process.BaseProcess.start, mc._parallel_map
 
-    class CountingPool(mc.WorkerPool):
-        def __init__(self, n_jobs):
-            pools.append(n_jobs)
-            super().__init__(n_jobs)
+    def counted_start(proc):
+        starts.append(proc)
+        start(proc)
 
-    monkeypatch.setattr(mc, "WorkerPool", CountingPool)
-    assert main(SPLIT_FIG2 + ["--jobs", "2", "--out", str(tmp_path / "par")]) == 0
-    assert pools == [2]
+    def recorded_map(fn, items, n_jobs):
+        if n_jobs > 1:
+            maps.append((fn, list(items), n_jobs))
+        return parallel_map(fn, items, n_jobs)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted_start)
+    monkeypatch.setattr(mc, "_parallel_map", recorded_map)
+    return starts, maps
+
+
+def test_one_pool_per_run(tmp_path, capsys, worker_chunks, process_starts):
+    """A --jobs 2 run of five points, more than two a process, maps them
+    once over two processes: it starts one worker, once, and hands it
+    whole points."""
+    starts, maps = process_starts
+    argv = ["fig2", "--variant", "single", "--shots", str(SPLIT), "--grid", "5", "--no-svg"]
+    assert main(argv + ["--jobs", "2", "--out", str(tmp_path / "par")]) == 0
+    assert len(starts) == 1
+    ((fn, items, n_jobs),) = maps
+    assert fn.func is presets._sweep_point and n_jobs == 2
+    assert [key for key, _ in items] == [("single", theta) for theta in default_theta_grid(5)]
     assert worker_chunks() > 0
-    assert main(SPLIT_FIG2 + ["--out", str(tmp_path / "serial")]) == 0
-    assert pools == [2]
+    assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
+    assert len(starts) == 1
     par, serial = (
         {p.name: p.read_bytes() for p in (tmp_path / d).glob("*.csv")} for d in ("par", "serial")
     )
     assert par and par == serial
+
+
+@pytest.mark.parametrize("jobs", [2, 4])
+def test_few_points_split_their_shots_in_one_map(
+    tmp_path, capsys, worker_chunks, process_starts, jobs
+):
+    """A run of three points, two or fewer a process, maps its chunk ranges
+    once, each range over every point, so that each process builds the
+    uniforms of one range: it starts each of its jobs - 1 workers once,
+    however many points there are, and writes the bytes of --jobs 1."""
+    starts, maps = process_starts
+    shots = str(jobs * mc.SHOT_BLOCK + 5)  # jobs chunks of at least a block
+    argv = ["fig2", "--variant", "single", "--shots", shots, "--grid", "3", "--no-svg"]
+    assert main(argv + ["--jobs", str(jobs), "--out", str(tmp_path / "par")]) == 0
+    assert len(starts) == jobs - 1
+    ((fn, items, n_jobs),) = maps
+    assert fn is presets._run_chunks and n_jobs == jobs and len(items) == jobs
+    ranges = [{(start, stop) for *_, start, stop in item} for item in items]
+    assert [len(item) for item in items] == [3] * jobs and all(len(r) == 1 for r in ranges)
+    assert worker_chunks() > 0
+    assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
+    par, serial = (
+        {p.name: p.read_bytes() for p in (tmp_path / d).glob("*.csv")} for d in ("par", "serial")
+    )
+    assert par and par == serial
+
+
+def test_one_point_run_splits_its_shots(tmp_path, monkeypatch, capsys, worker_chunks):
+    """A --jobs 2 run of one point maps its two chunks of shots over two
+    processes, joins them here, and writes the bytes of --jobs 1."""
+    maps = []
+    counted_map = mc._parallel_map
+
+    def recorded_map(fn, items, n_jobs):
+        maps.append((fn, len(items), n_jobs))
+        return counted_map(fn, items, n_jobs)
+
+    monkeypatch.setattr(mc, "_parallel_map", recorded_map)
+    config = tmp_path / "one.yaml"
+    config.write_text("experiment: fig3_tunnel\ngamma_grid: [0.5]\n", encoding="utf-8")
+    argv = ["custom", "--config", str(config), "--shots", str(SPLIT)]
+    for jobs in ("1", "2"):
+        assert main(argv + ["--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+    assert [m for m in maps if m[2] > 1] == [(presets._run_chunks, 2, 2)]
+    assert worker_chunks() > 0
+    one, two = ({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()} for d in ("1", "2"))
+    assert len(one) == 3 and one == two
 
 
 @pytest.mark.parametrize(
@@ -468,13 +534,13 @@ def test_one_pool_per_run(tmp_path, monkeypatch, capsys, worker_chunks):
         (1, 8, None),
     ],
 )
-def test_run_pool_workers_bounded(tmp_path, recording_pool, capsys, shots, jobs, workers):
-    """The run's pool is for as many processes as run_shots makes chunks of
-    --shots, at most --jobs and each of at least a block, and there is none
-    at all when that is one."""
+def test_run_pool_workers_bounded(tmp_path, recording_map, capsys, shots, jobs, workers):
+    """The run maps its points over as many processes as run_shots makes
+    chunks of --shots, at most --jobs and each of at least a block, and asks
+    for no second process at all when that is one."""
     argv = ["fig2", "--variant", "single", "--grid", "3", "--no-svg", "--shots", str(shots)]
     assert main(argv + ["--jobs", str(jobs), "--out", str(tmp_path)]) == 0
-    assert recording_pool == ([] if workers is None else [workers])
+    assert [n for n, _ in recording_map] == ([] if workers is None else [workers])
 
 
 @pytest.mark.parametrize(
@@ -494,49 +560,58 @@ def test_chunk_count(n_shots, counts):
 @pytest.mark.parametrize(
     "n_shots, n_jobs", [(2 * mc.SHOT_BLOCK, 64), (3 * mc.SHOT_BLOCK + 1, 3), (5 * mc.SHOT_BLOCK - 1, 8)]
 )
-def test_chunks_are_contiguous_blocks_and_more(recording_pool, n_shots, n_jobs):
+def test_chunks_are_contiguous_blocks_and_more(recording_map, n_shots, n_jobs):
     protocol, noise = NAMED_CASES["bell window, dephasing"]
-    with mc.worker_pool(n_jobs) as pool:
-        mc.run_shots(protocol, noise, n_shots, 4, n_jobs)
-    (chunks,) = pool.calls
+    mc.run_shots(protocol, noise, n_shots, 4, n_jobs)
+    ((processes, chunks),) = recording_map
     bounds = [(start, stop) for *_, start, stop in chunks]
-    assert len(bounds) == mc.chunk_count(n_shots, n_jobs)
+    assert len(bounds) == processes == mc.chunk_count(n_shots, n_jobs)
     assert [a for a, _ in bounds] == [0] + [b for _, b in bounds[:-1]]
     assert bounds[-1][1] == n_shots
     assert min(b - a for a, b in bounds) >= mc.SHOT_BLOCK
 
 
-def test_worker_pool_is_shared_and_call_pools_bounded(recording_pool):
+def test_worker_pool_is_shared_and_call_pools_bounded(recording_map):
+    """run_shots maps a split call over one process per chunk, and a
+    sub-block call over no second process."""
     protocol, noise = NAMED_CASES["bell window, dephasing"]
     serial = mc.run_shots(protocol, noise, SPLIT, 4)
     sub_block = mc.run_shots(protocol, noise, 2 * mc.SHOT_BLOCK - 1, 4)
     assert mc.run_shots(protocol, noise, SPLIT, 4, n_jobs=8) == serial
     assert mc.run_shots(protocol, noise, 2 * mc.SHOT_BLOCK - 1, 4, n_jobs=8) == sub_block
-    assert recording_pool == [2]
-    with mc.worker_pool(3) as outer:
-        with mc.worker_pool(5) as inner:
-            assert inner is outer
-            assert mc.run_shots(protocol, noise, SPLIT, 4, n_jobs=4) == serial
-            # one chunk runs here, not in the open pool
-            assert mc.run_shots(protocol, noise, 2 * mc.SHOT_BLOCK - 1, 4, n_jobs=4) == sub_block
-    assert recording_pool == [2, 3]
-    assert [len(chunks) for chunks in outer.calls] == [2]
-    with mc.worker_pool(1) as none:
-        assert none is None
-    assert recording_pool == [2, 3]
+    assert [n for n, _ in recording_map] == [2]
 
 
-def test_sub_block_run_starts_no_pool(tmp_path, recording_pool, capsys):
-    """A custom run whose ensembles are all smaller than two blocks opens no
-    pool at --jobs 4 and writes the bytes of --jobs 1."""
+def test_sub_block_run_starts_no_pool(tmp_path, recording_map, capsys):
+    """A custom run whose ensembles are all smaller than two blocks asks
+    for no second process at --jobs 4 and writes the bytes of --jobs 1."""
     config = tmp_path / "custom.yaml"
     config.write_text("experiment: custom\nn_shots: 50\n", encoding="utf-8")
     argv = ["custom", "--config", str(config), "--grid", "5"]
     for jobs in ("1", "4"):
         assert main(argv + ["--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
-    assert recording_pool == []
+    assert recording_map == []
     one, four = ({p.name: p.read_bytes() for p in (tmp_path / d).glob("*.csv")} for d in ("1", "4"))
     assert one and one == four
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_map_starts_no_more_processes_than_cpus(monkeypatch, affinity):
+    """--jobs far above the CPU count starts one process per CPU this
+    process may run on, read from its affinity or, without one, cpu_count."""
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def slow_pid(_):
+        time.sleep(0.05)  # long enough for every started worker to claim an item
+        return os.getpid()
+
+    with time_limit(30):
+        pids = mc._parallel_map(slow_pid, list(range(8)), 64)
+    assert len(pids) == 8 and len(set(pids)) <= 2
 
 
 @contextmanager
@@ -555,27 +630,41 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_caller_runs_the_chunks_of_a_stopped_worker(worker_chunks):
-    """A worker that is not running costs the call nothing: the caller
-    claims every chunk and does not wait for it."""
-    protocol, noise = NAMED_CASES["bell window, dephasing"]
-    serial = mc.run_shots(protocol, noise, SPLIT, 9)
-    with mc.worker_pool(2):
-        (worker,) = multiprocessing.active_children()
-        os.kill(worker.pid, signal.SIGSTOP)
-        try:
-            with time_limit(30):
-                assert mc.run_shots(protocol, noise, SPLIT, 9, n_jobs=2) == serial
-                assert mc.run_shots(protocol, noise, SPLIT, 9, n_jobs=4) == serial
-        finally:
-            os.kill(worker.pid, signal.SIGCONT)
-        assert worker_chunks() == 0
-        for _ in range(20):  # the late answers are taken and the worker rejoins
-            assert mc.run_shots(protocol, noise, SPLIT, 9, n_jobs=2) == serial
-        assert worker_chunks() > 0
+def test_caller_runs_the_chunks_of_a_stopped_worker(four_cpus):
+    """A worker that is not running costs the map nothing: while it is
+    stopped, the caller runs every item left unclaimed, and once the worker
+    runs again the map returns the serial result."""
+    caller = os.getpid()
+    in_caller, resumed, timers = [], [], []
+
+    def resume(pid):
+        resumed.append(time.monotonic())
+        os.kill(pid, signal.SIGCONT)
+
+    def square(x):
+        if os.getpid() != caller:
+            time.sleep(0.5)  # the caller stops this worker meanwhile
+        elif not timers:
+            (worker,) = multiprocessing.active_children()
+            os.kill(worker.pid, signal.SIGSTOP)
+            timers.append(threading.Timer(1.0, resume, (worker.pid,)))
+            timers[0].start()
+        if os.getpid() == caller:
+            in_caller.append(time.monotonic())
+        return x * x
+
+    items = list(range(20))
+    try:
+        with time_limit(30):
+            assert mc._parallel_map(square, items, 2) == [x * x for x in items]
+    finally:
+        for timer in timers:
+            timer.join()
+    assert len(in_caller) >= len(items) - 1  # the worker ran at most its first item
+    assert max(in_caller) < resumed[0]
 
 
-def test_worker_error_reaches_the_caller(monkeypatch):
+def test_worker_error_reaches_the_caller(monkeypatch, four_cpus):
     """A chunk that raises in a worker raises in the caller; the caller's
     own chunk is slowed so that the worker surely claims one."""
     caller = os.getpid()
@@ -593,14 +682,25 @@ def test_worker_error_reaches_the_caller(monkeypatch):
         mc.run_shots(protocol, noise, SPLIT, 9, n_jobs=2)
 
 
-def test_lost_worker_is_reported():
-    protocol, noise = NAMED_CASES["bell window, dephasing"]
-    with mc.worker_pool(2):
-        (worker,) = multiprocessing.active_children()
-        worker.kill()
-        worker.join()
-        with time_limit(30), pytest.raises((RuntimeError, BrokenPipeError)):
-            mc.run_shots(protocol, noise, SPLIT, 9, n_jobs=2)
+def test_lost_worker_is_reported(four_cpus):
+    """A worker killed before it answered makes the map raise RuntimeError
+    once the caller has run the items left."""
+    caller = os.getpid()
+    killed = []
+
+    def kill_the_worker_first(x):
+        if os.getpid() != caller:
+            time.sleep(0.5)  # the caller kills this worker meanwhile
+        elif not killed:
+            (worker,) = multiprocessing.active_children()
+            worker.kill()
+            worker.join()
+            killed.append(worker)
+        return x
+
+    with time_limit(30), pytest.raises(RuntimeError, match="exited unexpectedly"):
+        mc._parallel_map(kill_the_worker_first, list(range(8)), 2)
+    assert killed
 
 
 def test_chi2_quantile_constant():
