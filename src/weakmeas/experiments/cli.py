@@ -32,9 +32,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid", type=int, help="number of theta grid points")
     parser.add_argument(
         "--jobs", type=int,
-        help="processes, this one included, that share the sweep points (or, over "
-        "two points a process or fewer, their shots); at most one per CPU this "
-        "process may run on",
+        help="processes, this one included, that share the shots, each running "
+        "one range of them at every sweep point; at most one per CPU this process "
+        "may run on",
     )
     svg = parser.add_mutually_exclusive_group()
     svg.add_argument("--svg", dest="svg", action="store_true", default=None)

@@ -60,6 +60,8 @@ class RunConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.n_shots < 1:
             raise ValueError("n_shots must be >= 1")
+        if not -(1 << 63) <= self.rng_seed < 1 << 64:  # a key Philox takes
+            raise ValueError(f"rng_seed {self.rng_seed} is outside [-2**63, 2**64)")
         if not self.theta_grid or self.gamma_grid == []:
             raise ValueError("parameter grids must be non-empty")
         if not (math.isfinite(self.t_m) and self.t_m > 0):

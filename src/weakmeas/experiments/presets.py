@@ -8,10 +8,13 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .. import montecarlo as mc
 from .. import protocols
@@ -212,32 +215,38 @@ def _sweep_protocol(sequence: str, value: float, t_m: float) -> mc.Protocol:
     return fig2_protocol(sequence, value, AXES, t_m)
 
 
-def _reduce(config: RunConfig, key: tuple[str, float], protocol: mc.Protocol,
-            shots: mc.Shots) -> SweepPoint:
-    """The ``SweepPoint`` of one (sequence, sweep value) from all its shots."""
+def _run_range(config: RunConfig, work: Sequence[tuple], bounds: tuple[int, int]) -> list:
+    """Shots a..b-1 of every (key, protocol) point of ``work``, reduced to
+    what ``_sweep_point`` adds up: per point, the statistics of each axis
+    its tomography names and, at a Gamma point, the recorded blip times."""
+    a, b = bounds
+    parts = []
+    for (sequence, _), protocol in work:
+        shots = mc.run_shots(protocol, config.noise, b - a, config.rng_seed, 1, start=a)
+        stats = {
+            axis: mc.stats_from_records(shots, k)
+            for k, axis in enumerate(protocol.steps[-1].axes)
+        }
+        times = mc.recorded_blip_times(shots) if sequence == BELL_WINDOW else None
+        parts.append((stats, times))
+        del shots  # before the next point's columns are built
+    return parts
+
+
+def _sweep_point(config: RunConfig, key: tuple[str, float], parts: Sequence[tuple]) -> SweepPoint:
+    """The ``SweepPoint`` of one (sequence, sweep value) from the parts of
+    its shot ranges, in range order."""
     sequence, value = key
-    stats = {
-        axis: mc.stats_from_records(shots, k)
-        for k, axis in enumerate(protocol.steps[-1].axes)
-    }
+    stats = {axis: reduce(operator.add, (s[axis] for s, _ in parts)) for axis in parts[0][0]}
     if sequence != BELL_WINDOW:
         return SweepPoint(stats, closed_form_tomography(sequence, value))
+    times = np.concatenate([t for _, t in parts])
     try:
-        return SweepPoint(stats, None, mc.estimate_gamma_from_blips(shots, config.t_m))
+        return SweepPoint(
+            stats, None, mc.estimate_gamma_from_blips(times, config.n_shots, config.t_m)
+        )
     except mc.NoInformationError:
         return SweepPoint(stats, None)
-
-
-def _sweep_point(config: RunConfig, item: tuple) -> SweepPoint:
-    """A whole (key, protocol) point: a serial ``run_shots``, reduced."""
-    key, protocol = item
-    shots = mc.run_shots(protocol, config.noise, config.n_shots, config.rng_seed, 1)
-    return _reduce(config, key, protocol, shots)
-
-
-def _run_chunks(chunks: Sequence[tuple]) -> list[mc.Shots]:
-    """The ``Shots`` of one chunk range of every point."""
-    return [mc._run_chunk(chunk) for chunk in chunks]
 
 
 def run_panels(config: RunConfig, prefixes: Sequence[str]) -> list[Path]:
@@ -247,16 +256,14 @@ def run_panels(config: RunConfig, prefixes: Sequence[str]) -> list[Path]:
     The run lists each (sequence, sweep value) the selected panels read and
     simulates it once, for every axis its tomography names, before anything
     is written: noise, shots and seed are fixed for a run, so equal keys are
-    equal ensembles.  ``--jobs`` counts processes as ``run_shots`` splits
-    an ensemble's shots, ``n = chunk_count(n_shots, n_jobs)``, so a run
-    whose ensembles ``run_shots`` would not split forks nothing.  The run
-    makes one ``_parallel_map`` over ``n`` processes.  With more than two
-    points a process, each process takes whole points and reduces them
-    where they ran.  With fewer, each takes one of the ``n`` chunk ranges
-    of shots over every point, so that it builds the Philox uniforms of
-    that range alone, and this process joins and reduces each point's
-    chunks.  Either way every point is reduced from its whole ``Shots`` in
-    shot order, so the output bytes do not depend on ``n_jobs``.
+    equal ensembles.  It cuts the shots into ``mc.shot_ranges(n_shots,
+    n_jobs)``, so ``--jobs`` counts processes as ``run_shots`` would, and a
+    run whose ensembles ``run_shots`` would not split forks nothing.  One
+    ``_parallel_map`` takes the ranges: each process runs its range at
+    every point, so it builds the Philox uniforms of that range alone, and
+    sends back counts and blip times.  This process adds up each point's
+    counts and joins its times in range order, which is shot order, so the
+    output bytes do not depend on ``n_jobs``.
     """
     selected = [panel for panel in PANELS if panel.name.startswith(tuple(prefixes))]
     if not selected:
@@ -264,21 +271,13 @@ def run_panels(config: RunConfig, prefixes: Sequence[str]) -> list[Path]:
     keys = dict.fromkeys(
         (panel.sequence, value) for panel in selected for value in _sweep(config, panel.sequence)
     )
-    work = {key: _sweep_protocol(*key, config.t_m) for key in keys}
-    n = mc.chunk_count(config.n_shots, config.n_jobs)
-    if n == 1 or len(work) > 2 * n:
-        done = mc._parallel_map(partial(_sweep_point, config), list(work.items()), n)
-        points = dict(zip(work, done))
-    else:
-        chunks = [
-            mc._chunks(protocol, config.noise, config.n_shots, config.rng_seed, n)
-            for protocol in work.values()
-        ]
-        done = mc._parallel_map(_run_chunks, list(zip(*chunks)), n)
-        points = {
-            key: _reduce(config, key, protocol, mc.Shots.concat([part[i] for part in done]))
-            for i, (key, protocol) in enumerate(work.items())
-        }
+    work = [(key, _sweep_protocol(*key, config.t_m)) for key in keys]
+    ranges = mc.shot_ranges(config.n_shots, config.n_jobs)
+    done = mc._parallel_map(partial(_run_range, config, work), ranges, len(ranges))
+    points = {
+        key: _sweep_point(config, key, [parts[i] for parts in done])
+        for i, key in enumerate(keys)
+    }
     paths: list[Path] = []
     for panel in selected:
         tabulate = _tunnel_table if panel.statistic == TUNNEL else _sweep_table
@@ -339,7 +338,7 @@ def _wilson_interval(stats: mc.EnsembleStats) -> tuple[float, float]:
     empty when every kept shot reads -1 (Brown, Cai & DasGupta, Statist.
     Sci. 16, 2001); the score interval has neither fault."""
     n = stats.n_kept
-    p = round(n * (1.0 + stats.mean) / 2.0) / n
+    p = stats.n_plus / n
     z2 = 1.959963984540054**2 / n
     center = (p + z2 / 2.0) / (1.0 + z2)
     half = math.sqrt(z2 * (p * (1.0 - p) + z2 / 4.0)) / (1.0 + z2)

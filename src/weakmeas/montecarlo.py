@@ -33,15 +33,16 @@ reads the same seed and chunk ranges, so each chunk range's uniforms are
 generated once per process, kept as one read-only cache entry per range,
 and shared by every ensemble that reads them.
 
-``n_jobs`` splits the shot range into ``chunk_count(n_shots, n_jobs)``
-chunks: at most ``n_jobs``, each of at least ``SHOT_BLOCK`` shots, since a
-smaller chunk saves less than its round trip through a worker costs.  One
-chunk runs in the caller.  Several go through ``_parallel_map``, the one
-fork-and-join map of the package, which the caller and its worker
-processes share through one counter of claimed items.  A figure run makes
-one such map over its sweep points, each a serial ``run_shots``, or over
-the chunks of all its points when it has too few points to share whole.
-``multiprocessing`` is imported only when a worker starts.
+``n_jobs`` cuts the shots into ``shot_ranges(n_shots, n_jobs)``, the
+``chunk_count(n_shots, n_jobs)`` contiguous ranges: at most ``n_jobs``,
+each of at least ``SHOT_BLOCK`` shots, since a smaller range saves less
+than its round trip through a worker costs.  The ranges go through
+``_parallel_map``, the one fork-and-join map of the package, which runs a
+lone range in the caller and otherwise shares them between the caller and
+its worker processes through one counter of claimed items.  A figure run
+makes one such map over the ranges of its shots, each range run at every
+sweep point with ``run_shots(..., start=a)`` and reduced to counts where
+it ran.  ``multiprocessing`` is imported only when a worker starts.
 """
 
 from __future__ import annotations
@@ -192,12 +193,17 @@ class Shots:
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Post-selected ensemble statistics of the +-1 tomography outcomes."""
+    """Post-selected ensemble counts of the +-1 tomography outcomes.  The
+    counts of disjoint shot ranges add up to those of their union."""
 
     n_total: int
     n_kept: int
-    mean: Optional[float]
-    std_error: Optional[float]
+    n_plus: int  # kept shots that read +1
+
+    def __add__(self, other: "EnsembleStats") -> "EnsembleStats":
+        return EnsembleStats(
+            self.n_total + other.n_total, self.n_kept + other.n_kept, self.n_plus + other.n_plus
+        )
 
     @property
     def success_fraction(self) -> float:
@@ -206,6 +212,17 @@ class EnsembleStats:
     @property
     def empty(self) -> bool:
         return self.n_kept == 0
+
+    @property
+    def mean(self) -> Optional[float]:
+        """The kept shots' mean outcome, None when none was kept."""
+        return None if self.empty else (2 * self.n_plus - self.n_kept) / self.n_kept
+
+    @property
+    def std_error(self) -> Optional[float]:
+        """The standard error of ``mean``, None when no shot was kept."""
+        mean = self.mean
+        return None if mean is None else math.sqrt(max(1.0 - mean * mean, 0.0) / self.n_kept)
 
 
 def _dephase_joint(joint: np.ndarray, duration: float, t2star: float) -> np.ndarray:
@@ -549,20 +566,18 @@ def _parallel_map(fn, items: Sequence, n_jobs: int) -> list:
 
 
 def chunk_count(n_shots: int, n_jobs: int) -> int:
-    """How many chunks ``run_shots`` splits ``n_shots`` shots into at
+    """How many ranges ``shot_ranges`` cuts ``n_shots`` shots into at
     ``n_jobs`` processes: at most ``n_jobs``, each of at least ``SHOT_BLOCK``
-    shots, and never fewer than one.  A chunk smaller than a block saves
+    shots, and never fewer than one.  A range smaller than a block saves
     less time than its round trip through a worker costs."""
     return max(1, min(n_jobs, n_shots // SHOT_BLOCK))
 
 
-def _chunks(
-    protocol: Protocol, noise: NoiseConfig, n_shots: int, rng_seed: int, n_chunks: int
-) -> list[tuple]:
-    """``_run_chunk``'s arguments for shots 0..n_shots-1 cut into
-    ``n_chunks`` contiguous chunks of as equal sizes as can be."""
-    bounds = np.linspace(0, n_shots, n_chunks + 1, dtype=int).tolist()
-    return [(protocol, noise, rng_seed, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+def shot_ranges(n_shots: int, n_jobs: int) -> list[tuple[int, int]]:
+    """Shots 0..n_shots-1 cut into ``chunk_count(n_shots, n_jobs)``
+    contiguous ``(start, stop)`` ranges of as equal sizes as can be."""
+    n = chunk_count(n_shots, n_jobs)
+    return [(n_shots * k // n, n_shots * (k + 1) // n) for k in range(n)]
 
 
 def run_shots(
@@ -571,39 +586,40 @@ def run_shots(
     n_shots: int = 1,
     rng_seed: int = 0,
     n_jobs: int = 1,
+    start: int = 0,
 ) -> Shots:
-    """The outcomes of shots 0..n_shots-1, in shot order.
+    """The outcomes of shots start..start+n_shots-1, in shot order.
 
-    The shots are split into ``chunk_count(n_shots, n_jobs)`` contiguous
-    chunks, each of at least ``SHOT_BLOCK`` shots.  One chunk runs in this
-    process; several are mapped over that many processes by
-    ``_parallel_map``.  The result is identical to the serial run because
-    every shot has its own stream.  ``rng_seed`` must be a key numpy's
-    ``Philox`` takes, in [-2**63, 2**64); a negative seed keys the stream
-    as its 64-bit mask.
+    The shots are cut into ``shot_ranges(n_shots, n_jobs)``, each of at
+    least ``SHOT_BLOCK`` shots, and ``_parallel_map`` maps them over that
+    many processes; a lone range runs in this process.  The result is
+    identical to the serial run, and shots a..b-1 of any run equal the run
+    of those shots alone, because every shot has its own stream.
+    ``rng_seed`` must be a key numpy's ``Philox`` takes, in [-2**63, 2**64);
+    a negative seed keys the stream as its 64-bit mask.  The shot indices
+    are the other key word, so they must lie in [0, 2**64).
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
     if not -(1 << 63) <= rng_seed <= _MASK64:
         raise ValueError(f"rng_seed {rng_seed} is outside [-2**63, 2**64)")
-    n_chunks = chunk_count(n_shots, n_jobs)
-    if n_chunks == 1:
-        return _run_chunk((protocol, noise, rng_seed, 0, n_shots))
-    chunks = _chunks(protocol, noise, n_shots, rng_seed, n_chunks)
-    return Shots.concat(_parallel_map(_run_chunk, chunks, n_chunks))
+    if start < 0 or start + n_shots > 1 << 64:
+        raise ValueError(f"shots {start}..{start + n_shots - 1} are outside [0, 2**64)")
+    chunks = [
+        (protocol, noise, rng_seed, start + a, start + b) for a, b in shot_ranges(n_shots, n_jobs)
+    ]
+    return Shots.concat(_parallel_map(_run_chunk, chunks, len(chunks)))
 
 
 def stats_from_records(shots: Shots, column: int = 0) -> EnsembleStats:
     """Order-insensitive aggregation of the kept shots' tomography outcomes
     on the ``column``-th axis the protocol's tomography names."""
     outcome = shots.outcome[:, column]
-    n_total = len(shots)
-    n_kept = int(np.count_nonzero(outcome))
-    if n_kept == 0:
-        return EnsembleStats(n_total=n_total, n_kept=0, mean=None, std_error=None)
-    mean = int(outcome.sum()) / n_kept
-    std_error = math.sqrt(max(1.0 - mean * mean, 0.0) / n_kept)
-    return EnsembleStats(n_total=n_total, n_kept=n_kept, mean=mean, std_error=std_error)
+    return EnsembleStats(
+        n_total=len(shots),
+        n_kept=int(np.count_nonzero(outcome)),
+        n_plus=int(np.count_nonzero(outcome > 0)),
+    )
 
 
 def conditional_state(
@@ -669,35 +685,36 @@ def _bisect(f, lo: float, hi: float) -> float:
             hi = mid
 
 
-def estimate_gamma_from_blips(
-    shots: Shots,
-    t_m: float,
-    up_branch_probability: float = 0.5,
-) -> GammaEstimate:
-    """Censored-exponential MLE of the up-electron tunnel-out rate.
-
-    Observed blip times follow the exponential law truncated to the
-    window; no-blip shots are right-censored at t_m within the up branch,
-    which occurs with the given probability (1/2 for the Bell protocol).
-    The 95% interval comes from the likelihood-ratio statistic.
-    """
+def recorded_blip_times(shots: Shots) -> np.ndarray:
+    """The blip times a single-window protocol recorded, in shot order."""
     if shots.blip_times.shape[1] != 1:
         raise ProtocolError("shots must come from a single-window protocol")
     column = shots.blip_times[:, 0]
-    times = column[~np.isnan(column)].tolist()
-    # Python's left-to-right sum in shot order, not np.sum's pairwise one:
-    # the fig3 CSV depends on the last bit of it.
-    return _censored_exp_mle(
-        len(times), len(shots) - len(times), float(sum(times)), t_m, up_branch_probability
-    )
+    return column[~np.isnan(column)]
 
 
-def _censored_exp_mle(
-    n_blips: int, n_censored: int, sum_t: float, t_m: float, p: float
+def estimate_gamma_from_blips(
+    times: np.ndarray,
+    n_shots: int,
+    t_m: float,
+    p: float = 0.5,
 ) -> GammaEstimate:
-    """The MLE of ``estimate_gamma_from_blips`` from its sufficient statistics."""
+    """Censored-exponential MLE of the up-electron tunnel-out rate from the
+    ``recorded_blip_times`` of ``n_shots`` shots.
+
+    Observed blip times follow the exponential law truncated to the
+    window; no-blip shots are right-censored at t_m within the up branch,
+    which occurs with probability ``p`` (1/2 for the Bell protocol).
+    The 95% interval comes from the likelihood-ratio statistic.
+    """
+    n_blips = len(times)
+    n_censored = n_shots - n_blips
     if n_blips == 0:
         raise NoInformationError("no tunnel events observed")
+    # one left-to-right pass in shot order: not np.sum's pairwise sum, nor
+    # builtin sum(), which is compensated from Python 3.12.  The fig3 CSV
+    # depends on the last bit of it.
+    sum_t = float(np.cumsum(times)[-1])
 
     def loglik(gamma: float) -> float:
         return (

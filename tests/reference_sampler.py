@@ -221,26 +221,18 @@ def sample_columns(protocol, noise, rng_seed, start, stop) -> mc.Shots:
     return mc.Shots(np.hstack([run.outcome for run in runs]), runs[0].blip_times)
 
 
-def run_shots(protocol, noise=mc.NO_NOISE, n_shots=1, rng_seed=0, n_jobs=1) -> mc.Shots:
+def run_shots(
+    protocol, noise=mc.NO_NOISE, n_shots=1, rng_seed=0, n_jobs=1, start=0
+) -> mc.Shots:
     """``montecarlo.run_shots`` computed one ``sample_shot`` at a time."""
-    return sample_columns(protocol, noise, rng_seed, 0, n_shots)
+    return sample_columns(protocol, noise, rng_seed, start, start + n_shots)
 
 
 def stats_from_records(records: Sequence[ShotRecord]) -> mc.EnsembleStats:
     """Order-insensitive aggregation of the kept-shot tomography outcomes."""
-    n_total = len(records)
-    n_kept = 0
-    total = 0
-    for r in records:
-        if r.kept:
-            n_kept += 1
-            total += r.nuclear_outcome
-    if n_kept == 0:
-        return mc.EnsembleStats(n_total=n_total, n_kept=0, mean=None, std_error=None)
-    mean = total / n_kept
-    std_error = math.sqrt(max(1.0 - mean * mean, 0.0) / n_kept)
+    kept = [r.nuclear_outcome for r in records if r.kept]
     return mc.EnsembleStats(
-        n_total=n_total, n_kept=n_kept, mean=mean, std_error=std_error
+        n_total=len(records), n_kept=len(kept), n_plus=sum(o == 1 for o in kept)
     )
 
 
@@ -251,11 +243,23 @@ def estimate_gamma_from_records(
     up_branch_probability: float = 0.5,
 ) -> mc.GammaEstimate:
     """The blip-time MLE's statistics gathered from the records of a
-    protocol with ``n_windows`` readout windows, then solved."""
+    protocol with ``n_windows`` readout windows, then solved.  The times are
+    summed by an explicit loop in shot order, independent of numpy and of
+    builtin ``sum()`` (compensated from Python 3.12)."""
     if n_windows != 1:
         raise mc.ProtocolError("records must come from a single-window protocol")
     times = [r.blip_times[0] for r in records if r.blip_times[0] is not None]
-    n_blips = len(times)
-    return mc._censored_exp_mle(
-        n_blips, len(records) - n_blips, float(sum(times)), t_m, up_branch_probability
-    )
+    sum_t = 0.0
+    for t in times:
+        sum_t += t
+    return mle_from_sum(sum_t, len(times), len(records), t_m, up_branch_probability)
+
+
+def mle_from_sum(sum_t, n_blips, n_shots, t_m, p=0.5) -> mc.GammaEstimate:
+    """``montecarlo.estimate_gamma_from_blips`` of any ``n_blips`` times
+    that sum to ``sum_t``.  The estimator reads its times only through their
+    count and their sum, so it is handed ``sum_t`` followed by zeros, which
+    leave that sum unchanged."""
+    stand_in = np.zeros(n_blips)
+    stand_in[:1] = sum_t
+    return mc.estimate_gamma_from_blips(stand_in, n_shots, t_m, p)

@@ -143,7 +143,7 @@ def test_criterion_4_tunnel_rate_roundtrip():
         half = Z95 * stats.std_error
         inv_lo = tunnel_rate_limits(stats.mean - half, t_m)
         inv_hi = tunnel_rate_limits(stats.mean + half, t_m)
-        est = mc.estimate_gamma_from_blips(records, t_m)
+        est = mc.estimate_gamma_from_blips(mc.recorded_blip_times(records), n_shots, t_m)
         assert max(inv_lo, est.ci_low) <= min(inv_hi, est.ci_high)
 
 
@@ -204,7 +204,7 @@ def _csv_bytes(directory):
 
 
 def test_criterion_8_determinism(tmp_path, worker_chunks):
-    # enough shots for --jobs 4 to ask for four processes, which take whole points
+    # enough shots for --jobs 4 to cut four ranges, each run at every point
     common = ["fig2", "--seed", "42", "--shots", "16400", "--grid", "5", "--no-svg"]
     dirs = [tmp_path / name for name in ("run1", "run2", "par4")]
     assert main(common + ["--out", str(dirs[0])]) == 0

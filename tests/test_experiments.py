@@ -377,14 +377,21 @@ class TestCli:
             (["custom"], "n_shots: [1, 2\n"),
             (["fig2", "--seed", "18446744073709551621"], ""),  # 2**64 + 5
             (["fig3", "--seed", "-9223372036854775809"], ""),  # -2**63 - 1
+            # shot ranges of at least a block each, run in two processes
+            (["fig2", "--variant", "single", "--seed", "18446744073709551621",
+              "--shots", "8200", "--jobs", "2"], ""),
+            (["fig2", "--variant", "single", "--seed", "-9223372036854775809",
+              "--shots", "8200", "--jobs", "2"], ""),
         ],
-        ids=["malformed_yaml", "seed_above_range", "seed_below_range"],
+        ids=["malformed_yaml", "seed_above_range", "seed_below_range",
+             "seed_above_range_jobs2", "seed_below_range_jobs2"],
     )
     def test_rejected_run_reports_one_line(self, tmp_path, capsys, argv, config):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(config, encoding="utf-8")
         out = tmp_path / "out"
-        argv = [*argv, "--shots", "20", "--grid", "3", "--no-svg"]
+        command, *options = argv  # a case's own options override the defaults
+        argv = [command, "--shots", "20", "--grid", "3", "--no-svg", *options]
         rc = main([*argv, "--config", str(cfg), "--out", str(out)])
         assert rc == 2
         captured = capsys.readouterr()
@@ -444,12 +451,12 @@ class TestCli:
         calls = []
         run_shots = mc.run_shots
 
-        def counted(protocol, noise, n_shots, rng_seed, n_jobs):
+        def counted(protocol, noise, n_shots, rng_seed, n_jobs=1, start=0):
             calls.append(
                 (repr(protocol.steps), protocol.initial.rho.matrix.tobytes(),
-                 noise, n_shots, rng_seed)
+                 noise, n_shots, rng_seed, start)
             )
-            return run_shots(protocol, noise, n_shots, rng_seed, n_jobs)
+            return run_shots(protocol, noise, n_shots, rng_seed, n_jobs, start)
 
         monkeypatch.setattr(mc, "run_shots", counted)
         theta_grid = [0.0, 1.0, math.pi, 5.0]

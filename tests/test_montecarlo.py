@@ -24,6 +24,7 @@ from weakmeas.montecarlo import (
     _no_blip_damping,
     conditional_state,
     estimate_gamma_from_blips,
+    recorded_blip_times,
     run_shots,
     stats_from_records,
 )
@@ -345,6 +346,11 @@ class TestShots:
         assert len(run_shots(measure_protocol(1.0), n_shots=7)) == 7
 
 
+def blip_mle(shots, t_m, p=0.5):
+    """The blip-time MLE from every shot of a single-window run."""
+    return estimate_gamma_from_blips(recorded_blip_times(shots), len(shots), t_m, p)
+
+
 def outcome_of(fn, *args):
     """``fn(*args)``, or the type of the ValueError it raised."""
     try:
@@ -376,19 +382,24 @@ class TestEstimatorsMatchRecords:
              "two windows"],
     )
     def test_estimators(self, protocol, noise, n_shots, gamma_error):
-        # at seed 22 the dephased ensemble's blip times sum to a different
-        # last bit in shot order than pairwise (np.sum), and so does the MLE
         shots = run_shots(protocol, noise, n_shots, 22)
         records = ref.sample_records(protocol, noise, 22, 0, n_shots)
         assert shots == ref.to_shots(records, len(protocol.windows))
         assert stats_from_records(shots) == ref.stats_from_records(records)
         t_m = protocol.windows[0].model.t_m
-        got = outcome_of(estimate_gamma_from_blips, shots, t_m)
+        got = outcome_of(blip_mle, shots, t_m)
         assert got == outcome_of(
             ref.estimate_gamma_from_records, records, len(protocol.windows), t_m
         )
         if gamma_error is None:
             assert isinstance(got, GammaEstimate)
+            # at seed 22 the dephased ensemble's blip times sum to another
+            # last bit, and give another MLE, pairwise (np.sum) or correctly
+            # rounded (math.fsum, which builtin sum() approaches from Python
+            # 3.12) than left to right in shot order, as the reference sums
+            times = recorded_blip_times(shots)
+            for sum_t in (float(np.sum(times)), math.fsum(times)):
+                assert ref.mle_from_sum(sum_t, len(times), n_shots, t_m) != got
         else:
             assert got is gamma_error
 
@@ -399,7 +410,7 @@ class TestGammaEstimator:
         shots = run_shots(
             bell_window_protocol(gamma, t_m), n_shots=10_000, rng_seed=12
         )
-        est = estimate_gamma_from_blips(shots, t_m)
+        est = blip_mle(shots, t_m)
         assert est.inv_gamma == pytest.approx(1.0 / gamma, rel=0.05)
         assert est.ci_low < 1.0 / gamma < est.ci_high
         assert est.n_blips + est.n_censored == 10_000
@@ -409,18 +420,18 @@ class TestGammaEstimator:
         shots = run_shots(
             bell_window_protocol(gamma, t_m), n_shots=10_000, rng_seed=13
         )
-        est = estimate_gamma_from_blips(shots, t_m)
+        est = blip_mle(shots, t_m)
         assert est.inv_gamma == pytest.approx(1.0 / gamma, rel=0.05)
 
     def test_no_blips_raises(self):
         shots = Shots(np.ones((10, 1), dtype=np.int8), np.full((10, 1), np.nan))
         with pytest.raises(NoInformationError):
-            estimate_gamma_from_blips(shots, 1.5)
+            blip_mle(shots, 1.5)
 
     def test_rejects_multi_window_records(self):
         shots = Shots(np.ones((1, 1), dtype=np.int8), np.array([[0.1, np.nan]]))
         with pytest.raises(ProtocolError):
-            estimate_gamma_from_blips(shots, 1.5)
+            recorded_blip_times(shots)
 
     def test_rejects_two_windows_when_every_shot_stops_at_the_first(self):
         """Every up electron tunnels in the first window and is rejected
@@ -435,15 +446,13 @@ class TestGammaEstimator:
         assert not shots.outcome.any()
         assert np.isnan(shots.blip_times[:, 1]).all()
         with pytest.raises(ProtocolError):
-            estimate_gamma_from_blips(shots, 1.5)
+            recorded_blip_times(shots)
 
     def test_interval_narrows_with_data(self):
         gamma, t_m = 1.0, 1.5
         p = bell_window_protocol(gamma, t_m)
-        small = estimate_gamma_from_blips(run_shots(p, n_shots=500, rng_seed=14), t_m)
-        large = estimate_gamma_from_blips(
-            run_shots(p, n_shots=8_000, rng_seed=14), t_m
-        )
+        small = blip_mle(run_shots(p, n_shots=500, rng_seed=14), t_m)
+        large = blip_mle(run_shots(p, n_shots=8_000, rng_seed=14), t_m)
         assert (large.ci_high - large.ci_low) < (small.ci_high - small.ci_low)
 
     def test_matches_brentq(self):
@@ -476,12 +485,7 @@ class TestGammaEstimator:
             (1, 40, 900), (0, 25, 1500), (0.05, 0.3), (0.5, 0.8), (0.2, 1.5, 12.0)
         ):
             times = [mean_t * t_m * (0.5 + (i % 5) / 4) for i in range(n_blips)]
-            n = n_blips + n_censored
-            shots = Shots(
-                np.ones((n, 1), dtype=np.int8),
-                np.array(times + [np.nan] * n_censored)[:, None],
-            )
-            est = estimate_gamma_from_blips(shots, t_m, p)
+            est = estimate_gamma_from_blips(np.array(times), n_blips + n_censored, t_m, p)
             expected = reference(n_blips, n_censored, float(sum(times)), p, t_m)
             case = (n_blips, n_censored, mean_t, p, t_m)
             assert (est.inv_gamma, est.ci_low, est.ci_high) == pytest.approx(

@@ -1,8 +1,9 @@
 """Block shot engine tests: its Philox uniforms, shot-for-shot equality
-with the scalar ``sample_shot`` of ``reference_sampler``, byte-identical
-CSVs, one fork-and-join map per run that hands out whole sweep points (or
-a lone point's chunks of shots), shares them with the caller and leaves
-no process behind, a CLI start and fig3 run that do not import scipy, a
+with the scalar ``sample_shot`` of ``reference_sampler``, any split of the
+shots adding up to the whole run, byte-identical CSVs, one fork-and-join
+map per run that hands out ranges of shots, each run at every sweep point
+and sent back as counts, shares them with the caller and leaves no
+process behind, a CLI start and fig3 run that do not import scipy, a
 CLI start that imports neither PyYAML nor multiprocessing until a run
 reads a config or starts a worker (nor signal, which only a worker uses),
 and a CLI start that runs one BLAS thread unless the caller asks for
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_sampler as ref
 import weakmeas
@@ -300,6 +302,39 @@ class TestSeveralAxes:
             mc.NuclearTomography(axes)
 
 
+@settings(deadline=None, max_examples=40)
+@given(
+    name=st.sampled_from(sorted(NAMED_CASES)),
+    n_and_split=st.integers(2, 700).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+    seed=st.integers(-5, 2**40),
+)
+def test_any_split_adds_up_to_the_whole_run(name, n_and_split, seed):
+    """Shots 0..a-1 and a..n-1, run apart, give the whole run's Shots
+    joined, and their statistics on every axis add up to the whole run's."""
+    n, a = n_and_split
+    protocol, noise = NAMED_CASES[name]
+    several = ref.with_axes(protocol, "zxy")
+    whole = mc.run_shots(several, noise, n, seed)
+    head = mc.run_shots(several, noise, a, seed)
+    tail = mc.run_shots(several, noise, n - a, seed, 1, a)
+    assert mc.Shots.concat([head, tail]) == whole
+    for k in range(3):
+        added = mc.stats_from_records(head, k) + mc.stats_from_records(tail, k)
+        assert added == mc.stats_from_records(whole, k)
+
+
+def test_shot_indices_must_be_philox_keys():
+    """The shot index is a 64-bit key word: the last shot below 2**64 runs
+    as the reference runs it, and a range that starts below 0 or ends past
+    2**64 is refused."""
+    protocol, noise = NAMED_CASES["bell window, dephasing"]
+    got = mc.run_shots(protocol, noise, 3, 5, 1, MASK64 - 2)
+    assert got == ref.run_shots(protocol, noise, 3, 5, 1, MASK64 - 2)
+    for start in (-1, MASK64 - 1):
+        with pytest.raises(ValueError, match="outside"):
+            mc.run_shots(protocol, noise, 3, 5, 1, start)
+
+
 def test_philox_ranges_are_cached_and_read_only():
     """Runs at two seeds and two shot ranges, interleaved and on protocols
     with different draw counts, equal each run alone."""
@@ -401,7 +436,7 @@ def test_no_worker_process_left(tmp_path, capsys, worker_chunks):
 
 
 def test_no_worker_process_left_after_a_failed_run(tmp_path, monkeypatch, capsys):
-    """--out names a file: the run's two chunk ranges, each over its three
+    """--out names a file: the run's two shot ranges, each over its three
     points, are mapped over two processes, then writing the first CSV
     raises OSError and main returns 2."""
     calls = []
@@ -439,8 +474,8 @@ def recording_map(monkeypatch):
 
 @pytest.fixture
 def process_starts(monkeypatch):
-    """The processes started so far, and the (fn, items, n_jobs) of each
-    ``_parallel_map`` call that asks for more than one process."""
+    """The processes started so far, and the (fn, items, n_jobs, results) of
+    each ``_parallel_map`` call that asks for more than one process."""
     starts, maps = [], []
     start, parallel_map = multiprocessing.process.BaseProcess.start, mc._parallel_map
 
@@ -449,80 +484,74 @@ def process_starts(monkeypatch):
         start(proc)
 
     def recorded_map(fn, items, n_jobs):
+        results = parallel_map(fn, items, n_jobs)
         if n_jobs > 1:
-            maps.append((fn, list(items), n_jobs))
-        return parallel_map(fn, items, n_jobs)
+            maps.append((fn, list(items), n_jobs, results))
+        return results
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted_start)
     monkeypatch.setattr(mc, "_parallel_map", recorded_map)
     return starts, maps
 
 
-def test_one_pool_per_run(tmp_path, capsys, worker_chunks, process_starts):
-    """A --jobs 2 run of five points, more than two a process, maps them
-    once over two processes: it starts one worker, once, and hands it
-    whole points."""
-    starts, maps = process_starts
-    argv = ["fig2", "--variant", "single", "--shots", str(SPLIT), "--grid", "5", "--no-svg"]
-    assert main(argv + ["--jobs", "2", "--out", str(tmp_path / "par")]) == 0
-    assert len(starts) == 1
-    ((fn, items, n_jobs),) = maps
-    assert fn.func is presets._sweep_point and n_jobs == 2
-    assert [key for key, _ in items] == [("single", theta) for theta in default_theta_grid(5)]
-    assert worker_chunks() > 0
-    assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
-    assert len(starts) == 1
-    par, serial = (
-        {p.name: p.read_bytes() for p in (tmp_path / d).glob("*.csv")} for d in ("par", "serial")
-    )
-    assert par and par == serial
-
-
 @pytest.mark.parametrize("jobs", [2, 4])
-def test_few_points_split_their_shots_in_one_map(
-    tmp_path, capsys, worker_chunks, process_starts, jobs
-):
-    """A run of three points, two or fewer a process, maps its chunk ranges
-    once, each range over every point, so that each process builds the
-    uniforms of one range: it starts each of its jobs - 1 workers once,
-    however many points there are, and writes the bytes of --jobs 1."""
+@pytest.mark.parametrize("points", [1, 3, 5])
+def test_one_map_over_shot_ranges(tmp_path, capsys, worker_chunks, process_starts, points, jobs):
+    """A --jobs run of any number of points maps the chunk_count ranges of
+    its shots once, each range run at every point: it starts each of its
+    jobs - 1 workers once and writes the bytes of --jobs 1."""
     starts, maps = process_starts
-    shots = str(jobs * mc.SHOT_BLOCK + 5)  # jobs chunks of at least a block
-    argv = ["fig2", "--variant", "single", "--shots", shots, "--grid", "3", "--no-svg"]
+    shots = jobs * mc.SHOT_BLOCK + 5  # jobs ranges of at least a block
+    if points == 1:
+        config = tmp_path / "one.yaml"
+        config.write_text("experiment: fig3_tunnel\ngamma_grid: [0.5]\n", encoding="utf-8")
+        argv = ["custom", "--config", str(config)]
+        keys = [(presets.BELL_WINDOW, 0.5)]
+    else:
+        argv = ["fig2", "--variant", "single", "--grid", str(points)]
+        keys = [("single", theta) for theta in default_theta_grid(points)]
+    argv += ["--shots", str(shots)]
     assert main(argv + ["--jobs", str(jobs), "--out", str(tmp_path / "par")]) == 0
     assert len(starts) == jobs - 1
-    ((fn, items, n_jobs),) = maps
-    assert fn is presets._run_chunks and n_jobs == jobs and len(items) == jobs
-    ranges = [{(start, stop) for *_, start, stop in item} for item in items]
-    assert [len(item) for item in items] == [3] * jobs and all(len(r) == 1 for r in ranges)
+    ((fn, items, n_jobs, answers),) = maps
+    assert fn.func is presets._run_range and n_jobs == jobs
+    assert items == mc.shot_ranges(shots, jobs) and len(items) == mc.chunk_count(shots, jobs)
+    assert [key for key, _ in fn.args[1]] == keys
+    assert all(len(answer) == points for answer in answers)
     assert worker_chunks() > 0
     assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
+    assert len(starts) == jobs - 1
     par, serial = (
-        {p.name: p.read_bytes() for p in (tmp_path / d).glob("*.csv")} for d in ("par", "serial")
+        {p.name: p.read_bytes() for p in (tmp_path / d).iterdir()} for d in ("par", "serial")
     )
-    assert par and par == serial
+    assert len(par) == (3 if points == 1 else 6) and par == serial
 
 
-def test_one_point_run_splits_its_shots(tmp_path, monkeypatch, capsys, worker_chunks):
-    """A --jobs 2 run of one point maps its two chunks of shots over two
-    processes, joins them here, and writes the bytes of --jobs 1."""
-    maps = []
-    counted_map = mc._parallel_map
-
-    def recorded_map(fn, items, n_jobs):
-        maps.append((fn, len(items), n_jobs))
-        return counted_map(fn, items, n_jobs)
-
-    monkeypatch.setattr(mc, "_parallel_map", recorded_map)
-    config = tmp_path / "one.yaml"
-    config.write_text("experiment: fig3_tunnel\ngamma_grid: [0.5]\n", encoding="utf-8")
-    argv = ["custom", "--config", str(config), "--shots", str(SPLIT)]
-    for jobs in ("1", "2"):
-        assert main(argv + ["--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
-    assert [m for m in maps if m[2] > 1] == [(presets._run_chunks, 2, 2)]
+def test_worker_answers_are_counts_and_blip_times(tmp_path, capsys, worker_chunks, process_starts):
+    """What a range sends back, also from a worker, is per point the
+    EnsembleStats of each axis and, at a Gamma point alone, the 1-D array
+    of the blip times its range recorded: no Shots column crosses a pipe."""
+    _, maps = process_starts
+    config = tmp_path / "run.yaml"
+    config.write_text(
+        "experiment: custom\ntheta_grid: [0.0, 2.0]\ngamma_grid: [0.5, 3.0]\n", encoding="utf-8"
+    )
+    argv = ["custom", "--config", str(config), "--shots", str(SPLIT), "--no-svg"]
+    assert main(argv + ["--jobs", "2", "--out", str(tmp_path)]) == 0
     assert worker_chunks() > 0
-    one, two = ({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()} for d in ("1", "2"))
-    assert len(one) == 3 and one == two
+    ((fn, ranges, _, answers),) = maps
+    work = fn.args[1]
+    assert len(work) == 4 * 2 + 2
+    for (a, b), answer in zip(ranges, answers):
+        assert len(answer) == len(work)
+        for ((sequence, _), protocol), (stats, times) in zip(work, answer):
+            assert list(stats) == list(protocol.steps[-1].axes)
+            assert all(type(s) is mc.EnsembleStats and s.n_total == b - a for s in stats.values())
+            if sequence == presets.BELL_WINDOW:
+                assert type(times) is np.ndarray and times.ndim == 1
+                assert 0 < len(times) <= b - a
+            else:
+                assert times is None
 
 
 @pytest.mark.parametrize(
