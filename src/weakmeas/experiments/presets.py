@@ -241,9 +241,11 @@ def _sweep_point(config: RunConfig, key: tuple[str, float], parts: Sequence[tupl
     if sequence != BELL_WINDOW:
         return SweepPoint(stats, closed_form_tomography(sequence, value))
     times = np.concatenate([t for _, t in parts])
+    # A false negative drops a real blip's time; a false positive records none.
+    p = 0.5 * (1.0 - config.noise.readout_false_negative)
     try:
         return SweepPoint(
-            stats, None, mc.estimate_gamma_from_blips(times, config.n_shots, config.t_m)
+            stats, None, mc.estimate_gamma_from_blips(times, config.n_shots, config.t_m, p)
         )
     except mc.NoInformationError:
         return SweepPoint(stats, None)

@@ -21,10 +21,14 @@ history (the state is a function of the outcomes drawn so far, not of the
 shot).  That state is always the 4x4 electron-nuclear density matrix: a
 finite readout window leaves the nucleus mixed once the electron is traced
 out, so the pulse, the window and the tomography each have one arithmetic,
-with or without dephasing.  It returns ``Shots``, one array row per shot:
-one tomography outcome per named axis (0 for a rejected shot) and the blip
-time of each window (NaN where none was recorded or the shot was rejected
-before it).  The estimators read these columns directly.
+with or without dephasing.  The pulse is ``spinsys._node_pulse`` and the
+window the helpers of ``protocols``, the package's one readout-window
+channel, which ``conditional_state`` forces an outcome through; only the
+dephasing after a window and the label errors are the engine's own.  It
+returns ``Shots``, one array row per shot: one tomography outcome per named
+axis (0 for a rejected shot) and the blip time of each window (NaN where
+none was recorded or the shot was rejected before it).  The estimators
+read these columns directly.
 
 The axis only sets the threshold the shot's last uniform is compared
 with, so one pass samples every named axis, and column k equals a run of
@@ -33,13 +37,13 @@ reads the same seed and chunk ranges, so each chunk range's uniforms are
 generated once per process, kept as one read-only cache entry per range,
 and shared by every ensemble that reads them.
 
-``n_jobs`` cuts the shots into ``shot_ranges(n_shots, n_jobs)``, the
-``chunk_count(n_shots, n_jobs)`` contiguous ranges: at most ``n_jobs``,
-each of at least ``SHOT_BLOCK`` shots, since a smaller range saves less
-than its round trip through a worker costs.  The ranges go through
-``_parallel_map``, the one fork-and-join map of the package, which runs a
-lone range in the caller and otherwise shares them between the caller and
-its worker processes through one counter of claimed items.  A figure run
+``n_jobs`` cuts the shots into ``shot_ranges(n_shots, n_jobs)``, at most
+``n_jobs`` contiguous ranges, each of at least ``SHOT_BLOCK`` shots, since
+a smaller range saves less than its round trip through a worker costs.
+The ranges go through ``_parallel_map``, the one fork-and-join map of the
+package, which runs a lone range in the caller and otherwise shares them
+between the caller and its worker processes through one counter of
+claimed items.  A figure run
 makes one such map over the ranges of its shots, each range run at every
 sweep point with ``run_shots(..., start=a)`` and reduced to counts where
 it ran.  ``multiprocessing`` is imported only when a worker starts.
@@ -50,27 +54,23 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, fields
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
-from . import qmath
-from .qmath import DensityMatrix
 from .protocols import (
     BLIP,
     NO_BLIP,
     PostSelectedState,
     TunnelModel,
-    weak_electron_window,
+    _node_after_window,
+    _node_blip_weights,
+    _post_selected,
+    _window_outcome,
 )
-from .spinsys import (
-    JointState,
-    NuclearState,
-    RotationPulse,
-    prepare_initial,
-    pulse_unitary,
-)
+from .qmath import _nuclear_reduced
+from .spinsys import JointState, RotationPulse, _node_pulse, prepare_initial
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -233,35 +233,6 @@ def _dephase_joint(joint: np.ndarray, duration: float, t2star: float) -> np.ndar
     return out
 
 
-def _nuclear_reduced(joint: np.ndarray) -> np.ndarray:
-    """Manual electron partial trace (hot path; avoids einsum overhead)."""
-    t = joint.reshape(2, 2, 2, 2)
-    return t[:, 0, :, 0] + t[:, 1, :, 1]
-
-
-def _embed_nuclear(nuc: np.ndarray) -> np.ndarray:
-    """Joint state with the given nuclear 2x2 and a fresh down electron."""
-    out = np.zeros((4, 4), dtype=complex)
-    out[1, 1] = nuc[0, 0]
-    out[1, 3] = nuc[0, 1]
-    out[3, 1] = nuc[1, 0]
-    out[3, 3] = nuc[1, 1]
-    return out
-
-
-# The tunnel model is hashable, so each window's matrix is built once per
-# process; it is read-only because every protocol shares it.
-@cache
-def _no_blip_damping(model: TunnelModel) -> np.ndarray:
-    """Elementwise factor a no-blip window applies to the joint density
-    matrix: d d^T for the per-basis-state amplitudes d."""
-    su, sd = math.sqrt(model.survival_up), math.sqrt(model.survival_down)
-    d = np.array([su, sd, su, sd])
-    damping = d[:, None] * d[None, :]
-    damping.flags.writeable = False
-    return damping
-
-
 # Block engine: the shots of one block advance together.
 SHOT_BLOCK = 4096  # shots per block; bounds the engine's per-shot arrays
 
@@ -341,39 +312,11 @@ def _philox_uniforms(rng_seed: int, start: int, stop: int, n_draws: int) -> np.n
 
 
 # A node is the 4x4 joint density matrix shared by every shot with the
-# same outcomes so far.  Each shot therefore sees the probabilities the
+# same outcomes so far; ``spinsys._node_pulse`` and the window helpers of
+# ``protocols`` evolve it.  Each shot therefore sees the probabilities the
 # scalar ``sample_shot`` in tests/reference_sampler.py gives it on its
 # own, up to rounding: that reference keeps a statevector while the
 # state stays pure, an independent arithmetic for the same channels.
-
-
-def _node_pulse(joint: np.ndarray, pulse: RotationPulse) -> np.ndarray:
-    u = pulse_unitary(pulse)
-    return u @ joint @ u.conj().T
-
-
-def _node_blip_weights(joint: np.ndarray, step: ReadoutWindow) -> tuple[float, float]:
-    """Probabilities that the up / the down electron tunnels out."""
-    model = step.model
-    p_up = joint[0, 0].real + joint[2, 2].real
-    return p_up * (1.0 - model.survival_up), (1.0 - p_up) * (1.0 - model.survival_down)
-
-
-def _node_after_window(
-    joint: np.ndarray, step: ReadoutWindow, branch: int, t2star: Optional[float]
-) -> np.ndarray:
-    """State after a window with no blip (branch 0) or with the up (1) or
-    down (2) electron tunneled out, dephased when ``t2star`` is set."""
-    if branch:
-        nuc = joint.reshape(2, 2, 2, 2)[:, branch - 1, :, branch - 1]
-        joint = _embed_nuclear(nuc / (nuc[0, 0].real + nuc[1, 1].real))
-    else:
-        joint = joint * _no_blip_damping(step.model)
-        w = (joint[0, 0] + joint[1, 1] + joint[2, 2] + joint[3, 3]).real
-        joint = _embed_nuclear(_nuclear_reduced(joint / w))  # reload a down electron
-    if t2star is not None:
-        joint = _dephase_joint(joint, step.model.t_m, t2star)
-    return joint
 
 
 def _node_p_plus(joint: np.ndarray, axis: str) -> float:
@@ -413,7 +356,8 @@ def _shot_block(protocol: Protocol, noise: NoiseConfig, uniforms: np.ndarray) ->
             nodes = [_node_pulse(x, step) for x in nodes]
             continue
         w += 1
-        weights = np.array([_node_blip_weights(x, step) for x in nodes])
+        model = step.model
+        weights = np.array([_node_blip_weights(x, model) for x in nodes])
         w_up, w_down = weights[node, 0], weights[node, 1]
         p_blip = w_up + w_down
         blip = u[cursor] < p_blip
@@ -432,7 +376,6 @@ def _shot_block(protocol: Protocol, noise: NoiseConfig, uniforms: np.ndarray) ->
             observed = blip ^ (drawn & (u[cursor] < flip_p))
             cursor += drawn
         recorded = blip & observed
-        model = step.model
         for sel, gamma in (
             (recorded & ~down, model.gamma_up_out),
             (recorded & down, model.gamma_down_out),
@@ -456,9 +399,9 @@ def _shot_block(protocol: Protocol, noise: NoiseConfig, uniforms: np.ndarray) ->
         used = np.flatnonzero(np.bincount(key, minlength=3 * len(nodes)))
         remap = np.empty(3 * len(nodes), dtype=np.intp)
         remap[used] = np.arange(used.size)
-        nodes = [
-            _node_after_window(nodes[k // 3], step, k % 3, t2star) for k in used.tolist()
-        ]
+        nodes = [_node_after_window(nodes[k // 3], model, k % 3) for k in used.tolist()]
+        if t2star is not None:
+            nodes = [_dephase_joint(x, model.t_m, t2star) for x in nodes]
         node = remap[key]
     if rows.size:
         draw = u[cursor]  # one draw serves every axis
@@ -565,18 +508,13 @@ def _parallel_map(fn, items: Sequence, n_jobs: int) -> list:
     return [results[i] for i in range(len(items))]
 
 
-def chunk_count(n_shots: int, n_jobs: int) -> int:
-    """How many ranges ``shot_ranges`` cuts ``n_shots`` shots into at
-    ``n_jobs`` processes: at most ``n_jobs``, each of at least ``SHOT_BLOCK``
-    shots, and never fewer than one.  A range smaller than a block saves
-    less time than its round trip through a worker costs."""
-    return max(1, min(n_jobs, n_shots // SHOT_BLOCK))
-
-
 def shot_ranges(n_shots: int, n_jobs: int) -> list[tuple[int, int]]:
-    """Shots 0..n_shots-1 cut into ``chunk_count(n_shots, n_jobs)``
-    contiguous ``(start, stop)`` ranges of as equal sizes as can be."""
-    n = chunk_count(n_shots, n_jobs)
+    """Shots 0..n_shots-1 cut into contiguous ``(start, stop)`` ranges of
+    as equal sizes as can be, one per process of ``n_jobs``: at most
+    ``n_jobs`` of them, each of at least ``SHOT_BLOCK`` shots, and never
+    fewer than one.  A range smaller than a block saves less time than its
+    round trip through a worker costs."""
+    n = max(1, min(n_jobs, n_shots // SHOT_BLOCK))
     return [(n_shots * k // n, n_shots * (k + 1) // n) for k in range(n)]
 
 
@@ -627,10 +565,11 @@ def conditional_state(
 ) -> PostSelectedState:
     """Deterministic evolution with forced readout outcomes.
 
-    Applies ``protocols.weak_electron_window`` with one forced outcome
-    ("no_blip" or "blip") per readout window, reloading a down electron
-    after each, and returns the final nuclear state with the joint
-    probability of that outcome sequence.
+    Forces one outcome ("no_blip" or "blip") per readout window through the
+    shot engine's window arithmetic, as ``protocols.weak_electron_window``
+    does, reloading a down electron after each, and returns the final
+    nuclear state with the joint probability of that outcome sequence.
+    Noise is not applied.
     """
     outcomes = list(window_outcomes)
     if len(outcomes) != len(protocol.windows):
@@ -644,11 +583,9 @@ def conditional_state(
         outcome = outcomes.pop(0)
         if outcome not in (NO_BLIP, BLIP):
             raise ProtocolError(f"unknown forced outcome {outcome!r}")
-        post = weak_electron_window(JointState(DensityMatrix(joint)), step.model, outcome)
-        probability *= post.success_probability
-        joint = _embed_nuclear(post.state.rho.matrix)
-    nuclear = qmath.partial_trace(joint, qmath.ELECTRON)
-    return PostSelectedState(NuclearState(DensityMatrix(nuclear)), probability)
+        joint, weight = _window_outcome(joint, step.model, outcome)
+        probability *= weight
+    return _post_selected(joint, probability)
 
 
 # 95% quantile of the chi-squared law with one degree of freedom: the exact
@@ -703,9 +640,11 @@ def estimate_gamma_from_blips(
     ``recorded_blip_times`` of ``n_shots`` shots.
 
     Observed blip times follow the exponential law truncated to the
-    window; no-blip shots are right-censored at t_m within the up branch,
-    which occurs with probability ``p`` (1/2 for the Bell protocol).
-    The 95% interval comes from the likelihood-ratio statistic.
+    window; no-blip shots are right-censored at t_m within the branch that
+    records a time, which occurs with probability ``p``: 1/2 for the Bell
+    protocol, times 1 - p_fn under false negatives, which drop a real
+    blip's time (a false positive records none).  The 95% interval comes
+    from the likelihood-ratio statistic.
     """
     n_blips = len(times)
     n_censored = n_shots - n_blips

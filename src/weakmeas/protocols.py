@@ -3,14 +3,25 @@ nucleus, weak electron measurement through a finite readout window,
 success probabilities, tunnel-rate inversion, tomography expectations and
 the steering scan.
 
-Every function here is a closed form or an exact 4x4 channel composition;
-the Monte Carlo sampler is checked against these.
+Every function here is a closed form or an exact 4x4 channel composition.
+
+The readout window has one implementation, the private raw-array helpers
+``_no_blip_damping``, ``_node_blip_weights`` and ``_node_after_window``:
+the shot engine in ``montecarlo`` evolves every branch history with them,
+and ``weak_electron_window``, ``weak_nuclear_measure`` (a projective
+window), ``steering_scan`` and ``montecarlo.conditional_state`` force an
+outcome through the same arithmetic.  So the closed forms of pulse
+sequences (``closed_form_sequence``, ``sigma_z_noblip``, the success
+probabilities) and the statevector path of the tests' reference sampler
+stay the independent oracles of that channel.  The validated state types
+are built only at the public functions' boundaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, exp, inf, isfinite, log
+from functools import cache
+from math import cos, exp, inf, isfinite, log, sqrt
 
 import numpy as np
 
@@ -18,15 +29,11 @@ from . import qmath
 from .qmath import DensityMatrix
 from .spinsys import (
     Frequency,
-    I2,
     JointState,
     NuclearState,
-    PROJ_DOWN,
-    PROJ_UP,
     RotationPulse,
-    conditional_unitary,
+    _node_pulse,
     prepare_bell,
-    unconditional_unitary,
 )
 
 ZERO_BRANCH_TOL = 1e-15
@@ -105,6 +112,11 @@ class TunnelModel:
         return cls(gamma_up_out=inf, t_m=t_m)
 
 
+# The window of weak_nuclear_measure.  Without dephasing its duration does
+# not enter the state, so any positive t_m serves.
+_PROJECTIVE = TunnelModel.projective(1.0)
+
+
 @dataclass(frozen=True)
 class TomographyResult:
     """The three nuclear Pauli expectations (the Bloch vector)."""
@@ -125,39 +137,97 @@ class TomographyResult:
         return self.sigma_x**2 + self.sigma_y**2 + self.sigma_z**2
 
 
-def _post_select(joint: np.ndarray, kraus_e: np.ndarray) -> tuple[np.ndarray, float]:
-    """Apply an electron-space Kraus operator, return (nuclear state, weight)."""
-    k = qmath.kron(I2, kraus_e)
-    branch = k @ joint @ k.conj().T
-    weight = float(np.trace(branch).real)
+def _embed_nuclear(nuc: np.ndarray) -> np.ndarray:
+    """Joint state with the given nuclear 2x2 and a fresh down electron."""
+    out = np.zeros((4, 4), dtype=complex)
+    out[1, 1] = nuc[0, 0]
+    out[1, 3] = nuc[0, 1]
+    out[3, 1] = nuc[1, 0]
+    out[3, 3] = nuc[1, 1]
+    return out
+
+
+# The tunnel model is hashable, so each window's matrix is built once per
+# process; it is read-only because every protocol shares it.
+@cache
+def _no_blip_damping(model: TunnelModel) -> np.ndarray:
+    """Elementwise factor a no-blip window applies to the joint density
+    matrix: d d^T for the per-basis-state amplitudes d."""
+    su, sd = sqrt(model.survival_up), sqrt(model.survival_down)
+    d = np.array([su, sd, su, sd])
+    damping = d[:, None] * d[None, :]
+    damping.flags.writeable = False
+    return damping
+
+
+def _node_blip_weights(joint: np.ndarray, model: TunnelModel) -> tuple[float, float]:
+    """Probabilities that the up / the down electron tunnels out."""
+    p_up = joint[0, 0].real + joint[2, 2].real
+    return p_up * (1.0 - model.survival_up), (1.0 - p_up) * (1.0 - model.survival_down)
+
+
+def _node_after_window(joint: np.ndarray, model: TunnelModel, branch: int) -> np.ndarray:
+    """State after a window with no blip (branch 0) or with the up (1) or
+    down (2) electron tunneled out, the electron reloaded down."""
+    if branch:
+        nuc = joint.reshape(2, 2, 2, 2)[:, branch - 1, :, branch - 1]
+        return _embed_nuclear(nuc / (nuc[0, 0].real + nuc[1, 1].real))
+    joint = joint * _no_blip_damping(model)
+    w = (joint[0, 0] + joint[1, 1] + joint[2, 2] + joint[3, 3]).real
+    return _embed_nuclear(qmath._nuclear_reduced(joint / w))
+
+
+def _window_outcome(
+    joint: np.ndarray, model: TunnelModel, outcome: str
+) -> tuple[np.ndarray, float]:
+    """The state after a window forced to ``outcome``, electron reloaded
+    down, and the outcome's probability: branch 0 for no blip, the mix of
+    branches 1 and 2 by their weights for a blip."""
+    w_up, w_down = _node_blip_weights(joint, model)
+    if outcome == NO_BLIP:
+        branches = [(0, 1.0 - (w_up + w_down))]
+    elif outcome == BLIP:
+        if not joint[1, 1].real + joint[3, 3].real > 0.0:
+            w_down = 0.0  # no electron is down: 1 - p_up is rounding, its state 0 / 0
+        branches = [(b, w) for b, w in ((1, w_up), (2, w_down)) if w > 0.0]
+    else:
+        raise ValueError(f"unknown outcome {outcome!r}")
+    weight = sum(w for _, w in branches)
     if weight < ZERO_BRANCH_TOL:
-        raise ImpossibleBranchError(
-            f"branch probability {weight} is numerically zero"
-        )
-    return qmath.partial_trace(branch / weight, qmath.ELECTRON), weight
+        raise ImpossibleBranchError(f"{outcome} branch probability {weight} is numerically zero")
+    if len(branches) == 1:
+        return _node_after_window(joint, model, branches[0][0]), weight
+    return sum(w * _node_after_window(joint, model, b) for b, w in branches) / weight, weight
+
+
+def _post_selected(joint: np.ndarray, weight: float) -> PostSelectedState:
+    """The validated nuclear state of ``joint`` with its branch weight."""
+    nuclear = qmath.partial_trace(joint, qmath.ELECTRON)
+    return PostSelectedState(NuclearState(DensityMatrix(nuclear)), weight)
 
 
 def weak_nuclear_measure(
     state: JointState, pulse: RotationPulse, electron_outcome: str = DOWN
 ) -> PostSelectedState:
-    """Conditional electron rotation, projective electron readout,
-    post-selection on the given outcome, electron traced out."""
-    u = conditional_unitary(pulse)
-    rotated = u @ state.rho.matrix @ u.conj().T
-    proj = {DOWN: PROJ_DOWN, UP: PROJ_UP}[electron_outcome]
-    nuclear, weight = _post_select(rotated, proj)
-    return PostSelectedState(NuclearState(DensityMatrix(nuclear)), weight)
+    """A pulse (a conditional one measures the nucleus weakly), projective
+    electron readout, post-selection on the given outcome, electron traced
+    out.  The readout is a projective window: an up electron always
+    tunnels, so DOWN is its no-blip branch and UP its blip branch."""
+    outcome = {DOWN: NO_BLIP, UP: BLIP}[electron_outcome]
+    return _post_selected(
+        *_window_outcome(_node_pulse(state.rho.matrix, pulse), _PROJECTIVE, outcome)
+    )
 
 
 def unconditional_nuclear_channel(
     state: JointState, pulse: RotationPulse
 ) -> NuclearState:
-    """Conditional rotation, electron traced out with no post-selection.
+    """A pulse, then the electron traced out with no post-selection.
 
-    Nuclear populations are untouched; the coherence shrinks by cos(theta/2).
+    After a conditional pulse the nuclear populations are untouched and
+    the coherence shrinks by cos(theta/2).
     """
-    u = conditional_unitary(pulse)
-    rotated = u @ state.rho.matrix @ u.conj().T
+    rotated = _node_pulse(state.rho.matrix, pulse)
     return NuclearState(DensityMatrix(qmath.partial_trace(rotated, qmath.ELECTRON)))
 
 
@@ -214,30 +284,7 @@ def weak_electron_window(
     nuclear state left after the ionization (the electron is subsequently
     reloaded as down by the sequence driver).
     """
-    joint = state.rho.matrix
-    e_up, e_down = model.survival_up, model.survival_down
-    if outcome == NO_BLIP:
-        kraus = np.sqrt(e_up) * PROJ_UP + np.sqrt(e_down) * PROJ_DOWN
-        nuclear, weight = _post_select(joint, kraus)
-        return PostSelectedState(NuclearState(DensityMatrix(nuclear)), weight)
-    if outcome != BLIP:
-        raise ValueError(f"unknown outcome {outcome!r}")
-    pieces = []
-    weight = 0.0
-    for survival, proj in ((e_up, PROJ_UP), (e_down, PROJ_DOWN)):
-        if survival >= 1.0:
-            continue
-        k = qmath.kron(I2, proj)
-        branch = k @ joint @ k.conj().T
-        w = (1.0 - survival) * float(np.trace(branch).real)
-        if w > 0.0:
-            pieces.append((1.0 - survival) * branch)
-            weight += w
-    if weight < ZERO_BRANCH_TOL:
-        raise ImpossibleBranchError("blip branch has zero probability")
-    mixed = sum(pieces) / weight
-    nuclear = qmath.partial_trace(mixed, qmath.ELECTRON)
-    return PostSelectedState(NuclearState(DensityMatrix(nuclear)), weight)
+    return _post_selected(*_window_outcome(state.rho.matrix, model, outcome))
 
 
 def sigma_z_noblip(theta: float, model: TunnelModel) -> float:
@@ -286,11 +333,8 @@ def steering_scan(theta: float) -> TomographyResult:
     electron down: the nuclear state tracks the rotated electron
     measurement basis (sigma_z = -cos(theta) up to the axis convention).
     """
-    bell = prepare_bell()
-    u = unconditional_unitary(RotationPulse(Frequency.ESR_BOTH, theta))
-    rotated = u @ bell.rho.matrix @ u.conj().T
-    nuclear, _ = _post_select(rotated, PROJ_DOWN)
-    return tomography_expectations(NuclearState(DensityMatrix(nuclear)))
+    pulse = RotationPulse(Frequency.ESR_BOTH, theta)
+    return tomography_expectations(weak_nuclear_measure(prepare_bell(), pulse, DOWN).state)
 
 
 def tunnel_rate_limits(sigma_z: float, t_m: float) -> float:

@@ -157,6 +157,13 @@ def pulse_unitary(pulse: RotationPulse) -> np.ndarray:
     return u
 
 
+def _node_pulse(joint: np.ndarray, pulse: RotationPulse) -> np.ndarray:
+    """The 4x4 array ``joint`` after ``pulse``: the one pulse conjugation
+    of the package, shared by the shot engine and the closed forms."""
+    u = pulse_unitary(pulse)
+    return u @ joint @ u.conj().T
+
+
 _NUCLEAR_PREPARATIONS = {
     "superposition_x": (KET_UP + KET_DOWN) / np.sqrt(2.0),
     "up": KET_UP,
@@ -185,8 +192,8 @@ def prepare_bell() -> JointState:
     electron down, then a pi pulse conditioned on the nuclear up state.
     """
     state = prepare_initial("superposition_x")
-    u = conditional_unitary(RotationPulse(Frequency.NU_E2, np.pi))
-    return JointState(DensityMatrix(u @ state.rho.matrix @ u.conj().T))
+    pulse = RotationPulse(Frequency.NU_E2, np.pi)
+    return JointState(DensityMatrix(_node_pulse(state.rho.matrix, pulse)))
 
 
 def negativity(state: JointState) -> float:

@@ -25,7 +25,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from weakmeas import montecarlo as mc
-from weakmeas.protocols import BLIP
+from weakmeas.protocols import BLIP, _embed_nuclear
+from weakmeas.qmath import _nuclear_reduced
 from weakmeas.spinsys import RotationPulse, pulse_unitary
 
 
@@ -119,7 +120,7 @@ def sample_shot(
                 psi = np.array([0.0, a0 / norm, 0.0, a1 / norm], dtype=complex)
             else:
                 nuc = joint.reshape(2, 2, 2, 2)[:, e_gone, :, e_gone]
-                joint = mc._embed_nuclear(nuc / (nuc[0, 0].real + nuc[1, 1].real))
+                joint = _embed_nuclear(nuc / (nuc[0, 0].real + nuc[1, 1].real))
         else:
             # amplitude damping of the surviving branches
             if psi is not None:
@@ -131,14 +132,14 @@ def sample_shot(
                     # a later reload makes the nuclear state mixed
                     if step_index + 1 < n_steps:
                         joint = np.outer(psi, psi.conj())
-                        joint = mc._embed_nuclear(mc._nuclear_reduced(joint))
+                        joint = _embed_nuclear(_nuclear_reduced(joint))
                         psi = None
                 else:
                     psi = np.array([0.0, psi[1], 0.0, psi[3]], dtype=complex)
             else:
                 joint = joint * np.outer(damping, damping)
                 w = (joint[0, 0] + joint[1, 1] + joint[2, 2] + joint[3, 3]).real
-                joint = mc._embed_nuclear(mc._nuclear_reduced(joint / w))
+                joint = _embed_nuclear(_nuclear_reduced(joint / w))
 
         # label error: the classified outcome, not the state, is flipped
         model = step.model
@@ -167,7 +168,7 @@ def sample_shot(
             n01 = psi[0] * psi[2].conjugate() + psi[1] * psi[3].conjugate()
             n11 = 1.0 - n00
         else:
-            nuc = mc._nuclear_reduced(joint)
+            nuc = _nuclear_reduced(joint)
             n00, n11, n01 = nuc[0, 0].real, nuc[1, 1].real, nuc[0, 1]
         if axis == "z":
             expectation = n00 - n11

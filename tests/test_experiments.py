@@ -286,6 +286,28 @@ class TestPresets:
                     covered[k] += bool(lo) and float(lo) <= true <= float(hi)
         assert min(covered) >= 365, covered
 
+    @pytest.mark.parametrize(
+        "p_fn, p_fp", [(0.2, 0.05), (0.0, 0.1)], ids=["false_negatives", "false_positives"]
+    )
+    def test_fig3_blip_mle_interval_covers_under_label_errors(self, tmp_path, p_fn, p_fp):
+        """The blip-time MLE models label errors: a false negative drops a
+        real blip's time and a false positive records none.  Over seeds
+        0-399 at 2000 shots and Gamma = 0.5 /ms, its 95% interval covers the
+        true 1/Gamma at least 365 times: binom.ppf(1e-3, 400, 0.95), so a
+        true 95% interval falls below it with probability 5.7e-4.  With the
+        label-blind p = 1/2 it covered 0 of 200 seeds at p_fn = 0.2."""
+        covered = 0
+        noise = mc.NoiseConfig(readout_false_negative=p_fn, readout_false_positive=p_fp)
+        for seed in range(400):
+            cfg = RunConfig(gamma_grid=[0.5], n_shots=2000, rng_seed=seed, noise=noise,
+                            output_dir=tmp_path, emit_svg=False)
+            run_panels(cfg, ["fig3"])
+            with open(tmp_path / "fig3_tunnel.csv", newline="") as fh:
+                (row,) = csv.DictReader(fh)
+            lo, hi = row["inv_gamma_blip_mle_low"], row["inv_gamma_blip_mle_high"]
+            covered += bool(lo) and float(lo) <= float(row["inv_gamma_true"]) <= float(hi)
+        assert covered >= 365, covered
+
     def test_fig2_dephases_over_t_m(self, tmp_path):
         """Each projective fig2 window lasts the configured t_m.  At theta = 0
         every shot is kept and the Gaussian T2* decay leaves

@@ -21,7 +21,6 @@ from weakmeas.montecarlo import (
     SHOT_BLOCK,
     Shots,
     _dephase_joint,
-    _no_blip_damping,
     conditional_state,
     estimate_gamma_from_blips,
     recorded_blip_times,
@@ -32,6 +31,7 @@ from weakmeas.protocols import (
     BLIP,
     NO_BLIP,
     TunnelModel,
+    _no_blip_damping,
     closed_form_sequence,
     sigma_z_noblip,
     success_probability_n,

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from weakmeas import montecarlo as mc
 from weakmeas import qmath
+from weakmeas.experiments.config import default_theta_grid
 from weakmeas.protocols import (
     BLIP,
     DOWN,
@@ -19,6 +19,8 @@ from weakmeas.protocols import (
     ProjectiveLimitError,
     TomographyResult,
     TunnelModel,
+    _no_blip_damping,
+    _node_blip_weights,
     closed_form_sequence,
     extract_tunnel_rate,
     reversal_success_probability,
@@ -246,24 +248,16 @@ class TestTunnelModel:
         )
     )
     def test_kraus_complete(self, model):
-        """Sum of K^dagger K is the identity over the window's three Kraus
-        operators (no blip, up tunneled out, down tunneled out), as the
-        closed form builds them and as the engine weighs each basis state."""
+        """The window's three branches (no blip, up tunneled out, down
+        tunneled out) preserve the trace: on each basis state the no-blip
+        damping and the two blip weights add up to 1."""
         su, sd = model.survival_up, model.survival_down
         assert 0.0 <= su <= 1.0 and 0.0 <= sd <= 1.0
-        kraus = (
-            np.sqrt(su) * PROJ_UP + np.sqrt(sd) * PROJ_DOWN,
-            np.sqrt(1.0 - su) * PROJ_UP,
-            np.sqrt(1.0 - sd) * PROJ_DOWN,
-        )
-        total = sum(k.conj().T @ k for k in kraus)
-        assert np.max(np.abs(total - np.eye(2))) <= 1e-15
-        step = mc.ReadoutWindow(model)
-        damping = mc._no_blip_damping(model)
+        damping = _no_blip_damping(model)
         for i in range(4):
             basis = np.zeros((4, 4), dtype=complex)
             basis[i, i] = 1.0
-            w_up, w_down = mc._node_blip_weights(basis, step)
+            w_up, w_down = _node_blip_weights(basis, model)
             assert damping[i, i] + w_up + w_down == pytest.approx(1.0, abs=1e-15)
 
 
@@ -283,9 +277,11 @@ class TestWeakElectronWindow:
         st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32),
     )
     def test_branch_weights_complete(self, gamma_up, t_m, gamma_down, entries):
-        """Against the engine's window on a random mixed joint state: the
-        branch weights sum to 1 (sum of K^dagger K is the identity), and the
-        engine's weights and nuclear states equal the closed form's."""
+        """On a random mixed joint state, each outcome's weight and nuclear
+        state equal those of the window's Kraus operators, built here:
+        sqrt(S_up) P_up + sqrt(S_down) P_down for no blip, and
+        sqrt(1 - S) P for the up and the down electron tunneling out.  The
+        weights sum to 1 (sum of K^dagger K is the identity)."""
         re, im = np.array(entries).reshape(2, 4, 4)
         a = re + 1j * im
         rho = a @ a.conj().T
@@ -293,30 +289,28 @@ class TestWeakElectronWindow:
         assume(trace > 1e-6)
         joint = (rho + rho.conj().T) / (2.0 * trace)
         model = TunnelModel(gamma_up_out=gamma_up, t_m=t_m, gamma_down_out=gamma_down)
-        step = mc.ReadoutWindow(model)
-        w_up, w_down = mc._node_blip_weights(joint, step)
-        closed, weight = {}, dict.fromkeys((NO_BLIP, BLIP), 0.0)
-        for outcome in weight:
+        su, sd = model.survival_up, model.survival_down
+
+        def branch(*kraus):
+            return sum(k @ joint @ k.conj().T for k in (np.kron(np.eye(2), e) for e in kraus))
+
+        kraus_branches = {
+            NO_BLIP: branch(np.sqrt(su) * PROJ_UP + np.sqrt(sd) * PROJ_DOWN),
+            BLIP: branch(np.sqrt(1.0 - su) * PROJ_UP, np.sqrt(1.0 - sd) * PROJ_DOWN),
+        }
+        total = 0.0
+        for outcome, kraus_branch in kraus_branches.items():
+            weight = np.trace(kraus_branch).real
+            total += weight
             try:
-                closed[outcome] = weak_electron_window(
-                    JointState(DensityMatrix(joint)), model, outcome
-                )
+                post = weak_electron_window(JointState(DensityMatrix(joint)), model, outcome)
             except ImpossibleBranchError:  # weight below ZERO_BRANCH_TOL
+                assert weight < 1e-12
                 continue
-            weight[outcome] = closed[outcome].success_probability
-        assert weight[NO_BLIP] + weight[BLIP] == pytest.approx(1.0, abs=1e-12)
-        assert 1.0 - (w_up + w_down) == pytest.approx(weight[NO_BLIP], abs=1e-12)
-
-        def nuclear_after(branch):
-            return mc._nuclear_reduced(mc._node_after_window(joint, step, branch, None))
-
-        if NO_BLIP in closed:
-            want = closed[NO_BLIP].state.rho.matrix
-            assert np.max(np.abs(nuclear_after(0) - want)) < 1e-12
-        if BLIP in closed:
-            mix = sum(w * nuclear_after(b) for b, w in ((1, w_up), (2, w_down)) if w > 0.0)
-            want = closed[BLIP].state.rho.matrix
-            assert np.max(np.abs(mix / (w_up + w_down) - want)) < 1e-12
+            assert post.success_probability == pytest.approx(weight, abs=1e-12)
+            want = qmath.partial_trace(kraus_branch / weight, qmath.ELECTRON)
+            assert np.max(np.abs(post.state.rho.matrix - want)) < 1e-12
+        assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_projective_blip_heralds_nuclear_up(self):
         # the conditional pulse flips the electron on the nuclear-up branch,
@@ -337,6 +331,17 @@ class TestWeakElectronWindow:
         assert result.sigma_z == pytest.approx(
             sigma_z_noblip(math.pi / 2, model), abs=1e-12
         )
+
+    def test_blip_without_down_electron(self):
+        """No electron is down, but p_up = 0.1/0.4 + 0.3/0.4 rounds below 1,
+        so the down electron's blip weight (1 - p_up)(1 - S_down) is rounding:
+        the blip is the up branch alone, not a 0 / 0 state."""
+        rho = np.diag([0.1 / 0.4, 0.0, 0.3 / 0.4, 0.0]).astype(complex)
+        assert rho[0, 0].real + rho[2, 2].real < 1.0
+        model = TunnelModel(gamma_up_out=1.0, t_m=1.0, gamma_down_out=0.5)
+        post = weak_electron_window(JointState(DensityMatrix(rho)), model, BLIP)
+        assert np.max(np.abs(post.state.rho.matrix - np.diag([0.25, 0.75]))) < 1e-15
+        assert post.success_probability == pytest.approx(-math.expm1(-1.0), abs=1e-15)
 
     def test_blip_impossible_without_decay(self):
         state = prepare_initial()  # electron down, nothing tunnels
@@ -430,13 +435,25 @@ class TestSteeringScan:
         assert steering_scan(0.0).sigma_z == pytest.approx(-1.0, abs=1e-12)
         assert steering_scan(math.pi).sigma_z == pytest.approx(1.0, abs=1e-12)
 
-    def test_closed_form_grid(self):
-        for theta in np.linspace(0.05, 2 * math.pi - 0.05, 17):
+    @staticmethod
+    def assert_closed_form(thetas):
+        """supp6's analytic column runs the readout-window arithmetic of the
+        shot engine; it equals (-sin theta, 0, -cos theta) to 1e-12."""
+        for theta in thetas:
             result = steering_scan(theta)
             assert result.sigma_z == pytest.approx(-math.cos(theta), abs=1e-12)
             assert result.sigma_x == pytest.approx(-math.sin(theta), abs=1e-12)
             assert result.sigma_y == pytest.approx(0.0, abs=1e-12)
             assert result.bloch_norm_sq == pytest.approx(1.0, abs=1e-12)
+
+    def test_closed_form_grid(self):
+        self.assert_closed_form(default_theta_grid())  # the figure's 41 angles
+        self.assert_closed_form(np.linspace(0.05, 2 * math.pi - 0.05, 17))
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.floats(-4 * math.pi, 4 * math.pi))
+    def test_closed_form_random(self, theta):
+        self.assert_closed_form([theta])
 
     def test_steered_states_are_pure(self):
         # every post-selected nuclear state sits on the Bloch sphere: the

@@ -497,8 +497,8 @@ def process_starts(monkeypatch):
 @pytest.mark.parametrize("jobs", [2, 4])
 @pytest.mark.parametrize("points", [1, 3, 5])
 def test_one_map_over_shot_ranges(tmp_path, capsys, worker_chunks, process_starts, points, jobs):
-    """A --jobs run of any number of points maps the chunk_count ranges of
-    its shots once, each range run at every point: it starts each of its
+    """A --jobs run of any number of points maps the shot_ranges of its
+    shots once, each range run at every point: it starts each of its
     jobs - 1 workers once and writes the bytes of --jobs 1."""
     starts, maps = process_starts
     shots = jobs * mc.SHOT_BLOCK + 5  # jobs ranges of at least a block
@@ -515,7 +515,7 @@ def test_one_map_over_shot_ranges(tmp_path, capsys, worker_chunks, process_start
     assert len(starts) == jobs - 1
     ((fn, items, n_jobs, answers),) = maps
     assert fn.func is presets._run_range and n_jobs == jobs
-    assert items == mc.shot_ranges(shots, jobs) and len(items) == mc.chunk_count(shots, jobs)
+    assert items == mc.shot_ranges(shots, jobs) and len(items) == jobs
     assert [key for key, _ in fn.args[1]] == keys
     assert all(len(answer) == points for answer in answers)
     assert worker_chunks() > 0
@@ -582,8 +582,9 @@ def test_run_pool_workers_bounded(tmp_path, recording_map, capsys, shots, jobs, 
     ],
 )
 def test_chunk_count(n_shots, counts):
-    """At most n_jobs chunks, each of at least a block, and at least one."""
-    assert {n_jobs: mc.chunk_count(n_shots, n_jobs) for n_jobs in counts} == counts
+    """shot_ranges cuts at most n_jobs chunks, each of at least a block, and
+    at least one."""
+    assert {n_jobs: len(mc.shot_ranges(n_shots, n_jobs)) for n_jobs in counts} == counts
 
 
 @pytest.mark.parametrize(
@@ -594,7 +595,7 @@ def test_chunks_are_contiguous_blocks_and_more(recording_map, n_shots, n_jobs):
     mc.run_shots(protocol, noise, n_shots, 4, n_jobs)
     ((processes, chunks),) = recording_map
     bounds = [(start, stop) for *_, start, stop in chunks]
-    assert len(bounds) == processes == mc.chunk_count(n_shots, n_jobs)
+    assert len(bounds) == processes == len(mc.shot_ranges(n_shots, n_jobs))
     assert [a for a, _ in bounds] == [0] + [b for _, b in bounds[:-1]]
     assert bounds[-1][1] == n_shots
     assert min(b - a for a, b in bounds) >= mc.SHOT_BLOCK
