@@ -348,13 +348,17 @@ def _wilson_interval(stats: mc.EnsembleStats) -> tuple[float, float]:
 
 
 def _tunnel_table(config: RunConfig, panel: Panel, points: Points) -> Table:
-    """Tunnel-rate extraction (fig3): no-blip sigma_z inversion, with the
-    Wilson interval mapped through it on every row that kept a shot, vs
-    direct blip MLE, one row per Gamma, and plots of sigma_z and of 1/Gamma."""
+    """Tunnel-rate extraction (fig3): no-blip sigma_z inversion under the
+    run's label errors, with the Wilson interval mapped through it on every
+    row that kept a shot, vs direct blip MLE, one row per Gamma, and plots
+    of sigma_z and of 1/Gamma.  Where p_fn >= 1 - p_fp the labels carry no
+    information on Gamma: the inversion refuses and its cells stay empty."""
     table = []
     sigma_rows = []
     inv_rows = []
     t_m = config.t_m
+    labels = (config.noise.readout_false_negative, config.noise.readout_false_positive)
+    invertible = labels[0] < 1.0 - labels[1]
     for gamma in _sweep(config, panel.sequence):
         point = points[(panel.sequence, gamma)]
         stats = point.stats[panel.axis]
@@ -363,13 +367,14 @@ def _tunnel_table(config: RunConfig, panel: Panel, points: Points) -> Table:
         )
 
         inv_ext = inv_lo = inv_hi = None
-        if not stats.empty:
+        if invertible and not stats.empty:
             try:
-                inv_ext = protocols.extract_tunnel_rate(stats.mean, t_m)
+                inv_ext = protocols.extract_tunnel_rate(stats.mean, t_m, *labels)
             except (MeasurementTooWeakError, ProjectiveLimitError):
                 inv_ext = None
             inv_lo, inv_hi = (
-                protocols.tunnel_rate_limits(2.0 * p - 1.0, t_m) for p in _wilson_interval(stats)
+                protocols.tunnel_rate_limits(2.0 * p - 1.0, t_m, *labels)
+                for p in _wilson_interval(stats)
             )
 
         est = point.blip_mle

@@ -18,17 +18,21 @@ parallel runs (any worker count) give bit-identical aggregates.
 every shot come from one vectorised Philox4x64-10 pass, each shot keeps its
 own draw pointer, and the state is evolved once per distinct branch
 history (the state is a function of the outcomes drawn so far, not of the
-shot).  That state is always the 4x4 electron-nuclear density matrix: a
+shot).  A window has two outcomes, no blip or a blip (the up electron
+tunneled out), so after k windows a block holds at most 2**k histories.
+Each history's state is the 4x4 electron-nuclear density matrix: a
 finite readout window leaves the nucleus mixed once the electron is traced
 out, so the pulse, the window and the tomography each have one arithmetic,
-with or without dephasing.  The pulse is ``spinsys._node_pulse`` and the
+with or without dephasing.  The pulse is ``spinsys._node_pulse``, the
 window the helpers of ``protocols``, the package's one readout-window
-channel, which ``conditional_state`` forces an outcome through; only the
-dephasing after a window and the label errors are the engine's own.  It
-returns ``Shots``, one array row per shot: one tomography outcome per named
-axis (0 for a rejected shot) and the blip time of each window (NaN where
-none was recorded or the shot was rejected before it).  The estimators
-read these columns directly.
+channel, which ``conditional_state`` forces an outcome through, and the
+tomography thresholds each history's ``protocols._bloch`` vector, the
+Bloch readout of ``tomography_expectations``; only the dephasing after a
+window and the label errors are the engine's own.  It returns ``Shots``,
+one array row per shot: one tomography outcome per named axis (0 for a
+rejected shot) and the blip time of each window (NaN where none was
+recorded or the shot was rejected before it).  The estimators read these
+columns directly.
 
 The axis only sets the threshold the shot's last uniform is compared
 with, so one pass samples every named axis, and column k equals a run of
@@ -64,8 +68,9 @@ from .protocols import (
     NO_BLIP,
     PostSelectedState,
     TunnelModel,
+    _bloch,
     _node_after_window,
-    _node_blip_weights,
+    _node_blip_weight,
     _post_selected,
     _window_outcome,
 )
@@ -319,18 +324,6 @@ def _philox_uniforms(rng_seed: int, start: int, stop: int, n_draws: int) -> np.n
 # state stays pure, an independent arithmetic for the same channels.
 
 
-def _node_p_plus(joint: np.ndarray, axis: str) -> float:
-    """Probability of the +1 tomography outcome."""
-    nuc = _nuclear_reduced(joint)
-    if axis == "z":
-        expectation = nuc[0, 0].real - nuc[1, 1].real
-    elif axis == "x":
-        expectation = 2.0 * nuc[0, 1].real
-    else:
-        expectation = -2.0 * nuc[0, 1].imag
-    return min(max((1.0 + expectation) / 2.0, 0.0), 1.0)
-
-
 def _shot_block(protocol: Protocol, noise: NoiseConfig, uniforms: np.ndarray) -> Shots:
     """The shots whose uniforms are the rows of ``uniforms``, drawing from
     them in a lone shot's order."""
@@ -357,16 +350,9 @@ def _shot_block(protocol: Protocol, noise: NoiseConfig, uniforms: np.ndarray) ->
             continue
         w += 1
         model = step.model
-        weights = np.array([_node_blip_weights(x, model) for x in nodes])
-        w_up, w_down = weights[node, 0], weights[node, 1]
-        p_blip = w_up + w_down
-        blip = u[cursor] < p_blip
+        p_blip = np.array([_node_blip_weight(x, model) for x in nodes])
+        blip = u[cursor] < p_blip[node]
         cursor += 1
-        # a lone shot draws which electron tunneled only where w_blip_down > 0
-        down = choose = blip & (w_down > 0.0)
-        if choose.any():
-            down = choose & (u[cursor] * p_blip >= w_up)
-            cursor += choose
         t_draw = u[cursor]
         cursor += blip
         observed = blip
@@ -376,46 +362,42 @@ def _shot_block(protocol: Protocol, noise: NoiseConfig, uniforms: np.ndarray) ->
             observed = blip ^ (drawn & (u[cursor] < flip_p))
             cursor += drawn
         recorded = blip & observed
-        for sel, gamma in (
-            (recorded & ~down, model.gamma_up_out),
-            (recorded & down, model.gamma_down_out),
-        ):
-            if sel.any():
-                # inverse CDF of the tunnel time on [0, t_m] given a blip; q
-                # is the blip probability within the window.  math, not
-                # numpy: np.log1p can differ in the last bit.
-                q = -math.expm1(-gamma * model.t_m)
-                blip_times[rows[sel], w] = [
-                    -log1p(-x * q) / gamma for x in t_draw[sel].tolist()
-                ]
+        if recorded.any():
+            # inverse CDF of the tunnel time on [0, t_m] given a blip; q is
+            # the blip probability within the window.  math, not numpy:
+            # np.log1p can differ in the last bit.
+            gamma = model.gamma_up_out
+            q = -math.expm1(-gamma * model.t_m)
+            blip_times[rows[recorded], w] = [
+                -log1p(-x * q) / gamma for x in t_draw[recorded].tolist()
+            ]
         if step.keep != "both":
             ok = observed if step.keep == BLIP else ~observed
-            rows, node, cursor, blip, down = (
-                a[ok] for a in (rows, node, cursor, blip, down)
-            )
+            rows, node, cursor, blip = (a[ok] for a in (rows, node, cursor, blip))
             if not rows.size:
                 break
-        key = node * 3 + blip + down
-        used = np.flatnonzero(np.bincount(key, minlength=3 * len(nodes)))
-        remap = np.empty(3 * len(nodes), dtype=np.intp)
+        key = node * 2 + blip
+        used = np.flatnonzero(np.bincount(key, minlength=2 * len(nodes)))
+        remap = np.empty(2 * len(nodes), dtype=np.intp)
         remap[used] = np.arange(used.size)
-        nodes = [_node_after_window(nodes[k // 3], model, k % 3) for k in used.tolist()]
+        nodes = [_node_after_window(nodes[k // 2], model, k % 2) for k in used.tolist()]
         if t2star is not None:
             nodes = [_dephase_joint(x, model.t_m, t2star) for x in nodes]
         node = remap[key]
     if rows.size:
+        # P(+1) on x, y and z per node; a draw in [0, 1) needs no clipping
+        p_plus = (1.0 + np.array([_bloch(_nuclear_reduced(x)) for x in nodes])) / 2.0
         draw = u[cursor]  # one draw serves every axis
         for k, axis in enumerate(axes):
-            p_plus = np.array([_node_p_plus(x, axis) for x in nodes])
-            outcome[rows, k] = np.where(draw < p_plus[node], 1, -1)
+            outcome[rows, k] = np.where(draw < p_plus[node, "xyz".index(axis)], 1, -1)
     return Shots(outcome, blip_times)
 
 
 def _run_chunk(args) -> Shots:
     protocol, noise, rng_seed, start, stop = args
     flip = noise.readout_false_negative > 0.0 or noise.readout_false_positive > 0.0
-    # per window at most: blip?, which electron, when, label flip; then the tomography
-    n_draws = 1 + sum(2 + (w.model.survival_down < 1.0) + flip for w in protocol.windows)
+    # per window at most: blip?, when, label flip; then the tomography
+    n_draws = 1 + len(protocol.windows) * (2 + flip)
     u = _philox_uniforms(rng_seed, start, stop, n_draws)
     blocks = range(0, stop - start, SHOT_BLOCK)
     return Shots.concat([_shot_block(protocol, noise, u[a : a + SHOT_BLOCK]) for a in blocks])

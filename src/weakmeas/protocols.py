@@ -5,16 +5,20 @@ the steering scan.
 
 Every function here is a closed form or an exact 4x4 channel composition.
 
-The readout window has one implementation, the private raw-array helpers
-``_no_blip_damping``, ``_node_blip_weights`` and ``_node_after_window``:
-the shot engine in ``montecarlo`` evolves every branch history with them,
-and ``weak_electron_window``, ``weak_nuclear_measure`` (a projective
-window), ``steering_scan`` and ``montecarlo.conditional_state`` force an
-outcome through the same arithmetic.  So the closed forms of pulse
-sequences (``closed_form_sequence``, ``sigma_z_noblip``, the success
-probabilities) and the statevector path of the tests' reference sampler
-stay the independent oracles of that channel.  The validated state types
-are built only at the public functions' boundaries.
+The readout window has two outcomes: no blip, or the up electron tunneled
+out at rate Gamma.  It has one implementation, the private raw-array
+helpers ``_no_blip_damping``, ``_node_blip_weight`` and
+``_node_after_window``: the shot engine in ``montecarlo`` evolves every
+branch history with them, and ``weak_electron_window``,
+``weak_nuclear_measure`` (a projective window), ``steering_scan`` and
+``montecarlo.conditional_state`` force an outcome through the same
+arithmetic.  So the closed forms of pulse sequences
+(``closed_form_sequence``, ``sigma_z_noblip``, the success probabilities)
+and the statevector path of the tests' reference sampler stay the
+independent oracles of that channel.  ``_bloch`` is the one Bloch
+readout, of ``tomography_expectations`` and of the engine's tomography.
+The validated state types are built only at the public functions'
+boundaries.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ class MeasurementTooWeakError(ValueError):
 
 
 class ProjectiveLimitError(ValueError):
-    """Tunnel-rate inversion got sigma_z <= -1: fully projective, 1/Gamma -> 0."""
+    """Tunnel-rate inversion got sigma_z at or past its projective end: 1/Gamma -> 0."""
 
 
 @dataclass(frozen=True)
@@ -72,18 +76,17 @@ class PostSelectedState:
 
 @dataclass(frozen=True)
 class TunnelModel:
-    """Readout-window physics: tunnel-out rates and duration.
+    """Readout-window physics: the up electron's tunnel-out rate and the
+    window's duration.
 
-    Rates are in 1/ms, the window duration in ms.  With the default (no
-    down-tunneling) the closed forms of this module are exact.  An infinite
-    ``gamma_up_out`` is the projective window (see ``projective``).  Label
-    errors belong to the classifier, not the window: they are
-    ``montecarlo.NoiseConfig``'s rates.
+    The rate is in 1/ms, the window duration in ms.  Only an up electron
+    tunnels out; a down one stays.  An infinite ``gamma_up_out`` is the
+    projective window (see ``projective``).  Label errors belong to the
+    classifier, not the window: they are ``montecarlo.NoiseConfig``'s rates.
     """
 
     gamma_up_out: float
     t_m: float
-    gamma_down_out: float = 0.0
 
     def __post_init__(self):
         if not self.gamma_up_out > 0:  # NaN included
@@ -92,17 +95,11 @@ class TunnelModel:
             raise ValueError("t_m must be finite and non-negative")
         if self.gamma_up_out == inf and self.t_m == 0:
             raise ValueError("a projective window needs a positive t_m")
-        if not (isfinite(self.gamma_down_out) and self.gamma_down_out >= 0):
-            raise ValueError("gamma_down_out must be finite and non-negative")
 
     @property
     def survival_up(self) -> float:
         """Probability that an up electron has not tunneled out by t_m."""
         return exp(-self.gamma_up_out * self.t_m)
-
-    @property
-    def survival_down(self) -> float:
-        return exp(-self.gamma_down_out * self.t_m)
 
     @classmethod
     def projective(cls, t_m: float) -> "TunnelModel":
@@ -152,25 +149,24 @@ def _embed_nuclear(nuc: np.ndarray) -> np.ndarray:
 @cache
 def _no_blip_damping(model: TunnelModel) -> np.ndarray:
     """Elementwise factor a no-blip window applies to the joint density
-    matrix: d d^T for the per-basis-state amplitudes d."""
-    su, sd = sqrt(model.survival_up), sqrt(model.survival_down)
-    d = np.array([su, sd, su, sd])
+    matrix: d d^T, where d damps the up electron's amplitudes."""
+    su = sqrt(model.survival_up)
+    d = np.array([su, 1.0, su, 1.0])
     damping = d[:, None] * d[None, :]
     damping.flags.writeable = False
     return damping
 
 
-def _node_blip_weights(joint: np.ndarray, model: TunnelModel) -> tuple[float, float]:
-    """Probabilities that the up / the down electron tunnels out."""
-    p_up = joint[0, 0].real + joint[2, 2].real
-    return p_up * (1.0 - model.survival_up), (1.0 - p_up) * (1.0 - model.survival_down)
+def _node_blip_weight(joint: np.ndarray, model: TunnelModel) -> float:
+    """Probability that the up electron tunnels out: a blip."""
+    return (joint[0, 0].real + joint[2, 2].real) * (1.0 - model.survival_up)
 
 
-def _node_after_window(joint: np.ndarray, model: TunnelModel, branch: int) -> np.ndarray:
-    """State after a window with no blip (branch 0) or with the up (1) or
-    down (2) electron tunneled out, the electron reloaded down."""
-    if branch:
-        nuc = joint.reshape(2, 2, 2, 2)[:, branch - 1, :, branch - 1]
+def _node_after_window(joint: np.ndarray, model: TunnelModel, blip: int) -> np.ndarray:
+    """State after a window with no blip (0) or with the up electron
+    tunneled out (1), the electron reloaded down."""
+    if blip:
+        nuc = joint.reshape(2, 2, 2, 2)[:, 0, :, 0]
         return _embed_nuclear(nuc / (nuc[0, 0].real + nuc[1, 1].real))
     joint = joint * _no_blip_damping(model)
     w = (joint[0, 0] + joint[1, 1] + joint[2, 2] + joint[3, 3]).real
@@ -181,23 +177,15 @@ def _window_outcome(
     joint: np.ndarray, model: TunnelModel, outcome: str
 ) -> tuple[np.ndarray, float]:
     """The state after a window forced to ``outcome``, electron reloaded
-    down, and the outcome's probability: branch 0 for no blip, the mix of
-    branches 1 and 2 by their weights for a blip."""
-    w_up, w_down = _node_blip_weights(joint, model)
-    if outcome == NO_BLIP:
-        branches = [(0, 1.0 - (w_up + w_down))]
-    elif outcome == BLIP:
-        if not joint[1, 1].real + joint[3, 3].real > 0.0:
-            w_down = 0.0  # no electron is down: 1 - p_up is rounding, its state 0 / 0
-        branches = [(b, w) for b, w in ((1, w_up), (2, w_down)) if w > 0.0]
-    else:
+    down, and the outcome's probability."""
+    if outcome not in (NO_BLIP, BLIP):
         raise ValueError(f"unknown outcome {outcome!r}")
-    weight = sum(w for _, w in branches)
+    blip = outcome == BLIP
+    w_blip = _node_blip_weight(joint, model)
+    weight = w_blip if blip else 1.0 - w_blip
     if weight < ZERO_BRANCH_TOL:
         raise ImpossibleBranchError(f"{outcome} branch probability {weight} is numerically zero")
-    if len(branches) == 1:
-        return _node_after_window(joint, model, branches[0][0]), weight
-    return sum(w * _node_after_window(joint, model, b) for b, w in branches) / weight, weight
+    return _node_after_window(joint, model, blip), weight
 
 
 def _post_selected(joint: np.ndarray, weight: float) -> PostSelectedState:
@@ -296,34 +284,46 @@ def sigma_z_noblip(theta: float, model: TunnelModel) -> float:
     return (c2 + e * s2 - 1.0) / (c2 + e * s2 + 1.0)
 
 
-def extract_tunnel_rate(sigma_z: float, t_m: float) -> float:
-    """Invert the no-blip sigma_z (theta = pi case) into the tunnel time 1/Gamma.
+def extract_tunnel_rate(sigma_z: float, t_m: float, p_fn: float = 0.0, p_fp: float = 0.0) -> float:
+    """Invert the kept no-blip sigma_z (theta = pi case) into the tunnel
+    time 1/Gamma, under label errors at rates ``p_fn`` and ``p_fp``.
 
-    Out-of-domain values raise typed errors instead of being clamped:
-    sigma_z >= 0 carries no information (1/Gamma -> inf) and sigma_z <= -1
-    is the projective limit (1/Gamma -> 0).
+    The kept shots mix true no-blips, weight a = 1 - p_fp, with true blips
+    read as none, weight b = p_fn, whose nucleus is up.  With e =
+    exp(-Gamma t_m), sigma_z = (1 - e)(b - a) / (a(1 + e) + b(1 - e)).  For
+    b < a it falls monotonically in Gamma, from 0 (too weak: 1/Gamma ->
+    inf) to (b - a) / (a + b) (projective: 1/Gamma -> 0; -1 without label
+    errors), and e = ((b - a) - sigma_z (a + b)) / ((b - a)(1 - sigma_z)).
+    Values outside that range raise typed errors instead of being clamped.
+    Where b >= a the labels carry no information on Gamma: ``ValueError``.
     """
     if t_m <= 0:
         raise ValueError("t_m must be positive")
-    if sigma_z >= 0.0:
-        raise MeasurementTooWeakError(
-            f"sigma_z = {sigma_z} >= 0: tunnel time unbounded"
-        )
-    if sigma_z <= -1.0:
-        raise ProjectiveLimitError(
-            f"sigma_z = {sigma_z} <= -1: tunnel time is zero"
-        )
-    return -t_m / log((1.0 + sigma_z) / (1.0 - sigma_z))
+    a, b = 1.0 - p_fp, p_fn
+    if not b < a:
+        raise ValueError(f"p_fn = {p_fn} >= 1 - p_fp: the labels carry no information")
+    if sigma_z < 0.0:
+        survival = ((b - a) - sigma_z * (a + b)) / ((b - a) * (1.0 - sigma_z))
+        if survival <= 0.0:
+            raise ProjectiveLimitError(f"sigma_z = {sigma_z}: tunnel time is zero")
+        if survival < 1.0:  # else sigma_z is so near 0 that e rounds to 1
+            return -t_m / log(survival)
+    raise MeasurementTooWeakError(f"sigma_z = {sigma_z}: tunnel time unbounded")
+
+
+def _bloch(nuc: np.ndarray) -> tuple[float, float, float]:
+    """The Bloch vector (sigma_x, sigma_y, sigma_z) of a nuclear 2x2
+    density matrix, from its entries."""
+    return (
+        float((nuc[0, 1] + nuc[1, 0]).real),
+        float((1j * (nuc[0, 1] - nuc[1, 0])).real),
+        float((nuc[0, 0] - nuc[1, 1]).real),
+    )
 
 
 def tomography_expectations(state: NuclearState) -> TomographyResult:
     """Bloch components from the density matrix entries."""
-    m = state.rho.matrix
-    return TomographyResult(
-        sigma_x=float((m[0, 1] + m[1, 0]).real),
-        sigma_y=float((1j * (m[0, 1] - m[1, 0])).real),
-        sigma_z=float((m[0, 0] - m[1, 1]).real),
-    )
+    return TomographyResult(*_bloch(state.rho.matrix))
 
 
 def steering_scan(theta: float) -> TomographyResult:
@@ -337,11 +337,11 @@ def steering_scan(theta: float) -> TomographyResult:
     return tomography_expectations(weak_nuclear_measure(prepare_bell(), pulse, DOWN).state)
 
 
-def tunnel_rate_limits(sigma_z: float, t_m: float) -> float:
+def tunnel_rate_limits(sigma_z: float, t_m: float, p_fn: float = 0.0, p_fp: float = 0.0) -> float:
     """Like extract_tunnel_rate but maps the out-of-domain signals to the
     limiting values 0 and inf (used when propagating confidence bounds)."""
     try:
-        return extract_tunnel_rate(sigma_z, t_m)
+        return extract_tunnel_rate(sigma_z, t_m, p_fn, p_fp)
     except MeasurementTooWeakError:
         return inf
     except ProjectiveLimitError:

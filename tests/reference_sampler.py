@@ -89,37 +89,28 @@ def sample_shot(
                 joint = u @ joint @ u.conj().T
             continue
 
-        # readout window
-        e_up, e_down = step.model.survival_up, step.model.survival_down
+        # readout window: only an up electron tunnels out
+        e_up = step.model.survival_up
         # amplitude factor of each basis state when no electron tunnels
-        damping = np.sqrt([e_up, e_down, e_up, e_down])
+        damping = np.sqrt([e_up, 1.0, e_up, 1.0])
         if psi is not None:
             p_up = psi[0].real**2 + psi[0].imag**2 + psi[2].real**2 + psi[2].imag**2
         else:
             p_up = joint[0, 0].real + joint[2, 2].real
-        p_down = 1.0 - p_up
-        w_blip_up = p_up * (1.0 - e_up)
-        w_blip_down = p_down * (1.0 - e_down)
-        p_blip = w_blip_up + w_blip_down
-        true_blip = rand() < p_blip
+        true_blip = rand() < p_up * (1.0 - e_up)
         t_blip: Optional[float] = None
 
         if true_blip:
-            # which electron state tunneled, and when
-            if w_blip_down > 0.0 and rand() * p_blip >= w_blip_up:
-                gamma, e_gone = step.model.gamma_down_out, 1
-            else:
-                gamma, e_gone = step.model.gamma_up_out, 0
-            t_blip = _truncated_exp_time(rand(), gamma, step.model.t_m)
-            # project the electron onto the tunneled branch, reload it down
+            t_blip = _truncated_exp_time(rand(), step.model.gamma_up_out, step.model.t_m)
+            # project the electron onto up, the branch that tunneled, and reload it down
             if psi is not None:
-                a0, a1 = psi[e_gone], psi[2 + e_gone]
+                a0, a1 = psi[0], psi[2]
                 norm = math.sqrt(
                     a0.real**2 + a0.imag**2 + a1.real**2 + a1.imag**2
                 )
                 psi = np.array([0.0, a0 / norm, 0.0, a1 / norm], dtype=complex)
             else:
-                nuc = joint.reshape(2, 2, 2, 2)[:, e_gone, :, e_gone]
+                nuc = joint.reshape(2, 2, 2, 2)[:, 0, :, 0]
                 joint = _embed_nuclear(nuc / (nuc[0, 0].real + nuc[1, 1].real))
         else:
             # amplitude damping of the surviving branches

@@ -95,10 +95,10 @@ class TestProtocolValidation:
         assert len(p.windows) == 3
 
     def test_no_blip_damping_is_shared_and_read_only(self):
-        model = TunnelModel(gamma_up_out=0.7, t_m=1.5, gamma_down_out=0.2)
+        model = TunnelModel(gamma_up_out=0.7, t_m=1.5)
         damping = _no_blip_damping(model)
-        assert _no_blip_damping(TunnelModel(0.7, 1.5, 0.2)) is damping
-        d = np.sqrt([model.survival_up, model.survival_down] * 2)
+        assert _no_blip_damping(TunnelModel(0.7, 1.5)) is damping
+        d = np.sqrt([model.survival_up, 1.0] * 2)
         assert np.array_equal(damping, np.outer(d, d))
         with pytest.raises(ValueError):
             damping[0, 0] = 1.0

@@ -20,7 +20,7 @@ from weakmeas.protocols import (
     TomographyResult,
     TunnelModel,
     _no_blip_damping,
-    _node_blip_weights,
+    _node_blip_weight,
     closed_form_sequence,
     extract_tunnel_rate,
     reversal_success_probability,
@@ -216,13 +216,12 @@ class TestTunnelModel:
     def test_survival(self):
         model = TunnelModel(gamma_up_out=2.0, t_m=1.5)
         assert model.survival_up == pytest.approx(math.exp(-3.0))
-        assert model.survival_down == 1.0
 
     @given(st.floats(5e-324, 1e3))
     def test_projective_limit(self, t_m):
         """Exactly projective however short the window, and as long as asked."""
         model = TunnelModel.projective(t_m)
-        assert model.survival_up == 0.0 and model.survival_down == 1.0
+        assert model.survival_up == 0.0
         assert model.t_m == t_m
 
     def test_validation(self):
@@ -242,23 +241,21 @@ class TestTunnelModel:
                 TunnelModel,
                 gamma_up_out=st.floats(1e-300, 1e300),
                 t_m=st.floats(0.0, 1e3),
-                gamma_down_out=st.one_of(st.just(0.0), st.floats(1e-300, 1e300)),
             ),
             st.builds(TunnelModel.projective, st.floats(5e-324, 1e3)),
         )
     )
     def test_kraus_complete(self, model):
-        """The window's three branches (no blip, up tunneled out, down
-        tunneled out) preserve the trace: on each basis state the no-blip
-        damping and the two blip weights add up to 1."""
-        su, sd = model.survival_up, model.survival_down
-        assert 0.0 <= su <= 1.0 and 0.0 <= sd <= 1.0
+        """The window's two branches (no blip, up tunneled out) preserve
+        the trace: on each basis state the no-blip damping and the blip
+        weight add up to 1."""
+        assert 0.0 <= model.survival_up <= 1.0
         damping = _no_blip_damping(model)
         for i in range(4):
             basis = np.zeros((4, 4), dtype=complex)
             basis[i, i] = 1.0
-            w_up, w_down = _node_blip_weights(basis, model)
-            assert damping[i, i] + w_up + w_down == pytest.approx(1.0, abs=1e-15)
+            w_blip = _node_blip_weight(basis, model)
+            assert damping[i, i] + w_blip == pytest.approx(1.0, abs=1e-15)
 
 
 class TestWeakElectronWindow:
@@ -273,23 +270,23 @@ class TestWeakElectronWindow:
     @given(
         st.floats(1e-3, 1e6),
         st.floats(0.0, 5.0),
-        st.one_of(st.just(0.0), st.floats(1e-3, 1e2)),
         st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32),
     )
-    def test_branch_weights_complete(self, gamma_up, t_m, gamma_down, entries):
+    def test_branch_weights_complete(self, gamma_up, t_m, entries):
         """On a random mixed joint state, each outcome's weight and nuclear
         state equal those of the window's Kraus operators, built here:
         sqrt(S_up) P_up + sqrt(S_down) P_down for no blip, and
-        sqrt(1 - S) P for the up and the down electron tunneling out.  The
-        weights sum to 1 (sum of K^dagger K is the identity)."""
+        sqrt(1 - S_up) P_up for the up electron tunneling out, where a
+        down electron never tunnels (S_down = 1).  The weights sum to 1
+        (sum of K^dagger K is the identity)."""
         re, im = np.array(entries).reshape(2, 4, 4)
         a = re + 1j * im
         rho = a @ a.conj().T
         trace = np.trace(rho).real
         assume(trace > 1e-6)
         joint = (rho + rho.conj().T) / (2.0 * trace)
-        model = TunnelModel(gamma_up_out=gamma_up, t_m=t_m, gamma_down_out=gamma_down)
-        su, sd = model.survival_up, model.survival_down
+        model = TunnelModel(gamma_up_out=gamma_up, t_m=t_m)
+        su, sd = model.survival_up, 1.0
 
         def branch(*kraus):
             return sum(k @ joint @ k.conj().T for k in (np.kron(np.eye(2), e) for e in kraus))
@@ -333,12 +330,12 @@ class TestWeakElectronWindow:
         )
 
     def test_blip_without_down_electron(self):
-        """No electron is down, but p_up = 0.1/0.4 + 0.3/0.4 rounds below 1,
-        so the down electron's blip weight (1 - p_up)(1 - S_down) is rounding:
-        the blip is the up branch alone, not a 0 / 0 state."""
+        """No electron is down, but p_up = 0.1/0.4 + 0.3/0.4 rounds below 1:
+        the blip is the up electron's alone, its state the up block
+        renormalised, with no 0 / 0 from the empty down block."""
         rho = np.diag([0.1 / 0.4, 0.0, 0.3 / 0.4, 0.0]).astype(complex)
         assert rho[0, 0].real + rho[2, 2].real < 1.0
-        model = TunnelModel(gamma_up_out=1.0, t_m=1.0, gamma_down_out=0.5)
+        model = TunnelModel(gamma_up_out=1.0, t_m=1.0)
         post = weak_electron_window(JointState(DensityMatrix(rho)), model, BLIP)
         assert np.max(np.abs(post.state.rho.matrix - np.diag([0.25, 0.75]))) < 1e-15
         assert post.success_probability == pytest.approx(-math.expm1(-1.0), abs=1e-15)
@@ -388,6 +385,61 @@ class TestTunnelRateInversion:
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             extract_tunnel_rate(-0.5, 0.0)
+
+    @pytest.mark.parametrize("p_fn, p_fp", [(0.2, 0.05), (0.2, 0.0), (0.0, 0.1), (0.45, 0.5)])
+    def test_roundtrip_under_label_errors(self, p_fn, p_fp):
+        """The kept no-blip sigma_z of the Bell window under label errors,
+        built from the window's two forced outcomes: true no-blips kept with
+        weight 1 - p_fp, true blips read as none with weight p_fn.  The
+        inversion given the same rates returns 1/Gamma."""
+        for gamma in (0.2, 0.7, 2.0, 5.0):
+            model = TunnelModel(gamma_up_out=gamma, t_m=1.5)
+            mass = moment = 0.0
+            for outcome, label_weight in ((NO_BLIP, 1.0 - p_fp), (BLIP, p_fn)):
+                post = weak_electron_window(prepare_bell(), model, outcome)
+                w = label_weight * post.success_probability
+                mass += w
+                moment += w * tomography_expectations(post.state).sigma_z
+            inv_gamma = extract_tunnel_rate(moment / mass, 1.5, p_fn, p_fp)
+            assert inv_gamma == pytest.approx(1.0 / gamma, rel=1e-9)
+
+    @settings(max_examples=500)
+    @given(st.floats(-1.0, 0.0, exclude_min=True, exclude_max=True), st.floats(0.1, 10.0))
+    def test_no_label_errors_is_the_noiseless_inversion(self, sigma_z, t_m):
+        """Without label errors the inversion is -t_m / log((1 + s) / (1 - s)),
+        bit for bit, wherever that is finite."""
+        ratio = (1.0 + sigma_z) / (1.0 - sigma_z)
+        assume(ratio < 1.0)
+        assert extract_tunnel_rate(sigma_z, t_m) == -t_m / math.log(ratio)
+
+    def test_projective_end_under_label_errors(self):
+        """sigma_z = (b - a) / (a + b), with a = 1 - p_fp and b = p_fn, is
+        the projective end: Gamma -> inf."""
+        end = (0.2 - 0.95) / (0.95 + 0.2)
+        with pytest.raises(ProjectiveLimitError):
+            extract_tunnel_rate(end - 1e-9, 1.0, 0.2, 0.05)
+        assert tunnel_rate_limits(end - 1e-9, 1.0, 0.2, 0.05) == 0.0
+        assert 0.0 < extract_tunnel_rate(end + 1e-9, 1.0, 0.2, 0.05) < 0.1
+        assert tunnel_rate_limits(0.1, 1.0, 0.2, 0.05) == math.inf
+
+    def test_sigma_z_too_close_to_zero(self):
+        """A sigma_z so near 0 that exp(-Gamma t_m) rounds to 1 is too weak,
+        not a division by zero."""
+        with pytest.raises(MeasurementTooWeakError):
+            extract_tunnel_rate(-1e-17, 1.0)
+        with pytest.raises(MeasurementTooWeakError):
+            extract_tunnel_rate(-1e-17, 1.0, 0.2, 0.05)
+
+    @pytest.mark.parametrize("p_fn, p_fp", [(1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.6, 0.5)])
+    def test_refuses_labels_without_information(self, p_fn, p_fp):
+        """Where p_fn >= 1 - p_fp a blip reads as no blip at least as often
+        as a no blip does, so the labels carry no information on Gamma: the
+        inversion refuses, and neither inverts nor maps to a limit."""
+        for sigma_z in (-0.5, 0.0, 0.5):
+            for invert in (extract_tunnel_rate, tunnel_rate_limits):
+                with pytest.raises(ValueError, match="no information") as err:
+                    invert(sigma_z, 1.0, p_fn, p_fp)
+                assert type(err.value) is ValueError
 
     def test_sigma_z_monotone_in_rate(self):
         rates = np.geomspace(0.01, 30, 25)

@@ -93,7 +93,6 @@ def random_window(rng):
         model = TunnelModel(
             gamma_up_out=float(10 ** rng.uniform(-1.5, 1.0)),
             t_m=float(rng.uniform(0.2, 2.0)),
-            gamma_down_out=sometimes(rng, 0.5, 10 ** rng.uniform(-1.5, 0.5), 0.0),
         )
     return mc.ReadoutWindow(model, keep=str(rng.choice(["no_blip", "blip", "both"])))
 
@@ -121,13 +120,13 @@ def random_case(seed):
 
 # Each feature the engine must reproduce, on its own.
 NAMED_CASES = {
-    "two finite windows, down tunneling, both kept": (
+    "two finite windows, both kept": (
         mc.Protocol(
             (
                 RotationPulse(Frequency.NU_E2, 1.3),
-                mc.ReadoutWindow(TunnelModel(1.0, 1.0, gamma_down_out=0.4), keep="both"),
+                mc.ReadoutWindow(TunnelModel(1.0, 1.0), keep="both"),
                 RotationPulse(Frequency.NMR, 0.8),
-                mc.ReadoutWindow(TunnelModel(2.0, 0.5, gamma_down_out=0.2), keep="both"),
+                mc.ReadoutWindow(TunnelModel(2.0, 0.5), keep="both"),
                 mc.NuclearTomography("x"),
             )
         ),
@@ -145,15 +144,15 @@ NAMED_CASES = {
         ),
         mc.NO_NOISE,
     ),
-    # after the first window one history has its electron up for certain
-    # (w_blip_down exactly 0: no branch draw), the other almost surely down
-    "tunnel branch drawn for some histories only": (
+    # after the first window and the second pulse one history has its
+    # electron up for certain, the other almost surely down
+    "electron up in one history only": (
         mc.Protocol(
             (
                 RotationPulse(Frequency.NU_E2, math.pi),
                 mc.ReadoutWindow(TunnelModel.projective(1.0), keep="both"),
                 RotationPulse(Frequency.NU_E2, math.pi),
-                mc.ReadoutWindow(TunnelModel(1.0, 1.0, gamma_down_out=0.5), keep="both"),
+                mc.ReadoutWindow(TunnelModel(1.0, 1.0), keep="both"),
                 mc.NuclearTomography("x"),
             )
         ),
@@ -202,11 +201,9 @@ class TestAgainstSampleShot:
         assert got == ref.to_shots(want, len(protocol.windows))
 
     def test_random_cases_cover_every_branch(self):
-        """The random cases reach rejections, both tunnel branches, label
-        flips, mixed initial states and dephasing."""
-        seen = dict.fromkeys(
-            ("rejected", "kept", "down_tunnel_draws", "flips", "mixed", "dephased"), 0
-        )
+        """The random cases reach rejections, kept shots, label flips, mixed
+        initial states and dephasing."""
+        seen = dict.fromkeys(("rejected", "kept", "flips", "mixed", "dephased"), 0)
         for seed in range(40):
             protocol, noise, _, _ = random_case(seed)
             windows = protocol.windows
@@ -215,7 +212,6 @@ class TestAgainstSampleShot:
             seen["kept"] += sum(r.kept for r in recs)
             seen["mixed"] += protocol.initial_statevector is None
             seen["dephased"] += noise.nuclear_dephasing_time is not None
-            seen["down_tunnel_draws"] += any(w.model.gamma_down_out > 0 for w in windows)
             seen["flips"] += bool(windows) and (
                 noise.readout_false_negative > 0 or noise.readout_false_positive > 0
             )
@@ -290,7 +286,7 @@ class TestSeveralAxes:
         assert worker_chunks() > 0
 
     def test_stats_read_one_column(self):
-        protocol, noise = NAMED_CASES["two finite windows, down tunneling, both kept"]
+        protocol, noise = NAMED_CASES["two finite windows, both kept"]
         shots = mc.run_shots(ref.with_axes(protocol, "yz"), noise, 500, 3)
         for k, axis in enumerate("yz"):
             one = mc.run_shots(ref.with_axes(protocol, axis), noise, 500, 3)
@@ -341,7 +337,7 @@ def test_philox_ranges_are_cached_and_read_only():
     runs = [
         (NAMED_CASES[name], seed, start)
         for name in ("bell window, label errors, kept on blip",
-                     "two finite windows, down tunneling, both kept")
+                     "two finite windows, both kept")
         for seed in (3, 8)
         for start in (0, 5000)
     ]
