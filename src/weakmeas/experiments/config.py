@@ -68,6 +68,10 @@ class RunConfig:
             raise ValueError("t_m must be finite and positive")
         if not all(math.isfinite(g) and g > 0 for g in self.gamma_grid or ()):
             raise ValueError("gamma_grid entries must be finite and positive")
+        # the default grid overflows at a subnormal t_m, a given one at a large t_m
+        gammas = self.gamma_grid or default_gamma_grid(self.t_m)
+        if not all(math.isfinite(g) and math.isfinite(g * self.t_m) for g in gammas):
+            raise ValueError(f"Gamma and Gamma * t_m must be finite at t_m = {self.t_m}")
         if not all(math.isfinite(t) for t in self.theta_grid):
             raise ValueError("theta_grid entries must be finite")
         if self.n_jobs < 1:

@@ -115,7 +115,7 @@ def fig2_protocol(
 ) -> mc.Protocol:
     """A fig2 variant's pulses, each followed by a projective readout window
     of ``t_m`` ms kept on no-blip, then nuclear tomography along ``axes``."""
-    window = mc.ReadoutWindow(TunnelModel.projective(t_m), keep="no_blip")
+    window = TunnelModel.projective(t_m)
     steps: list[mc.ProtocolStep] = []
     for angle, freq in fig2_pulse_sequence(variant, theta):
         steps.append(RotationPulse(freq, angle))
@@ -175,13 +175,11 @@ PANELS: tuple[Panel, ...] = (
 )
 
 
-
-
 def bell_window_protocol(gamma: float, t_m: float, axis: str = "z") -> mc.Protocol:
     """Bell pair, one finite readout window kept on no-blip, tomography."""
     return mc.Protocol(
         (
-            mc.ReadoutWindow(TunnelModel(gamma_up_out=gamma, t_m=t_m), keep="no_blip"),
+            TunnelModel(gamma_up_out=gamma, t_m=t_m),
             mc.NuclearTomography(axis),
         ),
         initial=prepare_bell(),
@@ -207,7 +205,7 @@ def _sweep_protocol(sequence: str, value: float, t_m: float) -> mc.Protocol:
         return mc.Protocol(
             (
                 RotationPulse(Frequency.ESR_BOTH, value),
-                mc.ReadoutWindow(TunnelModel.projective(t_m), keep="no_blip"),
+                TunnelModel.projective(t_m),
                 mc.NuclearTomography(AXES),
             ),
             initial=prepare_bell(),

@@ -41,9 +41,19 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _nonempty(lo: float, hi: float) -> tuple[float, float]:
+    """The range lo..hi, widened where it is empty: up to ``lo + 1.0``, or,
+    where ``lo`` absorbs 1.0 (|lo| >= 2**53), from ``lo`` halfway toward
+    zero, which cannot overflow."""
+    if hi > lo:
+        return lo, hi
+    if lo + 1.0 > lo:
+        return lo, lo + 1.0
+    half = 0.5 * lo
+    return (half, lo) if lo > 0.0 else (lo, half)
+
+
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
@@ -59,13 +69,11 @@ def emit_plot(rows: Sequence[SweepRow], style: PlotStyle) -> str:
         if r.mc_mean is not None and math.isfinite(r.mc_mean):
             err = r.mc_std_error or 0.0
             ys.extend((r.mc_mean - err, r.mc_mean + err))
-    x_lo, x_hi = min(xs), max(xs)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    y_lo = style.y_min if style.y_min is not None else (min(ys) if ys else 0.0)
-    y_hi = style.y_max if style.y_max is not None else (max(ys) if ys else 1.0)
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _nonempty(min(xs), max(xs))
+    y_lo, y_hi = _nonempty(
+        style.y_min if style.y_min is not None else (min(ys) if ys else 0.0),
+        style.y_max if style.y_max is not None else (max(ys) if ys else 1.0),
+    )
     pad = 0.05 * (y_hi - y_lo)
     if style.y_min is None:
         y_lo -= pad

@@ -1,14 +1,15 @@
 """Single-shot trajectory simulation of the full pulse-and-readout sequence.
 
-A protocol is data: a list of immutable physics steps (``RotationPulse``s,
-``ReadoutWindow``s of a ``TunnelModel`` and a keep policy) and one terminal
-``NuclearTomography``.  The arrays derived from a step, a pulse's unitary
-and a window's no-blip damping, are memoised by value: equal steps of any
-protocols share one read-only array per process.  Each shot evolves the
-electron-nuclear state through the steps, draws tunnel events and times,
-applies optional label errors and dephasing, and records whether the shot
-passed post-selection plus the sampled tomography eigenvalue on each axis
-the tomography names.
+A protocol is data: a list of immutable physics steps (``RotationPulse``s
+and readout windows, each a ``protocols.TunnelModel``) and one terminal
+``NuclearTomography``.  Every readout window post-selects the shots that
+show no blip, as the paper's readouts do.  The arrays derived from a step,
+a pulse's unitary and a window's no-blip damping, are memoised by value:
+equal steps of any protocols share one read-only array per process.  Each
+shot evolves the electron-nuclear state through the steps, draws tunnel
+events and times, applies optional label errors and dephasing, and records
+whether the shot passed post-selection plus the sampled tomography
+eigenvalue on each axis the tomography names.
 
 Reproducibility contract: shot ``i`` of a run with root seed ``s`` always
 uses the counter-based stream ``Philox(key=(s, i))``, so serial and
@@ -19,16 +20,18 @@ every shot come from one vectorised Philox4x64-10 pass, each shot keeps its
 own draw pointer, and the state is evolved once per distinct branch
 history (the state is a function of the outcomes drawn so far, not of the
 shot).  A window has two outcomes, no blip or a blip (the up electron
-tunneled out), so after k windows a block holds at most 2**k histories.
-Each history's state is the 4x4 electron-nuclear density matrix: a
-finite readout window leaves the nucleus mixed once the electron is traced
-out, so the pulse, the window and the tomography each have one arithmetic,
-with or without dephasing.  The pulse is ``spinsys._node_pulse``, the
-window the helpers of ``protocols``, the package's one readout-window
-channel, which ``conditional_state`` forces an outcome through, and the
-tomography thresholds each history's ``protocols._bloch`` vector, the
-Bloch readout of ``tomography_expectations``; only the dephasing after a
-window and the label errors are the engine's own.  It returns ``Shots``,
+tunneled out), so after k windows a block holds at most 2**k histories; a
+kept shot reaches a blip history only through a false negative, a real
+blip read as none.  Each history's state is the 4x4 electron-nuclear
+density matrix: a finite readout window leaves the nucleus mixed once the
+electron is traced out, so the pulse, the window and the tomography each
+have one arithmetic, with or without dephasing.  The pulse is
+``spinsys._node_pulse``, the window the helpers of ``protocols``, the
+package's one readout-window channel, which ``conditional_state`` forces
+an outcome through, and the tomography thresholds each history's
+``protocols._bloch`` vector, the Bloch readout of
+``tomography_expectations``; only the dephasing after a window and the
+label errors are the engine's own.  It returns ``Shots``,
 one array row per shot: one tomography outcome per named axis (0 for a
 rejected shot) and the blip time of each window (NaN where none was
 recorded or the shot was rejected before it).  The estimators read these
@@ -90,16 +93,6 @@ class ProtocolError(ValueError):
 
 
 @dataclass(frozen=True)
-class ReadoutWindow:
-    model: TunnelModel
-    keep: str = NO_BLIP  # "no_blip", "blip" or "both"
-
-    def __post_init__(self):
-        if self.keep not in (NO_BLIP, BLIP, "both"):
-            raise ProtocolError(f"unknown keep policy {self.keep!r}")
-
-
-@dataclass(frozen=True)
 class NuclearTomography:
     """Projective nuclear measurement along each of ``axes`` ("x", "zxy", ...),
     all sampled from the shot's one tomography draw."""
@@ -115,7 +108,8 @@ class NuclearTomography:
             raise ProtocolError(f"tomography needs distinct axes, got {self.axes!r}")
 
 
-ProtocolStep = Union[RotationPulse, ReadoutWindow, NuclearTomography]
+# A readout window is its TunnelModel.
+ProtocolStep = Union[RotationPulse, TunnelModel, NuclearTomography]
 
 
 @dataclass(frozen=True)
@@ -134,8 +128,8 @@ class Protocol:
             raise ProtocolError("only the terminal step may be a tomography")
 
     @property
-    def windows(self) -> tuple[ReadoutWindow, ...]:
-        return tuple(s for s in self.steps if isinstance(s, ReadoutWindow))
+    def windows(self) -> tuple[TunnelModel, ...]:
+        return tuple(s for s in self.steps if isinstance(s, TunnelModel))
 
     @cached_property
     def initial_statevector(self) -> Optional[np.ndarray]:
@@ -303,8 +297,8 @@ def _philox_block(rng_seed: int, start: int, stop: int, n_draws: int) -> np.ndar
 # (seed, start, stop, draws) is generated once per process, one entry per
 # chunk whatever its length, and shared read-only; a run touches a few
 # entries per chunk, one per draw count.  Each entry is built block by block
-# to keep the Philox temporaries at SHOT_BLOCK rows.  Forked workers start
-# from the parent's cache and fill their own.
+# so that the Philox temporaries stay at SHOT_BLOCK rows.  Forked workers
+# start from the parent's cache and fill their own.
 @lru_cache(maxsize=16)
 def _philox_uniforms(rng_seed: int, start: int, stop: int, n_draws: int) -> np.ndarray:
     """``_philox_block`` of shots start..stop-1, as one read-only array."""
@@ -349,8 +343,7 @@ def _shot_block(protocol: Protocol, noise: NoiseConfig, uniforms: np.ndarray) ->
             nodes = [_node_pulse(x, step) for x in nodes]
             continue
         w += 1
-        model = step.model
-        p_blip = np.array([_node_blip_weight(x, model) for x in nodes])
+        p_blip = np.array([_node_blip_weight(x, step) for x in nodes])
         blip = u[cursor] < p_blip[node]
         cursor += 1
         t_draw = u[cursor]
@@ -366,23 +359,22 @@ def _shot_block(protocol: Protocol, noise: NoiseConfig, uniforms: np.ndarray) ->
             # inverse CDF of the tunnel time on [0, t_m] given a blip; q is
             # the blip probability within the window.  math, not numpy:
             # np.log1p can differ in the last bit.
-            gamma = model.gamma_up_out
-            q = -math.expm1(-gamma * model.t_m)
+            gamma = step.gamma_up_out
+            q = -math.expm1(-gamma * step.t_m)
             blip_times[rows[recorded], w] = [
                 -log1p(-x * q) / gamma for x in t_draw[recorded].tolist()
             ]
-        if step.keep != "both":
-            ok = observed if step.keep == BLIP else ~observed
-            rows, node, cursor, blip = (a[ok] for a in (rows, node, cursor, blip))
-            if not rows.size:
-                break
+        kept = ~observed  # every window keeps the shots that show no blip
+        rows, node, cursor, blip = (a[kept] for a in (rows, node, cursor, blip))
+        if not rows.size:
+            break
         key = node * 2 + blip
         used = np.flatnonzero(np.bincount(key, minlength=2 * len(nodes)))
         remap = np.empty(2 * len(nodes), dtype=np.intp)
         remap[used] = np.arange(used.size)
-        nodes = [_node_after_window(nodes[k // 2], model, k % 2) for k in used.tolist()]
+        nodes = [_node_after_window(nodes[k // 2], step, k % 2) for k in used.tolist()]
         if t2star is not None:
-            nodes = [_dephase_joint(x, model.t_m, t2star) for x in nodes]
+            nodes = [_dephase_joint(x, step.t_m, t2star) for x in nodes]
         node = remap[key]
     if rows.size:
         # P(+1) on x, y and z per node; a draw in [0, 1) needs no clipping
@@ -565,7 +557,7 @@ def conditional_state(
         outcome = outcomes.pop(0)
         if outcome not in (NO_BLIP, BLIP):
             raise ProtocolError(f"unknown forced outcome {outcome!r}")
-        joint, weight = _window_outcome(joint, step.model, outcome)
+        joint, weight = _window_outcome(joint, step, outcome)
         probability *= weight
     return _post_selected(joint, probability)
 

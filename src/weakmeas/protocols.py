@@ -207,18 +207,6 @@ def weak_nuclear_measure(
     )
 
 
-def unconditional_nuclear_channel(
-    state: JointState, pulse: RotationPulse
-) -> NuclearState:
-    """A pulse, then the electron traced out with no post-selection.
-
-    After a conditional pulse the nuclear populations are untouched and
-    the coherence shrinks by cos(theta/2).
-    """
-    rotated = _node_pulse(state.rho.matrix, pulse)
-    return NuclearState(DensityMatrix(qmath.partial_trace(rotated, qmath.ELECTRON)))
-
-
 def closed_form_sequence(
     thetas: list[tuple[float, Frequency]]
 ) -> PostSelectedState:

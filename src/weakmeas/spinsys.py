@@ -5,13 +5,13 @@ Conventions, fixed once and used everywhere:
 * joint basis order |Un Ue>, |Un De>, |Dn Ue>, |Dn De> (U = spin up,
   D = spin down; nucleus is the left/slow tensor factor),
 * nuclear 2x2 matrices in the (up, down) basis,
-* a rotation pulse of angle ``theta`` at phase 0 acts on a single spin as
+* a rotation pulse of angle ``theta`` acts on the electron as
   ``[[cos(t/2), sin(t/2)], [-sin(t/2), cos(t/2)]]``, so that driving the
-  electron (initially down) creates a *positive* up amplitude.  The phase
-  argument moves the rotation axis around the equator.
+  electron (initially down) creates a *positive* up amplitude.
 
 The NU_E2 electron resonance drives the electron conditionally on the
-nucleus being up; NU_E1 conditions on nucleus down.
+nucleus being up; NU_E1 conditions on nucleus down; ESR_BOTH drives both
+lines at once.  These are the pulses the paper applies.
 """
 
 from __future__ import annotations
@@ -34,12 +34,6 @@ KET_DOWN = np.array([0.0, 1.0], dtype=complex)
 PROJ_UP = np.outer(KET_UP, KET_UP.conj())
 PROJ_DOWN = np.outer(KET_DOWN, KET_DOWN.conj())
 
-_PAULI = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 
 class Frequency(enum.Enum):
     """Drive frequency of a rotation pulse."""
@@ -47,11 +41,6 @@ class Frequency(enum.Enum):
     NU_E1 = "nu_e1"      # electron rotation conditional on nucleus down
     NU_E2 = "nu_e2"      # electron rotation conditional on nucleus up
     ESR_BOTH = "esr_both"  # both ESR lines at once: unconditional electron rotation
-    NMR = "nmr"          # nuclear rotation
-
-    @property
-    def is_esr(self) -> bool:
-        return self is not Frequency.NMR
 
     @property
     def is_conditional(self) -> bool:
@@ -60,15 +49,14 @@ class Frequency(enum.Enum):
 
 @dataclass(frozen=True)
 class RotationPulse:
-    """One resonant pulse: which line, rotation angle, axis phase."""
+    """One resonant pulse: which line it drives and its rotation angle."""
 
     frequency: Frequency
     angle: float
-    phase: float = 0.0
 
     def __post_init__(self):
-        if not (isfinite(self.angle) and isfinite(self.phase)):
-            raise ValueError("pulse angle and phase must be finite")
+        if not isfinite(self.angle):
+            raise ValueError("pulse angle must be finite")
 
 
 @dataclass(frozen=True)
@@ -93,55 +81,32 @@ class NuclearState:
             raise DimensionError("NuclearState requires a 2x2 density matrix")
 
 
-def pauli(axis: str, subsystem: str) -> np.ndarray:
-    """Pauli operator, as a bare 2x2 or embedded in the 4-dim joint space."""
-    try:
-        p = _PAULI[axis]
-    except KeyError:
-        raise ValueError(f"unknown axis {axis!r}") from None
-    if subsystem == "nuclear-only-2x2":
-        return p.copy()
-    if subsystem == qmath.NUCLEUS:
-        return qmath.kron(p, I2)
-    if subsystem == qmath.ELECTRON:
-        return qmath.kron(I2, p)
-    raise ValueError(f"unknown subsystem {subsystem!r}")
-
-
-def half_angle_rotation(angle: float, phase: float = 0.0) -> np.ndarray:
+def half_angle_rotation(angle: float) -> np.ndarray:
     """Single-spin rotation unitary, half-angle convention.
 
-    At phase 0 the matrix is real, [[c, s], [-s, c]] with c = cos(angle/2),
-    s = sin(angle/2); it takes the lower basis state to the upper one with
+    The matrix is real, [[c, s], [-s, c]] with c = cos(angle/2), s =
+    sin(angle/2); it takes the lower basis state to the upper one with
     positive amplitude, which is the sign convention the conditional-state
     formulas assume.
     """
     c = cos(angle / 2.0)
     s = sin(angle / 2.0)
-    ph = np.exp(-1j * phase)
-    return np.array([[c, ph * s], [-np.conj(ph) * s, c]], dtype=complex)
+    return np.array([[c, s], [-s, c]], dtype=complex)
 
 
 def conditional_unitary(pulse: RotationPulse) -> np.ndarray:
     """Block-diagonal electron rotation conditioned on one nuclear state."""
     if not pulse.frequency.is_conditional:
         raise ValueError("conditional_unitary needs an NU_E1 or NU_E2 pulse")
-    r = half_angle_rotation(pulse.angle, pulse.phase)
+    r = half_angle_rotation(pulse.angle)
     if pulse.frequency is Frequency.NU_E2:
         return qmath.kron(PROJ_UP, r) + qmath.kron(PROJ_DOWN, I2)
     return qmath.kron(PROJ_UP, I2) + qmath.kron(PROJ_DOWN, r)
 
 
 def unconditional_unitary(pulse: RotationPulse) -> np.ndarray:
-    """Unconditional rotation of one subsystem in the joint space.
-
-    ESR pulses (both lines driven) rotate the electron; NMR pulses rotate
-    the nucleus.
-    """
-    r = half_angle_rotation(pulse.angle, pulse.phase)
-    if pulse.frequency.is_esr:
-        return qmath.kron(I2, r)
-    return qmath.kron(r, I2)
+    """Electron rotation whatever the nucleus: both ESR lines driven."""
+    return qmath.kron(I2, half_angle_rotation(pulse.angle))
 
 
 # Pulses are immutable, so each distinct pulse's unitary is built once per

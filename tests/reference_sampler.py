@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from weakmeas import montecarlo as mc
-from weakmeas.protocols import BLIP, _embed_nuclear
+from weakmeas.protocols import _embed_nuclear
 from weakmeas.qmath import _nuclear_reduced
 from weakmeas.spinsys import RotationPulse, pulse_unitary
 
@@ -41,6 +41,7 @@ class ShotRecord:
     """Outcome of one trajectory."""
 
     kept: bool
+    blips: tuple[bool, ...]  # per window reached: did the electron tunnel out?
     blip_times: tuple[Optional[float], ...]
     nuclear_outcome: Optional[int]
     rng_stream_id: int
@@ -76,6 +77,7 @@ def sample_shot(
     if psi is None or noise.nuclear_dephasing_time is not None:
         psi = None
         joint = protocol.initial.rho.matrix
+    blips: list[bool] = []
     blip_times: list[Optional[float]] = []
     kept = True
 
@@ -90,7 +92,8 @@ def sample_shot(
             continue
 
         # readout window: only an up electron tunnels out
-        e_up = step.model.survival_up
+        model = step
+        e_up = model.survival_up
         # amplitude factor of each basis state when no electron tunnels
         damping = np.sqrt([e_up, 1.0, e_up, 1.0])
         if psi is not None:
@@ -101,7 +104,7 @@ def sample_shot(
         t_blip: Optional[float] = None
 
         if true_blip:
-            t_blip = _truncated_exp_time(rand(), step.model.gamma_up_out, step.model.t_m)
+            t_blip = _truncated_exp_time(rand(), model.gamma_up_out, model.t_m)
             # project the electron onto up, the branch that tunneled, and reload it down
             if psi is not None:
                 a0, a1 = psi[0], psi[2]
@@ -133,23 +136,22 @@ def sample_shot(
                 joint = _embed_nuclear(_nuclear_reduced(joint / w))
 
         # label error: the classified outcome, not the state, is flipped
-        model = step.model
         flip_p = (
             noise.readout_false_negative if true_blip else noise.readout_false_positive
         )
         observed_blip = true_blip
         if flip_p > 0.0 and rand() < flip_p:
             observed_blip = not true_blip
+        blips.append(true_blip)
         blip_times.append(t_blip if (true_blip and observed_blip) else None)
 
         if noise.nuclear_dephasing_time is not None:
             joint = mc._dephase_joint(joint, model.t_m, noise.nuclear_dephasing_time)
 
-        if step.keep != "both":
-            wanted_blip = step.keep == BLIP
-            if observed_blip != wanted_blip:
-                kept = False
-                break
+        # every window keeps the shots that show no blip
+        if observed_blip:
+            kept = False
+            break
 
     outcome: Optional[int] = None
     if kept:
@@ -172,6 +174,7 @@ def sample_shot(
 
     return ShotRecord(
         kept=kept,
+        blips=tuple(blips),
         blip_times=tuple(blip_times),
         nuclear_outcome=outcome,
         rng_stream_id=shot_index,

@@ -158,7 +158,7 @@ def test_criterion_5_steering_scan():
             protocol = mc.Protocol(
                 (
                     RotationPulse(Frequency.ESR_BOTH, theta),
-                    mc.ReadoutWindow(TunnelModel.projective(1.0), keep=NO_BLIP),
+                    TunnelModel.projective(1.0),
                     mc.NuclearTomography(axis),
                 ),
                 initial=prepare_bell(),
@@ -190,7 +190,7 @@ def test_criterion_7_oracle_equivalence():
         steps = []
         for angle, freq in seq:
             steps.append(RotationPulse(freq, angle))
-            steps.append(mc.ReadoutWindow(TunnelModel.projective(1.0), keep=NO_BLIP))
+            steps.append(TunnelModel.projective(1.0))
         steps.append(mc.NuclearTomography("z"))
         stepwise = mc.conditional_state(
             mc.Protocol(tuple(steps)), [NO_BLIP] * length

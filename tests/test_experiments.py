@@ -80,6 +80,8 @@ class TestDefaults:
             {"gamma_grid": [math.inf]},
             {"theta_grid": [0.0, math.nan]},
             {"theta_grid": [-math.inf]},
+            {"t_m": 1e-310},  # the default Gamma grid overflows
+            {"gamma_grid": [1e308], "t_m": 10.0},  # Gamma * t_m overflows
         ],
     )
     def test_run_config_rejects_non_finite(self, bad):
@@ -184,6 +186,28 @@ class TestEmitPlot:
     def test_deterministic(self):
         rows = [SweepRow(0.0, 0.5, 0.4, 0.1, 10, 20)]
         assert emit_plot(rows, STYLE) == emit_plot(rows, STYLE)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            SweepRow(1e17, 0.5, 0.4, 0.1, 10, 20),  # theta_grid: [1.0e+17]
+            SweepRow(-1e17, 0.5, 0.4, 0.1, 10, 20),
+            SweepRow(1e300, 0.5, 0.4, 0.1, 10, 20),
+            SweepRow(0.75, 1e300, None, None, 0, 20),  # 1/Gamma at Gamma = 1e-300
+        ],
+        ids=["x_1e17", "x_minus_1e17", "x_1e300", "y_1e300"],
+    )
+    def test_one_point_of_large_magnitude(self, row):
+        """A one-point sweep spans an empty range, which 1.0 does not widen
+        at 2**53 and above; the plot still renders, every coordinate finite."""
+        doc = emit_plot([row], STYLE)
+        ET.fromstring(doc)
+        assert "nan" not in doc and "inf" not in doc
+
+    def test_one_point_range_widens_by_one(self):
+        """Below 2**53 a one-point sweep still spans [x, x + 1.0]."""
+        doc = emit_plot([SweepRow(0.75, -0.5, None, None, 0, 20)], STYLE)
+        assert ">0.75</text>" in doc and ">1.75</text>" in doc
 
 
 class TestCsv:
@@ -421,8 +445,11 @@ class TestCli:
             (["fig2"], "theta_grid: [0.0, .nan]\n"),
             (["fig2", "--variant", "single", "--shots", "200", "--grid", "3"],
              "noise_t2star: .nan\n"),
+            (["fig3", "--shots", "20"], "t_m: 1.0e-310\n"),
+            (["fig3", "--shots", "20"], "gamma_grid: [1.0e+308]\nt_m: 10\n"),
         ],
-        ids=["gamma_negative", "t_m_nan", "t_m_inf", "theta_nan", "t2star_nan"],
+        ids=["gamma_negative", "t_m_nan", "t_m_inf", "theta_nan", "t2star_nan",
+             "default_gamma_overflows", "gamma_t_m_overflows"],
     )
     def test_invalid_config_writes_nothing(self, tmp_path, capsys, argv, config):
         cfg = tmp_path / "bad.yaml"

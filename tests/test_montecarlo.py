@@ -17,7 +17,6 @@ from weakmeas.montecarlo import (
     NuclearTomography,
     Protocol,
     ProtocolError,
-    ReadoutWindow,
     SHOT_BLOCK,
     Shots,
     _dephase_joint,
@@ -47,24 +46,35 @@ from weakmeas.spinsys import (
 PROJECTIVE = TunnelModel.projective(1.0)
 
 
-def measure_protocol(theta, axis="z", keep=NO_BLIP, n=1):
+def measure_protocol(theta, axis="z", n=1):
     """n equal conditional measurements, each read out projectively."""
     steps = []
     for _ in range(n):
         steps.append(RotationPulse(Frequency.NU_E2, theta))
-        steps.append(ReadoutWindow(PROJECTIVE, keep=keep))
+        steps.append(PROJECTIVE)
     steps.append(NuclearTomography(axis))
     return Protocol(steps=tuple(steps))
 
 
-def bell_window_protocol(gamma, t_m, keep="both", axis="z"):
+def bell_window_protocol(gamma, t_m, axis="z"):
     return Protocol(
         steps=(
-            ReadoutWindow(TunnelModel(gamma_up_out=gamma, t_m=t_m), keep=keep),
+            TunnelModel(gamma_up_out=gamma, t_m=t_m),
             NuclearTomography(axis),
         ),
         initial=prepare_bell(),
     )
+
+
+REVERSAL_AT_PI = Protocol(
+    steps=(
+        RotationPulse(Frequency.NU_E2, math.pi),
+        PROJECTIVE,
+        RotationPulse(Frequency.NU_E1, math.pi),
+        PROJECTIVE,
+        NuclearTomography("z"),
+    )
+)
 
 
 class TestProtocolValidation:
@@ -81,10 +91,6 @@ class TestProtocolValidation:
                     NuclearTomography("z"),
                 )
             )
-
-    def test_rejects_bad_keep_policy(self):
-        with pytest.raises(ProtocolError):
-            ReadoutWindow(PROJECTIVE, keep="sometimes")
 
     def test_rejects_bad_axis(self):
         with pytest.raises(ProtocolError):
@@ -193,18 +199,13 @@ class TestAgainstClosedForms:
         p = Protocol(
             steps=(
                 RotationPulse(Frequency.NU_E2, math.pi / 2),
-                ReadoutWindow(model, keep=NO_BLIP),
+                model,
                 NuclearTomography("z"),
             )
         )
         stats = stats_from_records(run_shots(p, n_shots=20_000, rng_seed=9))
         expected = sigma_z_noblip(math.pi / 2, model)
         assert abs(stats.mean - expected) < 4 * stats.std_error
-
-    def test_blip_branch_heralds_nuclear_up(self):
-        p = measure_protocol(math.pi / 2, keep=BLIP)
-        stats = stats_from_records(run_shots(p, n_shots=2_000, rng_seed=2))
-        assert stats.mean == 1.0  # every kept shot has the nucleus up
 
 
 class TestForcedOutcomes:
@@ -261,7 +262,7 @@ class TestDephasing:
 
     def test_shrinks_transverse_not_longitudinal(self):
         noise = NoiseConfig(nuclear_dephasing_time=0.1)
-        window = ReadoutWindow(TunnelModel(gamma_up_out=1e-6, t_m=1.0))
+        window = TunnelModel(gamma_up_out=1e-6, t_m=1.0)
         # coherence protocol: x tomography on the untouched superposition
         px = Protocol(steps=(window, NuclearTomography("x")))
         clean = stats_from_records(run_shots(px, n_shots=4000, rng_seed=4))
@@ -281,7 +282,7 @@ class TestLabelErrors:
         noise = NoiseConfig(readout_false_positive=1.0)
         p = Protocol(
             steps=(
-                ReadoutWindow(TunnelModel(gamma_up_out=1.0, t_m=1.0)),
+                TunnelModel(gamma_up_out=1.0, t_m=1.0),
                 NuclearTomography("z"),
             ),
             initial=prepare_initial("up"),  # electron down: never tunnels
@@ -291,10 +292,13 @@ class TestLabelErrors:
         assert stats.empty
 
     def test_certain_false_negative_hides_blips(self):
+        """Every up electron tunnels out, and every blip is read as none:
+        each shot is kept, and none records a blip time."""
         noise = NoiseConfig(readout_false_negative=1.0)
-        p = bell_window_protocol(gamma=1e3, t_m=1.0, keep=BLIP)
-        stats = stats_from_records(run_shots(p, noise=noise, n_shots=100, rng_seed=6))
-        assert stats.n_kept == 0
+        p = bell_window_protocol(gamma=1e3, t_m=1.0)
+        shots = run_shots(p, noise=noise, n_shots=100, rng_seed=6)
+        assert stats_from_records(shots).n_kept == 100
+        assert np.isnan(shots.blip_times).all()
 
     def test_noise_validation(self):
         with pytest.raises(ValueError):
@@ -367,15 +371,18 @@ class TestEstimatorsMatchRecords:
         "protocol, noise, n_shots, gamma_error",
         [
             (  # fig3's ensemble: Bell pair, one finite window kept on no-blip
-                bell_window_protocol(1.0, 1.5, keep=NO_BLIP),
+                bell_window_protocol(1.0, 1.5),
                 NoiseConfig(nuclear_dephasing_time=2.0),
                 10_000,
                 None,
             ),
-            (measure_protocol(0.0, keep=BLIP), NO_NOISE, 300, NoInformationError),
-            # every shot is rejected in the first of two windows: the
-            # protocol still has two windows, so the estimator refuses it
-            (measure_protocol(0.0, keep=BLIP, n=2), NO_NOISE, 300, ProtocolError),
+            # no electron tunnels, and every shot is read as a blip
+            (measure_protocol(0.0), NoiseConfig(readout_false_positive=1.0), 300,
+             NoInformationError),
+            # reversal at theta = pi: every shot is rejected, in the first
+            # window or in the second; the protocol has two windows, so the
+            # estimator refuses it
+            (REVERSAL_AT_PI, NO_NOISE, 300, ProtocolError),
             (measure_protocol(math.pi / 2, n=2), NO_NOISE, 300, ProtocolError),
         ],
         ids=["dephased bell window", "all rejected", "all rejected, two windows",
@@ -386,7 +393,7 @@ class TestEstimatorsMatchRecords:
         records = ref.sample_records(protocol, noise, 22, 0, n_shots)
         assert shots == ref.to_shots(records, len(protocol.windows))
         assert stats_from_records(shots) == ref.stats_from_records(records)
-        t_m = protocol.windows[0].model.t_m
+        t_m = protocol.windows[0].t_m
         got = outcome_of(blip_mle, shots, t_m)
         assert got == outcome_of(
             ref.estimate_gamma_from_records, records, len(protocol.windows), t_m
@@ -437,7 +444,7 @@ class TestGammaEstimator:
         """Every up electron tunnels in the first window and is rejected
         there, so no shot reaches the second; the blip times still come
         from a two-window protocol."""
-        window = ReadoutWindow(TunnelModel(20.0, 1.5), keep=NO_BLIP)
+        window = TunnelModel(20.0, 1.5)
         p = Protocol(
             steps=(RotationPulse(Frequency.ESR_BOTH, math.pi), window, window,
                    NuclearTomography("z"))

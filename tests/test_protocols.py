@@ -29,7 +29,6 @@ from weakmeas.protocols import (
     success_probability_n,
     tomography_expectations,
     tunnel_rate_limits,
-    unconditional_nuclear_channel,
     weak_electron_window,
     weak_nuclear_measure,
 )
@@ -107,26 +106,6 @@ class TestWeakNuclearMeasure:
             )
 
 
-class TestUnconditionalChannel:
-    def test_populations_preserved_coherence_shrinks(self):
-        for theta in (0.0, 0.9, math.pi / 2, 2.5, math.pi):
-            out = unconditional_nuclear_channel(
-                prepare_initial(), RotationPulse(Frequency.NU_E2, theta)
-            )
-            m = out.rho.matrix
-            assert m[0, 0].real == pytest.approx(0.5, abs=1e-12)
-            assert m[1, 1].real == pytest.approx(0.5, abs=1e-12)
-            assert m[0, 1].real == pytest.approx(
-                0.5 * math.cos(theta / 2), abs=1e-12
-            )
-
-    def test_full_strength_dephases(self):
-        out = unconditional_nuclear_channel(
-            prepare_initial(), RotationPulse(Frequency.NU_E2, math.pi)
-        )
-        assert qmath.purity(out.rho) == pytest.approx(0.5, abs=1e-12)
-
-
 class TestClosedFormSequence:
     def test_single_pulse_matches_direct(self):
         post = closed_form_sequence([(math.pi / 2, Frequency.NU_E2)])
@@ -158,11 +137,11 @@ class TestClosedFormSequence:
             post = closed_form_sequence(seq)
             assert qmath.purity(post.state.rho) == pytest.approx(1.0, abs=1e-12)
 
-    def test_rejects_empty_and_nmr(self):
+    def test_rejects_empty_and_esr_both(self):
         with pytest.raises(ValueError):
             closed_form_sequence([])
         with pytest.raises(ValueError):
-            closed_form_sequence([(0.5, Frequency.NMR)])
+            closed_form_sequence([(0.5, Frequency.ESR_BOTH)])
 
     def test_impossible_at_double_pi(self):
         with pytest.raises(ImpossibleBranchError):

@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_sampler as ref
 import weakmeas
-from weakmeas import montecarlo as mc
+from weakmeas import montecarlo as mc, spinsys
 from weakmeas.experiments import presets
 from weakmeas.experiments.cli import main
 from weakmeas.experiments.config import default_theta_grid
@@ -65,8 +65,17 @@ def mixed_initial(p):
     return JointState(DensityMatrix(rho))
 
 
+def nuclear_y_initial():
+    """Nucleus along +y with the electron down: a complex state, so that
+    sigma_y is not 0 when the pulses and windows act."""
+    psi = np.array([1.0, 1j]) / math.sqrt(2.0)
+    rho = np.kron(np.outer(psi, psi.conj()), spinsys.PROJ_DOWN)
+    return JointState(DensityMatrix(rho))
+
+
 INITIALS = {
     "superposition_x": prepare_initial,
+    "superposition_y": nuclear_y_initial,
     "up": lambda: prepare_initial("up"),
     "down": lambda: prepare_initial("down"),
     "bell": prepare_bell,
@@ -81,20 +90,16 @@ def sometimes(rng, p, value, otherwise):
 
 def random_pulse(rng):
     freq = list(Frequency)[int(rng.integers(len(Frequency)))]
-    return RotationPulse(
-        freq, float(rng.uniform(0.0, 2 * math.pi)), float(rng.uniform(-1, 1))
-    )
+    return RotationPulse(freq, float(rng.uniform(0.0, 2 * math.pi)))
 
 
 def random_window(rng):
     if rng.random() < 0.3:
-        model = TunnelModel.projective(1.0)
-    else:
-        model = TunnelModel(
-            gamma_up_out=float(10 ** rng.uniform(-1.5, 1.0)),
-            t_m=float(rng.uniform(0.2, 2.0)),
-        )
-    return mc.ReadoutWindow(model, keep=str(rng.choice(["no_blip", "blip", "both"])))
+        return TunnelModel.projective(1.0)
+    return TunnelModel(
+        gamma_up_out=float(10 ** rng.uniform(-1.5, 1.0)),
+        t_m=float(rng.uniform(0.2, 2.0)),
+    )
 
 
 def random_case(seed):
@@ -118,66 +123,67 @@ def random_case(seed):
     return mc.Protocol(tuple(steps), initial=initial), noise, rng_seed, start
 
 
-# Each feature the engine must reproduce, on its own.
+# Each feature the engine must reproduce, on its own.  Every window keeps
+# the shots that show no blip, so a blip history is kept only through a
+# false negative, a real blip read as none.
 NAMED_CASES = {
+    # false negatives keep both outcome histories of each window
     "two finite windows, both kept": (
         mc.Protocol(
             (
                 RotationPulse(Frequency.NU_E2, 1.3),
-                mc.ReadoutWindow(TunnelModel(1.0, 1.0), keep="both"),
-                RotationPulse(Frequency.NMR, 0.8),
-                mc.ReadoutWindow(TunnelModel(2.0, 0.5), keep="both"),
+                TunnelModel(1.0, 1.0),
+                RotationPulse(Frequency.NU_E1, 0.8),
+                TunnelModel(2.0, 0.5),
                 mc.NuclearTomography("x"),
             )
         ),
-        mc.NO_NOISE,
+        mc.NoiseConfig(readout_false_negative=0.3),
     ),
-    "partial collapse, then a projective window kept on blip": (
+    "partial collapse, then a projective window kept on no blip": (
         mc.Protocol(
             (
                 RotationPulse(Frequency.ESR_BOTH, 1.1),
-                mc.ReadoutWindow(TunnelModel(0.5, 1.0), keep="no_blip"),
+                TunnelModel(0.5, 1.0),
                 RotationPulse(Frequency.NU_E1, 2.0),
-                mc.ReadoutWindow(TunnelModel.projective(1.0), keep="blip"),
+                TunnelModel.projective(1.0),
                 mc.NuclearTomography("y"),
-            )
+            ),
+            initial=nuclear_y_initial(),
         ),
         mc.NO_NOISE,
     ),
-    # after the first window and the second pulse one history has its
-    # electron up for certain, the other almost surely down
+    # the first window's blip history, kept through a false negative, has
+    # its electron up for certain after the second pulse, the other down
     "electron up in one history only": (
         mc.Protocol(
             (
                 RotationPulse(Frequency.NU_E2, math.pi),
-                mc.ReadoutWindow(TunnelModel.projective(1.0), keep="both"),
+                TunnelModel.projective(1.0),
                 RotationPulse(Frequency.NU_E2, math.pi),
-                mc.ReadoutWindow(TunnelModel(1.0, 1.0), keep="both"),
+                TunnelModel(1.0, 1.0),
                 mc.NuclearTomography("x"),
             )
         ),
-        mc.NO_NOISE,
+        mc.NoiseConfig(readout_false_negative=0.25),
     ),
     "bell window, dephasing": (
         mc.Protocol(
-            (mc.ReadoutWindow(TunnelModel(0.7, 1.5)), mc.NuclearTomography("z")),
+            (TunnelModel(0.7, 1.5), mc.NuclearTomography("z")),
             initial=prepare_bell(),
         ),
         mc.NoiseConfig(nuclear_dephasing_time=2.0),
     ),
-    "bell window, label errors, kept on blip": (
+    "bell window, label errors": (
         mc.Protocol(
-            (
-                mc.ReadoutWindow(TunnelModel(2.0, 1.5), keep="blip"),
-                mc.NuclearTomography("x"),
-            ),
+            (TunnelModel(2.0, 1.5), mc.NuclearTomography("x")),
             initial=prepare_bell(),
         ),
         mc.NoiseConfig(readout_false_negative=0.2, readout_false_positive=0.15),
     ),
     "mixed initial state, no window": (
         mc.Protocol(
-            (RotationPulse(Frequency.NMR, 0.9), mc.NuclearTomography("x")),
+            (RotationPulse(Frequency.NU_E2, 0.9), mc.NuclearTomography("x")),
             initial=mixed_initial(0.3),
         ),
         mc.NO_NOISE,
@@ -201,15 +207,18 @@ class TestAgainstSampleShot:
         assert got == ref.to_shots(want, len(protocol.windows))
 
     def test_random_cases_cover_every_branch(self):
-        """The random cases reach rejections, kept shots, label flips, mixed
+        """The random cases reach rejections, kept shots, kept shots whose
+        history took the blip branch (false negatives), label flips, mixed
         initial states and dephasing."""
-        seen = dict.fromkeys(("rejected", "kept", "flips", "mixed", "dephased"), 0)
+        counters = ("rejected", "kept", "kept blip history", "flips", "mixed", "dephased")
+        seen = dict.fromkeys(counters, 0)
         for seed in range(40):
             protocol, noise, _, _ = random_case(seed)
             windows = protocol.windows
             recs = ref.sample_records(protocol, noise, 0, 0, 50)
             seen["rejected"] += sum(not r.kept for r in recs)
             seen["kept"] += sum(r.kept for r in recs)
+            seen["kept blip history"] += sum(r.kept and any(r.blips) for r in recs)
             seen["mixed"] += protocol.initial_statevector is None
             seen["dephased"] += noise.nuclear_dephasing_time is not None
             seen["flips"] += bool(windows) and (
@@ -226,7 +235,7 @@ class TestAgainstSampleShot:
     def test_blip_times_bit_equal(self):
         protocol = mc.Protocol(
             (
-                mc.ReadoutWindow(TunnelModel(0.3, 1.5), keep="both"),
+                TunnelModel(0.3, 1.5),
                 mc.NuclearTomography("z"),
             ),
             initial=prepare_bell(),
@@ -275,7 +284,7 @@ class TestSeveralAxes:
         )
 
     def test_more_shots_than_a_block_and_parallel(self, worker_chunks):
-        for name in ("bell window, dephasing", "bell window, label errors, kept on blip"):
+        for name in ("bell window, dephasing", "bell window, label errors"):
             protocol, noise = NAMED_CASES[name]
             several = ref.with_axes(protocol, "xyz")
             n = mc.SHOT_BLOCK + 150
@@ -336,7 +345,7 @@ def test_philox_ranges_are_cached_and_read_only():
     with different draw counts, equal each run alone."""
     runs = [
         (NAMED_CASES[name], seed, start)
-        for name in ("bell window, label errors, kept on blip",
+        for name in ("bell window, label errors",
                      "two finite windows, both kept")
         for seed in (3, 8)
         for start in (0, 5000)
@@ -374,7 +383,7 @@ def test_each_philox_block_is_generated_once(monkeypatch):
         return block(rng_seed, start, stop, n_draws)
 
     monkeypatch.setattr(mc, "_philox_block", counted)
-    protocol, noise = NAMED_CASES["bell window, label errors, kept on blip"]
+    protocol, noise = NAMED_CASES["bell window, label errors"]
     n = 17 * mc.SHOT_BLOCK + 5
     mc._philox_uniforms.cache_clear()
     try:

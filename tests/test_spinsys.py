@@ -13,7 +13,6 @@ from weakmeas.spinsys import (
     conditional_unitary,
     half_angle_rotation,
     negativity,
-    pauli,
     prepare_bell,
     prepare_initial,
     pulse_unitary,
@@ -37,37 +36,16 @@ def post_rotation_joint(theta):
     )
 
 
-class TestPauli:
-    def test_nuclear_2x2(self):
-        assert np.allclose(pauli("z", "nuclear-only-2x2"), np.diag([1, -1]))
-
-    def test_embedded_nucleus(self):
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        assert np.allclose(pauli("x", qmath.NUCLEUS), np.kron(x, np.eye(2)))
-
-    def test_initial_state_has_unit_sigma_x(self):
-        rho0 = np.full((2, 2), 0.5, dtype=complex)
-        assert np.trace(rho0 @ pauli("x", "nuclear-only-2x2")).real == pytest.approx(1.0)
-
-    def test_unknown_axis(self):
-        with pytest.raises(ValueError):
-            pauli("w", qmath.NUCLEUS)
-
-
 class TestHalfAngleRotation:
     def test_zero_angle(self):
-        assert np.allclose(half_angle_rotation(0.0, 1.2), np.eye(2))
+        assert np.allclose(half_angle_rotation(0.0), np.eye(2))
 
     def test_spinor_periodicity(self):
-        assert np.allclose(half_angle_rotation(2 * math.pi, 0.0), -np.eye(2))
+        assert np.allclose(half_angle_rotation(2 * math.pi), -np.eye(2))
 
     def test_pi_flips_down_to_up(self):
-        out = half_angle_rotation(math.pi, 0.0) @ np.array([0, 1], dtype=complex)
+        out = half_angle_rotation(math.pi) @ np.array([0, 1], dtype=complex)
         assert abs(abs(out[0]) - 1) < 1e-15 and abs(out[1]) < 1e-15
-
-    def test_unitary_any_phase(self):
-        u = half_angle_rotation(1.3, 0.7)
-        assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-15)
 
 
 class TestConditionalUnitary:
@@ -91,14 +69,14 @@ class TestConditionalUnitary:
         assert abs(out[2]) == pytest.approx(1 / math.sqrt(2))
         assert abs(out[0]) < 1e-15 and abs(out[3]) < 1e-15
 
-    def test_rejects_nmr(self):
+    def test_rejects_esr_both(self):
         with pytest.raises(ValueError):
-            conditional_unitary(RotationPulse(Frequency.NMR, 1.0))
+            conditional_unitary(RotationPulse(Frequency.ESR_BOTH, 1.0))
 
     def test_unitarity_grid(self):
         for theta in THETA_GRID:
             for freq in (Frequency.NU_E1, Frequency.NU_E2):
-                u = conditional_unitary(RotationPulse(freq, theta, 0.4))
+                u = conditional_unitary(RotationPulse(freq, theta))
                 assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-12
 
     def test_blocks_commute(self):
@@ -122,17 +100,9 @@ class TestUnconditionalUnitary:
             ) @ conditional_unitary(RotationPulse(Frequency.NU_E2, theta))
             assert np.max(np.abs(u - prod)) < 1e-14
 
-    def test_nmr_half_pulse_gives_sigma_x(self):
-        psi = np.array([0, 0, 0, 1], dtype=complex)  # nucleus down, electron down
-        u = unconditional_unitary(RotationPulse(Frequency.NMR, math.pi / 2))
-        out = u @ psi
-        rho_n = qmath.partial_trace(np.outer(out, out.conj()), qmath.ELECTRON)
-        sigma_x = np.trace(rho_n @ pauli("x", "nuclear-only-2x2")).real
-        assert sigma_x == pytest.approx(1.0)
-
     def test_unitarity_grid(self):
         for theta in THETA_GRID:
-            u = unconditional_unitary(RotationPulse(Frequency.NMR, theta, 1.0))
+            u = unconditional_unitary(RotationPulse(Frequency.ESR_BOTH, theta))
             assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-12
 
     def test_zero_angle_preserves_populations(self):
@@ -148,27 +118,25 @@ class TestUnconditionalUnitary:
 
 class TestPulseUnitary:
     def test_joint_unitaries_equal_np_kron_bytes(self):
-        """The joint unitaries of every line at 404 angles and 4 phases equal
-        their np.kron formulas bit for bit, signed zeros included."""
+        """The joint unitaries of every line at 404 angles equal their
+        np.kron formulas bit for bit, signed zeros included."""
         angles = np.linspace(-2 * math.pi, 4 * math.pi, 400).tolist()
         angles += [0.0, -0.0, math.pi, -math.pi]
         up, down, i2 = spinsys.PROJ_UP, spinsys.PROJ_DOWN, spinsys.I2
-        for phase in (0.0, 0.7, math.pi, -math.pi / 2):
-            for angle in angles:
-                r = half_angle_rotation(angle, phase)
-                for freq, want in (
-                    (Frequency.NU_E2, np.kron(up, r) + np.kron(down, i2)),
-                    (Frequency.NU_E1, np.kron(up, i2) + np.kron(down, r)),
-                    (Frequency.ESR_BOTH, np.kron(i2, r)),
-                    (Frequency.NMR, np.kron(r, i2)),
-                ):
-                    pulse = RotationPulse(freq, angle, phase)
-                    build = conditional_unitary if freq.is_conditional else unconditional_unitary
-                    assert build(pulse).tobytes() == want.tobytes(), pulse
+        for angle in angles:
+            r = half_angle_rotation(angle)
+            for freq, want in (
+                (Frequency.NU_E2, np.kron(up, r) + np.kron(down, i2)),
+                (Frequency.NU_E1, np.kron(up, i2) + np.kron(down, r)),
+                (Frequency.ESR_BOTH, np.kron(i2, r)),
+            ):
+                pulse = RotationPulse(freq, angle)
+                build = conditional_unitary if freq.is_conditional else unconditional_unitary
+                assert build(pulse).tobytes() == want.tobytes(), pulse
 
     def test_equal_pulses_share_one_read_only_array(self):
-        u = pulse_unitary(RotationPulse(Frequency.NU_E2, 1.3, 0.2))
-        assert pulse_unitary(RotationPulse(Frequency.NU_E2, 1.3, 0.2)) is u
+        u = pulse_unitary(RotationPulse(Frequency.NU_E2, 1.3))
+        assert pulse_unitary(RotationPulse(Frequency.NU_E2, 1.3)) is u
         assert not u.flags.writeable
         with pytest.raises(ValueError):
             u[0, 0] = 0.0
@@ -199,7 +167,8 @@ class TestPreparations:
 
     def test_bell_zz_correlation(self):
         bell = prepare_bell().rho.matrix
-        zz = np.kron(pauli("z", "nuclear-only-2x2"), pauli("z", "nuclear-only-2x2"))
+        z = np.diag([1.0, -1.0])
+        zz = np.kron(z, z)
         assert np.trace(bell @ zz).real == pytest.approx(1.0)
 
     def test_bell_purity(self):
