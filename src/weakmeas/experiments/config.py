@@ -74,6 +74,8 @@ class RunConfig:
             raise ValueError(f"Gamma and Gamma * t_m must be finite at t_m = {self.t_m}")
         if not all(math.isfinite(t) for t in self.theta_grid):
             raise ValueError("theta_grid entries must be finite")
+        if not math.isfinite(max(self.theta_grid) - min(self.theta_grid)):  # a plot's x span
+            raise ValueError("theta_grid must span a finite max - min")
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
 

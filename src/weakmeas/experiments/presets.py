@@ -278,16 +278,23 @@ def run_panels(config: RunConfig, prefixes: Sequence[str]) -> list[Path]:
         key: _sweep_point(config, key, [parts[i] for parts in done])
         for i, key in enumerate(keys)
     }
-    paths: list[Path] = []
+    # every document is rendered before any is written: a plot that
+    # emit_plot refuses leaves no file behind
+    outputs = []
     for panel in selected:
         tabulate = _tunnel_table if panel.statistic == TUNNEL else _sweep_table
         header, table, plots = tabulate(config, panel, points)
-        paths.append(config.output_dir / f"{panel.name}.csv")
+        svgs = [
+            (name, emit_plot(rows, style)) for name, rows, style in plots
+        ] if config.emit_svg else []
+        outputs.append((panel.name, header, table, svgs))
+    paths: list[Path] = []
+    for name, header, table, svgs in outputs:
+        paths.append(config.output_dir / f"{name}.csv")
         write_csv(paths[-1], header, table)
-        if config.emit_svg:
-            for name, rows, style in plots:
-                paths.append(config.output_dir / f"{name}.svg")
-                paths[-1].write_text(emit_plot(rows, style), encoding="utf-8")
+        for svg_name, doc in svgs:
+            paths.append(config.output_dir / f"{svg_name}.svg")
+            paths[-1].write_text(doc, encoding="utf-8")
     return paths
 
 

@@ -38,6 +38,8 @@ class SweepRow:
 
 
 def _fmt(x: float) -> str:
+    if not math.isfinite(x):  # an axis span beyond the float range
+        raise ValueError(f"plot coordinate {x} is not finite")
     return f"{x:.6g}"
 
 
@@ -54,7 +56,10 @@ def _nonempty(lo: float, hi: float) -> tuple[float, float]:
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    """n ticks over lo..hi.  The fraction is formed first, so the product
+    stays within the span: at n = 5 the fractions are powers of two over 4,
+    and the ticks of every finite span are those of ``(hi - lo) * i / 4``."""
+    return [lo + (hi - lo) * (i / (n - 1)) for i in range(n)]
 
 
 def emit_plot(rows: Sequence[SweepRow], style: PlotStyle) -> str:

@@ -618,8 +618,12 @@ def estimate_gamma_from_blips(
     records a time, which occurs with probability ``p``: 1/2 for the Bell
     protocol, times 1 - p_fn under false negatives, which drop a real
     blip's time (a false positive records none).  The 95% interval comes
-    from the likelihood-ratio statistic.
+    from the likelihood-ratio statistic.  A ``t_m`` so short that the rate
+    bracket overflows is refused with a ValueError.
     """
+    lo, hi = 1e-9 / t_m, 1e6 / t_m
+    if not math.isfinite(hi):  # then lo = 1e-15 * hi is finite
+        raise ValueError(f"t_m = {t_m} is too short for the blip-time MLE: 1e6 / t_m overflows")
     n_blips = len(times)
     n_censored = n_shots - n_blips
     if n_blips == 0:
@@ -640,7 +644,6 @@ def estimate_gamma_from_blips(
         e = math.exp(-gamma * t_m)
         return n_blips / gamma - sum_t - n_censored * p * t_m * e / (1.0 - p + p * e)
 
-    lo, hi = 1e-9 / t_m, 1e6 / t_m
     if score(lo) <= 0.0:
         raise NoInformationError("likelihood is maximized at zero rate")
     if score(hi) >= 0.0:

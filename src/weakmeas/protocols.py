@@ -190,7 +190,7 @@ def _window_outcome(
 
 def _post_selected(joint: np.ndarray, weight: float) -> PostSelectedState:
     """The validated nuclear state of ``joint`` with its branch weight."""
-    nuclear = qmath.partial_trace(joint, qmath.ELECTRON)
+    nuclear = qmath._nuclear_reduced(joint)
     return PostSelectedState(NuclearState(DensityMatrix(nuclear)), weight)
 
 

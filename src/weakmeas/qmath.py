@@ -1,6 +1,7 @@
-"""Dense complex-matrix kernel for the 2- and 4-dimensional spaces used here.
+"""Validated density matrices on the 2- and 4-dimensional spaces used here,
+with the electron partial trace, purity and ``kron``.
 
-Everything is a plain ``numpy`` complex array; these wrappers add the
+Everything is a plain ``numpy`` complex array; ``DensityMatrix`` adds the
 dimension checks and tolerances the rest of the package relies on.  The
 joint-system basis order is |up-n,up-e>, |up-n,down-e>, |down-n,up-e>,
 |down-n,down-e| (nucleus is the slow index), and nuclear 2x2 matrices use
@@ -16,9 +17,6 @@ import numpy as np
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
-
-NUCLEUS = "nucleus"
-ELECTRON = "electron"
 
 
 class DimensionError(ValueError):
@@ -38,40 +36,12 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
-def partial_trace(a, subsystem: str) -> np.ndarray:
-    """Trace the 4x4 matrix ``a`` over the named subsystem.
-
-    The left (slow) tensor factor is the nucleus, the right (fast) factor
-    the electron; tracing over one returns the 2x2 state of the other.
-    """
-    a = _as_matrix(a)
-    if a.shape[0] != 4:
-        raise DimensionError("partial_trace requires a 4x4 matrix")
-    if subsystem == ELECTRON:
-        return _nuclear_reduced(a)
-    if subsystem == NUCLEUS:
-        return np.einsum("kikj->ij", a.reshape(2, 2, 2, 2))
-    raise ValueError(f"unknown subsystem {subsystem!r}")
-
-
 def _nuclear_reduced(joint: np.ndarray) -> np.ndarray:
     """The electron partial trace of a 4x4 array, unchecked: the shot
-    engine calls it once per branch history, where einsum's overhead and
-    ``_as_matrix``'s checks would show."""
+    engine calls it once per branch history, where ``DensityMatrix``'s
+    checks would show.  The 2x2 is the nuclear state."""
     t = joint.reshape(2, 2, 2, 2)
     return t[:, 0, :, 0] + t[:, 1, :, 1]
-
-
-def partial_transpose_electron(a) -> np.ndarray:
-    """Transpose only the electron indices of a 4x4 matrix."""
-    a = _as_matrix(a)
-    if a.shape[0] != 4:
-        raise DimensionError("partial transpose requires a 4x4 matrix")
-    return a.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-
-
-def max_abs(a) -> float:
-    return float(np.max(np.abs(a))) if np.asarray(a).size else 0.0
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -81,24 +51,13 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _is_hermitian(m: np.ndarray, tol: float) -> bool:
-    return max_abs(m - m.conj().T) <= tol
-
-
-def hermitian_eigenvalues(a, tol: float = HERMITICITY_TOL) -> list[float]:
-    """Ascending real eigenvalues of a Hermitian 2x2 or 4x4 matrix.
-
-    Dimension 2 is solved in closed form; dimension 4 goes through LAPACK,
-    which converges far below the 1e-12 residual we need.
-    """
-    a = _as_matrix(a)
-    if not _is_hermitian(a, tol):
-        raise NotHermitianError("hermitian_eigenvalues requires a Hermitian matrix")
-    return _eigenvalues(a)
+    return float(np.max(np.abs(m - m.conj().T))) <= tol
 
 
 def _eigenvalues(a: np.ndarray) -> list[float]:
-    """``hermitian_eigenvalues`` of a matrix already checked to be a
-    finite Hermitian 2x2 or 4x4."""
+    """Ascending real eigenvalues of a matrix already checked to be a
+    finite Hermitian 2x2 or 4x4.  Dimension 2 is solved in closed form;
+    dimension 4 goes through LAPACK."""
     if a.shape[0] == 2:
         tr = (a[0, 0] + a[1, 1]).real
         det = (a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]).real

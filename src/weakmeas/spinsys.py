@@ -5,9 +5,9 @@ Conventions, fixed once and used everywhere:
 * joint basis order |Un Ue>, |Un De>, |Dn Ue>, |Dn De> (U = spin up,
   D = spin down; nucleus is the left/slow tensor factor),
 * nuclear 2x2 matrices in the (up, down) basis,
-* a rotation pulse of angle ``theta`` acts on the electron as
-  ``[[cos(t/2), sin(t/2)], [-sin(t/2), cos(t/2)]]``, so that driving the
-  electron (initially down) creates a *positive* up amplitude.
+* a rotation pulse of angle ``theta`` acts on the electron with the
+  half-angle rotation of ``pulse_unitary``, which gives a driven down
+  electron a *positive* up amplitude.
 
 The NU_E2 electron resonance drives the electron conditionally on the
 nucleus being up; NU_E1 conditions on nucleus down; ESR_BOTH drives both
@@ -41,10 +41,6 @@ class Frequency(enum.Enum):
     NU_E1 = "nu_e1"      # electron rotation conditional on nucleus down
     NU_E2 = "nu_e2"      # electron rotation conditional on nucleus up
     ESR_BOTH = "esr_both"  # both ESR lines at once: unconditional electron rotation
-
-    @property
-    def is_conditional(self) -> bool:
-        return self in (Frequency.NU_E1, Frequency.NU_E2)
 
 
 @dataclass(frozen=True)
@@ -81,43 +77,25 @@ class NuclearState:
             raise DimensionError("NuclearState requires a 2x2 density matrix")
 
 
-def half_angle_rotation(angle: float) -> np.ndarray:
-    """Single-spin rotation unitary, half-angle convention.
-
-    The matrix is real, [[c, s], [-s, c]] with c = cos(angle/2), s =
-    sin(angle/2); it takes the lower basis state to the upper one with
-    positive amplitude, which is the sign convention the conditional-state
-    formulas assume.
-    """
-    c = cos(angle / 2.0)
-    s = sin(angle / 2.0)
-    return np.array([[c, s], [-s, c]], dtype=complex)
-
-
-def conditional_unitary(pulse: RotationPulse) -> np.ndarray:
-    """Block-diagonal electron rotation conditioned on one nuclear state."""
-    if not pulse.frequency.is_conditional:
-        raise ValueError("conditional_unitary needs an NU_E1 or NU_E2 pulse")
-    r = half_angle_rotation(pulse.angle)
-    if pulse.frequency is Frequency.NU_E2:
-        return qmath.kron(PROJ_UP, r) + qmath.kron(PROJ_DOWN, I2)
-    return qmath.kron(PROJ_UP, I2) + qmath.kron(PROJ_DOWN, r)
-
-
-def unconditional_unitary(pulse: RotationPulse) -> np.ndarray:
-    """Electron rotation whatever the nucleus: both ESR lines driven."""
-    return qmath.kron(I2, half_angle_rotation(pulse.angle))
-
-
 # Pulses are immutable, so each distinct pulse's unitary is built once per
 # process and shared, read-only, by every protocol that applies it.
 @cache
 def pulse_unitary(pulse: RotationPulse) -> np.ndarray:
-    """Joint-space unitary for any pulse type."""
-    if pulse.frequency.is_conditional:
-        u = conditional_unitary(pulse)
-    else:
-        u = unconditional_unitary(pulse)
+    """Joint-space unitary of ``pulse``: kron(PROJ_UP, up) + kron(PROJ_DOWN,
+    down), where ``up`` and ``down`` are the electron rotation on each
+    nuclear line the pulse drives and I2 on a line it does not drive.
+
+    The rotation is real, [[c, s], [-s, c]] with c = cos(angle/2), s =
+    sin(angle/2); it takes the lower basis state to the upper one with
+    positive amplitude, which is the sign convention the conditional-state
+    formulas assume.
+    """
+    c = cos(pulse.angle / 2.0)
+    s = sin(pulse.angle / 2.0)
+    r = np.array([[c, s], [-s, c]], dtype=complex)
+    up = I2 if pulse.frequency is Frequency.NU_E1 else r
+    down = I2 if pulse.frequency is Frequency.NU_E2 else r
+    u = qmath.kron(PROJ_UP, up) + qmath.kron(PROJ_DOWN, down)
     u.flags.writeable = False
     return u
 
@@ -163,6 +141,6 @@ def prepare_bell() -> JointState:
 
 def negativity(state: JointState) -> float:
     """Sum of |negative eigenvalues| of the electron partial transpose."""
-    pt = qmath.partial_transpose_electron(state.rho.matrix)
-    return -sum(x for x in qmath.hermitian_eigenvalues(pt) if x < 0.0)
+    pt = state.rho.matrix.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    return -sum(float(x) for x in np.linalg.eigvalsh(pt) if x < 0.0)
 

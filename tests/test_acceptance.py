@@ -34,10 +34,10 @@ from weakmeas.spinsys import (
     Frequency,
     JointState,
     RotationPulse,
-    conditional_unitary,
     negativity,
     prepare_bell,
     prepare_initial,
+    pulse_unitary,
 )
 
 THETA_13 = [2 * math.pi * k / 12 for k in range(13)]
@@ -56,7 +56,7 @@ def double_step_reference(theta):
 
 
 def post_pulse_joint(theta):
-    u = conditional_unitary(RotationPulse(Frequency.NU_E2, theta))
+    u = pulse_unitary(RotationPulse(Frequency.NU_E2, theta))
     rho = prepare_initial().rho.matrix
     return u @ rho @ u.conj().T
 

@@ -4,6 +4,7 @@ import csv
 import gc
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -82,6 +83,7 @@ class TestDefaults:
             {"theta_grid": [-math.inf]},
             {"t_m": 1e-310},  # the default Gamma grid overflows
             {"gamma_grid": [1e308], "t_m": 10.0},  # Gamma * t_m overflows
+            {"theta_grid": [-1e308, 1e308]},  # max - min overflows
         ],
     )
     def test_run_config_rejects_non_finite(self, bad):
@@ -193,9 +195,10 @@ class TestEmitPlot:
             SweepRow(1e17, 0.5, 0.4, 0.1, 10, 20),  # theta_grid: [1.0e+17]
             SweepRow(-1e17, 0.5, 0.4, 0.1, 10, 20),
             SweepRow(1e300, 0.5, 0.4, 0.1, 10, 20),
+            SweepRow(1.7e308, 0.5, 0.4, 0.1, 10, 20),  # (hi - lo) * 3 would overflow
             SweepRow(0.75, 1e300, None, None, 0, 20),  # 1/Gamma at Gamma = 1e-300
         ],
-        ids=["x_1e17", "x_minus_1e17", "x_1e300", "y_1e300"],
+        ids=["x_1e17", "x_minus_1e17", "x_1e300", "x_1_7e308", "y_1e300"],
     )
     def test_one_point_of_large_magnitude(self, row):
         """A one-point sweep spans an empty range, which 1.0 does not widen
@@ -203,6 +206,13 @@ class TestEmitPlot:
         doc = emit_plot([row], STYLE)
         ET.fromstring(doc)
         assert "nan" not in doc and "inf" not in doc
+
+    def test_span_beyond_the_float_range_raises(self):
+        """Rows at -1e308 and 1e308 span an x range that overflows; the plot
+        refuses rather than write nan or inf coordinates."""
+        rows = [SweepRow(x, 0.5, 0.4, 0.1, 10, 20) for x in (-1e308, 1e308)]
+        with pytest.raises(ValueError, match="not finite"):
+            emit_plot(rows, STYLE)
 
     def test_one_point_range_widens_by_one(self):
         """Below 2**53 a one-point sweep still spans [x, x + 1.0]."""
@@ -372,6 +382,24 @@ class TestPresets:
                          "inv_gamma_extracted_high"):
                 assert row[cell] == ""
 
+    def test_refused_plot_writes_nothing(self, tmp_path, monkeypatch):
+        """Every document is rendered before any is written, so a plot that
+        emit_plot refuses leaves no file, not even the CSV before it."""
+        rendered = []
+
+        def refuse_the_second(rows, style):
+            rendered.append(style)
+            if len(rendered) == 2:
+                raise ValueError("plot coordinate nan is not finite")
+            return emit_plot(rows, style)
+
+        monkeypatch.setattr("weakmeas.experiments.presets.emit_plot", refuse_the_second)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="not finite"):
+            run_panels(tiny_config(out), ["fig2_single_"])
+        assert len(rendered) == 2
+        assert not out.exists()
+
     def test_fig2_dephases_over_t_m(self, tmp_path):
         """Each projective fig2 window lasts the configured t_m.  At theta = 0
         every shot is kept and the Gaussian T2* decay leaves
@@ -447,9 +475,11 @@ class TestCli:
              "noise_t2star: .nan\n"),
             (["fig3", "--shots", "20"], "t_m: 1.0e-310\n"),
             (["fig3", "--shots", "20"], "gamma_grid: [1.0e+308]\nt_m: 10\n"),
+            (["custom", "--shots", "50"],
+             "experiment: fig2_single\ntheta_grid: [-1.0e+308, 1.0e+308]\n"),
         ],
         ids=["gamma_negative", "t_m_nan", "t_m_inf", "theta_nan", "t2star_nan",
-             "default_gamma_overflows", "gamma_t_m_overflows"],
+             "default_gamma_overflows", "gamma_t_m_overflows", "theta_span_overflows"],
     )
     def test_invalid_config_writes_nothing(self, tmp_path, capsys, argv, config):
         cfg = tmp_path / "bad.yaml"
@@ -471,9 +501,11 @@ class TestCli:
               "--shots", "8200", "--jobs", "2"], ""),
             (["fig2", "--variant", "single", "--seed", "-9223372036854775809",
               "--shots", "8200", "--jobs", "2"], ""),
+            # the blip-time MLE's rate bracket 1e6 / t_m overflows
+            (["fig3", "--shots", "2000"], "t_m: 1.0e-303\n"),
         ],
         ids=["malformed_yaml", "seed_above_range", "seed_below_range",
-             "seed_above_range_jobs2", "seed_below_range_jobs2"],
+             "seed_above_range_jobs2", "seed_below_range_jobs2", "blip_mle_t_m_too_short"],
     )
     def test_rejected_run_reports_one_line(self, tmp_path, capsys, argv, config):
         cfg = tmp_path / "bad.yaml"
@@ -488,6 +520,20 @@ class TestCli:
         (line,) = captured.err.splitlines()
         assert line.startswith("error:")
         assert not out.exists()
+
+    def test_tiny_gamma_plots_finite_coordinates(self, tmp_path, capsys):
+        """1/Gamma = 1e308 sets the top of the 1/Gamma plot; its ticks stay
+        finite, as does every other coordinate of the run's SVGs."""
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("experiment: fig3_tunnel\ngamma_grid: [1.0e-308, 1.0]\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["custom", "--config", str(cfg), "--shots", "200", "--out", str(out)]) == 0
+        svgs = sorted(out.glob("*.svg"))
+        assert [p.name for p in svgs] == ["fig3_tunnel_inv_gamma.svg", "fig3_tunnel_sigma_z.svg"]
+        for path in svgs:
+            doc = path.read_text(encoding="utf-8")
+            ET.fromstring(doc)
+            assert not re.search(r'="[^"]*(nan|inf)', doc), path.name
 
     def test_custom_builds_each_pulse_unitary_once(self, tmp_path, capsys):
         """3 distinct pulses per theta (NU_E2, NU_E1 and both ESR lines).

@@ -35,7 +35,7 @@ from weakmeas.protocols import (
     sigma_z_noblip,
     success_probability_n,
 )
-from weakmeas.qmath import ELECTRON, partial_trace
+from weakmeas.qmath import _nuclear_reduced
 from weakmeas.spinsys import (
     Frequency,
     RotationPulse,
@@ -250,13 +250,13 @@ class TestDephasing:
     def test_frozen_factor(self):
         joint = np.kron(np.full((2, 2), 0.5, dtype=complex), DOWN_ELECTRON)
         out = _dephase_joint(joint, duration=1.0, t2star=1.0)
-        nuclear = partial_trace(out, ELECTRON)
+        nuclear = _nuclear_reduced(out)
         assert nuclear[0, 1].real == pytest.approx(0.18393972058572117, abs=1e-15)
 
     def test_populations_untouched(self):
         m = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
         out = _dephase_joint(np.kron(m, DOWN_ELECTRON), 2.0, 0.5)
-        nuclear = partial_trace(out, ELECTRON)
+        nuclear = _nuclear_reduced(out)
         assert nuclear[0, 0].real == pytest.approx(0.7)
         assert nuclear[1, 1].real == pytest.approx(0.3)
 
@@ -434,6 +434,17 @@ class TestGammaEstimator:
         shots = Shots(np.ones((10, 1), dtype=np.int8), np.full((10, 1), np.nan))
         with pytest.raises(NoInformationError):
             blip_mle(shots, 1.5)
+
+    @pytest.mark.parametrize("t_m", [1e-303, 5e-324])
+    def test_refuses_a_window_whose_rate_bracket_overflows(self, t_m):
+        """Below t_m of about 5.6e-303 the rate bracket 1e6 / t_m is
+        infinite, and the MLE read 0 [0, inf] whatever the data.  It
+        refuses with a ValueError naming t_m, which is not the
+        NoInformationError a run turns into empty cells."""
+        times = np.array([0.3, 0.5, 0.9]) * t_m
+        with pytest.raises(ValueError, match="t_m") as info:
+            estimate_gamma_from_blips(times, 10, t_m)
+        assert not isinstance(info.value, NoInformationError)
 
     def test_rejects_multi_window_records(self):
         shots = Shots(np.ones((1, 1), dtype=np.int8), np.array([[0.1, np.nan]]))

@@ -240,9 +240,9 @@ class TestTunnelModel:
 class TestWeakElectronWindow:
     def entangled_state(self, theta=math.pi):
         state = prepare_initial()
-        from weakmeas.spinsys import conditional_unitary
+        from weakmeas.spinsys import pulse_unitary
 
-        u = conditional_unitary(RotationPulse(Frequency.NU_E2, theta))
+        u = pulse_unitary(RotationPulse(Frequency.NU_E2, theta))
         return JointState(DensityMatrix(u @ state.rho.matrix @ u.conj().T))
 
     @settings(deadline=None, max_examples=200)
@@ -284,7 +284,7 @@ class TestWeakElectronWindow:
                 assert weight < 1e-12
                 continue
             assert post.success_probability == pytest.approx(weight, abs=1e-12)
-            want = qmath.partial_trace(kraus_branch / weight, qmath.ELECTRON)
+            want = qmath._nuclear_reduced(kraus_branch / weight)
             assert np.max(np.abs(post.state.rho.matrix - want)) < 1e-12
         assert total == pytest.approx(1.0, abs=1e-12)
 

@@ -11,11 +11,11 @@ from weakmeas.qmath import (
     DensityMatrix,
     DimensionError,
     NotHermitianError,
-    hermitian_eigenvalues,
-    partial_trace,
-    partial_transpose_electron,
+    _eigenvalues,
+    _nuclear_reduced,
     purity,
 )
+from weakmeas.spinsys import JointState, negativity
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -35,10 +35,25 @@ def char_poly_eigs_oracle(m):
     return sorted(roots.real)
 
 
+def electron_reduced(m):
+    """The nucleus partial trace, the electron's 2x2 state, by index sum."""
+    return np.einsum("kikj->ij", m.reshape(2, 2, 2, 2))
+
+
+def partial_transpose_by_index(m):
+    """The electron partial transpose, entry by entry:
+    pt[(i, k), (j, l)] = m[(i, l), (j, k)]."""
+    t = m.reshape(2, 2, 2, 2)
+    pt = np.zeros((2, 2, 2, 2), dtype=complex)
+    for i, k, j, l in np.ndindex(2, 2, 2, 2):
+        pt[i, k, j, l] = t[i, l, j, k]
+    return pt.reshape(4, 4)
+
+
 class TestPartialTrace:
     def test_maximally_mixed(self):
-        assert np.allclose(partial_trace(np.eye(4) / 4, qmath.ELECTRON), I2 / 2)
-        assert np.allclose(partial_trace(np.eye(4) / 4, qmath.NUCLEUS), I2 / 2)
+        assert np.allclose(_nuclear_reduced(np.eye(4) / 4), I2 / 2)
+        assert np.allclose(electron_reduced(np.eye(4) / 4), I2 / 2)
 
     def test_post_rotation_nuclear_marginal(self):
         # conditional rotation of the electron leaves the nuclear marginal
@@ -54,14 +69,15 @@ class TestPartialTrace:
             ],
             dtype=complex,
         )
-        reduced = partial_trace(joint, qmath.ELECTRON)
+        reduced = _nuclear_reduced(joint)
         assert np.allclose(reduced, 0.5 * np.array([[1, 0.70710678], [0.70710678, 1]]), atol=1e-8)
 
     def test_bell_marginal(self):
         psi = np.zeros(4, dtype=complex)
         psi[0] = psi[3] = 1 / math.sqrt(2)
         rho = np.outer(psi, psi.conj())
-        assert np.allclose(partial_trace(rho, qmath.NUCLEUS), I2 / 2)
+        assert np.allclose(_nuclear_reduced(rho), I2 / 2)
+        assert np.allclose(electron_reduced(rho), I2 / 2)
 
     def test_oracle_elementwise_sum(self):
         # brute-force index-summation oracle
@@ -75,35 +91,21 @@ class TestPartialTrace:
                     by_hand_e[i, j] += m[i, k, j, k]
                     by_hand_n[i, j] += m[k, i, k, j]
         flat = m.reshape(4, 4)
-        assert np.allclose(partial_trace(flat, qmath.ELECTRON), by_hand_e, atol=1e-14)
-        assert np.allclose(partial_trace(flat, qmath.NUCLEUS), by_hand_n, atol=1e-14)
-
-    def test_rejects_wrong_dim(self):
-        with pytest.raises(DimensionError):
-            partial_trace(I2, qmath.ELECTRON)
-
-    def test_rejects_nonfinite(self):
-        m = np.eye(4, dtype=complex)
-        m[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            partial_trace(m, qmath.ELECTRON)
+        assert np.allclose(_nuclear_reduced(flat), by_hand_e, atol=1e-14)
+        assert np.allclose(electron_reduced(flat), by_hand_n, atol=1e-14)
 
 
 class TestHermitianEigenvalues:
     def test_identity(self):
-        assert hermitian_eigenvalues(I2) == [1, 1]
+        assert _eigenvalues(I2.astype(complex)) == [1, 1]
 
     def test_pauli_x(self):
-        assert np.allclose(hermitian_eigenvalues(X), [-1, 1])
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
+        assert np.allclose(_eigenvalues(X), [-1, 1])
 
     def test_partial_transpose_negative_eigenvalue(self):
         # entangled post-rotation state: its electron partial transpose has
         # a negative eigenvalue, confirmed by the characteristic-polynomial
-        # oracle
+        # oracle, and negativity sums the negative ones
         theta = math.pi / 2
         c, s = math.cos(theta / 2), math.sin(theta / 2)
         joint = 0.5 * np.array(
@@ -115,16 +117,18 @@ class TestHermitianEigenvalues:
             ],
             dtype=complex,
         )
-        pt = partial_transpose_electron(joint)
-        eigs = hermitian_eigenvalues(pt)
+        pt = partial_transpose_by_index(joint)
+        eigs = _eigenvalues(pt)
         oracle = char_poly_eigs_oracle(pt)
         assert np.allclose(eigs, oracle, atol=1e-8)
         assert eigs[0] < -1e-3
+        state = JointState(DensityMatrix(joint))
+        assert negativity(state) == pytest.approx(-sum(x for x in oracle if x < 0), abs=1e-8)
 
     def test_residual_4x4(self):
         rng = np.random.default_rng(11)
         m = random_density(rng, 4)
-        for lam in hermitian_eigenvalues(m):
+        for lam in _eigenvalues(m):
             # eigenvalue must make the shifted matrix singular
             assert abs(np.linalg.det(m - lam * np.eye(4))) < 1e-12
 
@@ -209,13 +213,13 @@ class TestProperties:
     @settings(deadline=None, max_examples=60)
     @given(density_matrices(2), density_matrices(2))
     def test_kron_partial_trace_roundtrip(self, rho_a, rho_b):
-        assert np.max(np.abs(partial_trace(np.kron(rho_a, rho_b), qmath.ELECTRON) - rho_a)) < 1e-12
-        assert np.max(np.abs(partial_trace(np.kron(rho_a, rho_b), qmath.NUCLEUS) - rho_b)) < 1e-12
+        assert np.max(np.abs(_nuclear_reduced(np.kron(rho_a, rho_b)) - rho_a)) < 1e-12
+        assert np.max(np.abs(electron_reduced(np.kron(rho_a, rho_b)) - rho_b)) < 1e-12
 
     @settings(deadline=None, max_examples=60)
     @given(density_matrices(4))
     def test_eigenvalue_sum_is_trace(self, m):
-        eigs = hermitian_eigenvalues(m)
+        eigs = _eigenvalues(m)
         assert abs(sum(eigs) - np.trace(m).real) < 1e-10
         assert min(eigs) >= -1e-9
 
@@ -223,5 +227,5 @@ class TestProperties:
     @given(density_matrices(2))
     def test_purity_one_iff_max_eigenvalue_one(self, m):
         rho = DensityMatrix(m)
-        top = max(hermitian_eigenvalues(m))
+        top = max(_eigenvalues(rho.matrix))
         assert (abs(purity(rho) - 1.0) < 1e-9) == (abs(top - 1.0) < 1e-9)
