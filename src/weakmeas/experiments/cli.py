@@ -82,7 +82,13 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _prefixes(args: argparse.Namespace, cfg: RunConfig) -> list[str]:
-    """The panel-name prefixes a subcommand selects."""
+    """The panel-name prefixes a subcommand selects.  Only ``custom`` reads
+    the config's ``experiment``; any other subcommand refuses one."""
+    if args.command != "custom" and cfg.experiment != "custom":
+        raise ValueError(
+            f"config key 'experiment' ({cfg.experiment!r}) is read by the custom "
+            f"subcommand only, not by {args.command}"
+        )
     if args.command == "fig2":
         return ["fig2_" if args.variant == "all" else f"fig2_{args.variant}_"]
     if args.command in ("fig3", "supp"):

@@ -34,14 +34,17 @@ def default_theta_grid(n: int = 41) -> list[float]:
     return [2.0 * math.pi * i / (n - 1) for i in range(n)]
 
 
-def default_gamma_grid(t_m: float = DEFAULT_T_M, n: int = 9) -> list[float]:
-    """Log-spaced tunnel rates with Gamma*t_m covering [0.05, 10]."""
+def default_gamma_grid(t_m: float = DEFAULT_T_M) -> list[float]:
+    """Nine log-spaced tunnel rates with Gamma*t_m covering [0.05, 10]."""
     lo, hi = math.log(0.05), math.log(10.0)
-    return [math.exp(lo + (hi - lo) * i / (n - 1)) / t_m for i in range(n)]
+    return [math.exp(lo + (hi - lo) * i / 8) / t_m for i in range(9)]
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's settings, validated on construction.  ``experiment`` names
+    the panels the ``custom`` subcommand writes; ``custom`` names them all."""
+
     experiment: str = "custom"
     theta_grid: list[float] = field(default_factory=default_theta_grid)
     # None: default_gamma_grid at this config's t_m, read by the run, so

@@ -175,12 +175,13 @@ PANELS: tuple[Panel, ...] = (
 )
 
 
-def bell_window_protocol(gamma: float, t_m: float, axis: str = "z") -> mc.Protocol:
-    """Bell pair, one finite readout window kept on no-blip, tomography."""
+def bell_window_protocol(gamma: float, t_m: float) -> mc.Protocol:
+    """Bell pair, one finite readout window kept on no-blip, sigma_z
+    tomography."""
     return mc.Protocol(
         (
             TunnelModel(gamma_up_out=gamma, t_m=t_m),
-            mc.NuclearTomography(axis),
+            mc.NuclearTomography("z"),
         ),
         initial=prepare_bell(),
     )
@@ -273,7 +274,7 @@ def run_panels(config: RunConfig, prefixes: Sequence[str]) -> list[Path]:
     )
     work = [(key, _sweep_protocol(*key, config.t_m)) for key in keys]
     ranges = mc.shot_ranges(config.n_shots, config.n_jobs)
-    done = mc._parallel_map(partial(_run_range, config, work), ranges, len(ranges))
+    done = mc._parallel_map(partial(_run_range, config, work), ranges)
     points = {
         key: _sweep_point(config, key, [parts[i] for parts in done])
         for i, key in enumerate(keys)

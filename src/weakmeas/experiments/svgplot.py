@@ -14,6 +14,9 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 55
 
 @dataclass(frozen=True)
 class PlotStyle:
+    """A plot's title, axis labels and fixed y limits.  A limit left None
+    follows the data, padded by 5% of its span."""
+
     title: str
     xlabel: str
     ylabel: str
@@ -55,11 +58,11 @@ def _nonempty(lo: float, hi: float) -> tuple[float, float]:
     return (half, lo) if lo > 0.0 else (lo, half)
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    """n ticks over lo..hi.  The fraction is formed first, so the product
-    stays within the span: at n = 5 the fractions are powers of two over 4,
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Five ticks over lo..hi.  The fraction is formed first, so the
+    product stays within the span: the fractions are powers of two over 4,
     and the ticks of every finite span are those of ``(hi - lo) * i / 4``."""
-    return [lo + (hi - lo) * (i / (n - 1)) for i in range(n)]
+    return [lo + (hi - lo) * (i / 4) for i in range(5)]
 
 
 def emit_plot(rows: Sequence[SweepRow], style: PlotStyle) -> str:
@@ -79,11 +82,13 @@ def emit_plot(rows: Sequence[SweepRow], style: PlotStyle) -> str:
         style.y_min if style.y_min is not None else (min(ys) if ys else 0.0),
         style.y_max if style.y_max is not None else (max(ys) if ys else 1.0),
     )
+    # a free end is padded by 5% of the span, unless the padded span would
+    # overflow: then the data's own range is plotted
     pad = 0.05 * (y_hi - y_lo)
-    if style.y_min is None:
-        y_lo -= pad
-    if style.y_max is None:
-        y_hi += pad
+    lo = y_lo - pad if style.y_min is None else y_lo
+    hi = y_hi + pad if style.y_max is None else y_hi
+    if math.isfinite(hi - lo):
+        y_lo, y_hi = lo, hi
 
     def px(x: float) -> float:
         return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * (WIDTH - MARGIN_L - MARGIN_R)

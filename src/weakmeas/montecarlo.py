@@ -49,8 +49,8 @@ and shared by every ensemble that reads them.
 a smaller range saves less than its round trip through a worker costs.
 The ranges go through ``_parallel_map``, the one fork-and-join map of the
 package, which runs a lone range in the caller and otherwise shares them
-between the caller and its worker processes through one counter of
-claimed items.  A figure run
+between the caller and up to one worker process per further range, as
+many as the CPUs allow, through one counter of claimed items.  A figure run
 makes one such map over the ranges of its shots, each range run at every
 sweep point with ``run_shots(..., start=a)`` and reduced to counts where
 it ran.  ``multiprocessing`` is imported only when a worker starts.
@@ -422,12 +422,12 @@ def _map_worker(fn, items: Sequence, counter, conn: Connection) -> None:
     conn.close()
 
 
-def _parallel_map(fn, items: Sequence, n_jobs: int) -> list:
-    """``[fn(x) for x in items]`` over at most ``n_jobs`` processes.
+def _parallel_map(fn, items: Sequence) -> list:
+    """``[fn(x) for x in items]`` over up to one process per item.
 
-    Starts ``min(n_jobs, len(items), CPUs this process may run on) - 1``
-    workers, and none at all, nor ``multiprocessing``, when that is 0.  The
-    caller and the workers claim item indices from one shared counter, so
+    Starts ``min(len(items), CPUs this process may run on) - 1`` workers,
+    and none at all, nor ``multiprocessing``, when that is 0.  The caller
+    and the workers claim item indices from one shared counter, so
     the caller runs every item a worker has not claimed, then waits for
     each worker to send its results and any error once and exit.  A
     worker's error is raised here, and a worker lost before it answered
@@ -444,7 +444,7 @@ def _parallel_map(fn, items: Sequence, n_jobs: int) -> list:
     ``fork``.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    n_workers = min(n_jobs, len(items), cpus or 1) - 1
+    n_workers = min(len(items), cpus or 1) - 1
     if n_workers <= 0:
         return [fn(x) for x in items]
     import multiprocessing  # here, so that a run with no worker never loads it
@@ -520,7 +520,7 @@ def run_shots(
     chunks = [
         (protocol, noise, rng_seed, start + a, start + b) for a, b in shot_ranges(n_shots, n_jobs)
     ]
-    return Shots.concat(_parallel_map(_run_chunk, chunks, len(chunks)))
+    return Shots.concat(_parallel_map(_run_chunk, chunks))
 
 
 def stats_from_records(shots: Shots, column: int = 0) -> EnsembleStats:

@@ -5,9 +5,10 @@ the steering scan.
 
 Every function here is a closed form or an exact 4x4 channel composition.
 
-The readout window has two outcomes: no blip, or the up electron tunneled
-out at rate Gamma.  It has one implementation, the private raw-array
-helpers ``_no_blip_damping``, ``_node_blip_weight`` and
+The readout window has two outcomes, ``NO_BLIP`` (no tunnel event) or
+``BLIP`` (the up electron tunneled out at rate Gamma), and every function
+that forces one names it so.  It has one implementation, the private
+raw-array helpers ``_no_blip_damping``, ``_node_blip_weight`` and
 ``_node_after_window``: the shot engine in ``montecarlo`` evolves every
 branch history with them, and ``weak_electron_window``,
 ``weak_nuclear_measure`` (a projective window), ``steering_scan`` and
@@ -42,8 +43,6 @@ from .spinsys import (
 
 ZERO_BRANCH_TOL = 1e-15
 
-DOWN = "down"
-UP = "up"
 NO_BLIP = "no_blip"
 BLIP = "blip"
 
@@ -195,13 +194,12 @@ def _post_selected(joint: np.ndarray, weight: float) -> PostSelectedState:
 
 
 def weak_nuclear_measure(
-    state: JointState, pulse: RotationPulse, electron_outcome: str = DOWN
+    state: JointState, pulse: RotationPulse, outcome: str = NO_BLIP
 ) -> PostSelectedState:
     """A pulse (a conditional one measures the nucleus weakly), projective
-    electron readout, post-selection on the given outcome, electron traced
-    out.  The readout is a projective window: an up electron always
-    tunnels, so DOWN is its no-blip branch and UP its blip branch."""
-    outcome = {DOWN: NO_BLIP, UP: BLIP}[electron_outcome]
+    electron readout, post-selection on ``outcome``, electron traced out.
+    The readout is a projective window: an up electron always tunnels, so
+    ``no_blip`` keeps the down electron and ``blip`` the up one."""
     return _post_selected(
         *_window_outcome(_node_pulse(state.rho.matrix, pulse), _PROJECTIVE, outcome)
     )
@@ -322,7 +320,7 @@ def steering_scan(theta: float) -> TomographyResult:
     measurement basis (sigma_z = -cos(theta) up to the axis convention).
     """
     pulse = RotationPulse(Frequency.ESR_BOTH, theta)
-    return tomography_expectations(weak_nuclear_measure(prepare_bell(), pulse, DOWN).state)
+    return tomography_expectations(weak_nuclear_measure(prepare_bell(), pulse).state)
 
 
 def tunnel_rate_limits(sigma_z: float, t_m: float, p_fn: float = 0.0, p_fp: float = 0.0) -> float:

@@ -107,22 +107,12 @@ def _node_pulse(joint: np.ndarray, pulse: RotationPulse) -> np.ndarray:
     return u @ joint @ u.conj().T
 
 
-_NUCLEAR_PREPARATIONS = {
-    "superposition_x": (KET_UP + KET_DOWN) / np.sqrt(2.0),
-    "up": KET_UP,
-    "down": KET_DOWN,
-}
-
-
 # The prepared states are immutable, so each is built (and validated) once
 # per process and shared by every protocol that starts from it.
 @cache
-def prepare_initial(nuclear: str = "superposition_x") -> JointState:
-    """Product state: requested nuclear pure state with the electron down."""
-    try:
-        psi = _NUCLEAR_PREPARATIONS[nuclear]
-    except KeyError:
-        raise ValueError(f"unknown nuclear preparation {nuclear!r}") from None
+def prepare_initial() -> JointState:
+    """Product state: the nuclear x-superposition with the electron down."""
+    psi = (KET_UP + KET_DOWN) / np.sqrt(2.0)
     rho_n = np.outer(psi, psi.conj())
     return JointState(DensityMatrix(qmath.kron(rho_n, PROJ_DOWN)))
 
@@ -134,7 +124,7 @@ def prepare_bell() -> JointState:
     Built the way the experiment does it: nuclear x-superposition with the
     electron down, then a pi pulse conditioned on the nuclear up state.
     """
-    state = prepare_initial("superposition_x")
+    state = prepare_initial()
     pulse = RotationPulse(Frequency.NU_E2, np.pi)
     return JointState(DensityMatrix(_node_pulse(state.rho.matrix, pulse)))
 

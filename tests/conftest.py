@@ -41,8 +41,15 @@ def no_worker_left_running():
 @pytest.fixture
 def four_cpus(monkeypatch):
     """This process may run on four CPUs, whatever the machine has, so that
-    a map over up to four processes starts all of them."""
+    a map over up to four items starts a process for each."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """This process may run on two CPUs, so that a map over two or more
+    items starts exactly one worker."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
 @pytest.fixture
@@ -55,8 +62,8 @@ def worker_chunks(monkeypatch, four_cpus):
     parallel_map = mc._parallel_map
     count = {"workers": 0}
 
-    def counted_map(fn, items, n_jobs):
-        slow = [n_jobs > 1 and len(items) > 1]
+    def counted_map(fn, items):
+        slow = [len(items) > 1]
 
         def tagged(item):
             if os.getpid() == caller and slow[0]:
@@ -64,7 +71,7 @@ def worker_chunks(monkeypatch, four_cpus):
                 time.sleep(0.2)
             return os.getpid(), fn(item)
 
-        pairs = parallel_map(tagged, items, n_jobs)
+        pairs = parallel_map(tagged, items)
         count["workers"] += sum(pid != caller for pid, _ in pairs)
         return [result for _, result in pairs]
 

@@ -65,7 +65,7 @@ def test_criterion_1_closed_form_suite():
     start = time.perf_counter()
     for theta in THETA_13:
         single = weak_nuclear_measure(
-            prepare_initial(), RotationPulse(Frequency.NU_E2, theta), "down"
+            prepare_initial(), RotationPulse(Frequency.NU_E2, theta), NO_BLIP
         )
         assert np.max(np.abs(single.state.rho.matrix - single_step_reference(theta))) < 1e-12
         double = closed_form_sequence([(theta, Frequency.NU_E2)] * 2)
@@ -83,7 +83,7 @@ def test_criterion_2_purity_suite():
     for theta in THETA_13:
         states = [
             weak_nuclear_measure(
-                prepare_initial(), RotationPulse(Frequency.NU_E2, theta), "down"
+                prepare_initial(), RotationPulse(Frequency.NU_E2, theta), NO_BLIP
             ).state,
             closed_form_sequence([(theta, Frequency.NU_E2)] * 2).state,
         ]

@@ -523,17 +523,44 @@ class TestCli:
 
     def test_tiny_gamma_plots_finite_coordinates(self, tmp_path, capsys):
         """1/Gamma = 1e308 sets the top of the 1/Gamma plot; its ticks stay
-        finite, as does every other coordinate of the run's SVGs."""
-        cfg = tmp_path / "run.yaml"
-        cfg.write_text("experiment: fig3_tunnel\ngamma_grid: [1.0e-308, 1.0]\n", encoding="utf-8")
+        finite, as does every other coordinate of the run's SVGs.  At
+        Gamma = 5.6e-309, 1/Gamma = 1.786e308 is finite but 5% above it is
+        not, so that plot shows the data's unpadded range."""
+        for gamma in ("1.0e-308", "5.6e-309"):
+            cfg = tmp_path / f"{gamma}.yaml"
+            cfg.write_text(
+                f"experiment: fig3_tunnel\ngamma_grid: [{gamma}, 1.0]\n", encoding="utf-8"
+            )
+            out = tmp_path / gamma
+            argv = ["custom", "--config", str(cfg), "--shots", "200", "--out", str(out)]
+            assert main(argv) == 0, gamma
+            svgs = sorted(out.glob("*.svg"))
+            assert [p.name for p in svgs] == [
+                "fig3_tunnel_inv_gamma.svg", "fig3_tunnel_sigma_z.svg"
+            ]
+            for path in svgs:
+                doc = path.read_text(encoding="utf-8")
+                ET.fromstring(doc)
+                assert not re.search(r'="[^"]*(nan|inf)', doc), (gamma, path.name)
+
+    @pytest.mark.parametrize("command", ["fig2", "fig3", "supp"])
+    def test_experiment_outside_custom_is_refused(self, tmp_path, capsys, command):
+        """Only custom reads the config's experiment: fig2, fig3 and supp
+        refuse one, naming the key, and write nothing.  The default,
+        ``custom``, is no choice, so they take it."""
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text("experiment: fig2_single\n", encoding="utf-8")
         out = tmp_path / "out"
-        assert main(["custom", "--config", str(cfg), "--shots", "200", "--out", str(out)]) == 0
-        svgs = sorted(out.glob("*.svg"))
-        assert [p.name for p in svgs] == ["fig3_tunnel_inv_gamma.svg", "fig3_tunnel_sigma_z.svg"]
-        for path in svgs:
-            doc = path.read_text(encoding="utf-8")
-            ET.fromstring(doc)
-            assert not re.search(r'="[^"]*(nan|inf)', doc), path.name
+        argv = [command, "--config", str(cfg), "--shots", "20", "--grid", "3", "--no-svg"]
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:") and "'experiment'" in line
+        assert not out.exists()
+        cfg.write_text("experiment: custom\n", encoding="utf-8")
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.exists()
 
     def test_custom_builds_each_pulse_unitary_once(self, tmp_path, capsys):
         """3 distinct pulses per theta (NU_E2, NU_E1 and both ESR lines).

@@ -35,15 +35,18 @@ from weakmeas.protocols import (
     sigma_z_noblip,
     success_probability_n,
 )
-from weakmeas.qmath import _nuclear_reduced
+from weakmeas.qmath import DensityMatrix, _nuclear_reduced, kron
 from weakmeas.spinsys import (
+    PROJ_DOWN,
+    PROJ_UP,
     Frequency,
+    JointState,
     RotationPulse,
     prepare_bell,
-    prepare_initial,
 )
 
 PROJECTIVE = TunnelModel.projective(1.0)
+NUCLEUS_UP = JointState(DensityMatrix(kron(PROJ_UP, PROJ_DOWN)))  # the electron down
 
 
 def measure_protocol(theta, axis="z", n=1):
@@ -153,7 +156,7 @@ class TestDeterminism:
 
 class TestTrivialProtocols:
     def test_eigenstate_tomography_is_deterministic(self):
-        p = Protocol(steps=(NuclearTomography("z"),), initial=prepare_initial("up"))
+        p = Protocol(steps=(NuclearTomography("z"),), initial=NUCLEUS_UP)
         stats = stats_from_records(run_shots(p, n_shots=50, rng_seed=1))
         assert stats.n_kept == 50
         assert stats.mean == 1.0
@@ -271,7 +274,7 @@ class TestDephasing:
         assert abs(noisy.mean) < 0.05
         # population protocol: z tomography on an eigenstate is unaffected
         pz = Protocol(
-            steps=(window, NuclearTomography("z")), initial=prepare_initial("up")
+            steps=(window, NuclearTomography("z")), initial=NUCLEUS_UP
         )
         shots = run_shots(pz, noise=noise, n_shots=200, rng_seed=4)
         assert stats_from_records(shots).mean == 1.0
@@ -285,7 +288,7 @@ class TestLabelErrors:
                 TunnelModel(gamma_up_out=1.0, t_m=1.0),
                 NuclearTomography("z"),
             ),
-            initial=prepare_initial("up"),  # electron down: never tunnels
+            initial=NUCLEUS_UP,  # electron down: never tunnels
         )
         stats = stats_from_records(run_shots(p, noise=noise, n_shots=100, rng_seed=6))
         assert stats.n_kept == 0

@@ -10,9 +10,7 @@ from weakmeas import qmath
 from weakmeas.experiments.config import default_theta_grid
 from weakmeas.protocols import (
     BLIP,
-    DOWN,
     NO_BLIP,
-    UP,
     ImpossibleBranchError,
     MeasurementTooWeakError,
     PostSelectedState,
@@ -59,7 +57,7 @@ def stepwise_sequence(thetas):
     probability = 1.0
     nuclear = None
     for angle, freq in thetas:
-        post = weak_nuclear_measure(state, RotationPulse(freq, angle), DOWN)
+        post = weak_nuclear_measure(state, RotationPulse(freq, angle), NO_BLIP)
         probability *= post.success_probability
         nuclear = post.state
         state = reattach_down_electron(nuclear)
@@ -69,7 +67,7 @@ def stepwise_sequence(thetas):
 class TestWeakNuclearMeasure:
     def test_quarter_strength_state(self):
         post = weak_nuclear_measure(
-            prepare_initial(), RotationPulse(Frequency.NU_E2, math.pi / 2), DOWN
+            prepare_initial(), RotationPulse(Frequency.NU_E2, math.pi / 2), NO_BLIP
         )
         expected = np.array(
             [[1 / 3, 0.47140452079103173], [0.47140452079103173, 2 / 3]]
@@ -79,7 +77,7 @@ class TestWeakNuclearMeasure:
 
     def test_projective_pulse(self):
         post = weak_nuclear_measure(
-            prepare_initial(), RotationPulse(Frequency.NU_E2, math.pi), DOWN
+            prepare_initial(), RotationPulse(Frequency.NU_E2, math.pi), NO_BLIP
         )
         # full-strength pulse collapses the nucleus to down
         assert post.state.rho.matrix[1, 1].real == pytest.approx(1.0, abs=1e-12)
@@ -87,7 +85,7 @@ class TestWeakNuclearMeasure:
 
     def test_up_branch_heralds_nuclear_up(self):
         post = weak_nuclear_measure(
-            prepare_initial(), RotationPulse(Frequency.NU_E2, 1.1), UP
+            prepare_initial(), RotationPulse(Frequency.NU_E2, 1.1), BLIP
         )
         assert post.state.rho.matrix[0, 0].real == pytest.approx(1.0, abs=1e-12)
 
@@ -95,14 +93,21 @@ class TestWeakNuclearMeasure:
         for theta in (0.3, 1.3, 2.4, 3.0):
             state = prepare_initial()
             pulse = RotationPulse(Frequency.NU_E2, theta)
-            w_down = weak_nuclear_measure(state, pulse, DOWN).success_probability
-            w_up = weak_nuclear_measure(state, pulse, UP).success_probability
+            w_down = weak_nuclear_measure(state, pulse, NO_BLIP).success_probability
+            w_up = weak_nuclear_measure(state, pulse, BLIP).success_probability
             assert w_down + w_up == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_angle_up_branch_impossible(self):
         with pytest.raises(ImpossibleBranchError):
             weak_nuclear_measure(
-                prepare_initial(), RotationPulse(Frequency.NU_E2, 0.0), UP
+                prepare_initial(), RotationPulse(Frequency.NU_E2, 0.0), BLIP
+            )
+
+    def test_outcome_is_a_window_outcome(self):
+        """The outcomes are the readout window's; an electron spin is not one."""
+        with pytest.raises(ValueError, match="unknown outcome 'down'"):
+            weak_nuclear_measure(
+                prepare_initial(), RotationPulse(Frequency.NU_E2, 1.1), "down"
             )
 
 
@@ -110,7 +115,7 @@ class TestClosedFormSequence:
     def test_single_pulse_matches_direct(self):
         post = closed_form_sequence([(math.pi / 2, Frequency.NU_E2)])
         direct = weak_nuclear_measure(
-            prepare_initial(), RotationPulse(Frequency.NU_E2, math.pi / 2), DOWN
+            prepare_initial(), RotationPulse(Frequency.NU_E2, math.pi / 2), NO_BLIP
         )
         assert np.allclose(post.state.rho.matrix, direct.state.rho.matrix, atol=1e-12)
         assert post.success_probability == pytest.approx(
@@ -440,7 +445,7 @@ class TestTomography:
 
     def test_partially_measured_bloch(self):
         post = weak_nuclear_measure(
-            prepare_initial(), RotationPulse(Frequency.NU_E2, math.pi / 2), DOWN
+            prepare_initial(), RotationPulse(Frequency.NU_E2, math.pi / 2), NO_BLIP
         )
         result = tomography_expectations(post.state)
         assert result.sigma_x == pytest.approx(0.9428090415820635, abs=1e-12)

@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_sampler as ref
 import weakmeas
-from weakmeas import montecarlo as mc, spinsys
+from weakmeas import montecarlo as mc, qmath, spinsys
 from weakmeas.experiments import presets
 from weakmeas.experiments.cli import main
 from weakmeas.experiments.config import default_theta_grid
@@ -73,11 +73,17 @@ def nuclear_y_initial():
     return JointState(DensityMatrix(rho))
 
 
+def nuclear_eigenstate_initial(nuclear_projector):
+    """Nucleus in the eigenstate of ``nuclear_projector``, electron down."""
+    rho = qmath.kron(nuclear_projector, spinsys.PROJ_DOWN)
+    return JointState(DensityMatrix(rho))
+
+
 INITIALS = {
     "superposition_x": prepare_initial,
     "superposition_y": nuclear_y_initial,
-    "up": lambda: prepare_initial("up"),
-    "down": lambda: prepare_initial("down"),
+    "up": lambda: nuclear_eigenstate_initial(spinsys.PROJ_UP),
+    "down": lambda: nuclear_eigenstate_initial(spinsys.PROJ_DOWN),
     "bell": prepare_bell,
     "mixed": lambda: mixed_initial(0.6),
 }
@@ -447,30 +453,32 @@ def test_no_worker_process_left_after_a_failed_run(tmp_path, monkeypatch, capsys
     calls = []
     parallel_map = mc._parallel_map
 
-    def counted(fn, items, n_jobs):
-        if n_jobs > 1:
-            calls.append((len(items), n_jobs))
-        return parallel_map(fn, items, n_jobs)
+    def counted(fn, items):
+        if len(items) > 1:
+            calls.append(len(items))
+        return parallel_map(fn, items)
 
     monkeypatch.setattr(mc, "_parallel_map", counted)
     out = tmp_path / "taken"
     out.write_text("", encoding="utf-8")
     assert main(SPLIT_FIG2 + ["--jobs", "2", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
-    assert calls == [(2, 2)]
+    assert calls == [2]
     assert multiprocessing.active_children() == []
 
 
 @pytest.fixture
-def recording_map(monkeypatch):
-    """Stands in for _parallel_map: records the process count and the items
-    of each call that asks for more than one process, and runs the items in
-    this process, so no worker starts."""
+def recording_map(monkeypatch, four_cpus):
+    """Stands in for _parallel_map on four CPUs: records, for each call that
+    would start a worker, the processes the map would use (one per item, at
+    most one per CPU) and the items, and runs the items in this process, so
+    no worker starts."""
     calls = []
 
-    def recording(fn, items, n_jobs):
-        if n_jobs > 1:
-            calls.append((n_jobs, items))
+    def recording(fn, items):
+        processes = min(len(items), len(os.sched_getaffinity(0)))
+        if processes > 1:
+            calls.append((processes, items))
         return [fn(item) for item in items]
 
     monkeypatch.setattr(mc, "_parallel_map", recording)
@@ -479,8 +487,8 @@ def recording_map(monkeypatch):
 
 @pytest.fixture
 def process_starts(monkeypatch):
-    """The processes started so far, and the (fn, items, n_jobs, results) of
-    each ``_parallel_map`` call that asks for more than one process."""
+    """The processes started so far, and the (fn, items, results) of each
+    ``_parallel_map`` call over more than one item."""
     starts, maps = [], []
     start, parallel_map = multiprocessing.process.BaseProcess.start, mc._parallel_map
 
@@ -488,10 +496,10 @@ def process_starts(monkeypatch):
         starts.append(proc)
         start(proc)
 
-    def recorded_map(fn, items, n_jobs):
-        results = parallel_map(fn, items, n_jobs)
-        if n_jobs > 1:
-            maps.append((fn, list(items), n_jobs, results))
+    def recorded_map(fn, items):
+        results = parallel_map(fn, items)
+        if len(items) > 1:
+            maps.append((fn, list(items), results))
         return results
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted_start)
@@ -518,8 +526,8 @@ def test_one_map_over_shot_ranges(tmp_path, capsys, worker_chunks, process_start
     argv += ["--shots", str(shots)]
     assert main(argv + ["--jobs", str(jobs), "--out", str(tmp_path / "par")]) == 0
     assert len(starts) == jobs - 1
-    ((fn, items, n_jobs, answers),) = maps
-    assert fn.func is presets._run_range and n_jobs == jobs
+    ((fn, items, answers),) = maps
+    assert fn.func is presets._run_range
     assert items == mc.shot_ranges(shots, jobs) and len(items) == jobs
     assert [key for key, _ in fn.args[1]] == keys
     assert all(len(answer) == points for answer in answers)
@@ -544,7 +552,7 @@ def test_worker_answers_are_counts_and_blip_times(tmp_path, capsys, worker_chunk
     argv = ["custom", "--config", str(config), "--shots", str(SPLIT), "--no-svg"]
     assert main(argv + ["--jobs", "2", "--out", str(tmp_path)]) == 0
     assert worker_chunks() > 0
-    ((fn, ranges, _, answers),) = maps
+    ((fn, ranges, answers),) = maps
     work = fn.args[1]
     assert len(work) == 4 * 2 + 2
     for (a, b), answer in zip(ranges, answers):
@@ -632,7 +640,7 @@ def test_sub_block_run_starts_no_pool(tmp_path, recording_map, capsys):
 
 @pytest.mark.parametrize("affinity", [True, False])
 def test_map_starts_no_more_processes_than_cpus(monkeypatch, affinity):
-    """--jobs far above the CPU count starts one process per CPU this
+    """A map over far more items than CPUs starts one process per CPU this
     process may run on, read from its affinity or, without one, cpu_count."""
     if affinity:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -645,7 +653,7 @@ def test_map_starts_no_more_processes_than_cpus(monkeypatch, affinity):
         return os.getpid()
 
     with time_limit(30):
-        pids = mc._parallel_map(slow_pid, list(range(8)), 64)
+        pids = mc._parallel_map(slow_pid, list(range(8)))
     assert len(pids) == 8 and len(set(pids)) <= 2
 
 
@@ -665,7 +673,7 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_caller_runs_the_chunks_of_a_stopped_worker(four_cpus):
+def test_caller_runs_the_chunks_of_a_stopped_worker(two_cpus):
     """A worker that is not running costs the map nothing: while it is
     stopped, the caller runs every item left unclaimed, and once the worker
     runs again the map returns the serial result."""
@@ -691,7 +699,7 @@ def test_caller_runs_the_chunks_of_a_stopped_worker(four_cpus):
     items = list(range(20))
     try:
         with time_limit(30):
-            assert mc._parallel_map(square, items, 2) == [x * x for x in items]
+            assert mc._parallel_map(square, items) == [x * x for x in items]
     finally:
         for timer in timers:
             timer.join()
@@ -717,7 +725,7 @@ def test_worker_error_reaches_the_caller(monkeypatch, four_cpus):
         mc.run_shots(protocol, noise, SPLIT, 9, n_jobs=2)
 
 
-def test_lost_worker_is_reported(four_cpus):
+def test_lost_worker_is_reported(two_cpus):
     """A worker killed before it answered makes the map raise RuntimeError
     once the caller has run the items left."""
     caller = os.getpid()
@@ -734,7 +742,7 @@ def test_lost_worker_is_reported(four_cpus):
         return x
 
     with time_limit(30), pytest.raises(RuntimeError, match="exited unexpectedly"):
-        mc._parallel_map(kill_the_worker_first, list(range(8)), 2)
+        mc._parallel_map(kill_the_worker_first, list(range(8)))
     assert killed
 
 

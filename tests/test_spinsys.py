@@ -19,6 +19,10 @@ from weakmeas.spinsys import (
 
 THETA_GRID = [2 * math.pi * k / 14 for k in range(15)]
 
+# the nucleus up or down, the electron down
+NUCLEUS_UP = JointState(qmath.DensityMatrix(qmath.kron(spinsys.PROJ_UP, spinsys.PROJ_DOWN)))
+NUCLEUS_DOWN = JointState(qmath.DensityMatrix(qmath.kron(spinsys.PROJ_DOWN, spinsys.PROJ_DOWN)))
+
 
 def both_lines(angle):
     return pulse_unitary(RotationPulse(Frequency.ESR_BOTH, angle))
@@ -107,8 +111,7 @@ class TestUnconditionalUnitary:
             assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-12
 
     def test_zero_angle_preserves_populations(self):
-        for prep in ("superposition_x", "up", "down"):
-            state = prepare_initial(prep)
+        for state in (prepare_initial(), NUCLEUS_UP, NUCLEUS_DOWN):
             u = both_lines(0.0)
             rotated = u @ state.rho.matrix @ u.conj().T
             # projective electron measurement then nuclear populations
@@ -156,14 +159,10 @@ class TestPreparations:
         assert np.allclose(prepare_initial().rho.matrix, expected)
 
     def test_up_down_projectors(self):
-        up = prepare_initial("up").rho.matrix
-        down = prepare_initial("down").rho.matrix
+        up = NUCLEUS_UP.rho.matrix
+        down = NUCLEUS_DOWN.rho.matrix
         assert up[1, 1] == pytest.approx(1.0)
         assert down[3, 3] == pytest.approx(1.0)
-
-    def test_unknown_preparation(self):
-        with pytest.raises(ValueError):
-            prepare_initial("sideways")
 
     def test_bell_marginals_maximally_mixed(self):
         bell = prepare_bell().rho.matrix
@@ -193,7 +192,7 @@ class TestEntanglement:
         assert negativity(prepare_bell()) == pytest.approx(0.5, abs=1e-10)
 
     def test_product_state_not_entangled(self):
-        assert negativity(prepare_initial("up")) < 1e-12
+        assert negativity(NUCLEUS_UP) < 1e-12
 
     def test_post_rotation_negativity_profile(self):
         from weakmeas.qmath import DensityMatrix
