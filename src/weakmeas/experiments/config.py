@@ -34,7 +34,7 @@ def default_theta_grid(n: int = 41) -> list[float]:
     return [2.0 * math.pi * i / (n - 1) for i in range(n)]
 
 
-def default_gamma_grid(t_m: float = DEFAULT_T_M) -> list[float]:
+def default_gamma_grid(t_m: float) -> list[float]:
     """Nine log-spaced tunnel rates with Gamma*t_m covering [0.05, 10]."""
     lo, hi = math.log(0.05), math.log(10.0)
     return [math.exp(lo + (hi - lo) * i / 8) / t_m for i in range(9)]

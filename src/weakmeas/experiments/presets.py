@@ -64,10 +64,9 @@ class Panel:
 @dataclass(frozen=True)
 class SweepPoint:
     """Everything the panels read at one (sequence, sweep value): the
-    statistics of one ensemble on each axis its tomography names and, at a
-    theta point, the closed-form tomography (None where no shot can be
-    kept) or, at a Gamma point, the blip-time MLE (None where the blips
-    carry no information)."""
+    statistics of one ensemble on each axis and, at a theta point, the
+    closed-form tomography (None where no shot can be kept) or, at a Gamma
+    point, the blip-time MLE (None where the blips carry no information)."""
 
     stats: dict[str, mc.EnsembleStats]
     closed_form: Optional[TomographyResult]
@@ -110,17 +109,14 @@ def fig2_pulse_sequence(variant: str, theta: float) -> list[tuple[float, Frequen
     raise ValueError(f"unknown fig2 variant {variant!r}")
 
 
-def fig2_protocol(
-    variant: str, theta: float, axes: Sequence[str], t_m: float
-) -> mc.Protocol:
+def fig2_protocol(variant: str, theta: float, t_m: float) -> mc.Protocol:
     """A fig2 variant's pulses, each followed by a projective readout window
-    of ``t_m`` ms kept on no-blip, then nuclear tomography along ``axes``."""
+    of ``t_m`` ms kept on no-blip."""
     window = TunnelModel.projective(t_m)
     steps: list[mc.ProtocolStep] = []
     for angle, freq in fig2_pulse_sequence(variant, theta):
         steps.append(RotationPulse(freq, angle))
         steps.append(window)
-    steps.append(mc.NuclearTomography(axes))
     return mc.Protocol(tuple(steps))
 
 
@@ -176,15 +172,9 @@ PANELS: tuple[Panel, ...] = (
 
 
 def bell_window_protocol(gamma: float, t_m: float) -> mc.Protocol:
-    """Bell pair, one finite readout window kept on no-blip, sigma_z
-    tomography."""
-    return mc.Protocol(
-        (
-            TunnelModel(gamma_up_out=gamma, t_m=t_m),
-            mc.NuclearTomography("z"),
-        ),
-        initial=prepare_bell(),
-    )
+    """Bell pair, one finite readout window kept on no-blip; fig3 reads
+    its sigma_z."""
+    return mc.Protocol((TunnelModel(gamma_up_out=gamma, t_m=t_m),), initial=prepare_bell())
 
 
 def _sweep(config: RunConfig, sequence: str) -> list[float]:
@@ -197,35 +187,26 @@ def _sweep(config: RunConfig, sequence: str) -> list[float]:
 
 
 def _sweep_protocol(sequence: str, value: float, t_m: float) -> mc.Protocol:
-    """A sweep point's protocol, its readout windows ``t_m`` ms long.  The
-    theta sweeps take nuclear tomography along every axis; fig3's Gamma
-    sweep reads sigma_z only."""
+    """A sweep point's protocol, its readout windows ``t_m`` ms long."""
     if sequence == BELL_WINDOW:
         return bell_window_protocol(value, t_m)
     if sequence == STEERING:
         return mc.Protocol(
-            (
-                RotationPulse(Frequency.ESR_BOTH, value),
-                TunnelModel.projective(t_m),
-                mc.NuclearTomography(AXES),
-            ),
+            (RotationPulse(Frequency.ESR_BOTH, value), TunnelModel.projective(t_m)),
             initial=prepare_bell(),
         )
-    return fig2_protocol(sequence, value, AXES, t_m)
+    return fig2_protocol(sequence, value, t_m)
 
 
 def _run_range(config: RunConfig, work: Sequence[tuple], bounds: tuple[int, int]) -> list:
     """Shots a..b-1 of every (key, protocol) point of ``work``, reduced to
     what ``_sweep_point`` adds up: per point, the statistics of each axis
-    its tomography names and, at a Gamma point, the recorded blip times."""
+    and, at a Gamma point, the recorded blip times."""
     a, b = bounds
     parts = []
     for (sequence, _), protocol in work:
         shots = mc.run_shots(protocol, config.noise, b - a, config.rng_seed, 1, start=a)
-        stats = {
-            axis: mc.stats_from_records(shots, k)
-            for k, axis in enumerate(protocol.steps[-1].axes)
-        }
+        stats = {axis: mc.stats_from_records(shots, axis) for axis in AXES}
         times = mc.recorded_blip_times(shots) if sequence == BELL_WINDOW else None
         parts.append((stats, times))
         del shots  # before the next point's columns are built
@@ -255,11 +236,11 @@ def run_panels(config: RunConfig, prefixes: Sequence[str]) -> list[Path]:
     ``prefixes``, in PANELS order, and return the paths written.
 
     The run lists each (sequence, sweep value) the selected panels read and
-    simulates it once, for every axis its tomography names, before anything
-    is written: noise, shots and seed are fixed for a run, so equal keys are
-    equal ensembles.  It cuts the shots into ``mc.shot_ranges(n_shots,
-    n_jobs)``, so ``--jobs`` counts processes as ``run_shots`` would, and a
-    run whose ensembles ``run_shots`` would not split forks nothing.  One
+    simulates it once, for every axis, before anything is written: noise,
+    shots and seed are fixed for a run, so equal keys are equal ensembles.
+    It cuts the shots into ``mc.shot_ranges(n_shots, n_jobs)``, so
+    ``--jobs`` counts processes as ``run_shots`` would, and a run whose
+    ensembles ``run_shots`` would not split forks nothing.  One
     ``_parallel_map`` takes the ranges: each process runs its range at
     every point, so it builds the Philox uniforms of that range alone, and
     sends back counts and blip times.  This process adds up each point's

@@ -1,15 +1,16 @@
 """Single-shot trajectory simulation of the full pulse-and-readout sequence.
 
-A protocol is data: a list of immutable physics steps (``RotationPulse``s
-and readout windows, each a ``protocols.TunnelModel``) and one terminal
-``NuclearTomography``.  Every readout window post-selects the shots that
-show no blip, as the paper's readouts do.  The arrays derived from a step,
-a pulse's unitary and a window's no-blip damping, are memoised by value:
+A protocol is data: an initial state and a list of immutable physics
+steps, ``RotationPulse``s and readout windows, each a
+``protocols.TunnelModel``.  Every readout window post-selects the shots
+that show no blip, as the paper's readouts do, and every kept shot ends in
+nuclear tomography on x, y and z.  The arrays derived from a step, a
+pulse's unitary and a window's no-blip damping, are memoised by value:
 equal steps of any protocols share one read-only array per process.  Each
 shot evolves the electron-nuclear state through the steps, draws tunnel
 events and times, applies optional label errors and dephasing, and records
 whether the shot passed post-selection plus the sampled tomography
-eigenvalue on each axis the tomography names.
+eigenvalue on each axis.
 
 Reproducibility contract: shot ``i`` of a run with root seed ``s`` always
 uses the counter-based stream ``Philox(key=(s, i))``, so serial and
@@ -32,14 +33,13 @@ an outcome through, and the tomography thresholds each history's
 ``protocols._bloch`` vector, the Bloch readout of
 ``tomography_expectations``; only the dephasing after a window and the
 label errors are the engine's own.  It returns ``Shots``,
-one array row per shot: one tomography outcome per named axis (0 for a
+one array row per shot: its tomography outcomes on x, y and z (0 for a
 rejected shot) and the blip time of each window (NaN where none was
 recorded or the shot was rejected before it).  The estimators read these
 columns directly.
 
 The axis only sets the threshold the shot's last uniform is compared
-with, so one pass samples every named axis, and column k equals a run of
-the same protocol with axis k alone, bit for bit.  Every ensemble of a run
+with, so that one draw samples all three axes.  Every ensemble of a run
 reads the same seed and chunk ranges, so each chunk range's uniforms are
 generated once per process, kept as one read-only cache entry per range,
 and shared by every ensemble that reads them.
@@ -92,40 +92,24 @@ class ProtocolError(ValueError):
     """Malformed protocol description."""
 
 
-@dataclass(frozen=True)
-class NuclearTomography:
-    """Projective nuclear measurement along each of ``axes`` ("x", "zxy", ...),
-    all sampled from the shot's one tomography draw."""
-
-    axes: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "axes", tuple(self.axes))
-        for axis in self.axes:
-            if axis not in ("x", "y", "z"):
-                raise ProtocolError(f"unknown tomography axis {axis!r}")
-        if not self.axes or len(set(self.axes)) != len(self.axes):
-            raise ProtocolError(f"tomography needs distinct axes, got {self.axes!r}")
-
-
 # A readout window is its TunnelModel.
-ProtocolStep = Union[RotationPulse, TunnelModel, NuclearTomography]
+ProtocolStep = Union[RotationPulse, TunnelModel]
 
 
 @dataclass(frozen=True)
 class Protocol:
-    """Declarative pulse sequence ending in one nuclear tomography, which
-    may name several axes."""
+    """Declarative pulse sequence: the initial state, then pulses and
+    readout windows.  Every kept shot ends in nuclear tomography on x, y
+    and z."""
 
     steps: tuple[ProtocolStep, ...]
     initial: JointState = field(default_factory=prepare_initial)
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
-        if not self.steps or not isinstance(self.steps[-1], NuclearTomography):
-            raise ProtocolError("protocol must end with a NuclearTomography step")
-        if any(isinstance(s, NuclearTomography) for s in self.steps[:-1]):
-            raise ProtocolError("only the terminal step may be a tomography")
+        for step in self.steps:
+            if not isinstance(step, (RotationPulse, TunnelModel)):
+                raise ProtocolError(f"a step must be a RotationPulse or TunnelModel: {step!r}")
 
     @property
     def windows(self) -> tuple[TunnelModel, ...]:
@@ -165,9 +149,11 @@ NO_NOISE = NoiseConfig()
 
 @dataclass(frozen=True, eq=False)
 class Shots:
-    """Outcomes of consecutive shots, one array row per shot, in shot order."""
+    """Outcomes of consecutive shots, one array row per shot, in shot order:
+    the tomography outcome on each of x, y and z, and the blip time of each
+    readout window."""
 
-    outcome: np.ndarray  # (shots, axes) int8 eigenvalue per named axis, 0 if rejected
+    outcome: np.ndarray  # (shots, 3) int8 eigenvalue on x, y and z, 0 if rejected
     blip_times: np.ndarray  # (shots, windows) float, NaN where no blip was recorded
 
     def __len__(self) -> int:
@@ -321,14 +307,12 @@ def _philox_uniforms(rng_seed: int, start: int, stop: int, n_draws: int) -> np.n
 def _shot_block(protocol: Protocol, noise: NoiseConfig, uniforms: np.ndarray) -> Shots:
     """The shots whose uniforms are the rows of ``uniforms``, drawing from
     them in a lone shot's order."""
-    steps = protocol.steps
     windows = protocol.windows
     p_fn, p_fp = noise.readout_false_negative, noise.readout_false_positive
     flip = p_fn > 0.0 or p_fp > 0.0
     n, n_draws = uniforms.shape
     u = uniforms.ravel()
-    axes = steps[-1].axes
-    outcome = np.zeros((n, len(axes)), dtype=np.int8)
+    outcome = np.zeros((n, 3), dtype=np.int8)
     blip_times = np.full((n, len(windows)), np.nan)
     # shots still kept: block row, branch-history node, index of next draw in u
     rows = np.arange(n)
@@ -338,7 +322,7 @@ def _shot_block(protocol: Protocol, noise: NoiseConfig, uniforms: np.ndarray) ->
     t2star = noise.nuclear_dephasing_time
     log1p = math.log1p  # local: called once per recorded blip
     w = -1
-    for step in steps[:-1]:
+    for step in protocol.steps:
         if type(step) is RotationPulse:
             nodes = [_node_pulse(x, step) for x in nodes]
             continue
@@ -380,8 +364,8 @@ def _shot_block(protocol: Protocol, noise: NoiseConfig, uniforms: np.ndarray) ->
         # P(+1) on x, y and z per node; a draw in [0, 1) needs no clipping
         p_plus = (1.0 + np.array([_bloch(_nuclear_reduced(x)) for x in nodes])) / 2.0
         draw = u[cursor]  # one draw serves every axis
-        for k, axis in enumerate(axes):
-            outcome[rows, k] = np.where(draw < p_plus[node, "xyz".index(axis)], 1, -1)
+        for k in range(3):
+            outcome[rows, k] = np.where(draw < p_plus[node, k], 1, -1)
     return Shots(outcome, blip_times)
 
 
@@ -523,10 +507,10 @@ def run_shots(
     return Shots.concat(_parallel_map(_run_chunk, chunks))
 
 
-def stats_from_records(shots: Shots, column: int = 0) -> EnsembleStats:
+def stats_from_records(shots: Shots, axis: str) -> EnsembleStats:
     """Order-insensitive aggregation of the kept shots' tomography outcomes
-    on the ``column``-th axis the protocol's tomography names."""
-    outcome = shots.outcome[:, column]
+    on ``axis``, "x", "y" or "z"."""
+    outcome = shots.outcome[:, ("x", "y", "z").index(axis)]
     return EnsembleStats(
         n_total=len(shots),
         n_kept=int(np.count_nonzero(outcome)),
@@ -550,7 +534,7 @@ def conditional_state(
         raise ProtocolError("need one forced outcome per readout window")
     joint = protocol.initial.rho.matrix
     probability = 1.0
-    for step in protocol.steps[:-1]:
+    for step in protocol.steps:
         if isinstance(step, RotationPulse):
             joint = _node_pulse(joint, step)
             continue
@@ -608,7 +592,7 @@ def estimate_gamma_from_blips(
     times: np.ndarray,
     n_shots: int,
     t_m: float,
-    p: float = 0.5,
+    p: float,
 ) -> GammaEstimate:
     """Censored-exponential MLE of the up-electron tunnel-out rate from the
     ``recorded_blip_times`` of ``n_shots`` shots.

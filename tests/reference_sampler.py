@@ -8,9 +8,9 @@ every history as a 4x4 density matrix, so comparing it with this
 reference checks the engine's channel arithmetic against an independent
 one, not against a copy of itself.  The two agree on each shot's
 probabilities up to rounding, so they sample the same outcomes.
-``sample_shot`` measures one tomography axis; a protocol whose tomography
-names several is sampled once per axis, and the engine must give the same
-outcomes in one pass.  The helpers turn records into the engine's
+``sample_shot`` measures one tomography axis, so ``sample_columns``
+samples a protocol once per axis, x, y and z, and the engine must give
+the same outcomes in one pass.  The helpers turn records into
 ``Shots`` columns and compute the ensemble statistics and the blip-time
 estimate from records, with the arithmetic the estimators had when they
 read records.
@@ -55,11 +55,13 @@ def shot_rng(rng_seed: int, shot_index: int) -> np.random.Generator:
 
 def sample_shot(
     protocol: mc.Protocol,
+    axis: str,
     noise: mc.NoiseConfig = mc.NO_NOISE,
     rng_seed: int = 0,
     shot_index: int = 0,
 ) -> ShotRecord:
-    """Simulate one trajectory; deterministic given (rng_seed, shot_index).
+    """Simulate one trajectory with its tomography on ``axis``;
+    deterministic given (rng_seed, shot_index).
 
     Zero-dephasing trajectories stay pure, so the hot path evolves a
     4-amplitude statevector and only falls back to a density matrix when
@@ -70,7 +72,7 @@ def sample_shot(
     rng = shot_rng(rng_seed, shot_index)
     rand = rng.random
     steps = protocol.steps
-    n_steps = len(steps) - 1
+    n_steps = len(steps)
 
     psi: Optional[np.ndarray] = protocol.initial_statevector
     joint: Optional[np.ndarray] = None
@@ -155,7 +157,6 @@ def sample_shot(
 
     outcome: Optional[int] = None
     if kept:
-        (axis,) = steps[-1].axes
         if psi is not None:
             n00 = psi[0].real**2 + psi[0].imag**2 + psi[1].real**2 + psi[1].imag**2
             n01 = psi[0] * psi[2].conjugate() + psi[1] * psi[3].conjugate()
@@ -181,14 +182,16 @@ def sample_shot(
     )
 
 
-def sample_records(protocol, noise, rng_seed, start, stop) -> list[ShotRecord]:
-    """Shots start..stop-1 of a one-axis protocol, one ``sample_shot`` at a time."""
-    return [sample_shot(protocol, noise, rng_seed, i) for i in range(start, stop)]
+def sample_records(protocol, axis, noise, rng_seed, start, stop) -> list[ShotRecord]:
+    """Shots start..stop-1 with their tomography on ``axis``, one
+    ``sample_shot`` at a time."""
+    return [sample_shot(protocol, axis, noise, rng_seed, i) for i in range(start, stop)]
 
 
 def to_shots(records: Sequence[ShotRecord], n_windows: int) -> mc.Shots:
-    """The records as one-axis ``Shots`` columns: outcome 0 for a rejected
-    shot, NaN for a window without a recorded blip or not reached."""
+    """The records of one axis as ``Shots`` with one outcome column: 0 for
+    a rejected shot, NaN for a window without a recorded blip or not
+    reached."""
     blip_times = np.full((len(records), n_windows), np.nan)
     for row, r in zip(blip_times, records):
         row[: len(r.blip_times)] = [np.nan if t is None else t for t in r.blip_times]
@@ -197,21 +200,15 @@ def to_shots(records: Sequence[ShotRecord], n_windows: int) -> mc.Shots:
     )
 
 
-def with_axes(protocol: mc.Protocol, axes) -> mc.Protocol:
-    """The protocol with its tomography along ``axes`` ("x", "zxy", ...)."""
-    steps = protocol.steps[:-1] + (mc.NuclearTomography(axes),)
-    return mc.Protocol(steps, initial=protocol.initial)
-
-
 def sample_columns(protocol, noise, rng_seed, start, stop) -> mc.Shots:
     """Shots start..stop-1, one ``sample_shot`` at a time and one run per
-    tomography axis, the outcome columns side by side."""
+    tomography axis, the x, y and z outcome columns side by side."""
     runs = [
         to_shots(
-            sample_records(with_axes(protocol, axis), noise, rng_seed, start, stop),
+            sample_records(protocol, axis, noise, rng_seed, start, stop),
             len(protocol.windows),
         )
-        for axis in protocol.steps[-1].axes
+        for axis in ("x", "y", "z")
     ]
     return mc.Shots(np.hstack([run.outcome for run in runs]), runs[0].blip_times)
 

@@ -116,8 +116,10 @@ def test_criterion_3_success_probabilities():
         cases.append(("double", theta, success_probability_n(theta, 2)))
         cases.append(("reversal", theta, reversal_success_probability(theta)))
     for variant, theta, expected in cases:
-        protocol = fig2_protocol(variant, theta, "z", 1.0)
-        stats = mc.stats_from_records(mc.run_shots(protocol, n_shots=n_shots, rng_seed=101))
+        protocol = fig2_protocol(variant, theta, 1.0)
+        stats = mc.stats_from_records(
+            mc.run_shots(protocol, n_shots=n_shots, rng_seed=101), "z"
+        )
         sigma = math.sqrt(expected * (1.0 - expected) / n_shots)
         assert abs(stats.success_fraction - expected) <= 4.0 * sigma + 1e-12
     assert time.perf_counter() - start < 30.0
@@ -136,14 +138,14 @@ def test_criterion_4_tunnel_rate_roundtrip():
         records = mc.run_shots(
             bell_window_protocol(gamma, t_m), n_shots=n_shots, rng_seed=202
         )
-        stats = mc.stats_from_records(records)
+        stats = mc.stats_from_records(records, "z")
         inv = extract_tunnel_rate(stats.mean, t_m)
         assert inv == pytest.approx(1.0 / gamma, rel=0.05)
         # inversion interval vs direct blip-time MLE: the 95% intervals overlap
         half = Z95 * stats.std_error
         inv_lo = tunnel_rate_limits(stats.mean - half, t_m)
         inv_hi = tunnel_rate_limits(stats.mean + half, t_m)
-        est = mc.estimate_gamma_from_blips(mc.recorded_blip_times(records), n_shots, t_m)
+        est = mc.estimate_gamma_from_blips(mc.recorded_blip_times(records), n_shots, t_m, 0.5)
         assert max(inv_lo, est.ci_low) <= min(inv_hi, est.ci_high)
 
 
@@ -154,16 +156,13 @@ def test_criterion_5_steering_scan():
     for theta in THETA_13:
         tomo = steering_scan(theta)
         assert tomo.bloch_norm_sq == pytest.approx(1.0, abs=1e-10)
+        protocol = mc.Protocol(
+            (RotationPulse(Frequency.ESR_BOTH, theta), TunnelModel.projective(1.0)),
+            initial=prepare_bell(),
+        )
+        shots = mc.run_shots(protocol, n_shots=200, rng_seed=303)
         for axis in ("x", "y", "z"):
-            protocol = mc.Protocol(
-                (
-                    RotationPulse(Frequency.ESR_BOTH, theta),
-                    TunnelModel.projective(1.0),
-                    mc.NuclearTomography(axis),
-                ),
-                initial=prepare_bell(),
-            )
-            stats = mc.stats_from_records(mc.run_shots(protocol, n_shots=200, rng_seed=303))
+            stats = mc.stats_from_records(shots, axis)
             expected = getattr(tomo, f"sigma_{axis}")
             assert abs(stats.mean - expected) <= 4.0 * stats.std_error + 1e-12
 
@@ -191,7 +190,6 @@ def test_criterion_7_oracle_equivalence():
         for angle, freq in seq:
             steps.append(RotationPulse(freq, angle))
             steps.append(TunnelModel.projective(1.0))
-        steps.append(mc.NuclearTomography("z"))
         stepwise = mc.conditional_state(
             mc.Protocol(tuple(steps)), [NO_BLIP] * length
         )

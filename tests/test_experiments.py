@@ -16,6 +16,7 @@ import weakmeas
 from weakmeas import montecarlo as mc
 from weakmeas.experiments.cli import main
 from weakmeas.experiments.config import (
+    DEFAULT_T_M,
     EXPERIMENTS,
     RunConfig,
     default_gamma_grid,
@@ -309,7 +310,7 @@ class TestPresets:
         default Gamma grid, at least 365 of 400 at every Gamma.  365 is
         binom.ppf(1e-3, 400, 0.95), so a true 95% interval falls below it
         with probability 5.7e-4.  A missing interval counts as a miss."""
-        covered = [0] * len(default_gamma_grid())
+        covered = [0] * len(default_gamma_grid(DEFAULT_T_M))
         for seed in range(400):
             cfg = RunConfig(n_shots=200, rng_seed=seed, output_dir=tmp_path, emit_svg=False)
             run_panels(cfg, ["fig3"])

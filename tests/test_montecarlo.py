@@ -14,7 +14,6 @@ from weakmeas.montecarlo import (
     GammaEstimate,
     NoInformationError,
     NoiseConfig,
-    NuclearTomography,
     Protocol,
     ProtocolError,
     SHOT_BLOCK,
@@ -49,24 +48,17 @@ PROJECTIVE = TunnelModel.projective(1.0)
 NUCLEUS_UP = JointState(DensityMatrix(kron(PROJ_UP, PROJ_DOWN)))  # the electron down
 
 
-def measure_protocol(theta, axis="z", n=1):
+def measure_protocol(theta, n=1):
     """n equal conditional measurements, each read out projectively."""
     steps = []
     for _ in range(n):
         steps.append(RotationPulse(Frequency.NU_E2, theta))
         steps.append(PROJECTIVE)
-    steps.append(NuclearTomography(axis))
     return Protocol(steps=tuple(steps))
 
 
-def bell_window_protocol(gamma, t_m, axis="z"):
-    return Protocol(
-        steps=(
-            TunnelModel(gamma_up_out=gamma, t_m=t_m),
-            NuclearTomography(axis),
-        ),
-        initial=prepare_bell(),
-    )
+def bell_window_protocol(gamma, t_m):
+    return Protocol(steps=(TunnelModel(gamma_up_out=gamma, t_m=t_m),), initial=prepare_bell())
 
 
 REVERSAL_AT_PI = Protocol(
@@ -75,29 +67,22 @@ REVERSAL_AT_PI = Protocol(
         PROJECTIVE,
         RotationPulse(Frequency.NU_E1, math.pi),
         PROJECTIVE,
-        NuclearTomography("z"),
     )
 )
 
 
 class TestProtocolValidation:
-    def test_requires_terminal_tomography(self):
-        with pytest.raises(ProtocolError):
-            Protocol(steps=(RotationPulse(Frequency.NU_E2, 1.0),))
-
-    def test_rejects_mid_sequence_tomography(self):
-        with pytest.raises(ProtocolError):
-            Protocol(
-                steps=(
-                    NuclearTomography("z"),
-                    RotationPulse(Frequency.NU_E2, 1.0),
-                    NuclearTomography("z"),
-                )
-            )
-
-    def test_rejects_bad_axis(self):
-        with pytest.raises(ProtocolError):
-            NuclearTomography("r")
+    @pytest.mark.parametrize(
+        "bad",
+        [object(), None, "z", Frequency.NU_E2, (PROJECTIVE,)],
+        ids=["object", "None", "str", "Frequency", "tuple"],
+    )
+    def test_rejects_a_step_that_is_not_a_pulse_or_a_window(self, bad):
+        """A malformed step is refused when the protocol is built, not
+        deep in the engine with an AttributeError, wherever it stands."""
+        for steps in ((bad,), (bad, PROJECTIVE), (RotationPulse(Frequency.NU_E2, 1.0), bad)):
+            with pytest.raises(ProtocolError, match="RotationPulse or TunnelModel"):
+                Protocol(steps=steps)
 
     def test_windows_property(self):
         p = measure_protocol(1.0, n=3)
@@ -122,7 +107,7 @@ class TestDeterminism:
 
     def test_streams_are_independent(self):
         p = bell_window_protocol(gamma=1.0, t_m=1.5)
-        outcomes = set(run_shots(p, n_shots=64, rng_seed=7).outcome[:, 0].tolist())
+        outcomes = set(run_shots(p, n_shots=64, rng_seed=7).outcome[:, 2].tolist())  # z
         assert outcomes >= {1, -1}
 
     def test_seed_must_be_a_philox_key(self):
@@ -149,26 +134,26 @@ class TestDeterminism:
         p = bell_window_protocol(gamma=1.0, t_m=1.5)
         shots = run_shots(p, n_shots=40, rng_seed=3)
         for i in range(40):
-            one = ref.to_shots([ref.sample_shot(p, rng_seed=3, shot_index=i)], 1)
-            assert shots.outcome[i] == one.outcome[0]
+            one = ref.sample_columns(p, NO_NOISE, 3, i, i + 1)
+            assert np.array_equal(shots.outcome[i], one.outcome[0])
             assert np.array_equal(shots.blip_times[i], one.blip_times[0], equal_nan=True)
 
 
 class TestTrivialProtocols:
     def test_eigenstate_tomography_is_deterministic(self):
-        p = Protocol(steps=(NuclearTomography("z"),), initial=NUCLEUS_UP)
-        stats = stats_from_records(run_shots(p, n_shots=50, rng_seed=1))
+        p = Protocol(steps=(), initial=NUCLEUS_UP)
+        stats = stats_from_records(run_shots(p, n_shots=50, rng_seed=1), "z")
         assert stats.n_kept == 50
         assert stats.mean == 1.0
 
     def test_superposition_x_tomography(self):
-        p = Protocol(steps=(NuclearTomography("x"),))
-        stats = stats_from_records(run_shots(p, n_shots=50, rng_seed=1))
+        p = Protocol(steps=())
+        stats = stats_from_records(run_shots(p, n_shots=50, rng_seed=1), "x")
         assert stats.mean == 1.0
 
     def test_superposition_z_is_a_coin_flip(self):
-        p = Protocol(steps=(NuclearTomography("z"),))
-        stats = stats_from_records(run_shots(p, n_shots=4000, rng_seed=1))
+        p = Protocol(steps=())
+        stats = stats_from_records(run_shots(p, n_shots=4000, rng_seed=1), "z")
         assert abs(stats.mean) < 4 * stats.std_error + 1e-12
         assert stats.std_error == pytest.approx(
             math.sqrt((1 - stats.mean**2) / 4000)
@@ -179,34 +164,28 @@ class TestAgainstClosedForms:
     def test_single_measurement_success_fraction(self):
         theta = math.pi / 2
         p = measure_protocol(theta)
-        stats = stats_from_records(run_shots(p, n_shots=10_000, rng_seed=3))
+        stats = stats_from_records(run_shots(p, n_shots=10_000, rng_seed=3), "z")
         expected = success_probability_n(theta, 1)
         se = math.sqrt(expected * (1 - expected) / 10_000)
         assert abs(stats.success_fraction - expected) < 4 * se
 
     def test_single_measurement_mean(self):
         p = measure_protocol(math.pi / 2)
-        stats = stats_from_records(run_shots(p, n_shots=10_000, rng_seed=3))
+        stats = stats_from_records(run_shots(p, n_shots=10_000, rng_seed=3), "z")
         assert abs(stats.mean - (-1 / 3)) < 4 * stats.std_error
 
     def test_repeated_measurement_success_fraction(self):
         theta, n = math.pi / 2, 3
         shots = run_shots(measure_protocol(theta, n=n), n_shots=10_000, rng_seed=5)
-        stats = stats_from_records(shots)
+        stats = stats_from_records(shots, "z")
         expected = success_probability_n(theta, n)
         se = math.sqrt(expected * (1 - expected) / 10_000)
         assert abs(stats.success_fraction - expected) < 4 * se
 
     def test_finite_window_sigma_z(self):
         model = TunnelModel(gamma_up_out=1.0, t_m=1.0)
-        p = Protocol(
-            steps=(
-                RotationPulse(Frequency.NU_E2, math.pi / 2),
-                model,
-                NuclearTomography("z"),
-            )
-        )
-        stats = stats_from_records(run_shots(p, n_shots=20_000, rng_seed=9))
+        p = Protocol(steps=(RotationPulse(Frequency.NU_E2, math.pi / 2), model))
+        stats = stats_from_records(run_shots(p, n_shots=20_000, rng_seed=9), "z")
         expected = sigma_z_noblip(math.pi / 2, model)
         assert abs(stats.mean - expected) < 4 * stats.std_error
 
@@ -267,30 +246,25 @@ class TestDephasing:
         noise = NoiseConfig(nuclear_dephasing_time=0.1)
         window = TunnelModel(gamma_up_out=1e-6, t_m=1.0)
         # coherence protocol: x tomography on the untouched superposition
-        px = Protocol(steps=(window, NuclearTomography("x")))
-        clean = stats_from_records(run_shots(px, n_shots=4000, rng_seed=4))
-        noisy = stats_from_records(run_shots(px, noise=noise, n_shots=4000, rng_seed=4))
+        px = Protocol(steps=(window,))
+        clean = stats_from_records(run_shots(px, n_shots=4000, rng_seed=4), "x")
+        noisy = stats_from_records(run_shots(px, noise=noise, n_shots=4000, rng_seed=4), "x")
         assert clean.mean == 1.0
         assert abs(noisy.mean) < 0.05
         # population protocol: z tomography on an eigenstate is unaffected
-        pz = Protocol(
-            steps=(window, NuclearTomography("z")), initial=NUCLEUS_UP
-        )
+        pz = Protocol(steps=(window,), initial=NUCLEUS_UP)
         shots = run_shots(pz, noise=noise, n_shots=200, rng_seed=4)
-        assert stats_from_records(shots).mean == 1.0
+        assert stats_from_records(shots, "z").mean == 1.0
 
 
 class TestLabelErrors:
     def test_certain_false_positive_discards_noblip_shots(self):
         noise = NoiseConfig(readout_false_positive=1.0)
         p = Protocol(
-            steps=(
-                TunnelModel(gamma_up_out=1.0, t_m=1.0),
-                NuclearTomography("z"),
-            ),
+            steps=(TunnelModel(gamma_up_out=1.0, t_m=1.0),),
             initial=NUCLEUS_UP,  # electron down: never tunnels
         )
-        stats = stats_from_records(run_shots(p, noise=noise, n_shots=100, rng_seed=6))
+        stats = stats_from_records(run_shots(p, noise=noise, n_shots=100, rng_seed=6), "z")
         assert stats.n_kept == 0
         assert stats.empty
 
@@ -300,7 +274,7 @@ class TestLabelErrors:
         noise = NoiseConfig(readout_false_negative=1.0)
         p = bell_window_protocol(gamma=1e3, t_m=1.0)
         shots = run_shots(p, noise=noise, n_shots=100, rng_seed=6)
-        assert stats_from_records(shots).n_kept == 100
+        assert stats_from_records(shots, "z").n_kept == 100
         assert np.isnan(shots.blip_times).all()
 
     def test_noise_validation(self):
@@ -314,18 +288,16 @@ class TestLabelErrors:
 
 class TestStats:
     def test_empty_records(self):
-        rejected = Shots(np.zeros((10, 1), dtype=np.int8), np.full((10, 1), np.nan))
-        stats = stats_from_records(rejected)
+        rejected = Shots(np.zeros((10, 3), dtype=np.int8), np.full((10, 1), np.nan))
+        stats = stats_from_records(rejected, "z")
         assert stats.empty
         assert stats.mean is None and stats.std_error is None
 
     def test_order_insensitive(self):
         p = measure_protocol(math.pi / 2)
         shots = run_shots(p, n_shots=500, rng_seed=8)
-        a = stats_from_records(shots)
-        b = stats_from_records(
-            Shots(shots.outcome[::-1], shots.blip_times[::-1])
-        )
+        a = stats_from_records(shots, "z")
+        b = stats_from_records(Shots(shots.outcome[::-1], shots.blip_times[::-1]), "z")
         assert (a.mean, a.std_error, a.n_kept) == (b.mean, b.std_error, b.n_kept)
 
     def test_rejects_zero_shots(self):
@@ -341,7 +313,7 @@ class TestShots:
             t = np.array(times)
             if change_time is not None:
                 t[change_time] = 0.5
-            return Shots(np.array(outcome, dtype=np.int8)[:, None], t)
+            return Shots(np.repeat(np.array(outcome, dtype=np.int8)[:, None], 3, axis=1), t)
 
         assert (shots() == shots()) is True
         assert (shots() == shots(outcome=(1, 0, 1))) is False
@@ -393,13 +365,14 @@ class TestEstimatorsMatchRecords:
     )
     def test_estimators(self, protocol, noise, n_shots, gamma_error):
         shots = run_shots(protocol, noise, n_shots, 22)
-        records = ref.sample_records(protocol, noise, 22, 0, n_shots)
-        assert shots == ref.to_shots(records, len(protocol.windows))
-        assert stats_from_records(shots) == ref.stats_from_records(records)
+        records = ref.sample_records(protocol, "z", noise, 22, 0, n_shots)
+        n_windows = len(protocol.windows)
+        assert Shots(shots.outcome[:, [2]], shots.blip_times) == ref.to_shots(records, n_windows)
+        assert stats_from_records(shots, "z") == ref.stats_from_records(records)
         t_m = protocol.windows[0].t_m
         got = outcome_of(blip_mle, shots, t_m)
         assert got == outcome_of(
-            ref.estimate_gamma_from_records, records, len(protocol.windows), t_m
+            ref.estimate_gamma_from_records, records, n_windows, t_m
         )
         if gamma_error is None:
             assert isinstance(got, GammaEstimate)
@@ -434,7 +407,7 @@ class TestGammaEstimator:
         assert est.inv_gamma == pytest.approx(1.0 / gamma, rel=0.05)
 
     def test_no_blips_raises(self):
-        shots = Shots(np.ones((10, 1), dtype=np.int8), np.full((10, 1), np.nan))
+        shots = Shots(np.ones((10, 3), dtype=np.int8), np.full((10, 1), np.nan))
         with pytest.raises(NoInformationError):
             blip_mle(shots, 1.5)
 
@@ -446,11 +419,11 @@ class TestGammaEstimator:
         NoInformationError a run turns into empty cells."""
         times = np.array([0.3, 0.5, 0.9]) * t_m
         with pytest.raises(ValueError, match="t_m") as info:
-            estimate_gamma_from_blips(times, 10, t_m)
+            estimate_gamma_from_blips(times, 10, t_m, 0.5)
         assert not isinstance(info.value, NoInformationError)
 
     def test_rejects_multi_window_records(self):
-        shots = Shots(np.ones((1, 1), dtype=np.int8), np.array([[0.1, np.nan]]))
+        shots = Shots(np.ones((1, 3), dtype=np.int8), np.array([[0.1, np.nan]]))
         with pytest.raises(ProtocolError):
             recorded_blip_times(shots)
 
@@ -460,8 +433,7 @@ class TestGammaEstimator:
         from a two-window protocol."""
         window = TunnelModel(20.0, 1.5)
         p = Protocol(
-            steps=(RotationPulse(Frequency.ESR_BOTH, math.pi), window, window,
-                   NuclearTomography("z"))
+            steps=(RotationPulse(Frequency.ESR_BOTH, math.pi), window, window)
         )
         shots = run_shots(p, n_shots=1000, rng_seed=1)
         assert not shots.outcome.any()

@@ -117,7 +117,6 @@ def random_case(seed):
         steps.append(random_window(rng))
     if rng.random() < 0.3:
         steps.append(random_pulse(rng))
-    steps.append(mc.NuclearTomography(str(rng.choice(["x", "y", "z"]))))
     initial = INITIALS[str(rng.choice(list(INITIALS)))]()
     noise = mc.NoiseConfig(
         nuclear_dephasing_time=sometimes(rng, 0.5, rng.uniform(0.5, 5.0), None),
@@ -141,7 +140,6 @@ NAMED_CASES = {
                 TunnelModel(1.0, 1.0),
                 RotationPulse(Frequency.NU_E1, 0.8),
                 TunnelModel(2.0, 0.5),
-                mc.NuclearTomography("x"),
             )
         ),
         mc.NoiseConfig(readout_false_negative=0.3),
@@ -153,7 +151,6 @@ NAMED_CASES = {
                 TunnelModel(0.5, 1.0),
                 RotationPulse(Frequency.NU_E1, 2.0),
                 TunnelModel.projective(1.0),
-                mc.NuclearTomography("y"),
             ),
             initial=nuclear_y_initial(),
         ),
@@ -168,28 +165,27 @@ NAMED_CASES = {
                 TunnelModel.projective(1.0),
                 RotationPulse(Frequency.NU_E2, math.pi),
                 TunnelModel(1.0, 1.0),
-                mc.NuclearTomography("x"),
             )
         ),
         mc.NoiseConfig(readout_false_negative=0.25),
     ),
     "bell window, dephasing": (
         mc.Protocol(
-            (TunnelModel(0.7, 1.5), mc.NuclearTomography("z")),
+            (TunnelModel(0.7, 1.5),),
             initial=prepare_bell(),
         ),
         mc.NoiseConfig(nuclear_dephasing_time=2.0),
     ),
     "bell window, label errors": (
         mc.Protocol(
-            (TunnelModel(2.0, 1.5), mc.NuclearTomography("x")),
+            (TunnelModel(2.0, 1.5),),
             initial=prepare_bell(),
         ),
         mc.NoiseConfig(readout_false_negative=0.2, readout_false_positive=0.15),
     ),
     "mixed initial state, no window": (
         mc.Protocol(
-            (RotationPulse(Frequency.NU_E2, 0.9), mc.NuclearTomography("x")),
+            (RotationPulse(Frequency.NU_E2, 0.9),),
             initial=mixed_initial(0.3),
         ),
         mc.NO_NOISE,
@@ -209,8 +205,7 @@ class TestAgainstSampleShot:
     def test_random_case_chunk(self, seed):
         protocol, noise, rng_seed, start = random_case(seed)
         got = mc._run_chunk((protocol, noise, rng_seed, start, start + 250))
-        want = ref.sample_records(protocol, noise, rng_seed, start, start + 250)
-        assert got == ref.to_shots(want, len(protocol.windows))
+        assert got == ref.sample_columns(protocol, noise, rng_seed, start, start + 250)
 
     def test_random_cases_cover_every_branch(self):
         """The random cases reach rejections, kept shots, kept shots whose
@@ -221,7 +216,7 @@ class TestAgainstSampleShot:
         for seed in range(40):
             protocol, noise, _, _ = random_case(seed)
             windows = protocol.windows
-            recs = ref.sample_records(protocol, noise, 0, 0, 50)
+            recs = ref.sample_records(protocol, "z", noise, 0, 0, 50)
             seen["rejected"] += sum(not r.kept for r in recs)
             seen["kept"] += sum(r.kept for r in recs)
             seen["kept blip history"] += sum(r.kept and any(r.blips) for r in recs)
@@ -239,15 +234,9 @@ class TestAgainstSampleShot:
         assert got == ref.run_shots(protocol, noise, n, 5)
 
     def test_blip_times_bit_equal(self):
-        protocol = mc.Protocol(
-            (
-                TunnelModel(0.3, 1.5),
-                mc.NuclearTomography("z"),
-            ),
-            initial=prepare_bell(),
-        )
+        protocol = mc.Protocol((TunnelModel(0.3, 1.5),), initial=prepare_bell())
         got = mc.run_shots(protocol, n_shots=3000).blip_times[:, 0].tolist()
-        records = ref.sample_records(protocol, mc.NO_NOISE, 0, 0, 3000)
+        records = ref.sample_records(protocol, "z", mc.NO_NOISE, 0, 0, 3000)
         want = [r.blip_times[0] for r in records]
         assert sum(t is not None for t in want) > 500
         assert [math.isnan(t) or t.hex() for t in got] == [
@@ -255,62 +244,48 @@ class TestAgainstSampleShot:
         ]
 
 
-def assert_columns_are_one_axis_runs(got, protocol, run):
-    """Column k of ``got`` equals ``run`` of ``protocol`` on axis k alone."""
-    for k, axis in enumerate(protocol.steps[-1].axes):
-        one = run(ref.with_axes(protocol, axis))
-        assert one.outcome.shape == (len(got), 1)
+def assert_columns_are_reference_axis_runs(got, protocol, noise, rng_seed, start):
+    """Column k of ``got``, with the blip times, equals the scalar
+    reference's run of shots start.. on axis k (x, y, z) alone."""
+    assert got.outcome.shape == (len(got), 3)
+    for k, axis in enumerate("xyz"):
+        records = ref.sample_records(protocol, axis, noise, rng_seed, start, start + len(got))
+        one = ref.to_shots(records, len(protocol.windows))
         assert mc.Shots(got.outcome[:, [k]], got.blip_times) == one
 
 
 class TestSeveralAxes:
-    """One pass samples every axis the tomography names: column k is the
-    one-axis run on axis k, and the reference sampler's run on axis k."""
+    """One pass samples every axis: column k, in x, y, z order, is the
+    reference sampler's run on axis k."""
 
     @pytest.mark.parametrize("name", list(NAMED_CASES))
     def test_named_case(self, name):
         protocol, noise = NAMED_CASES[name]
-        several = ref.with_axes(protocol, "zxy")
-        got = mc.run_shots(several, noise, 600, 17)
-        assert got.outcome.shape == (600, 3)
-        assert got == ref.run_shots(several, noise, 600, 17)
-        assert_columns_are_one_axis_runs(
-            got, several, lambda p: mc.run_shots(p, noise, 600, 17)
-        )
+        got = mc.run_shots(protocol, noise, 600, 17)
+        assert_columns_are_reference_axis_runs(got, protocol, noise, 17, 0)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_case_chunk(self, seed):
         protocol, noise, rng_seed, start = random_case(seed)
-        axes = "".join(np.random.default_rng(seed).permutation(list("xyz"))[: 2 + seed % 2])
-        several = ref.with_axes(protocol, axes)
-        got = mc._run_chunk((several, noise, rng_seed, start, start + 250))
-        assert got == ref.sample_columns(several, noise, rng_seed, start, start + 250)
-        assert_columns_are_one_axis_runs(
-            got, several, lambda p: mc._run_chunk((p, noise, rng_seed, start, start + 250))
-        )
+        got = mc._run_chunk((protocol, noise, rng_seed, start, start + 250))
+        assert_columns_are_reference_axis_runs(got, protocol, noise, rng_seed, start)
 
     def test_more_shots_than_a_block_and_parallel(self, worker_chunks):
         for name in ("bell window, dephasing", "bell window, label errors"):
             protocol, noise = NAMED_CASES[name]
-            several = ref.with_axes(protocol, "xyz")
             n = mc.SHOT_BLOCK + 150
-            assert mc.run_shots(several, noise, n, 5) == ref.run_shots(several, noise, n, 5)
+            assert mc.run_shots(protocol, noise, n, 5) == ref.run_shots(protocol, noise, n, 5)
             n = 2 * mc.SHOT_BLOCK + 150  # two chunks at n_jobs=2
-            got = mc.run_shots(several, noise, n, 5)
-            assert mc.run_shots(several, noise, n, 5, n_jobs=2) == got
+            got = mc.run_shots(protocol, noise, n, 5)
+            assert mc.run_shots(protocol, noise, n, 5, n_jobs=2) == got
         assert worker_chunks() > 0
 
     def test_stats_read_one_column(self):
         protocol, noise = NAMED_CASES["two finite windows, both kept"]
-        shots = mc.run_shots(ref.with_axes(protocol, "yz"), noise, 500, 3)
-        for k, axis in enumerate("yz"):
-            one = mc.run_shots(ref.with_axes(protocol, axis), noise, 500, 3)
-            assert mc.stats_from_records(shots, k) == mc.stats_from_records(one)
-
-    @pytest.mark.parametrize("axes", ["", "xx", "zxz", "xw"])
-    def test_rejects_repeated_or_missing_axes(self, axes):
-        with pytest.raises(mc.ProtocolError):
-            mc.NuclearTomography(axes)
+        shots = mc.run_shots(protocol, noise, 500, 3)
+        for k, axis in enumerate("xyz"):
+            records = ref.sample_records(protocol, axis, noise, 3, 0, 500)
+            assert mc.stats_from_records(shots, axis) == ref.stats_from_records(records)
 
 
 @settings(deadline=None, max_examples=40)
@@ -324,14 +299,13 @@ def test_any_split_adds_up_to_the_whole_run(name, n_and_split, seed):
     joined, and their statistics on every axis add up to the whole run's."""
     n, a = n_and_split
     protocol, noise = NAMED_CASES[name]
-    several = ref.with_axes(protocol, "zxy")
-    whole = mc.run_shots(several, noise, n, seed)
-    head = mc.run_shots(several, noise, a, seed)
-    tail = mc.run_shots(several, noise, n - a, seed, 1, a)
+    whole = mc.run_shots(protocol, noise, n, seed)
+    head = mc.run_shots(protocol, noise, a, seed)
+    tail = mc.run_shots(protocol, noise, n - a, seed, 1, a)
     assert mc.Shots.concat([head, tail]) == whole
-    for k in range(3):
-        added = mc.stats_from_records(head, k) + mc.stats_from_records(tail, k)
-        assert added == mc.stats_from_records(whole, k)
+    for axis in "xyz":
+        added = mc.stats_from_records(head, axis) + mc.stats_from_records(tail, axis)
+        assert added == mc.stats_from_records(whole, axis)
 
 
 def test_shot_indices_must_be_philox_keys():
@@ -558,7 +532,7 @@ def test_worker_answers_are_counts_and_blip_times(tmp_path, capsys, worker_chunk
     for (a, b), answer in zip(ranges, answers):
         assert len(answer) == len(work)
         for ((sequence, _), protocol), (stats, times) in zip(work, answer):
-            assert list(stats) == list(protocol.steps[-1].axes)
+            assert list(stats) == list(presets.AXES)
             assert all(type(s) is mc.EnsembleStats and s.n_total == b - a for s in stats.values())
             if sequence == presets.BELL_WINDOW:
                 assert type(times) is np.ndarray and times.ndim == 1
