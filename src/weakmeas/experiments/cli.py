@@ -21,7 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import RunConfig, default_theta_grid, load_config
-from .presets import run_panels
+from .presets import FIG2_VARIANTS, run_panels
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -49,11 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     p_fig2 = sub.add_parser("fig2", help="tomography vs rotation angle")
-    p_fig2.add_argument(
-        "--variant",
-        choices=["single", "double", "reversal", "all"],
-        default="all",
-    )
+    p_fig2.add_argument("--variant", choices=[*FIG2_VARIANTS, "all"], default="all")
     _add_common(p_fig2)
     _add_common(sub.add_parser("fig3", help="tunnel-rate extraction sweep"))
     _add_common(sub.add_parser("supp", help="supplementary figure sweeps"))

@@ -303,24 +303,6 @@ def _sweep_table(config: RunConfig, panel: Panel, points: Points) -> Table:
     return [f.name for f in fields(SweepRow)], table, [(panel.name, rows, panel.style)]
 
 
-FIG3_HEADER = (
-    "gamma",
-    "gamma_t_m",
-    "sigma_z_analytic",
-    "sigma_z_mc",
-    "sigma_z_mc_std_error",
-    "inv_gamma_true",
-    "inv_gamma_extracted",
-    "inv_gamma_extracted_low",
-    "inv_gamma_extracted_high",
-    "inv_gamma_blip_mle",
-    "inv_gamma_blip_mle_low",
-    "inv_gamma_blip_mle_high",
-    "n_kept",
-    "n_total",
-)
-
-
 def _wilson_interval(stats: mc.EnsembleStats) -> tuple[float, float]:
     """The 95% Wilson score interval on the kept shots' +1 fraction.  The
     Wald interval, mean +- 1.96 SE, under-covers near sigma_z = -1 and is
@@ -369,24 +351,22 @@ def _tunnel_table(config: RunConfig, panel: Panel, points: Points) -> Table:
             est.inv_gamma, est.ci_low, est.ci_high
         )
 
-        table.append(
-            [
-                gamma,
-                gamma * t_m,
-                analytic,
-                stats.mean,
-                stats.std_error,
-                1.0 / gamma,
-                inv_ext,
-                inv_lo,
-                inv_hi,
-                mle,
-                mle_lo,
-                mle_hi,
-                stats.n_kept,
-                stats.n_total,
-            ]
-        )
+        table.append({
+            "gamma": gamma,
+            "gamma_t_m": gamma * t_m,
+            "sigma_z_analytic": analytic,
+            "sigma_z_mc": stats.mean,
+            "sigma_z_mc_std_error": stats.std_error,
+            "inv_gamma_true": 1.0 / gamma,
+            "inv_gamma_extracted": inv_ext,
+            "inv_gamma_extracted_low": inv_lo,
+            "inv_gamma_extracted_high": inv_hi,
+            "inv_gamma_blip_mle": mle,
+            "inv_gamma_blip_mle_low": mle_lo,
+            "inv_gamma_blip_mle_high": mle_hi,
+            "n_kept": stats.n_kept,
+            "n_total": stats.n_total,
+        })
         sigma_rows.append(
             SweepRow(gamma * t_m, analytic, stats.mean, stats.std_error,
                      stats.n_kept, stats.n_total)
@@ -396,7 +376,8 @@ def _tunnel_table(config: RunConfig, panel: Panel, points: Points) -> Table:
                      None if inv_ext is None or not math.isfinite(inv_hi) else inv_ext - inv_lo,
                      stats.n_kept, stats.n_total)
         )
-    return FIG3_HEADER, table, [
+    # the header is the first row's names: RunConfig refuses an empty Gamma grid
+    return list(table[0]), [list(row.values()) for row in table], [
         (f"{panel.name}_sigma_z", sigma_rows,
          PlotStyle("no-blip nuclear polarization vs measurement strength",
                    "Gamma * t_m", "&lt;sigma_z&gt;", -1.1, 0.4)),

@@ -129,7 +129,11 @@ class Protocol:
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Phenomenological knobs; the all-off default reproduces the closed forms."""
+    """Phenomenological knobs; the all-off default reproduces the closed forms.
+
+    Each readout window of t_m ms multiplies the nuclear coherences by
+    exp(-(t_m/T2*)^2), which is 0 (full dephasing) once t_m/T2* is large,
+    also where the square overflows a float."""
 
     nuclear_dephasing_time: Optional[float] = None  # Gaussian T2*, in ms
     readout_false_negative: float = 0.0
@@ -211,7 +215,10 @@ class EnsembleStats:
 
 
 def _dephase_joint(joint: np.ndarray, duration: float, t2star: float) -> np.ndarray:
-    f = math.exp(-((duration / t2star) ** 2))
+    try:
+        f = math.exp(-((duration / t2star) ** 2))
+    except OverflowError:  # the square of a ratio past ~1.34e154; exp is 0.0 from ~27.3 on
+        f = 0.0
     out = joint.copy()
     out[:2, 2:] *= f  # nuclear up-down coherence blocks
     out[2:, :2] *= f

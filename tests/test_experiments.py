@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -543,6 +544,36 @@ class TestCli:
                 doc = path.read_text(encoding="utf-8")
                 ET.fromstring(doc)
                 assert not re.search(r'="[^"]*(nan|inf)', doc), (gamma, path.name)
+
+    @pytest.mark.parametrize(
+        ("argv", "config", "t2star", "table"),
+        [
+            (["fig3"], "", "1.0e-160", "fig3_tunnel.csv"),
+            (["fig2", "--variant", "single", "--grid", "3"], "t_m: 1.0e+200\n", "1.0",
+             "fig2_single_sigma_z.csv"),
+        ],
+        ids=["fig3_short_t2star", "fig2_long_t_m"],
+    )
+    def test_dephasing_ratio_beyond_the_float_range(
+        self, tmp_path, capsys, argv, config, t2star, table
+    ):
+        """Where (t_m/T2*)^2 overflows a float, every window dephases the
+        nucleus fully and the run goes on.  Dephasing leaves populations
+        alone, so the sigma_z table equals that of the run without T2*, and
+        no SVG coordinate reads nan or inf."""
+        tables = []
+        for name, text in (("dephased", f"{config}noise_t2star: {t2star}\n"), ("clean", config)):
+            cfg = tmp_path / f"{name}.yaml"
+            cfg.write_text(text, encoding="utf-8")
+            out = tmp_path / name
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = main([*argv, "--shots", "20", "--config", str(cfg), "--out", str(out)])
+            assert rc == 0, name
+            for path in out.glob("*.svg"):
+                assert not re.search(r'="[^"]*(nan|inf)', path.read_text(encoding="utf-8"))
+            tables.append((out / table).read_bytes())
+        assert tables[0] == tables[1]
 
     @pytest.mark.parametrize("command", ["fig2", "fig3", "supp"])
     def test_experiment_outside_custom_is_refused(self, tmp_path, capsys, command):

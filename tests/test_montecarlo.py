@@ -242,6 +242,17 @@ class TestDephasing:
         assert nuclear[0, 0].real == pytest.approx(0.7)
         assert nuclear[1, 1].real == pytest.approx(0.3)
 
+    def test_ratio_beyond_the_float_range_dephases_fully(self):
+        """At duration/T2* = 1e200 the square overflows a float; the factor
+        is then 0, as exp gives long before: the coherence blocks are exactly
+        0 and every other entry is untouched."""
+        m = np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]], dtype=complex)
+        joint = np.kron(m, DOWN_ELECTRON)
+        out = _dephase_joint(joint, duration=1e200, t2star=1.0)
+        assert not out[:2, 2:].any() and not out[2:, :2].any()
+        assert np.array_equal(out[:2, :2], joint[:2, :2])
+        assert np.array_equal(out[2:, 2:], joint[2:, 2:])
+
     def test_shrinks_transverse_not_longitudinal(self):
         noise = NoiseConfig(nuclear_dephasing_time=0.1)
         window = TunnelModel(gamma_up_out=1e-6, t_m=1.0)
