@@ -1,6 +1,7 @@
 """Figure-reproduction presets: analytic curves and Monte Carlo ensembles
-side by side, written as CSV (17 significant digits, empty cells for
-flagged values) and optionally as self-contained SVG plots.
+side by side, in tables of rows that map column names to values, written
+as CSV (17 significant digits, empty cells for flagged values) and
+optionally drawn from those rows as self-contained SVG plots.
 
 ``PANELS`` lists every output; ``run_panels`` is the one run entry."""
 
@@ -9,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial, reduce
 from pathlib import Path
 from typing import Optional, Sequence
@@ -27,7 +28,7 @@ from ..protocols import (
 )
 from ..spinsys import Frequency, RotationPulse, prepare_bell
 from .config import RunConfig, default_gamma_grid
-from .svgplot import PlotStyle, SweepRow, emit_plot
+from .svgplot import PlotPoint, PlotStyle, emit_plot
 
 AXES = ("z", "x", "y")
 
@@ -86,14 +87,15 @@ def _fmt(value) -> str:
     return f"{value:.17g}"
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def write_csv(path: Path, rows: Sequence[dict]) -> None:
+    """Write the first row's column names, then every row's values; no grid is empty."""
     path.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(header)
+            writer.writerow(rows[0])
             for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+                writer.writerow([_fmt(v) for v in row.values()])
     except OSError as err:
         raise OSError(f"cannot write output file {path}: {err}") from err
 
@@ -265,27 +267,37 @@ def run_panels(config: RunConfig, prefixes: Sequence[str]) -> list[Path]:
     outputs = []
     for panel in selected:
         tabulate = _tunnel_table if panel.statistic == TUNNEL else _sweep_table
-        header, table, plots = tabulate(config, panel, points)
+        table, plots = tabulate(config, panel, points)
         svgs = [
-            (name, emit_plot(rows, style)) for name, rows, style in plots
+            (name, emit_plot(plot_points, style)) for name, plot_points, style in plots
         ] if config.emit_svg else []
-        outputs.append((panel.name, header, table, svgs))
+        outputs.append((panel.name, table, svgs))
     paths: list[Path] = []
-    for name, header, table, svgs in outputs:
+    for name, table, svgs in outputs:
         paths.append(config.output_dir / f"{name}.csv")
-        write_csv(paths[-1], header, table)
+        write_csv(paths[-1], table)
         for svg_name, doc in svgs:
             paths.append(config.output_dir / f"{svg_name}.svg")
             paths[-1].write_text(doc, encoding="utf-8")
     return paths
 
 
-# A panel's CSV header and rows, and the (name, rows, style) of each of its SVGs.
-Table = tuple[Sequence[str], list, list[tuple[str, list[SweepRow], PlotStyle]]]
+# A panel's CSV rows, and the (name, points, style) of each of its SVGs.
+Table = tuple[list[dict], list[tuple[str, list[PlotPoint], PlotStyle]]]
+
+
+def _mean_points(rows: Sequence[dict], *columns: str) -> list[PlotPoint]:
+    """The plot points of ``rows`` from the columns x, analytic, mean and
+    error: a marker at the mean, its bar mean -+ error."""
+    return [
+        PlotPoint(x, analytic, mean, *(() if mean is None else (mean - error, mean + error)))
+        for x, analytic, mean, error in map(operator.itemgetter(*columns), rows)
+    ]
 
 
 def _sweep_table(config: RunConfig, panel: Panel, points: Points) -> Table:
-    """A theta panel: one SweepRow per theta, and one plot of them."""
+    """A theta panel: one row per theta, and one plot of the rows with bars
+    mean -+ SE."""
     table = []
     for theta in config.theta_grid:
         point = points[(panel.sequence, theta)]
@@ -298,9 +310,10 @@ def _sweep_table(config: RunConfig, panel: Panel, points: Points) -> Table:
             tomo = point.closed_form
             analytic = None if tomo is None else getattr(tomo, f"sigma_{panel.axis}")
             value, error = stats.mean, stats.std_error
-        table.append((theta, analytic, value, error, stats.n_kept, stats.n_total))
-    rows = [SweepRow(*row) for row in table]
-    return [f.name for f in fields(SweepRow)], table, [(panel.name, rows, panel.style)]
+        table.append(dict(sweep_value=theta, analytic=analytic, mc_mean=value,
+                          mc_std_error=error, n_kept=stats.n_kept, n_total=stats.n_total))
+    plot = _mean_points(table, "sweep_value", "analytic", "mc_mean", "mc_std_error")
+    return table, [(panel.name, plot, panel.style)]
 
 
 def _wilson_interval(stats: mc.EnsembleStats) -> tuple[float, float]:
@@ -319,12 +332,11 @@ def _wilson_interval(stats: mc.EnsembleStats) -> tuple[float, float]:
 def _tunnel_table(config: RunConfig, panel: Panel, points: Points) -> Table:
     """Tunnel-rate extraction (fig3): no-blip sigma_z inversion under the
     run's label errors, with the Wilson interval mapped through it on every
-    row that kept a shot, vs direct blip MLE, one row per Gamma, and plots
-    of sigma_z and of 1/Gamma.  Where p_fn >= 1 - p_fp the labels carry no
-    information on Gamma: the inversion refuses and its cells stay empty."""
+    row that kept a shot, vs direct blip MLE, one row per Gamma.  Its plots
+    of the rows draw sigma_z -+ SE and 1/Gamma over that interval.  Where
+    p_fn >= 1 - p_fp the labels carry no information on Gamma: the
+    inversion refuses and its cells stay empty."""
     table = []
-    sigma_rows = []
-    inv_rows = []
     t_m = config.t_m
     labels = (config.noise.readout_false_negative, config.noise.readout_false_positive)
     invertible = labels[0] < 1.0 - labels[1]
@@ -367,21 +379,15 @@ def _tunnel_table(config: RunConfig, panel: Panel, points: Points) -> Table:
             "n_kept": stats.n_kept,
             "n_total": stats.n_total,
         })
-        sigma_rows.append(
-            SweepRow(gamma * t_m, analytic, stats.mean, stats.std_error,
-                     stats.n_kept, stats.n_total)
-        )
-        inv_rows.append(
-            SweepRow(gamma * t_m, 1.0 / gamma, inv_ext,
-                     None if inv_ext is None or not math.isfinite(inv_hi) else inv_ext - inv_lo,
-                     stats.n_kept, stats.n_total)
-        )
-    # the header is the first row's names: RunConfig refuses an empty Gamma grid
-    return list(table[0]), [list(row.values()) for row in table], [
-        (f"{panel.name}_sigma_z", sigma_rows,
+    inv_columns = operator.itemgetter("gamma_t_m", "inv_gamma_true", "inv_gamma_extracted",
+                                      "inv_gamma_extracted_low", "inv_gamma_extracted_high")
+    return table, [
+        (f"{panel.name}_sigma_z",
+         _mean_points(table, "gamma_t_m", "sigma_z_analytic", "sigma_z_mc",
+                      "sigma_z_mc_std_error"),
          PlotStyle("no-blip nuclear polarization vs measurement strength",
                    "Gamma * t_m", "&lt;sigma_z&gt;", -1.1, 0.4)),
-        (f"{panel.name}_inv_gamma", inv_rows,
+        (f"{panel.name}_inv_gamma", [PlotPoint(*inv_columns(row)) for row in table],
          PlotStyle("tunnel time: sigma_z inversion (markers) vs true (line)",
                    "Gamma * t_m", "1/Gamma (ms)")),
     ]

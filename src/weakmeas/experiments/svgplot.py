@@ -1,11 +1,12 @@
-"""Minimal self-contained SVG emission: analytic line, Monte Carlo markers
-with error bars, labeled axes.  No external assets, no timestamps, so the
-output is a pure function of the data."""
+"""Minimal self-contained SVG emission of a table's plot points: analytic
+line, Monte Carlo markers with error bars, labeled axes.  No external
+assets, no timestamps, so the output is a pure function of the data."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Optional, Sequence
 
 WIDTH, HEIGHT = 640, 440
@@ -25,19 +26,21 @@ class PlotStyle:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    """One sweep point: analytic value plus Monte Carlo statistics.
+class PlotPoint:
+    """One sweep point: the analytic line at ``x``, and the Monte Carlo
+    marker at ``value`` with its bar from ``low`` to ``high``, drawn where
+    ``low < high``; an infinite ``high`` reaches the frame's top edge.
+    ``analytic`` or ``value`` may be None for points flagged empty."""
 
-    ``analytic`` or ``mc_mean`` may be None for points flagged empty
-    (zero-success post-selection, out-of-domain inversions, ...).
-    """
-
-    sweep_value: float
+    x: float
     analytic: Optional[float]
-    mc_mean: Optional[float]
-    mc_std_error: Optional[float]
-    n_kept: int
-    n_total: int
+    value: Optional[float]
+    low: Optional[float] = None
+    high: Optional[float] = None
+
+
+def _finite(y: Optional[float]) -> bool:
+    return y is not None and math.isfinite(y)
 
 
 def _fmt(x: float) -> str:
@@ -65,18 +68,14 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return [lo + (hi - lo) * (i / 4) for i in range(5)]
 
 
-def emit_plot(rows: Sequence[SweepRow], style: PlotStyle) -> str:
-    """Render sweep rows as a standalone SVG document (as a string)."""
-    if not rows:
-        raise ValueError("cannot plot an empty row set")
-    xs = [r.sweep_value for r in rows]
-    ys: list[float] = []
-    for r in rows:
-        if r.analytic is not None and math.isfinite(r.analytic):
-            ys.append(r.analytic)
-        if r.mc_mean is not None and math.isfinite(r.mc_mean):
-            err = r.mc_std_error or 0.0
-            ys.extend((r.mc_mean - err, r.mc_mean + err))
+def emit_plot(points: Sequence[PlotPoint], style: PlotStyle) -> str:
+    """Render plot points as a standalone SVG document (as a string)."""
+    if not points:
+        raise ValueError("cannot plot an empty point set")
+    xs = [p.x for p in points]
+    marked = [p for p in points if _finite(p.value)]
+    ys = [p.analytic for p in points if _finite(p.analytic)]
+    ys += filter(_finite, (y for p in marked for y in (p.value, p.low, p.high)))
     x_lo, x_hi = _nonempty(min(xs), max(xs))
     y_lo, y_hi = _nonempty(
         style.y_min if style.y_min is not None else (min(ys) if ys else 0.0),
@@ -94,6 +93,8 @@ def emit_plot(rows: Sequence[SweepRow], style: PlotStyle) -> str:
         return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * (WIDTH - MARGIN_L - MARGIN_R)
 
     def py(y: float) -> float:
+        if y == math.inf:  # an unbounded bar reaches the frame's top edge
+            return MARGIN_T
         return HEIGHT - MARGIN_B - (y - y_lo) / (y_hi - y_lo) * (
             HEIGHT - MARGIN_T - MARGIN_B
         )
@@ -138,17 +139,10 @@ def emit_plot(rows: Sequence[SweepRow], style: PlotStyle) -> str:
     )
 
     # analytic line, broken at empty cells
-    segment: list[str] = []
-    segments: list[list[str]] = []
-    for r in rows:
-        if r.analytic is not None and math.isfinite(r.analytic):
-            segment.append(f"{_fmt(px(r.sweep_value))},{_fmt(py(r.analytic))}")
-        elif segment:
-            segments.append(segment)
-            segment = []
-    if segment:
-        segments.append(segment)
-    for seg in segments:
+    for drawn, run in groupby(points, lambda p: _finite(p.analytic)):
+        if not drawn:
+            continue
+        seg = [f"{_fmt(px(p.x))},{_fmt(py(p.analytic))}" for p in run]
         if len(seg) == 1:
             x, y = seg[0].split(",")
             parts.append(f'<circle cx="{x}" cy="{y}" r="1.5" fill="#1f6fb4"/>')
@@ -159,16 +153,12 @@ def emit_plot(rows: Sequence[SweepRow], style: PlotStyle) -> str:
             )
 
     # Monte Carlo markers with error bars
-    for r in rows:
-        if r.mc_mean is None or not math.isfinite(r.mc_mean):
-            continue
-        cx, cy = px(r.sweep_value), py(r.mc_mean)
-        if r.mc_std_error:
-            y1 = py(r.mc_mean - r.mc_std_error)
-            y2 = py(r.mc_mean + r.mc_std_error)
+    for p in marked:
+        cx, cy = px(p.x), py(p.value)
+        if p.low is not None and p.high is not None and p.low < p.high:
             parts.append(
-                f'<line x1="{_fmt(cx)}" y1="{_fmt(y1)}" x2="{_fmt(cx)}" '
-                f'y2="{_fmt(y2)}" stroke="#c23b22"/>'
+                f'<line x1="{_fmt(cx)}" y1="{_fmt(py(p.low))}" x2="{_fmt(cx)}" '
+                f'y2="{_fmt(py(p.high))}" stroke="#c23b22"/>'
             )
         parts.append(
             f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3" fill="none" '

@@ -30,10 +30,18 @@ from weakmeas.experiments.presets import (
     run_panels,
     write_csv,
 )
-from weakmeas.experiments.svgplot import PlotStyle, SweepRow, emit_plot
+from weakmeas.experiments.svgplot import HEIGHT, MARGIN_B, MARGIN_T, PlotPoint, PlotStyle, emit_plot
 from weakmeas.spinsys import pulse_unitary
 
 STYLE = PlotStyle(title="t", xlabel="x", ylabel="y")
+
+
+def error_bars(doc: str) -> list[ET.Element]:
+    """The Monte Carlo error bars of an SVG document."""
+    return [
+        e for e in ET.fromstring(doc).iter()
+        if e.tag.endswith("line") and e.get("stroke") == "#c23b22"
+    ]
 
 
 def tiny_config(tmp_path, **overrides) -> RunConfig:
@@ -153,8 +161,8 @@ class TestLoadConfig:
 class TestEmitPlot:
     def test_two_rows_valid_svg(self):
         rows = [
-            SweepRow(0.0, 1.0, 0.9, 0.05, 90, 100),
-            SweepRow(1.0, 0.5, 0.55, 0.05, 80, 100),
+            PlotPoint(0.0, 1.0, 0.9, 0.9 - 0.05, 0.9 + 0.05),
+            PlotPoint(1.0, 0.5, 0.55, 0.55 - 0.05, 0.55 + 0.05),
         ]
         doc = emit_plot(rows, STYLE)
         root = ET.fromstring(doc)
@@ -167,8 +175,8 @@ class TestEmitPlot:
 
     def test_flagged_cells_omit_markers(self):
         rows = [
-            SweepRow(0.0, 1.0, None, None, 0, 100),
-            SweepRow(1.0, None, None, None, 0, 100),
+            PlotPoint(0.0, 1.0, None),
+            PlotPoint(1.0, None, None),
         ]
         doc = emit_plot(rows, STYLE)
         ET.fromstring(doc)
@@ -178,27 +186,27 @@ class TestEmitPlot:
 
     def test_analytic_line_breaks_at_gaps(self):
         rows = [
-            SweepRow(0.0, 0.1, None, None, 0, 1),
-            SweepRow(1.0, 0.2, None, None, 0, 1),
-            SweepRow(2.0, None, None, None, 0, 1),
-            SweepRow(3.0, 0.3, None, None, 0, 1),
-            SweepRow(4.0, 0.4, None, None, 0, 1),
+            PlotPoint(0.0, 0.1, None),
+            PlotPoint(1.0, 0.2, None),
+            PlotPoint(2.0, None, None),
+            PlotPoint(3.0, 0.3, None),
+            PlotPoint(4.0, 0.4, None),
         ]
         doc = emit_plot(rows, STYLE)
         assert doc.count("<polyline") == 2
 
     def test_deterministic(self):
-        rows = [SweepRow(0.0, 0.5, 0.4, 0.1, 10, 20)]
+        rows = [PlotPoint(0.0, 0.5, 0.4, 0.4 - 0.1, 0.4 + 0.1)]
         assert emit_plot(rows, STYLE) == emit_plot(rows, STYLE)
 
     @pytest.mark.parametrize(
         "row",
         [
-            SweepRow(1e17, 0.5, 0.4, 0.1, 10, 20),  # theta_grid: [1.0e+17]
-            SweepRow(-1e17, 0.5, 0.4, 0.1, 10, 20),
-            SweepRow(1e300, 0.5, 0.4, 0.1, 10, 20),
-            SweepRow(1.7e308, 0.5, 0.4, 0.1, 10, 20),  # (hi - lo) * 3 would overflow
-            SweepRow(0.75, 1e300, None, None, 0, 20),  # 1/Gamma at Gamma = 1e-300
+            PlotPoint(1e17, 0.5, 0.4, 0.4 - 0.1, 0.4 + 0.1),  # theta_grid: [1.0e+17]
+            PlotPoint(-1e17, 0.5, 0.4, 0.4 - 0.1, 0.4 + 0.1),
+            PlotPoint(1e300, 0.5, 0.4, 0.4 - 0.1, 0.4 + 0.1),
+            PlotPoint(1.7e308, 0.5, 0.4, 0.4 - 0.1, 0.4 + 0.1),  # (hi - lo) * 3 would overflow
+            PlotPoint(0.75, 1e300, None),  # 1/Gamma at Gamma = 1e-300
         ],
         ids=["x_1e17", "x_minus_1e17", "x_1e300", "x_1_7e308", "y_1e300"],
     )
@@ -212,14 +220,53 @@ class TestEmitPlot:
     def test_span_beyond_the_float_range_raises(self):
         """Rows at -1e308 and 1e308 span an x range that overflows; the plot
         refuses rather than write nan or inf coordinates."""
-        rows = [SweepRow(x, 0.5, 0.4, 0.1, 10, 20) for x in (-1e308, 1e308)]
+        rows = [PlotPoint(x, 0.5, 0.4, 0.4 - 0.1, 0.4 + 0.1) for x in (-1e308, 1e308)]
         with pytest.raises(ValueError, match="not finite"):
             emit_plot(rows, STYLE)
 
     def test_one_point_range_widens_by_one(self):
         """Below 2**53 a one-point sweep still spans [x, x + 1.0]."""
-        doc = emit_plot([SweepRow(0.75, -0.5, None, None, 0, 20)], STYLE)
+        doc = emit_plot([PlotPoint(0.75, -0.5, None)], STYLE)
         assert ">0.75</text>" in doc and ">1.75</text>" in doc
+
+    def test_open_ended_bar_reaches_the_frame(self):
+        """A bar whose high end is infinite is drawn up to the frame's top
+        edge; autoscale takes in only the finite ends."""
+        doc = emit_plot(
+            [PlotPoint(0.0, 2.0, 3.0, 1.0, math.inf), PlotPoint(1.0, 2.0, 4.0, 3.5, 6.0)], STYLE
+        )
+        (open_ended, bounded) = error_bars(doc)
+        assert float(open_ended.get("y2")) == MARGIN_T
+        assert MARGIN_T < float(bounded.get("y2")) < float(bounded.get("y1"))
+        assert not re.search(r'="[^"]*(nan|inf)', doc)
+        # free limits: the data span 1..6, padded by 5% of it
+        assert ">0.75</text>" in doc and ">6.25</text>" in doc
+
+    def test_equal_ends_draw_no_bar(self):
+        """An error of 0 draws no bar; the marker stays."""
+        doc = emit_plot([PlotPoint(0.0, 0.5, 0.4, 0.4, 0.4)], STYLE)
+        assert error_bars(doc) == []
+        assert doc.count('stroke="#c23b22"') == 1  # the marker
+
+    def test_asymmetric_bar_spans_low_to_high(self):
+        """A bar's two y attributes are the plot's y of ``low`` and of
+        ``high``, whatever the marker's place between them."""
+        style = PlotStyle("t", "x", "y", 0.0, 10.0)
+        doc = emit_plot([PlotPoint(0.0, None, 2.0, 1.0, 7.0)], style)
+        (bar,) = error_bars(doc)
+
+        def py(y):
+            return HEIGHT - MARGIN_B - y / 10.0 * (HEIGHT - MARGIN_T - MARGIN_B)
+
+        assert (bar.get("y1"), bar.get("y2")) == (f"{py(1.0):.6g}", f"{py(7.0):.6g}")
+
+    def test_point_without_value_draws_no_bar(self):
+        """A point with no value gets neither marker nor bar, whatever its
+        bar ends say, and its ends do not scale the plot."""
+        doc = emit_plot([PlotPoint(0.0, 1.0, None, -50.0, 50.0)], STYLE)
+        assert 'stroke="#c23b22"' not in doc
+        # the analytic 1.0 alone: the span 1..2, padded by 5% of it
+        assert ">0.95</text>" in doc and ">2.05</text>" in doc
 
 
 class TestCsv:
@@ -232,7 +279,7 @@ class TestCsv:
     def test_roundtrip_precision(self, tmp_path):
         path = tmp_path / "t.csv"
         value = 0.1234567890123456789
-        write_csv(path, ["v"], [[value]])
+        write_csv(path, [{"v": value}])
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert float(rows[1][0]) == value
@@ -241,7 +288,7 @@ class TestCsv:
         target = tmp_path / "file"
         target.write_text("")
         with pytest.raises(OSError):
-            write_csv(target / "x.csv", ["v"], [[1.0]])
+            write_csv(target / "x.csv", [{"v": 1.0}])
 
 
 class TestPresets:
@@ -304,6 +351,36 @@ class TestPresets:
             gamma = float(row["gamma"])
             assert float(row["inv_gamma_true"]) == pytest.approx(1.0 / gamma)
             assert float(row["gamma_t_m"]) == pytest.approx(gamma * cfg.t_m)
+
+    def test_fig3_inv_gamma_bars_are_the_written_intervals(self, tmp_path, monkeypatch):
+        """fig3's 1/Gamma plot is drawn from its CSV rows: at seed 1 and 200
+        shots each point carries its row's inv_gamma_extracted and interval,
+        the SVG has one bar per row with an estimate and low < high, and
+        the bars of unbounded intervals reach the frame's top edge."""
+        plotted = {}
+
+        def capture(points, style):
+            plotted[style.ylabel] = points
+            return emit_plot(points, style)
+
+        monkeypatch.setattr("weakmeas.experiments.presets.emit_plot", capture)
+        run_panels(RunConfig(n_shots=200, rng_seed=1, output_dir=tmp_path), ["fig3"])
+        with open(tmp_path / "fig3_tunnel.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        columns = ("gamma_t_m", "inv_gamma_true", "inv_gamma_extracted",
+                   "inv_gamma_extracted_low", "inv_gamma_extracted_high")
+        assert [tuple(map(_fmt, (p.x, p.analytic, p.value, p.low, p.high)))
+                for p in plotted["1/Gamma (ms)"]] == [tuple(r[c] for c in columns) for r in rows]
+
+        barred = [
+            r for r in rows if r["inv_gamma_extracted"]
+            and float(r["inv_gamma_extracted_low"]) < float(r["inv_gamma_extracted_high"])
+        ]
+        open_ended = [r for r in barred if r["inv_gamma_extracted_high"] == "inf"]
+        assert open_ended, "this run is meant to hold unbounded intervals"
+        bars = error_bars((tmp_path / "fig3_tunnel_inv_gamma.svg").read_text(encoding="utf-8"))
+        assert len(bars) == len(barred)
+        assert [float(b.get("y2")) == MARGIN_T for b in bars].count(True) == len(open_ended)
 
     def test_fig3_inversion_interval_covers(self, tmp_path):
         """The sigma_z-inversion interval covers the true 1/Gamma as a 95%
