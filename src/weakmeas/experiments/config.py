@@ -7,6 +7,7 @@ rejected so a typo fails fast instead of silently running defaults.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -91,12 +92,32 @@ _SCALAR_KEYS = {
     "emit_svg": bool,
     "n_jobs": int,
 }
+_ARTICLES = {str: "a string", float: "a number", int: "an int", bool: "a bool"}
 _LIST_KEYS = ("theta_grid", "gamma_grid")
 _NOISE_KEYS = {
     "noise_t2star": "nuclear_dephasing_time",
     "noise_false_negative": "readout_false_negative",
     "noise_false_positive": "readout_false_positive",
 }
+
+
+def _typed(path: Path, key: str, value, want: type, name: Optional[str] = None):
+    """``value`` as a ``want`` (an int serves as a float), or the error naming
+    it.  YAML 1.1 reads a float only with a dot and, with an exponent, a signed
+    one, so PyYAML loads 1e-3 as a string: the error gives its YAML spelling."""
+    accepted = (float, int) if want is float else want
+    if isinstance(value, accepted) and isinstance(value, bool) == (want is bool):
+        return want(value)
+    message = f"{path}: key {key!r} must be {name or _ARTICLES[want]}, not {value!r}"
+    try:
+        x = float(value) if want in (int, float) and isinstance(value, str) else math.nan
+    except ValueError:
+        x = math.nan
+    if math.isfinite(x) and (want is float or x.is_integer()):
+        dotted = re.sub(r"^([-+]?[0-9]+)(?=[eE])", r"\1.0", value.strip())
+        spelling = re.sub(r"[eE](?=[0-9])", "e+", dotted) if want is float else int(x)
+        message += f"; YAML 1.1 reads {value!r} as a string: write {spelling}"
+    raise ValueError(message)
 
 
 def load_config(path: Path, base: Optional[RunConfig] = None) -> RunConfig:
@@ -118,28 +139,16 @@ def load_config(path: Path, base: Optional[RunConfig] = None) -> RunConfig:
     noise_updates = {}
     for key, value in data.items():
         if key in _SCALAR_KEYS:
-            want = _SCALAR_KEYS[key]
-            if want is float and isinstance(value, int):
-                value = float(value)
-            if not isinstance(value, want) or isinstance(value, bool) != (want is bool):
-                raise ValueError(f"{path}: key {key!r} must be a {want.__name__}")
-            updates[key] = value
+            updates[key] = _typed(path, key, value, _SCALAR_KEYS[key])
         elif key in _LIST_KEYS:
-            if not isinstance(value, list) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-            ):
-                raise ValueError(f"{path}: key {key!r} must be a list of numbers")
-            updates[key] = [float(v) for v in value]
+            items = _typed(path, key, value, list, "a list of numbers")
+            updates[key] = [_typed(path, f"{key}[{i}]", v, float) for i, v in enumerate(items)]
         elif key == "output_dir":
-            if not isinstance(value, str):
-                raise ValueError(f"{path}: output_dir must be a string")
-            updates[key] = Path(value)
+            updates[key] = Path(_typed(path, key, value, str))
         elif key in _NOISE_KEYS:
-            if value is not None and (
-                not isinstance(value, (int, float)) or isinstance(value, bool)
-            ):
-                raise ValueError(f"{path}: key {key!r} must be a number or null")
-            noise_updates[_NOISE_KEYS[key]] = None if value is None else float(value)
+            if value is not None:
+                value = _typed(path, key, value, float, "a number or null")
+            noise_updates[_NOISE_KEYS[key]] = value
         else:
             known = sorted(
                 list(_SCALAR_KEYS) + list(_LIST_KEYS) + ["output_dir"] + list(_NOISE_KEYS)

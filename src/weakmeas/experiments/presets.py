@@ -11,7 +11,7 @@ import csv
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -64,14 +64,12 @@ class Panel:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """Everything the panels read at one (sequence, sweep value): the
-    statistics of one ensemble on each axis and, at a theta point, the
-    closed-form tomography (None where no shot can be kept) or, at a Gamma
-    point, the blip-time MLE (None where the blips carry no information)."""
+    """What the shots of one (sequence, sweep value) show: each axis's
+    statistics and, at a Gamma point, the recorded blip times in shot order
+    (None at a theta point); the tables compute closed forms and estimates."""
 
     stats: dict[str, mc.EnsembleStats]
-    closed_form: Optional[TomographyResult]
-    blip_mle: Optional[mc.GammaEstimate] = None
+    blip_times: Optional[np.ndarray] = None
 
 
 Points = dict[tuple[str, float], SweepPoint]  # the run's points by (sequence, value)
@@ -122,6 +120,7 @@ def fig2_protocol(variant: str, theta: float, t_m: float) -> mc.Protocol:
     return mc.Protocol(tuple(steps))
 
 
+@cache  # fig2 and supp5 read the same (sequence, theta) on several panels
 def closed_form_tomography(sequence: str, theta: float) -> Optional[TomographyResult]:
     """The closed-form Bloch vector of the kept nuclear state of a sweep
     sequence, or None where no shot can be kept."""
@@ -215,22 +214,12 @@ def _run_range(config: RunConfig, work: Sequence[tuple], bounds: tuple[int, int]
     return parts
 
 
-def _sweep_point(config: RunConfig, key: tuple[str, float], parts: Sequence[tuple]) -> SweepPoint:
-    """The ``SweepPoint`` of one (sequence, sweep value) from the parts of
-    its shot ranges, in range order."""
-    sequence, value = key
+def _sweep_point(parts: Sequence[tuple]) -> SweepPoint:
+    """The ``SweepPoint`` of one (sequence, sweep value) from its ranges' parts,
+    in range order: each axis's counts added up and any blip times joined."""
     stats = {axis: reduce(operator.add, (s[axis] for s, _ in parts)) for axis in parts[0][0]}
-    if sequence != BELL_WINDOW:
-        return SweepPoint(stats, closed_form_tomography(sequence, value))
-    times = np.concatenate([t for _, t in parts])
-    # A false negative drops a real blip's time; a false positive records none.
-    p = 0.5 * (1.0 - config.noise.readout_false_negative)
-    try:
-        return SweepPoint(
-            stats, None, mc.estimate_gamma_from_blips(times, config.n_shots, config.t_m, p)
-        )
-    except mc.NoInformationError:
-        return SweepPoint(stats, None)
+    times = [t for _, t in parts]
+    return SweepPoint(stats, None if times[0] is None else np.concatenate(times))
 
 
 def run_panels(config: RunConfig, prefixes: Sequence[str]) -> list[Path]:
@@ -247,7 +236,7 @@ def run_panels(config: RunConfig, prefixes: Sequence[str]) -> list[Path]:
     every point, so it builds the Philox uniforms of that range alone, and
     sends back counts and blip times.  This process adds up each point's
     counts and joins its times in range order, which is shot order, so the
-    output bytes do not depend on ``n_jobs``.
+    output bytes do not depend on ``n_jobs``; the tables compute the rest.
     """
     selected = [panel for panel in PANELS if panel.name.startswith(tuple(prefixes))]
     if not selected:
@@ -258,10 +247,7 @@ def run_panels(config: RunConfig, prefixes: Sequence[str]) -> list[Path]:
     work = [(key, _sweep_protocol(*key, config.t_m)) for key in keys]
     ranges = mc.shot_ranges(config.n_shots, config.n_jobs)
     done = mc._parallel_map(partial(_run_range, config, work), ranges)
-    points = {
-        key: _sweep_point(config, key, [parts[i] for parts in done])
-        for i, key in enumerate(keys)
-    }
+    points = {key: _sweep_point([parts[i] for parts in done]) for i, key in enumerate(keys)}
     # every document is rendered before any is written: a plot that
     # emit_plot refuses leaves no file behind
     outputs = []
@@ -307,7 +293,7 @@ def _sweep_table(config: RunConfig, panel: Panel, points: Points) -> Table:
             value = stats.success_fraction
             error = math.sqrt(value * (1.0 - value) / stats.n_total)
         else:
-            tomo = point.closed_form
+            tomo = closed_form_tomography(panel.sequence, theta)
             analytic = None if tomo is None else getattr(tomo, f"sigma_{panel.axis}")
             value, error = stats.mean, stats.std_error
         table.append(dict(sweep_value=theta, analytic=analytic, mc_mean=value,
@@ -330,16 +316,18 @@ def _wilson_interval(stats: mc.EnsembleStats) -> tuple[float, float]:
 
 
 def _tunnel_table(config: RunConfig, panel: Panel, points: Points) -> Table:
-    """Tunnel-rate extraction (fig3): no-blip sigma_z inversion under the
-    run's label errors, with the Wilson interval mapped through it on every
-    row that kept a shot, vs direct blip MLE, one row per Gamma.  Its plots
-    of the rows draw sigma_z -+ SE and 1/Gamma over that interval.  Where
-    p_fn >= 1 - p_fp the labels carry no information on Gamma: the
-    inversion refuses and its cells stay empty."""
+    """Tunnel-rate extraction (fig3), one row per Gamma, by the paper's two
+    estimators of 1/Gamma from the same shots: the no-blip sigma_z inversion
+    under the run's label errors, with the Wilson interval mapped through it
+    on every row that kept a shot, and the blip-time MLE.  Its plots draw
+    sigma_z -+ SE and 1/Gamma over that interval.  Where p_fn >= 1 - p_fp,
+    or no blip informs the MLE, that estimator's cells stay empty."""
     table = []
     t_m = config.t_m
     labels = (config.noise.readout_false_negative, config.noise.readout_false_positive)
     invertible = labels[0] < 1.0 - labels[1]
+    # A false negative drops a real blip's time; a false positive records none.
+    p = 0.5 * (1.0 - labels[0])
     for gamma in _sweep(config, panel.sequence):
         point = points[(panel.sequence, gamma)]
         stats = point.stats[panel.axis]
@@ -354,14 +342,15 @@ def _tunnel_table(config: RunConfig, panel: Panel, points: Points) -> Table:
             except (MeasurementTooWeakError, ProjectiveLimitError):
                 inv_ext = None
             inv_lo, inv_hi = (
-                protocols.tunnel_rate_limits(2.0 * p - 1.0, t_m, *labels)
-                for p in _wilson_interval(stats)
+                protocols.tunnel_rate_limits(2.0 * q - 1.0, t_m, *labels)
+                for q in _wilson_interval(stats)
             )
 
-        est = point.blip_mle
-        mle, mle_lo, mle_hi = (None,) * 3 if est is None else (
-            est.inv_gamma, est.ci_low, est.ci_high
-        )
+        try:
+            est = mc.estimate_gamma_from_blips(point.blip_times, config.n_shots, t_m, p)
+            mle, mle_lo, mle_hi = est.inv_gamma, est.ci_low, est.ci_high
+        except mc.NoInformationError:
+            mle = mle_lo = mle_hi = None
 
         table.append({
             "gamma": gamma,

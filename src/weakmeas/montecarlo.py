@@ -35,8 +35,8 @@ an outcome through, and the tomography thresholds each history's
 label errors are the engine's own.  It returns ``Shots``,
 one array row per shot: its tomography outcomes on x, y and z (0 for a
 rejected shot) and the blip time of each window (NaN where none was
-recorded or the shot was rejected before it).  The estimators read these
-columns directly.
+recorded or the shot was rejected before it; 0.0 at a projective window,
+whose electron tunnels at once).  The estimators read these columns.
 
 The axis only sets the threshold the shot's last uniform is compared
 with, so that one draw samples all three axes.  Every ensemble of a run
@@ -327,7 +327,6 @@ def _shot_block(protocol: Protocol, noise: NoiseConfig, uniforms: np.ndarray) ->
     cursor = rows * n_draws
     nodes = [protocol.initial.rho.matrix]
     t2star = noise.nuclear_dephasing_time
-    log1p = math.log1p  # local: called once per recorded blip
     w = -1
     for step in protocol.steps:
         if type(step) is RotationPulse:
@@ -346,14 +345,16 @@ def _shot_block(protocol: Protocol, noise: NoiseConfig, uniforms: np.ndarray) ->
             observed = blip ^ (drawn & (u[cursor] < flip_p))
             cursor += drawn
         recorded = blip & observed
-        if recorded.any():
+        if math.isinf(step.gamma_up_out):  # projective: the formula gives +0.0
+            blip_times[rows[recorded], w] = 0.0
+        elif recorded.any():
             # inverse CDF of the tunnel time on [0, t_m] given a blip; q is
             # the blip probability within the window.  math, not numpy:
             # np.log1p can differ in the last bit.
             gamma = step.gamma_up_out
             q = -math.expm1(-gamma * step.t_m)
             blip_times[rows[recorded], w] = [
-                -log1p(-x * q) / gamma for x in t_draw[recorded].tolist()
+                -math.log1p(-x * q) / gamma for x in t_draw[recorded].tolist()
             ]
         kept = ~observed  # every window keeps the shots that show no blip
         rows, node, cursor, blip = (a[kept] for a in (rows, node, cursor, blip))

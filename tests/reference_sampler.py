@@ -9,8 +9,8 @@ reference checks the engine's channel arithmetic against an independent
 one, not against a copy of itself.  The two agree on each shot's
 probabilities up to rounding, so they sample the same outcomes.
 ``sample_shot`` measures one tomography axis, so ``sample_columns``
-samples a protocol once per axis, x, y and z, and the engine must give
-the same outcomes in one pass.  The helpers turn records into
+samples a protocol once per axis asked for, of x, y and z, and the engine
+must give the same outcomes in one pass.  The helpers turn records into
 ``Shots`` columns and compute the ensemble statistics and the blip-time
 estimate from records, with the arithmetic the estimators had when they
 read records.
@@ -200,24 +200,28 @@ def to_shots(records: Sequence[ShotRecord], n_windows: int) -> mc.Shots:
     )
 
 
-def sample_columns(protocol, noise, rng_seed, start, stop) -> mc.Shots:
+def sample_columns(protocol, noise, rng_seed, start, stop, axes="xyz") -> mc.Shots:
     """Shots start..stop-1, one ``sample_shot`` at a time and one run per
-    tomography axis, the x, y and z outcome columns side by side."""
-    runs = [
-        to_shots(
+    tomography axis in ``axes``, the x, y and z outcome columns side by
+    side; an axis not in ``axes`` reads 0, as a rejected shot does."""
+    runs = {
+        axis: to_shots(
             sample_records(protocol, axis, noise, rng_seed, start, stop),
             len(protocol.windows),
         )
-        for axis in ("x", "y", "z")
-    ]
-    return mc.Shots(np.hstack([run.outcome for run in runs]), runs[0].blip_times)
+        for axis in axes
+    }
+    unsampled = np.zeros((stop - start, 1), dtype=np.int8)
+    outcome = np.hstack([runs[a].outcome if a in runs else unsampled for a in "xyz"])
+    return mc.Shots(outcome, next(iter(runs.values())).blip_times)
 
 
 def run_shots(
-    protocol, noise=mc.NO_NOISE, n_shots=1, rng_seed=0, n_jobs=1, start=0
+    protocol, noise=mc.NO_NOISE, n_shots=1, rng_seed=0, n_jobs=1, start=0, axes="xyz"
 ) -> mc.Shots:
-    """``montecarlo.run_shots`` computed one ``sample_shot`` at a time."""
-    return sample_columns(protocol, noise, rng_seed, start, start + n_shots)
+    """``montecarlo.run_shots`` computed one ``sample_shot`` at a time, on
+    the tomography axes in ``axes``."""
+    return sample_columns(protocol, noise, rng_seed, start, start + n_shots, axes)
 
 
 def stats_from_records(records: Sequence[ShotRecord]) -> mc.EnsembleStats:

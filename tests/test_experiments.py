@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import weakmeas
-from weakmeas import montecarlo as mc
+from weakmeas import montecarlo as mc, protocols
 from weakmeas.experiments.cli import main
 from weakmeas.experiments.config import (
     DEFAULT_T_M,
@@ -146,6 +146,33 @@ class TestLoadConfig:
             for value in ("true", "false"):
                 with pytest.raises(ValueError, match=key):
                     load_config(self.write(tmp_path, f"{key}: {value}\n"))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t_m: 1e-3\n", "key 't_m' must be a number, not '1e-3'; "
+             "YAML 1.1 reads '1e-3' as a string: write 1.0e-3"),
+            ("rng_seed: 1e3\n", "key 'rng_seed' must be an int, not '1e3'; "
+             "YAML 1.1 reads '1e3' as a string: write 1000"),
+            ("emit_svg: 1e3\n", "key 'emit_svg' must be a bool, not '1e3'"),
+            ("output_dir: 3\n", "key 'output_dir' must be a string, not 3"),
+            ("gamma_grid: [0.5, 1e-1]\n", "key 'gamma_grid[1]' must be a number, not '1e-1'; "
+             "YAML 1.1 reads '1e-1' as a string: write 1.0e-1"),
+            ("theta_grid: 1.0\n", "key 'theta_grid' must be a list of numbers, not 1.0"),
+            ("noise_t2star: 1.0e3\n", "key 'noise_t2star' must be a number or null, not "
+             "'1.0e3'; YAML 1.1 reads '1.0e3' as a string: write 1.0e+3"),
+            ("noise_t2star: '.5'\n", "key 'noise_t2star' must be a number or null, not "
+             "'.5'; YAML 1.1 reads '.5' as a string: write .5"),
+        ],
+        ids=["float_exponent", "int_exponent", "bool_no_hint", "path_not_a_string",
+             "list_item", "list_not_a_list", "noise_unsigned_exponent", "noise_quoted"],
+    )
+    def test_type_error_names_the_value_and_its_yaml_spelling(self, tmp_path, text, message):
+        """PyYAML loads a number without a dot, or with an unsigned
+        exponent, as a string; the error names it and says how to write it."""
+        with pytest.raises(ValueError) as err:
+            load_config(self.write(tmp_path, text))
+        assert str(err.value) == f"{tmp_path / 'run.yaml'}: {message}"
 
     def test_empty_file_keeps_defaults(self, tmp_path):
         cfg = load_config(self.write(tmp_path, ""))
@@ -682,6 +709,23 @@ class TestCli:
         argv = ["custom", "--config", str(cfg), "--grid", "5", "--shots", "20", "--no-svg"]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 0
         assert pulse_unitary.cache_info().misses == 3 * 5
+
+    def test_custom_computes_each_closed_form_once(self, tmp_path, monkeypatch, capsys):
+        """fig2, supp5 and supp6 read 18 sigma panels of 4 sequences (three
+        fig2 variants and steering); each (sequence, theta) is one closed
+        form, however many panels read it."""
+        calls = []
+        for name in ("closed_form_sequence", "steering_scan"):
+            def counted(*args, _original=getattr(protocols, name)):
+                calls.append(args)
+                return _original(*args)
+            monkeypatch.setattr(protocols, name, counted)
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("experiment: custom\n", encoding="utf-8")
+        closed_form_tomography.cache_clear()
+        argv = ["custom", "--config", str(cfg), "--grid", "5", "--shots", "20", "--no-svg"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 4 * 5
 
     def test_custom_with_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"

@@ -18,6 +18,7 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -197,9 +198,14 @@ class TestAgainstSampleShot:
     @pytest.mark.parametrize("name", list(NAMED_CASES))
     def test_named_case(self, name):
         protocol, noise = NAMED_CASES[name]
-        assert mc.run_shots(protocol, noise, 600, 17) == ref.run_shots(
-            protocol, noise, 600, 17
-        )
+        got = mc.run_shots(protocol, noise, 600, 17)
+        assert got == ref.run_shots(protocol, noise, 600, 17)
+        # a projective window records +0.0, which np.array_equal does not
+        # tell from -0.0
+        for w, window in enumerate(protocol.windows):
+            if math.isinf(window.gamma_up_out):
+                times = got.blip_times[:, w][~np.isnan(got.blip_times[:, w])]
+                assert times.size and not times.any() and not np.signbit(times).any()
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_case_chunk(self, seed):
@@ -375,29 +381,32 @@ def test_each_philox_block_is_generated_once(monkeypatch):
     assert len(blocks) == 18 and calls == blocks
 
 
+# argv, config and the tomography axes the run's CSVs read (fig3 writes z only)
 CLI_CASES = {
-    "fig2": (["fig2", "--variant", "all", "--shots", "150", "--grid", "5"], None),
+    "fig2": (["fig2", "--variant", "all", "--shots", "150", "--grid", "5"], None, "xyz"),
     "fig2 dephased": (
         ["fig2", "--variant", "all", "--shots", "150", "--grid", "5"],
         "noise_t2star: 1.0\n",
+        "xyz",
     ),
-    "fig3 dephased": (["fig3", "--shots", "1500"], "noise_t2star: 2.0\n"),
+    "fig3 dephased": (["fig3", "--shots", "1500"], "noise_t2star: 2.0\n", "z"),
     "fig3 label errors": (
         ["fig3", "--shots", "1500"],
         "noise_false_negative: 0.2\nnoise_false_positive: 0.05\n",
+        "z",
     ),
-    "supp": (["supp", "--shots", "100", "--grid", "5"], None),
+    "supp": (["supp", "--shots", "100", "--grid", "5"], None, "xyz"),
 }
 
 
 @pytest.mark.parametrize("name", list(CLI_CASES))
 def test_csv_bytes_match_scalar_sampler(tmp_path, monkeypatch, capsys, name):
-    argv, config = CLI_CASES[name]
+    argv, config, axes = CLI_CASES[name]
     if config is not None:
         (tmp_path / "run.yaml").write_text(config, encoding="utf-8")
         argv = argv + ["--config", str(tmp_path / "run.yaml")]
     assert main(argv + ["--no-svg", "--out", str(tmp_path / "engine")]) == 0
-    monkeypatch.setattr(mc, "run_shots", ref.run_shots)
+    monkeypatch.setattr(mc, "run_shots", partial(ref.run_shots, axes=axes))
     assert main(argv + ["--no-svg", "--out", str(tmp_path / "scalar")]) == 0
     engine = {p.name: p.read_bytes() for p in (tmp_path / "engine").glob("*.csv")}
     scalar = {p.name: p.read_bytes() for p in (tmp_path / "scalar").glob("*.csv")}
