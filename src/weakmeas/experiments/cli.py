@@ -1,11 +1,11 @@
 """Command-line harness.
 
-Subcommands ``fig2``, ``fig3`` and ``supp`` write the corresponding figure
-panels; ``custom`` takes a config file and writes the panels of the
-experiment it names.  Each subcommand only chooses the panel-name prefixes
-that ``presets.run_panels`` writes.
-Exit code 0 on success, nonzero with a one-line diagnostic on any rejected
-input.
+Each subcommand names an experiment, which ``presets.run_panels`` reads
+from the run's config: ``fig2`` names ``fig2`` or ``fig2_<variant>``,
+``fig3`` names ``fig3_tunnel`` and ``supp`` names ``supp``; ``custom`` takes
+a config file and runs the experiment it names.
+Exit code 0 on success, 2 with a one-line diagnostic on any rejected
+input, a run too large to allocate included.
 
 ``entry`` is the process entry of both routes, the ``weakmeas`` console
 script and ``python -m weakmeas.experiments.cli``; ``main`` is the library
@@ -58,9 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if args.config is not None:
-        cfg = load_config(args.config, cfg)
+    cfg = RunConfig() if args.config is None else load_config(args.config)
     overrides = {}
     if args.out is not None:
         overrides["output_dir"] = args.out
@@ -77,31 +75,33 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     return replace(cfg, **overrides)
 
 
-def _prefixes(args: argparse.Namespace, cfg: RunConfig) -> list[str]:
-    """The panel-name prefixes a subcommand selects.  Only ``custom`` reads
-    the config's ``experiment``; any other subcommand refuses one."""
+def _experiment(args: argparse.Namespace, cfg: RunConfig) -> str:
+    """The experiment a subcommand runs.  Only ``custom`` reads the config's
+    ``experiment``; any other subcommand refuses one."""
     if args.command != "custom" and cfg.experiment != "custom":
         raise ValueError(
             f"config key 'experiment' ({cfg.experiment!r}) is read by the custom "
             f"subcommand only, not by {args.command}"
         )
     if args.command == "fig2":
-        return ["fig2_" if args.variant == "all" else f"fig2_{args.variant}_"]
-    if args.command in ("fig3", "supp"):
-        return [args.command]
+        return "fig2" if args.variant == "all" else f"fig2_{args.variant}"
+    if args.command == "fig3":
+        return "fig3_tunnel"
+    if args.command == "supp":
+        return "supp"
     if args.config is None:
         raise ValueError("the custom subcommand requires --config")
-    # the experiment "custom" selects every panel: each name starts with ""
-    return ["" if cfg.experiment == "custom" else cfg.experiment]
+    return cfg.experiment
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _build_config(args)
-        paths = run_panels(cfg, _prefixes(args, cfg))
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        paths = run_panels(replace(cfg, experiment=_experiment(args, cfg)))
+    except (ValueError, OSError, MemoryError) as err:
+        # numpy's MemoryError names the allocation it refused; Python's own is blank
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 2
     for path in paths:
         print(path)

@@ -1,7 +1,7 @@
 """Run configuration: defaults, YAML config files and CLI overrides.
 
-Config files are flat YAML mappings (key: typed value).  Unknown keys are
-rejected so a typo fails fast instead of silently running defaults.
+Config files are flat YAML mappings (key: typed value) over the defaults.
+Unknown and repeated keys are rejected, so that a typo fails fast.
 """
 
 from __future__ import annotations
@@ -15,10 +15,12 @@ from typing import Optional
 from ..montecarlo import NoiseConfig
 
 EXPERIMENTS = (
+    "fig2",
     "fig2_single",
     "fig2_double",
     "fig2_reversal",
     "fig3_tunnel",
+    "supp",
     "supp4_success",
     "supp5_expectations",
     "supp6_steering",
@@ -44,7 +46,7 @@ def default_gamma_grid(t_m: float) -> list[float]:
 @dataclass(frozen=True)
 class RunConfig:
     """One run's settings, validated on construction.  ``experiment`` names
-    the panels the ``custom`` subcommand writes; ``custom`` names them all."""
+    the panels the run writes, by name prefix; ``custom`` names them all."""
 
     experiment: str = "custom"
     theta_grid: list[float] = field(default_factory=default_theta_grid)
@@ -107,7 +109,11 @@ def _typed(path: Path, key: str, value, want: type, name: Optional[str] = None):
     one, so PyYAML loads 1e-3 as a string: the error gives its YAML spelling."""
     accepted = (float, int) if want is float else want
     if isinstance(value, accepted) and isinstance(value, bool) == (want is bool):
-        return want(value)
+        try:
+            return want(value)
+        except OverflowError:  # an int beyond the float range
+            raise ValueError(f"{path}: key {key!r} must be a number within the float range, "
+                             f"not an integer of {len(str(abs(value)))} digits") from None
     message = f"{path}: key {key!r} must be {name or _ARTICLES[want]}, not {value!r}"
     try:
         x = float(value) if want in (int, float) and isinstance(value, str) else math.nan
@@ -120,21 +126,30 @@ def _typed(path: Path, key: str, value, want: type, name: Optional[str] = None):
     raise ValueError(message)
 
 
-def load_config(path: Path, base: Optional[RunConfig] = None) -> RunConfig:
-    """Parse a flat YAML config file on top of ``base`` (or the defaults)."""
+def load_config(path: Path) -> RunConfig:
+    """Parse a flat YAML config file on top of the defaults.  A key given
+    twice is refused: PyYAML would keep its last value without a word."""
     import yaml  # here, so that a run without a config file never loads PyYAML
 
-    cfg = base if base is not None else RunConfig()
+    cfg = RunConfig()
     with open(path, encoding="utf-8") as fh:
+        loader = yaml.SafeLoader(fh)  # what yaml.safe_load runs, keeping the node
         try:
-            data = yaml.safe_load(fh)
+            node = loader.get_single_node()
+            data = None if node is None else loader.construct_document(node)
         except yaml.YAMLError as err:
             detail = " ".join(str(err).split())  # PyYAML's message spans lines
             raise ValueError(f"{path}: not valid YAML: {detail}") from None
+        finally:
+            loader.dispose()
     if data is None:
         return cfg
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a key-value mapping")
+    keys = [key.value for key, _ in node.value]  # as written, repeats included
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise ValueError(f"{path}: key {key!r} is given more than once")
     updates = {}
     noise_updates = {}
     for key, value in data.items():

@@ -222,9 +222,9 @@ def _sweep_point(parts: Sequence[tuple]) -> SweepPoint:
     return SweepPoint(stats, None if times[0] is None else np.concatenate(times))
 
 
-def run_panels(config: RunConfig, prefixes: Sequence[str]) -> list[Path]:
-    """Write every panel of PANELS whose name starts with one of
-    ``prefixes``, in PANELS order, and return the paths written.
+def run_panels(config: RunConfig) -> list[Path]:
+    """Write every panel of PANELS whose name starts with ``config.experiment``
+    (every panel for ``custom``) in PANELS order, and return the paths written.
 
     The run lists each (sequence, sweep value) the selected panels read and
     simulates it once, for every axis, before anything is written: noise,
@@ -238,9 +238,8 @@ def run_panels(config: RunConfig, prefixes: Sequence[str]) -> list[Path]:
     counts and joins its times in range order, which is shot order, so the
     output bytes do not depend on ``n_jobs``; the tables compute the rest.
     """
-    selected = [panel for panel in PANELS if panel.name.startswith(tuple(prefixes))]
-    if not selected:
-        raise ValueError(f"no panel name starts with any of {list(prefixes)}")
+    prefix = "" if config.experiment == "custom" else config.experiment
+    selected = [panel for panel in PANELS if panel.name.startswith(prefix)]
     keys = dict.fromkeys(
         (panel.sequence, value) for panel in selected for value in _sweep(config, panel.sequence)
     )

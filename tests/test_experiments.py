@@ -3,12 +3,14 @@
 import csv
 import gc
 import math
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
 import warnings
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -163,26 +165,41 @@ class TestLoadConfig:
              "'1.0e3'; YAML 1.1 reads '1.0e3' as a string: write 1.0e+3"),
             ("noise_t2star: '.5'\n", "key 'noise_t2star' must be a number or null, not "
              "'.5'; YAML 1.1 reads '.5' as a string: write .5"),
+            # an int serves as a float only within the float range
+            (f"t_m: 1{'0' * 400}\n", "key 't_m' must be a number within the float "
+             "range, not an integer of 401 digits"),
+            (f"gamma_grid: [-1{'0' * 400}]\n", "key 'gamma_grid[0]' must be a number "
+             "within the float range, not an integer of 401 digits"),
+            (f"noise_t2star: 1{'0' * 400}\n", "key 'noise_t2star' must be a number "
+             "within the float range, not an integer of 401 digits"),
         ],
         ids=["float_exponent", "int_exponent", "bool_no_hint", "path_not_a_string",
-             "list_item", "list_not_a_list", "noise_unsigned_exponent", "noise_quoted"],
+             "list_item", "list_not_a_list", "noise_unsigned_exponent", "noise_quoted",
+             "int_beyond_float", "list_item_beyond_float", "noise_beyond_float"],
     )
     def test_type_error_names_the_value_and_its_yaml_spelling(self, tmp_path, text, message):
         """PyYAML loads a number without a dot, or with an unsigned
-        exponent, as a string; the error names it and says how to write it."""
+        exponent, as a string; the error names it and says how to write it.
+        An integer too large for a float is named by its length."""
         with pytest.raises(ValueError) as err:
             load_config(self.write(tmp_path, text))
         assert str(err.value) == f"{tmp_path / 'run.yaml'}: {message}"
+
+    def test_repeated_key_rejected(self, tmp_path):
+        """YAML mapping keys are unique, but PyYAML keeps a repeated key's
+        last value; the config refuses the repeat, naming the key."""
+        p = self.write(tmp_path, "n_shots: 10\nrng_seed: 3\n'n_shots': 20\n")
+        with pytest.raises(ValueError) as err:
+            load_config(p)
+        assert str(err.value) == f"{p}: key 'n_shots' is given more than once"
 
     def test_empty_file_keeps_defaults(self, tmp_path):
         cfg = load_config(self.write(tmp_path, ""))
         assert cfg == RunConfig()
 
-    def test_unset_keys_keep_base(self, tmp_path):
-        base = RunConfig(n_shots=777)
-        cfg = load_config(self.write(tmp_path, "rng_seed: 2\n"), base)
-        assert cfg.n_shots == 777
-        assert cfg.rng_seed == 2
+    def test_unset_keys_keep_defaults(self, tmp_path):
+        cfg = load_config(self.write(tmp_path, "rng_seed: 2\n"))
+        assert cfg == replace(RunConfig(), rng_seed=2)
 
 
 class TestEmitPlot:
@@ -321,7 +338,7 @@ class TestCsv:
 class TestPresets:
     def test_fig2_outputs(self, tmp_path):
         cfg = tiny_config(tmp_path)
-        paths = run_panels(cfg, ["fig2_single_"])
+        paths = run_panels(replace(cfg, experiment="fig2_single"))
         names = sorted(p.name for p in paths)
         assert names == [
             "fig2_single_sigma_x.csv",
@@ -338,7 +355,7 @@ class TestPresets:
 
     def test_fig2_csv_contents(self, tmp_path):
         cfg = tiny_config(tmp_path)
-        run_panels(cfg, ["fig2_single_"])
+        run_panels(replace(cfg, experiment="fig2_single"))
         with open(tmp_path / "fig2_single_sigma_z.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3
@@ -348,14 +365,14 @@ class TestPresets:
 
     def test_fig2_determinism(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-        run_panels(tiny_config(tmp_path, output_dir=a_dir), ["fig2_single_"])
-        run_panels(tiny_config(tmp_path, output_dir=b_dir), ["fig2_single_"])
+        run_panels(replace(tiny_config(tmp_path, output_dir=a_dir), experiment="fig2_single"))
+        run_panels(replace(tiny_config(tmp_path, output_dir=b_dir), experiment="fig2_single"))
         for name in ("fig2_single_sigma_z.csv", "fig2_single_sigma_z.svg"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
     def test_fig2_reversal_flags_impossible_point(self, tmp_path):
         cfg = tiny_config(tmp_path)
-        run_panels(cfg, ["fig2_reversal_"])
+        run_panels(replace(cfg, experiment="fig2_reversal"))
         with open(tmp_path / "fig2_reversal_sigma_z.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         pi_row = rows[2]  # theta = pi: reversal cannot succeed
@@ -365,7 +382,7 @@ class TestPresets:
 
     def test_fig3_table(self, tmp_path):
         cfg = tiny_config(tmp_path, n_shots=400)
-        paths = run_panels(cfg, ["fig3"])
+        paths = run_panels(replace(cfg, experiment="fig3_tunnel"))
         assert [p.name for p in paths] == [
             "fig3_tunnel.csv",
             "fig3_tunnel_sigma_z.svg",
@@ -391,7 +408,8 @@ class TestPresets:
             return emit_plot(points, style)
 
         monkeypatch.setattr("weakmeas.experiments.presets.emit_plot", capture)
-        run_panels(RunConfig(n_shots=200, rng_seed=1, output_dir=tmp_path), ["fig3"])
+        cfg = RunConfig(n_shots=200, rng_seed=1, output_dir=tmp_path)
+        run_panels(replace(cfg, experiment="fig3_tunnel"))
         with open(tmp_path / "fig3_tunnel.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         columns = ("gamma_t_m", "inv_gamma_true", "inv_gamma_extracted",
@@ -418,7 +436,7 @@ class TestPresets:
         covered = [0] * len(default_gamma_grid(DEFAULT_T_M))
         for seed in range(400):
             cfg = RunConfig(n_shots=200, rng_seed=seed, output_dir=tmp_path, emit_svg=False)
-            run_panels(cfg, ["fig3"])
+            run_panels(replace(cfg, experiment="fig3_tunnel"))
             with open(tmp_path / "fig3_tunnel.csv", newline="") as fh:
                 for k, row in enumerate(csv.DictReader(fh)):
                     lo, hi = row["inv_gamma_extracted_low"], row["inv_gamma_extracted_high"]
@@ -441,7 +459,7 @@ class TestPresets:
         for seed in range(400):
             cfg = RunConfig(gamma_grid=[0.5], n_shots=2000, rng_seed=seed, noise=noise,
                             output_dir=tmp_path, emit_svg=False)
-            run_panels(cfg, ["fig3"])
+            run_panels(replace(cfg, experiment="fig3_tunnel"))
             with open(tmp_path / "fig3_tunnel.csv", newline="") as fh:
                 (row,) = csv.DictReader(fh)
             lo, hi = row["inv_gamma_blip_mle_low"], row["inv_gamma_blip_mle_high"]
@@ -466,7 +484,7 @@ class TestPresets:
         for seed in range(400):
             cfg = RunConfig(gamma_grid=[0.5], n_shots=2000, rng_seed=seed, noise=noise,
                             output_dir=tmp_path, emit_svg=False)
-            run_panels(cfg, ["fig3"])
+            run_panels(replace(cfg, experiment="fig3_tunnel"))
             with open(tmp_path / "fig3_tunnel.csv", newline="") as fh:
                 (row,) = csv.DictReader(fh)
             lo, hi = row["inv_gamma_extracted_low"], row["inv_gamma_extracted_high"]
@@ -479,7 +497,7 @@ class TestPresets:
         the inversion's three cells stay empty on every row."""
         noise = mc.NoiseConfig(readout_false_negative=p_fn, readout_false_positive=p_fp)
         cfg = RunConfig(n_shots=200, noise=noise, output_dir=tmp_path, emit_svg=False)
-        run_panels(cfg, ["fig3"])
+        run_panels(replace(cfg, experiment="fig3_tunnel"))
         with open(tmp_path / "fig3_tunnel.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert rows
@@ -502,7 +520,7 @@ class TestPresets:
         monkeypatch.setattr("weakmeas.experiments.presets.emit_plot", refuse_the_second)
         out = tmp_path / "out"
         with pytest.raises(ValueError, match="not finite"):
-            run_panels(tiny_config(out), ["fig2_single_"])
+            run_panels(replace(tiny_config(out), experiment="fig2_single"))
         assert len(rendered) == 2
         assert not out.exists()
 
@@ -535,6 +553,15 @@ class TestPresets:
     def test_analytic_none_only_at_impossible(self):
         assert closed_form_tomography("reversal", math.pi) is None
         assert closed_form_tomography("reversal", 1.0) is not None
+
+
+    def test_run_panels_writes_the_config_experiment(self, tmp_path):
+        """The config's experiment alone selects the panels: fig3_tunnel
+        writes fig3's table and its two plots, and nothing else."""
+        paths = run_panels(replace(tiny_config(tmp_path), experiment="fig3_tunnel"))
+        names = ["fig3_tunnel.csv", "fig3_tunnel_sigma_z.svg", "fig3_tunnel_inv_gamma.svg"]
+        assert [p.name for p in paths] == names
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
 
 
 class TestCli:
@@ -609,9 +636,12 @@ class TestCli:
               "--shots", "8200", "--jobs", "2"], ""),
             # the blip-time MLE's rate bracket 1e6 / t_m overflows
             (["fig3", "--shots", "2000"], "t_m: 1.0e-303\n"),
+            (["fig3"], f"t_m: 1{'0' * 400}\n"),  # beyond the float range
+            (["fig3"], "n_shots: 10\nn_shots: 20\n"),
         ],
         ids=["malformed_yaml", "seed_above_range", "seed_below_range",
-             "seed_above_range_jobs2", "seed_below_range_jobs2", "blip_mle_t_m_too_short"],
+             "seed_above_range_jobs2", "seed_below_range_jobs2", "blip_mle_t_m_too_short",
+             "t_m_beyond_float", "repeated_key"],
     )
     def test_rejected_run_reports_one_line(self, tmp_path, capsys, argv, config):
         cfg = tmp_path / "bad.yaml"
@@ -626,6 +656,29 @@ class TestCli:
         (line,) = captured.err.splitlines()
         assert line.startswith("error:")
         assert not out.exists()
+
+    def test_unallocatable_run_reports_one_line(self, tmp_path, capsys, monkeypatch):
+        """A run too large to allocate is refused like any rejected input:
+        exit 2, one error line, nothing written, and no worker left.  The
+        engine is a stand-in, in this process and in the forked workers: a
+        real allocation of that size could succeed on a kernel that
+        overcommits."""
+        def unallocatable(*args, **kwargs):
+            raise MemoryError(
+                "Unable to allocate 2.18 TiB for an array with shape (100000000000, 3) "
+                "and data type float64"
+            )
+
+        monkeypatch.setattr(mc, "run_shots", unallocatable)
+        out = tmp_path / "out"
+        argv = ["fig3", "--shots", "8200", "--jobs", "2", "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: Unable to allocate 2.18 TiB")
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
 
     def test_tiny_gamma_plots_finite_coordinates(self, tmp_path, capsys):
         """1/Gamma = 1e308 sets the top of the 1/Gamma plot; its ticks stay
@@ -807,6 +860,25 @@ class TestCli:
             separate.update(tree(command, [command]))
         assert len(custom) == 45
         assert custom == separate
+
+    @pytest.mark.parametrize("experiment", ["fig2", "supp"])
+    def test_custom_experiment_equals_its_subcommand(self, tmp_path, capsys, experiment):
+        """``custom`` with ``experiment: fig2`` or ``supp`` writes the files,
+        and prints the paths, of the subcommand of that name."""
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"experiment: {experiment}\n", encoding="utf-8")
+        common = ["--shots", "30", "--grid", "5", "--seed", "7"]
+
+        def run(name, argv):
+            out = tmp_path / name
+            assert main([*argv, *common, "--out", str(out)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            printed = [Path(line).relative_to(out) for line in lines]
+            return printed, {f.name: f.read_bytes() for f in out.iterdir()}
+
+        printed, files = run("custom", ["custom", "--config", str(cfg)])
+        assert files
+        assert (printed, files) == run(experiment, [experiment])
 
     def test_default_gamma_grid_follows_t_m(self, tmp_path, capsys):
         """An unset Gamma grid spans Gamma * t_m over [0.05, 10] at the
