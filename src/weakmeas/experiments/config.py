@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from ..montecarlo import NoiseConfig
+from ..montecarlo import NoiseConfig, _brief_int
 
 EXPERIMENTS = (
     "fig2",
@@ -66,8 +66,10 @@ class RunConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.n_shots < 1:
             raise ValueError("n_shots must be >= 1")
+        if self.n_shots >= 1 << 64:  # shot indices are a Philox key word
+            raise ValueError(f"n_shots is not below 2**64: {_brief_int(self.n_shots)}")
         if not -(1 << 63) <= self.rng_seed < 1 << 64:  # a key Philox takes
-            raise ValueError(f"rng_seed {self.rng_seed} is outside [-2**63, 2**64)")
+            raise ValueError(f"rng_seed is outside [-2**63, 2**64): {_brief_int(self.rng_seed)}")
         if not self.theta_grid or self.gamma_grid == []:
             raise ValueError("parameter grids must be non-empty")
         if not (math.isfinite(self.t_m) and self.t_m > 0):
@@ -113,7 +115,7 @@ def _typed(path: Path, key: str, value, want: type, name: Optional[str] = None):
             return want(value)
         except OverflowError:  # an int beyond the float range
             raise ValueError(f"{path}: key {key!r} must be a number within the float range, "
-                             f"not an integer of {len(str(abs(value)))} digits") from None
+                             f"not {_brief_int(value)}") from None
     message = f"{path}: key {key!r} must be {name or _ARTICLES[want]}, not {value!r}"
     try:
         x = float(value) if want in (int, float) and isinstance(value, str) else math.nan
@@ -124,6 +126,20 @@ def _typed(path: Path, key: str, value, want: type, name: Optional[str] = None):
         spelling = re.sub(r"[eE](?=[0-9])", "e+", dotted) if want is float else int(x)
         message += f"; YAML 1.1 reads {value!r} as a string: write {spelling}"
     raise ValueError(message)
+
+
+def _unreadable_key(yaml, node) -> str:
+    """The first top-level key of the mapping ``node`` whose value PyYAML
+    cannot build on its own, as " key 'name'" for a message, else ""."""
+    for key_node, value_node in node.value if isinstance(node, yaml.MappingNode) else ():
+        loader = yaml.SafeLoader("")
+        try:
+            loader.construct_document(value_node)
+        except (ValueError, yaml.YAMLError):
+            return f" key {key_node.value!r}"
+        finally:
+            loader.dispose()
+    return ""
 
 
 def load_config(path: Path) -> RunConfig:
@@ -140,6 +156,11 @@ def load_config(path: Path) -> RunConfig:
         except yaml.YAMLError as err:
             detail = " ".join(str(err).split())  # PyYAML's message spans lines
             raise ValueError(f"{path}: not valid YAML: {detail}") from None
+        except ValueError as err:
+            # a value PyYAML cannot build, such as an integer past Python's
+            # limit on the digits it reads; its advice to raise the limit is dropped
+            where = f"{path}:{_unreadable_key(yaml, node)}"
+            raise ValueError(f"{where} cannot be read: {str(err).split(';')[0]}") from None
         finally:
             loader.dispose()
     if data is None:

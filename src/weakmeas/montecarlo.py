@@ -8,9 +8,13 @@ nuclear tomography on x, y and z.  The arrays derived from a step, a
 pulse's unitary and a window's no-blip damping, are memoised by value:
 equal steps of any protocols share one read-only array per process.  Each
 shot evolves the electron-nuclear state through the steps, draws tunnel
-events and times, applies optional label errors and dephasing, and records
-whether the shot passed post-selection plus the sampled tomography
-eigenvalue on each axis.
+events and times, applies optional label errors, and records whether the
+shot passed post-selection plus the sampled tomography eigenvalue on each
+axis.  Dephasing is applied once, at tomography: each window's
+exp(-(t_m/T2*)^2) on the nuclear coherences commutes with every step,
+since pulses and windows act within each nuclear up/down block and no blip
+weight reads a coherence, so the factors multiply into one that scales
+the kept shots' sigma_x and sigma_y.
 
 Reproducibility contract: shot ``i`` of a run with root seed ``s`` always
 uses the counter-based stream ``Philox(key=(s, i))``, so serial and
@@ -26,13 +30,13 @@ kept shot reaches a blip history only through a false negative, a real
 blip read as none.  Each history's state is the 4x4 electron-nuclear
 density matrix: a finite readout window leaves the nucleus mixed once the
 electron is traced out, so the pulse, the window and the tomography each
-have one arithmetic, with or without dephasing.  The pulse is
-``spinsys._node_pulse``, the window the helpers of ``protocols``, the
-package's one readout-window channel, which ``conditional_state`` forces
-an outcome through, and the tomography thresholds each history's
-``protocols._bloch`` vector, the Bloch readout of
-``tomography_expectations``; only the dephasing after a window and the
-label errors are the engine's own.  It returns ``Shots``,
+have one arithmetic, and the histories depend on the protocol and the
+label-error rates alone.  The pulse is ``spinsys._node_pulse``, the window
+the helpers of ``protocols``, the package's one readout-window channel,
+which ``conditional_state`` forces an outcome through, and the tomography
+thresholds each history's ``protocols._bloch`` vector, the Bloch readout
+of ``tomography_expectations``; only the label errors and the dephasing
+factor at tomography are the engine's own.  It returns ``Shots``,
 one array row per shot: its tomography outcomes on x, y and z (0 for a
 rejected shot) and the blip time of each window (NaN where none was
 recorded or the shot was rejected before it; 0.0 at a projective window,
@@ -100,7 +104,12 @@ ProtocolStep = Union[RotationPulse, TunnelModel]
 class Protocol:
     """Declarative pulse sequence: the initial state, then pulses and
     readout windows.  Every kept shot ends in nuclear tomography on x, y
-    and z."""
+    and z.
+
+    A step must commute with a nuclear z phase, as the pulses of every
+    ``Frequency`` and the windows do: the shot engine applies the windows'
+    dephasing as one factor at tomography, which a step that rotates the
+    nucleus (an NMR pulse) would make wrong."""
 
     steps: tuple[ProtocolStep, ...]
     initial: JointState = field(default_factory=prepare_initial)
@@ -214,15 +223,16 @@ class EnsembleStats:
         return None if mean is None else math.sqrt(max(1.0 - mean * mean, 0.0) / self.n_kept)
 
 
-def _dephase_joint(joint: np.ndarray, duration: float, t2star: float) -> np.ndarray:
+def _dephasing_factor(windows: Sequence[TunnelModel], t2star: Optional[float]) -> float:
+    """The factor by which the windows' dephasing scales a kept shot's
+    nuclear sigma_x and sigma_y: the product of exp(-(t_m/T2*)^2) over the
+    windows, exactly 1.0 without T2*."""
+    if t2star is None:
+        return 1.0
     try:
-        f = math.exp(-((duration / t2star) ** 2))
+        return math.prod(math.exp(-((w.t_m / t2star) ** 2)) for w in windows)
     except OverflowError:  # the square of a ratio past ~1.34e154; exp is 0.0 from ~27.3 on
-        f = 0.0
-    out = joint.copy()
-    out[:2, 2:] *= f  # nuclear up-down coherence blocks
-    out[2:, :2] *= f
-    return out
+        return 0.0
 
 
 # Block engine: the shots of one block advance together.
@@ -308,7 +318,8 @@ def _philox_uniforms(rng_seed: int, start: int, stop: int, n_draws: int) -> np.n
 # ``protocols`` evolve it.  Each shot therefore sees the probabilities the
 # scalar ``sample_shot`` in tests/reference_sampler.py gives it on its
 # own, up to rounding: that reference keeps a statevector while the
-# state stays pure, an independent arithmetic for the same channels.
+# state stays pure, and dephases after every window, an independent
+# arithmetic for the same channels.
 
 
 def _shot_block(protocol: Protocol, noise: NoiseConfig, uniforms: np.ndarray) -> Shots:
@@ -326,7 +337,6 @@ def _shot_block(protocol: Protocol, noise: NoiseConfig, uniforms: np.ndarray) ->
     node = np.zeros(n, dtype=np.intp)
     cursor = rows * n_draws
     nodes = [protocol.initial.rho.matrix]
-    t2star = noise.nuclear_dephasing_time
     w = -1
     for step in protocol.steps:
         if type(step) is RotationPulse:
@@ -365,12 +375,14 @@ def _shot_block(protocol: Protocol, noise: NoiseConfig, uniforms: np.ndarray) ->
         remap = np.empty(2 * len(nodes), dtype=np.intp)
         remap[used] = np.arange(used.size)
         nodes = [_node_after_window(nodes[k // 2], step, k % 2) for k in used.tolist()]
-        if t2star is not None:
-            nodes = [_dephase_joint(x, step.t_m, t2star) for x in nodes]
         node = remap[key]
     if rows.size:
+        # every kept shot passed every window, so each dephased its
+        # coherence by the same factor
+        bloch = np.array([_bloch(_nuclear_reduced(x)) for x in nodes])
+        bloch[:, :2] *= _dephasing_factor(windows, noise.nuclear_dephasing_time)
         # P(+1) on x, y and z per node; a draw in [0, 1) needs no clipping
-        p_plus = (1.0 + np.array([_bloch(_nuclear_reduced(x)) for x in nodes])) / 2.0
+        p_plus = (1.0 + bloch) / 2.0
         draw = u[cursor]  # one draw serves every axis
         for k in range(3):
             outcome[rows, k] = np.where(draw < p_plus[node, k], 1, -1)
@@ -474,6 +486,14 @@ def _parallel_map(fn, items: Sequence) -> list:
     return [results[i] for i in range(len(items))]
 
 
+def _brief_int(n: int) -> str:
+    """``n`` as a message shows it: itself up to 20 digits, else its
+    digit count."""
+    text = str(n)
+    digits = len(text.lstrip("-"))
+    return text if digits <= 20 else f"an integer of {digits} digits"
+
+
 def shot_ranges(n_shots: int, n_jobs: int) -> list[tuple[int, int]]:
     """Shots 0..n_shots-1 cut into contiguous ``(start, stop)`` ranges of
     as equal sizes as can be, one per process of ``n_jobs``: at most
@@ -506,9 +526,12 @@ def run_shots(
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
     if not -(1 << 63) <= rng_seed <= _MASK64:
-        raise ValueError(f"rng_seed {rng_seed} is outside [-2**63, 2**64)")
+        raise ValueError(f"rng_seed is outside [-2**63, 2**64): {_brief_int(rng_seed)}")
     if start < 0 or start + n_shots > 1 << 64:
-        raise ValueError(f"shots {start}..{start + n_shots - 1} are outside [0, 2**64)")
+        raise ValueError(
+            f"shots start..start + n_shots - 1 are outside [0, 2**64): "
+            f"start {_brief_int(start)}, n_shots {_brief_int(n_shots)}"
+        )
     chunks = [
         (protocol, noise, rng_seed, start + a, start + b) for a, b in shot_ranges(n_shots, n_jobs)
     ]

@@ -108,8 +108,9 @@ class TunnelModel:
         return cls(gamma_up_out=inf, t_m=t_m)
 
 
-# The window of weak_nuclear_measure.  Without dephasing its duration does
-# not enter the state, so any positive t_m serves.
+# The window of weak_nuclear_measure.  A window's duration enters only the
+# shot engine's dephasing factor at tomography, never the state, so any
+# positive t_m serves.
 _PROJECTIVE = TunnelModel.projective(1.0)
 
 

@@ -6,8 +6,11 @@ shots were vectorised; ``ShotRecord`` is its per-shot result.  It keeps
 the pure-statevector path that the engine dropped: the engine evolves
 every history as a 4x4 density matrix, so comparing it with this
 reference checks the engine's channel arithmetic against an independent
-one, not against a copy of itself.  The two agree on each shot's
-probabilities up to rounding, so they sample the same outcomes.
+one, not against a copy of itself.  It also dephases the nuclear
+coherences after every window (``_dephase_joint``), where the engine
+applies the product of those factors once at tomography.  The two agree
+on each shot's probabilities up to rounding, so they sample the same
+outcomes.
 ``sample_shot`` measures one tomography axis, so ``sample_columns``
 samples a protocol once per axis asked for, of x, y and z, and the engine
 must give the same outcomes in one pass.  The helpers turn records into
@@ -28,6 +31,19 @@ from weakmeas import montecarlo as mc
 from weakmeas.protocols import _embed_nuclear
 from weakmeas.qmath import _nuclear_reduced
 from weakmeas.spinsys import RotationPulse, pulse_unitary
+
+
+def _dephase_joint(joint: np.ndarray, duration: float, t2star: float) -> np.ndarray:
+    """``joint`` with its nuclear coherence blocks scaled by
+    exp(-(duration/T2*)^2), 0.0 where the square overflows."""
+    try:
+        f = math.exp(-((duration / t2star) ** 2))
+    except OverflowError:
+        f = 0.0
+    out = joint.copy()
+    out[:2, 2:] *= f  # nuclear up-down coherence blocks
+    out[2:, :2] *= f
+    return out
 
 
 def _truncated_exp_time(u: float, gamma: float, t_m: float) -> float:
@@ -148,7 +164,7 @@ def sample_shot(
         blip_times.append(t_blip if (true_blip and observed_blip) else None)
 
         if noise.nuclear_dephasing_time is not None:
-            joint = mc._dephase_joint(joint, model.t_m, noise.nuclear_dephasing_time)
+            joint = _dephase_joint(joint, model.t_m, noise.nuclear_dephasing_time)
 
         # every window keeps the shots that show no blip
         if observed_blip:

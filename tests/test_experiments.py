@@ -82,6 +82,19 @@ class TestDefaults:
         with pytest.raises(ValueError):
             RunConfig(t_m=-1.0)
 
+    def test_run_config_bounds_shots_and_seed_by_64_bits(self):
+        """Shot indices and the seed are Philox key words: n_shots up to
+        2**64 - 1 is accepted, 2**64 refused, and a long integer is named by
+        its length in the message."""
+        assert RunConfig(n_shots=2**64 - 1).n_shots == 2**64 - 1
+        assert RunConfig(rng_seed=2**64 - 1).rng_seed == 2**64 - 1
+        with pytest.raises(ValueError, match=r"^n_shots is not below 2\*\*64: 18446744073709551616$"):
+            RunConfig(n_shots=2**64)
+        with pytest.raises(ValueError, match=r"^n_shots is not below 2\*\*64: an integer of 401 digits$"):
+            RunConfig(n_shots=10**400)
+        with pytest.raises(ValueError, match=r": an integer of 401 digits$"):
+            RunConfig(rng_seed=10**400)
+
     @pytest.mark.parametrize(
         "bad",
         [
@@ -184,6 +197,28 @@ class TestLoadConfig:
         with pytest.raises(ValueError) as err:
             load_config(self.write(tmp_path, text))
         assert str(err.value) == f"{tmp_path / 'run.yaml'}: {message}"
+
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            ("n_shots", f"n_shots: 1{'0' * 5000}\n"),
+            ("gamma_grid", f"gamma_grid: [0.5, 1{'0' * 5000}]\n"),
+            ("noise_t2star", f"noise_t2star: 1{'0' * 5000}\n"),
+        ],
+        ids=["scalar_key", "list_key", "noise_key"],
+    )
+    def test_integer_too_long_to_read_names_the_key(self, tmp_path, key, text):
+        """Python converts at most 4,300 digits of an integer from text by
+        default, so PyYAML cannot build a longer one.  The one-line error
+        names the file and the key, without the digits or Python's advice
+        to raise the limit."""
+        p = self.write(tmp_path, f"rng_seed: 3\n{text}")
+        with pytest.raises(ValueError) as err:
+            load_config(p)
+        message = str(err.value)
+        assert message.startswith(f"{p}: key {key!r} cannot be read: ")
+        assert "0" * 20 not in message
+        assert "set_int_max_str_digits" not in message and "\n" not in message
 
     def test_repeated_key_rejected(self, tmp_path):
         """YAML mapping keys are unique, but PyYAML keeps a repeated key's
@@ -550,6 +585,28 @@ class TestPresets:
         assert trees[0].keys() == trees[1].keys()
         assert trees[0] != trees[1]
 
+    def test_t2star_moves_only_the_sigma_x_tables(self, tmp_path):
+        """Dephasing scales only the nuclear sigma_x and sigma_y, and every
+        point reads the same shots, so T2* = 0.5 ms changes exactly the three
+        sigma_x tables of fig2: the sigma_z and sigma_y tables (sigma_y is 0
+        for these states) and every kept and total count stay byte-identical."""
+        argv = ["fig2", "--shots", "3000", "--grid", "9", "--seed", "2", "--no-svg"]
+        cfg = tmp_path / "dephased.yaml"
+        cfg.write_text("noise_t2star: 0.5\n", encoding="utf-8")
+        trees = []
+        for name, extra in (("clean", []), ("dephased", ["--config", str(cfg)])):
+            out = tmp_path / name
+            assert main([*argv, *extra, "--out", str(out)]) == 0
+            trees.append({f.name: f.read_bytes() for f in out.iterdir()})
+        clean, dephased = trees
+        assert clean.keys() == dephased.keys()
+        changed = sorted(name for name in clean if clean[name] != dephased[name])
+        assert changed == [f"fig2_{v}_sigma_x.csv" for v in ("double", "reversal", "single")]
+        for name in changed:
+            rows = [list(csv.DictReader(t[name].decode().splitlines())) for t in trees]
+            for column in ("sweep_value", "analytic", "n_kept", "n_total"):
+                assert [r[column] for r in rows[0]] == [r[column] for r in rows[1]]
+
     def test_analytic_none_only_at_impossible(self):
         assert closed_form_tomography("reversal", math.pi) is None
         assert closed_form_tomography("reversal", 1.0) is not None
@@ -656,6 +713,38 @@ class TestCli:
         (line,) = captured.err.splitlines()
         assert line.startswith("error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["--shots", str(2**64)], ""),
+            (["--seed", str(2**64)], ""),
+            (["--shots", str(10**400)], ""),
+            (["--seed", str(10**400)], ""),
+            ([], f"n_shots: 1{'0' * 400}\n"),
+            ([], f"rng_seed: 1{'0' * 400}\n"),
+            ([], f"n_shots: 1{'0' * 5000}\n"),  # too long for Python to read
+        ],
+        ids=["shots_2_64", "seed_2_64", "shots_401_digits", "seed_401_digits",
+             "config_shots_401_digits", "config_seed_401_digits", "config_shots_5001_digits"],
+    )
+    def test_out_of_range_integer_is_refused_briefly(self, tmp_path, capsys, argv, config):
+        """A shot count or seed of 2**64 or more is refused before any run,
+        on one short line that names a long integer by its length."""
+        cfg = tmp_path / "big.yaml"
+        cfg.write_text(config, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["fig3", *argv, "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:") and len(line) < 200, line
+        assert not out.exists()
+
+    def test_seed_just_below_2_64_runs(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["fig2", "--variant", "single", "--shots", "20", "--grid", "3", "--no-svg"]
+        assert main([*argv, "--seed", str(2**64 - 1), "--out", str(out)]) == 0
 
     def test_unallocatable_run_reports_one_line(self, tmp_path, capsys, monkeypatch):
         """A run too large to allocate is refused like any rejected input:

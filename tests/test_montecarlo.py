@@ -18,7 +18,7 @@ from weakmeas.montecarlo import (
     ProtocolError,
     SHOT_BLOCK,
     Shots,
-    _dephase_joint,
+    _dephasing_factor,
     conditional_state,
     estimate_gamma_from_blips,
     recorded_blip_times,
@@ -30,6 +30,8 @@ from weakmeas.protocols import (
     NO_BLIP,
     TunnelModel,
     _no_blip_damping,
+    _node_after_window,
+    _node_blip_weight,
     closed_form_sequence,
     sigma_z_noblip,
     success_probability_n,
@@ -41,6 +43,7 @@ from weakmeas.spinsys import (
     Frequency,
     JointState,
     RotationPulse,
+    _node_pulse,
     prepare_bell,
 )
 
@@ -230,28 +233,36 @@ DOWN_ELECTRON = np.array([[0, 0], [0, 1]], dtype=complex)
 
 class TestDephasing:
     def test_frozen_factor(self):
-        joint = np.kron(np.full((2, 2), 0.5, dtype=complex), DOWN_ELECTRON)
-        out = _dephase_joint(joint, duration=1.0, t2star=1.0)
-        nuclear = _nuclear_reduced(out)
-        assert nuclear[0, 1].real == pytest.approx(0.18393972058572117, abs=1e-15)
+        """One 1 ms window at T2* = 1 ms scales sigma_x and sigma_y by exp(-1);
+        two windows by the product of their factors."""
+        window = TunnelModel(gamma_up_out=1.0, t_m=1.0)
+        assert _dephasing_factor((window,), 1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
+        second = TunnelModel.projective(0.5)
+        assert _dephasing_factor((window, second), 2.0) == pytest.approx(
+            math.exp(-0.25) * math.exp(-0.0625), abs=1e-15
+        )
+
+    def test_no_t2star_is_exactly_one(self):
+        windows = (TunnelModel(gamma_up_out=1.0, t_m=1e200), PROJECTIVE)
+        assert _dephasing_factor(windows, None) == 1.0
+        assert _dephasing_factor((), 1.0) == 1.0
 
     def test_populations_untouched(self):
+        """The tests' per-window reference scales only the coherences."""
         m = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
-        out = _dephase_joint(np.kron(m, DOWN_ELECTRON), 2.0, 0.5)
+        out = ref._dephase_joint(np.kron(m, DOWN_ELECTRON), 2.0, 0.5)
         nuclear = _nuclear_reduced(out)
         assert nuclear[0, 0].real == pytest.approx(0.7)
         assert nuclear[1, 1].real == pytest.approx(0.3)
 
+    @pytest.mark.filterwarnings("error")
     def test_ratio_beyond_the_float_range_dephases_fully(self):
-        """At duration/T2* = 1e200 the square overflows a float; the factor
-        is then 0, as exp gives long before: the coherence blocks are exactly
-        0 and every other entry is untouched."""
-        m = np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]], dtype=complex)
-        joint = np.kron(m, DOWN_ELECTRON)
-        out = _dephase_joint(joint, duration=1e200, t2star=1.0)
-        assert not out[:2, 2:].any() and not out[2:, :2].any()
-        assert np.array_equal(out[:2, :2], joint[:2, :2])
-        assert np.array_equal(out[2:, 2:], joint[2:, 2:])
+        """At t_m/T2* = 1e200 the square overflows a float; the factor is
+        then exactly 0.0, as exp gives long before, with no warning, also
+        when another window's factor is finite."""
+        huge = TunnelModel(gamma_up_out=1.0, t_m=1e200)
+        assert _dephasing_factor((huge,), 1.0) == 0.0
+        assert _dephasing_factor((PROJECTIVE, huge), 1.0) == 0.0
 
     def test_shrinks_transverse_not_longitudinal(self):
         noise = NoiseConfig(nuclear_dephasing_time=0.1)
@@ -266,6 +277,51 @@ class TestDephasing:
         pz = Protocol(steps=(window,), initial=NUCLEUS_UP)
         shots = run_shots(pz, noise=noise, n_shots=200, rng_seed=4)
         assert stats_from_records(shots, "z").mean == 1.0
+
+
+def random_joint(seed):
+    """A random full-rank 4x4 joint density matrix."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def nuclear_z_phase(phi):
+    """exp(-i phi sigma_z / 2) on the nucleus, identity on the electron."""
+    return np.kron(np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)]), np.eye(2))
+
+
+class TestStepsCommuteWithNuclearZPhase:
+    """The engine applies the windows' dephasing once at tomography, which
+    is exact because every step commutes with a nuclear z phase Z: it maps
+    Z rho Z^dagger to Z step(rho) Z^dagger, and no blip weight moves."""
+
+    PHI = 0.7
+
+    @pytest.mark.parametrize("frequency", list(Frequency), ids=lambda f: f.name)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pulse(self, frequency, seed):
+        rho, z = random_joint(seed), nuclear_z_phase(self.PHI)
+        pulse = RotationPulse(frequency, 1.0 + seed)
+        got = _node_pulse(z @ rho @ z.conj().T, pulse)
+        want = z @ _node_pulse(rho, pulse) @ z.conj().T
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "window", [TunnelModel(gamma_up_out=0.8, t_m=1.3), PROJECTIVE], ids=["finite", "projective"]
+    )
+    @pytest.mark.parametrize("blip", [0, 1], ids=["no_blip", "blip"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_window(self, window, blip, seed):
+        rho, z = random_joint(seed), nuclear_z_phase(self.PHI)
+        rotated = z @ rho @ z.conj().T
+        got = _node_after_window(rotated, window, blip)
+        want = z @ _node_after_window(rho, window, blip) @ z.conj().T
+        assert np.max(np.abs(got - want)) < 1e-12
+        assert _node_blip_weight(rotated, window) == pytest.approx(
+            _node_blip_weight(rho, window), abs=1e-12
+        )
 
 
 class TestLabelErrors:

@@ -177,6 +177,19 @@ NAMED_CASES = {
         ),
         mc.NoiseConfig(nuclear_dephasing_time=2.0),
     ),
+    # the reference dephases after each window, the engine once at
+    # tomography, across a pulse and a kept blip history
+    "two dephased windows of different t_m, both kept": (
+        mc.Protocol(
+            (
+                RotationPulse(Frequency.NU_E2, 1.3),
+                TunnelModel(1.0, 0.6),
+                RotationPulse(Frequency.ESR_BOTH, 0.9),
+                TunnelModel(2.0, 1.4),
+            )
+        ),
+        mc.NoiseConfig(nuclear_dephasing_time=1.0, readout_false_negative=0.3),
+    ),
     "bell window, label errors": (
         mc.Protocol(
             (TunnelModel(2.0, 1.5),),
