@@ -24,14 +24,26 @@ from .config import RunConfig, default_theta_grid, load_config
 from .presets import FIG2_VARIANTS, run_panels
 
 
+def _integer(text: str) -> int:
+    """``int(text)`` for an integer flag.  Python reads no integer of more
+    than 4,300 digits: the parser's error names one by its digit count, as
+    ``montecarlo._brief_int`` does, rather than echoing it whole."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip().lstrip("+-")
+        shown = f"an integer of {len(digits)} digits" if digits.isdecimal() else repr(text)
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown}") from None
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="YAML config file")
     parser.add_argument("--out", type=Path, help="output directory")
-    parser.add_argument("--seed", type=int, help="root RNG seed")
-    parser.add_argument("--shots", type=int, help="Monte Carlo shots per point")
-    parser.add_argument("--grid", type=int, help="number of theta grid points")
+    parser.add_argument("--seed", type=_integer, help="root RNG seed")
+    parser.add_argument("--shots", type=_integer, help="Monte Carlo shots per point")
+    parser.add_argument("--grid", type=_integer, help="number of theta grid points")
     parser.add_argument(
-        "--jobs", type=int,
+        "--jobs", type=_integer,
         help="processes, this one included, that share the shots, each running "
         "one range of them at every sweep point; at most one per CPU this process "
         "may run on",

@@ -36,11 +36,11 @@ the helpers of ``protocols``, the package's one readout-window channel,
 which ``conditional_state`` forces an outcome through, and the tomography
 thresholds each history's ``protocols._bloch`` vector, the Bloch readout
 of ``tomography_expectations``; only the label errors and the dephasing
-factor at tomography are the engine's own.  It returns ``Shots``,
-one array row per shot: its tomography outcomes on x, y and z (0 for a
-rejected shot) and the blip time of each window (NaN where none was
-recorded or the shot was rejected before it; 0.0 at a projective window,
-whose electron tunnels at once).  The estimators read these columns.
+factor at tomography are the engine's own.  Each range fills one
+``Shots``, each block its own rows in place, one row per shot: its
+tomography outcomes on x, y and z (0 for a rejected shot) and the blip
+time of each window (NaN where none was recorded or the shot was rejected
+before it; 0.0 at a projective window, whose electron tunnels at once).
 
 The axis only sets the threshold the shot's last uniform is compared
 with, so that one draw samples all three axes.  Every ensemble of a run
@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -178,14 +178,6 @@ class Shots:
         return (
             np.array_equal(self.outcome, other.outcome)
             and np.array_equal(self.blip_times, other.blip_times, equal_nan=True)
-        )
-
-    @staticmethod
-    def concat(parts: Sequence["Shots"]) -> "Shots":
-        if len(parts) == 1:
-            return parts[0]
-        return Shots(
-            *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(Shots))
         )
 
 
@@ -322,16 +314,14 @@ def _philox_uniforms(rng_seed: int, start: int, stop: int, n_draws: int) -> np.n
 # arithmetic for the same channels.
 
 
-def _shot_block(protocol: Protocol, noise: NoiseConfig, uniforms: np.ndarray) -> Shots:
-    """The shots whose uniforms are the rows of ``uniforms``, drawing from
-    them in a lone shot's order."""
+def _shot_block(protocol: Protocol, noise: NoiseConfig, uniforms: np.ndarray, out: Shots) -> None:
+    """Write the shots whose uniforms are the rows of ``uniforms``, drawing
+    from them in a lone shot's order, into ``out``'s rows, which read 0, NaN."""
     windows = protocol.windows
     p_fn, p_fp = noise.readout_false_negative, noise.readout_false_positive
     flip = p_fn > 0.0 or p_fp > 0.0
     n, n_draws = uniforms.shape
     u = uniforms.ravel()
-    outcome = np.zeros((n, 3), dtype=np.int8)
-    blip_times = np.full((n, len(windows)), np.nan)
     # shots still kept: block row, branch-history node, index of next draw in u
     rows = np.arange(n)
     node = np.zeros(n, dtype=np.intp)
@@ -354,49 +344,54 @@ def _shot_block(protocol: Protocol, noise: NoiseConfig, uniforms: np.ndarray) ->
             drawn = flip_p > 0.0
             observed = blip ^ (drawn & (u[cursor] < flip_p))
             cursor += drawn
-        recorded = blip & observed
+        recorded = np.flatnonzero(blip & observed)
         if math.isinf(step.gamma_up_out):  # projective: the formula gives +0.0
-            blip_times[rows[recorded], w] = 0.0
-        elif recorded.any():
+            out.blip_times[rows.take(recorded), w] = 0.0
+        elif recorded.size:
             # inverse CDF of the tunnel time on [0, t_m] given a blip; q is
             # the blip probability within the window.  math, not numpy:
             # np.log1p can differ in the last bit.
             gamma = step.gamma_up_out
             q = -math.expm1(-gamma * step.t_m)
-            blip_times[rows[recorded], w] = [
-                -math.log1p(-x * q) / gamma for x in t_draw[recorded].tolist()
+            out.blip_times[rows.take(recorded), w] = [
+                -math.log1p(-x * q) / gamma for x in t_draw.take(recorded).tolist()
             ]
-        kept = ~observed  # every window keeps the shots that show no blip
-        rows, node, cursor, blip = (a[kept] for a in (rows, node, cursor, blip))
-        if not rows.size:
-            break
+        kept = np.flatnonzero(~observed)  # every window keeps the shots that show no blip
+        if not kept.size:
+            return
+        rows, node, cursor, blip = (a.take(kept) for a in (rows, node, cursor, blip))
         key = node * 2 + blip
         used = np.flatnonzero(np.bincount(key, minlength=2 * len(nodes)))
         remap = np.empty(2 * len(nodes), dtype=np.intp)
         remap[used] = np.arange(used.size)
         nodes = [_node_after_window(nodes[k // 2], step, k % 2) for k in used.tolist()]
         node = remap[key]
-    if rows.size:
-        # every kept shot passed every window, so each dephased its
-        # coherence by the same factor
-        bloch = np.array([_bloch(_nuclear_reduced(x)) for x in nodes])
-        bloch[:, :2] *= _dephasing_factor(windows, noise.nuclear_dephasing_time)
-        # P(+1) on x, y and z per node; a draw in [0, 1) needs no clipping
-        p_plus = (1.0 + bloch) / 2.0
-        draw = u[cursor]  # one draw serves every axis
-        for k in range(3):
-            outcome[rows, k] = np.where(draw < p_plus[node, k], 1, -1)
-    return Shots(outcome, blip_times)
+    # every kept shot passed every window, so each dephased its coherence
+    # by the same factor
+    bloch = np.array([_bloch(_nuclear_reduced(x)) for x in nodes])
+    bloch[:, :2] *= _dephasing_factor(windows, noise.nuclear_dephasing_time)
+    # P(+1) on x, y and z per node; a draw in [0, 1) needs no clipping, and
+    # one draw serves every axis
+    p_plus = (1.0 + bloch) / 2.0
+    out.outcome[rows] = np.where(u[cursor][:, None] < p_plus[node], 1, -1)
+
+
+def _draws_per_shot(protocol: Protocol, noise: NoiseConfig) -> int:
+    """The uniforms a shot may read: per window at most blip?, when and a
+    label flip; then the tomography."""
+    flip = noise.readout_false_negative > 0.0 or noise.readout_false_positive > 0.0
+    return 1 + len(protocol.windows) * (2 + flip)
 
 
 def _run_chunk(args) -> Shots:
     protocol, noise, rng_seed, start, stop = args
-    flip = noise.readout_false_negative > 0.0 or noise.readout_false_positive > 0.0
-    # per window at most: blip?, when, label flip; then the tomography
-    n_draws = 1 + len(protocol.windows) * (2 + flip)
-    u = _philox_uniforms(rng_seed, start, stop, n_draws)
-    blocks = range(0, stop - start, SHOT_BLOCK)
-    return Shots.concat([_shot_block(protocol, noise, u[a : a + SHOT_BLOCK]) for a in blocks])
+    u = _philox_uniforms(rng_seed, start, stop, _draws_per_shot(protocol, noise))
+    n = stop - start
+    shots = Shots(np.zeros((n, 3), dtype=np.int8), np.full((n, len(protocol.windows)), np.nan))
+    for a in range(0, n, SHOT_BLOCK):
+        b = a + SHOT_BLOCK
+        _shot_block(protocol, noise, u[a:b], Shots(shots.outcome[a:b], shots.blip_times[a:b]))
+    return shots
 
 
 def _claim(counter, n_items: int) -> Optional[int]:
@@ -521,7 +516,9 @@ def run_shots(
     of those shots alone, because every shot has its own stream.
     ``rng_seed`` must be a key numpy's ``Philox`` takes, in [-2**63, 2**64);
     a negative seed keys the stream as its 64-bit mask.  The shot indices
-    are the other key word, so they must lie in [0, 2**64).
+    are the other key word, so they must lie in [0, 2**64).  A run whose
+    float64 uniforms would pass numpy's largest array, np.intp's maximum of
+    bytes, is refused before anything is allocated.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
@@ -532,10 +529,21 @@ def run_shots(
             f"shots start..start + n_shots - 1 are outside [0, 2**64): "
             f"start {_brief_int(start)}, n_shots {_brief_int(n_shots)}"
         )
+    max_bytes = np.iinfo(np.intp).max
+    if n_shots * _draws_per_shot(protocol, noise) * 8 > max_bytes:
+        raise ValueError(
+            f"n_shots {_brief_int(n_shots)} is too many to simulate: their uniforms "
+            f"would pass numpy's largest array, {max_bytes} bytes"
+        )
     chunks = [
         (protocol, noise, rng_seed, start + a, start + b) for a, b in shot_ranges(n_shots, n_jobs)
     ]
-    return Shots.concat(_parallel_map(_run_chunk, chunks))
+    parts = _parallel_map(_run_chunk, chunks)
+    if len(parts) == 1:
+        return parts[0]
+    return Shots(
+        np.concatenate([p.outcome for p in parts]), np.concatenate([p.blip_times for p in parts])
+    )
 
 
 def stats_from_records(shots: Shots, axis: str) -> EnsembleStats:

@@ -13,6 +13,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import weakmeas
@@ -739,6 +740,40 @@ class TestCli:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("error:") and len(line) < 200, line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--shots", "--seed", "--grid", "--jobs"])
+    def test_integer_flag_too_long_to_read_names_its_digits(self, tmp_path, capsys, flag):
+        """An integer flag of more than 4,300 digits, which Python will not
+        read, is refused by the parser with its digit count, not echoed."""
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            main(["fig3", flag, "1" + "0" * 5000, "--out", str(out)])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.encode()) < 300, captured.err
+        assert f"argument {flag}: invalid int value: an integer of 5001 digits" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shots", [2**64 - 1, 2**63 - 1])
+    def test_shot_count_past_numpy_largest_array_is_refused(
+        self, tmp_path, capsys, monkeypatch, shots
+    ):
+        """A shot count whose uniforms no numpy array can hold is refused
+        before any range is run: exit 2, one line naming the count and the
+        limit, nothing written."""
+        def no_range(args):
+            raise AssertionError("a range was run")
+
+        monkeypatch.setattr(mc, "_run_chunk", no_range)
+        out = tmp_path / "out"
+        assert main(["fig3", "--shots", str(shots), "--no-svg", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: n_shots {shots} ")
+        assert line.endswith(f"{np.iinfo(np.intp).max} bytes")
         assert not out.exists()
 
     def test_seed_just_below_2_64_runs(self, tmp_path):
