@@ -22,12 +22,17 @@ parallel runs (any worker count) give bit-identical aggregates.
 
 ``run_shots`` simulates shots in blocks of ``SHOT_BLOCK``: the uniforms of
 every shot come from one vectorised Philox4x64-10 pass, each shot keeps its
-own draw pointer, and the state is evolved once per distinct branch
-history (the state is a function of the outcomes drawn so far, not of the
-shot).  A window has two outcomes, no blip or a blip (the up electron
-tunneled out), so after k windows a block holds at most 2**k histories; a
-kept shot reaches a blip history only through a false negative, a real
-blip read as none.  Each history's state is the 4x4 electron-nuclear
+own draw pointer, and the state is evolved once per range of shots for
+each distinct branch history (the state is a function of the outcomes
+drawn so far, not of the shot).  A window has two outcomes, no blip or a
+blip (the up electron tunneled out), so after k windows at most 2**k
+histories exist; a kept shot reaches a blip history only through a false
+negative, a real blip read as none.  Each range evolves every history a
+kept shot can reach into one ``_history_table`` before its first block,
+and each block only samples: per window it draws the blip against its
+shots' histories' probabilities and moves each kept shot to its child
+history, and at tomography it reads the final history's P(+1) on each
+axis.  Each history's state is the 4x4 electron-nuclear
 density matrix: a finite readout window leaves the nucleus mixed once the
 electron is traced out, so the pulse, the window and the tomography each
 have one arithmetic, and the histories depend on the protocol and the
@@ -109,7 +114,15 @@ class Protocol:
     A step must commute with a nuclear z phase, as the pulses of every
     ``Frequency`` and the windows do: the shot engine applies the windows'
     dephasing as one factor at tomography, which a step that rotates the
-    nucleus (an NMR pulse) would make wrong."""
+    nucleus (an NMR pulse) would make wrong.
+
+    Each range of shots evolves every outcome history a kept shot can
+    reach, whether or not a shot reaches it: one history per window without
+    false negatives, and up to 2**windows with them, since then both the
+    blip and the no-blip history of each window can be kept.  No preset
+    has more than two windows; a protocol of many windows with false
+    negatives builds that many 4x4 states per range, however few shots it
+    runs."""
 
     steps: tuple[ProtocolStep, ...]
     initial: JointState = field(default_factory=prepare_initial)
@@ -307,33 +320,56 @@ def _philox_uniforms(rng_seed: int, start: int, stop: int, n_draws: int) -> np.n
 
 # A node is the 4x4 joint density matrix shared by every shot with the
 # same outcomes so far; ``spinsys._node_pulse`` and the window helpers of
-# ``protocols`` evolve it.  Each shot therefore sees the probabilities the
-# scalar ``sample_shot`` in tests/reference_sampler.py gives it on its
-# own, up to rounding: that reference keeps a statevector while the
-# state stays pure, and dephases after every window, an independent
-# arithmetic for the same channels.
+# ``protocols`` evolve it, once per range into a ``_history_table`` that
+# every block of the range indexes.  Each shot therefore sees the
+# probabilities the scalar ``sample_shot`` in tests/reference_sampler.py
+# gives it on its own, up to rounding: that reference keeps a statevector
+# while the state stays pure, and dephases after every window, an
+# independent arithmetic for the same channels.
 
 
-def _shot_block(protocol: Protocol, noise: NoiseConfig, uniforms: np.ndarray, out: Shots) -> None:
-    """Write the shots whose uniforms are the rows of ``uniforms``, drawing
-    from them in a lone shot's order, into ``out``'s rows, which read 0, NaN."""
-    windows = protocol.windows
-    p_fn, p_fp = noise.readout_false_negative, noise.readout_false_positive
-    flip = p_fn > 0.0 or p_fp > 0.0
-    n, n_draws = uniforms.shape
-    u = uniforms.ravel()
-    # shots still kept: block row, branch-history node, index of next draw in u
-    rows = np.arange(n)
-    node = np.zeros(n, dtype=np.intp)
-    cursor = rows * n_draws
+def _history_table(protocol: Protocol, noise: NoiseConfig) -> tuple[list, np.ndarray]:
+    """Every branch history a kept shot can reach, evolved once.
+
+    Returns one ``(window, p_blip, child)`` per window: each history's blip
+    probability, and the history that key ``2 * history + blip`` leads to,
+    -1 where no kept shot goes (an outcome of no weight, or a blip without
+    false negatives).  Then each final history's P(+1) on x, y and z, the
+    dephasing factor applied."""
     nodes = [protocol.initial.rho.matrix]
-    w = -1
+    windows = []
     for step in protocol.steps:
         if type(step) is RotationPulse:
             nodes = [_node_pulse(x, step) for x in nodes]
             continue
-        w += 1
         p_blip = np.array([_node_blip_weight(x, step) for x in nodes])
+        # a uniform in [0, 1) falls below p_blip only if it is > 0, and at
+        # or above it only if it is < 1
+        reach = np.stack((p_blip < 1.0, (p_blip > 0.0) & (noise.readout_false_negative > 0.0)), 1)
+        windows.append((step, p_blip, np.where(reach.ravel(), np.cumsum(reach) - 1, -1)))
+        keys = np.flatnonzero(reach).tolist()
+        nodes = [_node_after_window(nodes[k // 2], step, k % 2) for k in keys]
+    bloch = np.array([_bloch(_nuclear_reduced(x)) for x in nodes]).reshape(-1, 3)
+    # every kept shot passed every window, so each dephased its coherence
+    # by the same factor
+    bloch[:, :2] *= _dephasing_factor(protocol.windows, noise.nuclear_dephasing_time)
+    return windows, (1.0 + bloch) / 2.0
+
+
+def _shot_block(table: tuple, noise: NoiseConfig, uniforms: np.ndarray, out: Shots) -> None:
+    """Write the shots whose uniforms are the rows of ``uniforms``, drawing
+    from them in a lone shot's order, into ``out``'s rows, which read 0, NaN.
+    ``table`` is the protocol's ``_history_table``."""
+    windows, p_plus = table
+    p_fn, p_fp = noise.readout_false_negative, noise.readout_false_positive
+    flip = p_fn > 0.0 or p_fp > 0.0
+    n, n_draws = uniforms.shape
+    u = uniforms.ravel()
+    # shots still kept: block row, branch history, index of next draw in u
+    rows = np.arange(n)
+    node = np.zeros(n, dtype=np.intp)
+    cursor = rows * n_draws
+    for w, (step, p_blip, child) in enumerate(windows):
         blip = u[cursor] < p_blip[node]
         cursor += 1
         t_draw = u[cursor]
@@ -357,22 +393,10 @@ def _shot_block(protocol: Protocol, noise: NoiseConfig, uniforms: np.ndarray, ou
                 -math.log1p(-x * q) / gamma for x in t_draw.take(recorded).tolist()
             ]
         kept = np.flatnonzero(~observed)  # every window keeps the shots that show no blip
-        if not kept.size:
-            return
-        rows, node, cursor, blip = (a.take(kept) for a in (rows, node, cursor, blip))
-        key = node * 2 + blip
-        used = np.flatnonzero(np.bincount(key, minlength=2 * len(nodes)))
-        remap = np.empty(2 * len(nodes), dtype=np.intp)
-        remap[used] = np.arange(used.size)
-        nodes = [_node_after_window(nodes[k // 2], step, k % 2) for k in used.tolist()]
-        node = remap[key]
-    # every kept shot passed every window, so each dephased its coherence
-    # by the same factor
-    bloch = np.array([_bloch(_nuclear_reduced(x)) for x in nodes])
-    bloch[:, :2] *= _dephasing_factor(windows, noise.nuclear_dephasing_time)
-    # P(+1) on x, y and z per node; a draw in [0, 1) needs no clipping, and
-    # one draw serves every axis
-    p_plus = (1.0 + bloch) / 2.0
+        rows, cursor = rows.take(kept), cursor.take(kept)
+        node = child[2 * node.take(kept) + blip.take(kept)]
+    # a draw in [0, 1) needs no clipping against P(+1), and one draw serves
+    # every axis
     out.outcome[rows] = np.where(u[cursor][:, None] < p_plus[node], 1, -1)
 
 
@@ -388,9 +412,10 @@ def _run_chunk(args) -> Shots:
     u = _philox_uniforms(rng_seed, start, stop, _draws_per_shot(protocol, noise))
     n = stop - start
     shots = Shots(np.zeros((n, 3), dtype=np.int8), np.full((n, len(protocol.windows)), np.nan))
+    table = _history_table(protocol, noise)
     for a in range(0, n, SHOT_BLOCK):
         b = a + SHOT_BLOCK
-        _shot_block(protocol, noise, u[a:b], Shots(shots.outcome[a:b], shots.blip_times[a:b]))
+        _shot_block(table, noise, u[a:b], Shots(shots.outcome[a:b], shots.blip_times[a:b]))
     return shots
 
 

@@ -11,6 +11,7 @@ import sys
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from fnmatch import fnmatch
 from pathlib import Path
 
 import numpy as np
@@ -371,6 +372,63 @@ class TestCsv:
             write_csv(target / "x.csv", [{"v": 1.0}])
 
 
+# The knob-effect matrix: each case is a base run, one knob changed from
+# it, the cells that must stay and the files that must move.  A run is its
+# argv and config text; the knob's argv is appended (a repeated flag's last
+# value wins) and its config, unless None, replaces the base config.  Each
+# cell that stays is (file-name pattern, columns): None compares the file's
+# bytes and a tuple those columns (each file's that it has), row for row.
+# SHARED_ROWS compares every column of the rows the base run holds, keyed
+# by their first cell, the sweep value, which the knob's run must hold too:
+# the knob adds sweep points.  A file that stays is written by both runs; a
+# file that moves differs, or is missing from one run.  Every file either
+# run writes falls under one of the patterns.
+SHARED_ROWS = ("*",)
+ANALYTIC = ("analytic", "sigma_z_analytic", "inv_gamma_true")
+FIG2_KNOB = ["fig2", "--shots", "3000", "--grid", "9", "--seed", "2"]
+CUSTOM_KNOB = ["custom", "--shots", "300", "--grid", "5", "--seed", "3", "--no-svg"]
+CUSTOM = "experiment: custom\n"
+KNOB_CASES = {
+    # dephasing scales the nuclear sigma_x and sigma_y alone, and sigma_y is
+    # 0 for fig2's states: the sigma_y and sigma_z tables and every kept and
+    # total count stay
+    "t2star_moves_only_sigma_x": (
+        FIG2_KNOB + ["--no-svg"], None, [], "noise_t2star: 0.5\n",
+        [("fig2_*_sigma_[yz].csv", None),
+         ("fig2_*_sigma_x.csv", ("sweep_value", "analytic", "n_kept", "n_total"))],
+        [f"fig2_{variant}_sigma_x.csv" for variant in ("single", "double", "reversal")],
+    ),
+    # without T2* no fig2 cell reads t_m: its windows are projective
+    "t_m_without_t2star": (FIG2_KNOB, "t_m: 1.5\n", [], "t_m: 3.0\n", [("*", None)], []),
+    "seed": (CUSTOM_KNOB, CUSTOM, ["--seed", "4"], None, [("*", ANALYTIC)], ["*"]),
+    "shots": (CUSTOM_KNOB, CUSTOM, ["--shots", "500"], None, [("*", ANALYTIC)], ["*"]),
+    "label_errors": (
+        CUSTOM_KNOB, CUSTOM, [], CUSTOM + "noise_false_negative: 0.2\nnoise_false_positive: 0.05\n",
+        [("*", ANALYTIC)], ["*"],
+    ),
+    "no_svg": (FIG2_KNOB, None, ["--no-svg"], None, [("*.csv", None)], ["*.svg"]),
+    # each rate reads the same shots whatever the other rates
+    "another_gamma": (
+        ["custom", "--shots", "2000", "--no-svg"], "experiment: fig3_tunnel\ngamma_grid: [0.5, 2.0]\n",
+        [], "experiment: fig3_tunnel\ngamma_grid: [0.5, 1.0, 2.0]\n", [("*", SHARED_ROWS)], ["*"],
+    ),
+    # the default theta grid of 5 points is a subset of that of 9
+    "grid": (
+        FIG2_KNOB + ["--grid", "5", "--no-svg"], None, ["--grid", "9"], None,
+        [("*", SHARED_ROWS)], ["*"],
+    ),
+}
+
+
+def knob_table(data: bytes, columns: tuple[str, ...]) -> list[list[str]]:
+    """A CSV's rows, each cut to the cells in ``columns`` that it has (all
+    of them for SHARED_ROWS)."""
+    return [
+        [v for c, v in row.items() if columns is SHARED_ROWS or c in columns]
+        for row in csv.DictReader(data.decode().splitlines())
+    ]
+
+
 class TestPresets:
     def test_fig2_outputs(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -586,27 +644,46 @@ class TestPresets:
         assert trees[0].keys() == trees[1].keys()
         assert trees[0] != trees[1]
 
-    def test_t2star_moves_only_the_sigma_x_tables(self, tmp_path):
-        """Dephasing scales only the nuclear sigma_x and sigma_y, and every
-        point reads the same shots, so T2* = 0.5 ms changes exactly the three
-        sigma_x tables of fig2: the sigma_z and sigma_y tables (sigma_y is 0
-        for these states) and every kept and total count stay byte-identical."""
-        argv = ["fig2", "--shots", "3000", "--grid", "9", "--seed", "2", "--no-svg"]
-        cfg = tmp_path / "dephased.yaml"
-        cfg.write_text("noise_t2star: 0.5\n", encoding="utf-8")
-        trees = []
-        for name, extra in (("clean", []), ("dephased", ["--config", str(cfg)])):
-            out = tmp_path / name
+    @pytest.mark.parametrize("case", list(KNOB_CASES))
+    def test_knob_moves_only_its_cells(self, tmp_path, capsys, case):
+        """One knob changed from a base run moves the cells it must and no
+        other: every point reads the same shots, so a cell the knob cannot
+        affect keeps its bytes."""
+        argv, config, knob_argv, knob_config, same, moved = KNOB_CASES[case]
+
+        def tree(name, argv, config):
+            out, extra = tmp_path / name, []
+            if config:
+                (tmp_path / f"{name}.yaml").write_text(config, encoding="utf-8")
+                extra = ["--config", str(tmp_path / f"{name}.yaml")]
             assert main([*argv, *extra, "--out", str(out)]) == 0
-            trees.append({f.name: f.read_bytes() for f in out.iterdir()})
-        clean, dephased = trees
-        assert clean.keys() == dephased.keys()
-        changed = sorted(name for name in clean if clean[name] != dephased[name])
-        assert changed == [f"fig2_{v}_sigma_x.csv" for v in ("double", "reversal", "single")]
-        for name in changed:
-            rows = [list(csv.DictReader(t[name].decode().splitlines())) for t in trees]
-            for column in ("sweep_value", "analytic", "n_kept", "n_total"):
-                assert [r[column] for r in rows[0]] == [r[column] for r in rows[1]]
+            return {f.name: f.read_bytes() for f in out.iterdir()}
+
+        base = tree("base", argv, config)
+        knob = tree("knob", argv + knob_argv, config if knob_config is None else knob_config)
+        names = base.keys() | knob.keys()
+        patterns = [pattern for pattern, _ in same] + list(moved)
+        assert all(any(fnmatch(n, p) for p in patterns) for n in names), sorted(names)
+        for pattern, columns in same:
+            matched = [n for n in names if fnmatch(n, pattern)]
+            assert matched, pattern
+            for name in matched:
+                assert name in base and name in knob, name
+                if columns is None:
+                    assert base[name] == knob[name], name
+                    continue
+                rows, knob_rows = knob_table(base[name], columns), knob_table(knob[name], columns)
+                assert rows and all(rows), name
+                if columns is SHARED_ROWS:
+                    knob_by_key = {row[0]: row for row in knob_rows}
+                    assert [knob_by_key.get(row[0]) for row in rows] == rows, name
+                else:
+                    assert knob_rows == rows, name
+        for pattern in moved:
+            matched = [n for n in names if fnmatch(n, pattern)]
+            assert matched, pattern
+            for name in matched:
+                assert base.get(name) != knob.get(name), name
 
     def test_analytic_none_only_at_impossible(self):
         assert closed_form_tomography("reversal", math.pi) is None

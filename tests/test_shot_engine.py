@@ -1,6 +1,7 @@
 """Block shot engine tests: its Philox uniforms, shot-for-shot equality
-with the scalar ``sample_shot`` of ``reference_sampler``, any split of the
-shots adding up to the whole run, byte-identical CSVs, one fork-and-join
+with the scalar ``sample_shot`` of ``reference_sampler``, the branch
+history table each range builds once and every block indexes, any split
+of the shots adding up to the whole run, byte-identical CSVs, one fork-and-join
 map per run that hands out ranges of shots, each run at every sweep point
 and sent back as counts, shares them with the caller and leaves no
 process behind, a CLI start and fig3 run that do not import scipy, a
@@ -31,7 +32,13 @@ from weakmeas import montecarlo as mc, qmath, spinsys
 from weakmeas.experiments import presets
 from weakmeas.experiments.cli import main
 from weakmeas.experiments.config import default_theta_grid
-from weakmeas.protocols import TunnelModel
+from weakmeas.protocols import (
+    BLIP,
+    NO_BLIP,
+    ImpossibleBranchError,
+    TunnelModel,
+    tomography_expectations,
+)
 from weakmeas.qmath import DensityMatrix
 from weakmeas.spinsys import (
     Frequency,
@@ -313,6 +320,126 @@ class TestSeveralAxes:
         for k, axis in enumerate("xyz"):
             records = ref.sample_records(protocol, axis, noise, 3, 0, 500)
             assert mc.stats_from_records(shots, axis) == ref.stats_from_records(records)
+
+
+# every named case, and the protocol and noise of each random case
+TABLE_CASES = {
+    **NAMED_CASES,
+    **{f"random {seed}": random_case(seed)[:2] for seed in range(40)},
+}
+
+
+def table_histories(table):
+    """The outcomes of each history of each window's table level, then of
+    each final history, read by walking the child indices."""
+    levels, _ = table
+    histories = [()]
+    walked = []
+    for _, p_blip, child in levels:
+        assert len(histories) == len(p_blip) and len(child) == 2 * len(p_blip)
+        walked.append(histories)
+        following = [None] * int(np.count_nonzero(child >= 0))
+        for key in np.flatnonzero(child >= 0).tolist():
+            following[child[key]] = histories[key // 2] + (BLIP if key % 2 else NO_BLIP,)
+        histories = following
+    return walked, histories
+
+
+class TestHistoryTable:
+    """A range evolves each branch history a kept shot can reach once, into
+    a table every block of the range indexes."""
+
+    @pytest.mark.parametrize("name", list(TABLE_CASES))
+    def test_child_is_minus_one_exactly_where_no_kept_shot_goes(self, name):
+        """A no-blip child is missing exactly where the blip is certain, a
+        blip child where the blip is impossible or there are no false
+        negatives; the others are numbered 0, 1, ... in key order."""
+        protocol, noise = TABLE_CASES[name]
+        levels, _ = mc._history_table(protocol, noise)
+        for _, p_blip, child in levels:
+            no_blip, blip = child[0::2], child[1::2]
+            assert np.array_equal(no_blip < 0, 1.0 - p_blip <= 0.0)
+            assert np.array_equal(blip < 0, (p_blip <= 0.0) | (noise.readout_false_negative == 0.0))
+            assert np.array_equal(child[child >= 0], np.arange(np.count_nonzero(child >= 0)))
+
+    @pytest.mark.parametrize("name", list(TABLE_CASES))
+    def test_histories_are_bounded(self, name):
+        """Before window w, and at the end, where w is the window count,
+        there are at most 2**w histories with false negatives and one
+        without."""
+        protocol, noise = TABLE_CASES[name]
+        table = mc._history_table(protocol, noise)
+        walked, final = table_histories(table)
+        bound = 2 if noise.readout_false_negative > 0.0 else 1
+        for w, histories in enumerate(walked + [final]):
+            assert len(histories) <= bound**w
+        assert table[1].shape == (len(final), 3)
+
+    @pytest.mark.parametrize("name", list(TABLE_CASES))
+    def test_no_entry_is_nan(self, name):
+        protocol, noise = TABLE_CASES[name]
+        levels, p_plus = mc._history_table(protocol, noise)
+        assert not np.isnan(p_plus).any()
+        assert not any(np.isnan(p_blip).any() for _, p_blip, _ in levels)
+
+    @pytest.mark.parametrize("name", list(NAMED_CASES))
+    def test_final_history_is_its_forced_outcomes(self, name):
+        """Each final history's P(+1) is that of ``conditional_state`` forced
+        through its outcomes, dephased once, where that history's weight is
+        not too small for ``conditional_state`` to force."""
+        protocol, noise = NAMED_CASES[name]
+        table = mc._history_table(protocol, noise)
+        _, final = table_histories(table)
+        factor = mc._dephasing_factor(protocol.windows, noise.nuclear_dephasing_time)
+        forced = 0
+        for outcomes, p_plus in zip(final, table[1]):
+            try:
+                state = mc.conditional_state(protocol, outcomes).state
+            except ImpossibleBranchError:
+                continue
+            forced += 1
+            bloch = tomography_expectations(state)
+            sigma = (bloch.sigma_x * factor, bloch.sigma_y * factor, bloch.sigma_z)
+            want = (1.0 + np.array(sigma)) / 2.0
+            assert p_plus == pytest.approx(want, abs=1e-12)
+        assert forced > 0
+
+    @pytest.mark.parametrize("p_fn", [0.0, 0.3])
+    def test_certain_blip_leaves_no_no_blip_child(self, p_fn):
+        """A projective window on an up electron blips with probability
+        exactly 1.0: it leaves no no-blip child, and no history at all
+        without false negatives, and the range still matches the reference
+        shot for shot."""
+        initial = JointState(DensityMatrix(qmath.kron(spinsys.PROJ_UP, spinsys.PROJ_UP)))
+        steps = (TunnelModel.projective(1.0), RotationPulse(Frequency.NU_E1, 0.7))
+        protocol = mc.Protocol(steps, initial=initial)
+        noise = mc.NoiseConfig(readout_false_negative=p_fn)
+        (level,), p_plus = mc._history_table(protocol, noise)
+        assert level[1].tolist() == [1.0]
+        assert level[2].tolist() == ([-1, 0] if p_fn else [-1, -1])
+        assert p_plus.shape == ((1, 3) if p_fn else (0, 3))
+        got = mc._run_chunk((protocol, noise, 4, 0, 300))
+        assert got == ref.sample_columns(protocol, noise, 4, 0, 300)
+        assert got.outcome.any() == bool(p_fn)  # kept only through a false negative
+
+    def test_a_range_evolves_its_histories_once(self, monkeypatch):
+        """One range of three blocks calls each node helper as often as one
+        block of the same protocol does."""
+        calls = {}
+        for name in ("_node_pulse", "_node_blip_weight", "_node_after_window"):
+
+            def counted(*args, _fn=getattr(mc, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args)
+
+            monkeypatch.setattr(mc, name, counted)
+        protocol, noise = NAMED_CASES["two finite windows, both kept"]
+        counts = []
+        for n in (mc.SHOT_BLOCK, 3 * mc.SHOT_BLOCK):
+            calls.clear()
+            mc._run_chunk((protocol, noise, 1, 0, n))
+            counts.append(dict(calls))
+        assert len(counts[0]) == 3 and counts[0] == counts[1]
 
 
 @settings(deadline=None, max_examples=40)
