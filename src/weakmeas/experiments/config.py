@@ -1,14 +1,16 @@
 """Run configuration: defaults, YAML config files and CLI overrides.
 
-Config files are flat YAML mappings (key: typed value) over the defaults.
-Unknown and repeated keys are rejected, so that a typo fails fast.
+Config files are flat YAML mappings (key: typed value) over the defaults,
+read in one pass over their top-level keys in document order, so that the
+first fault is the one named.  Unknown and repeated keys are rejected, so
+that a typo fails fast; merge keys (``<<``) count as given.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -103,6 +105,7 @@ _NOISE_KEYS = {
     "noise_false_negative": "readout_false_negative",
     "noise_false_positive": "readout_false_positive",
 }
+_KNOWN_KEYS = sorted([*_SCALAR_KEYS, *_LIST_KEYS, "output_dir", *_NOISE_KEYS])
 
 
 def _typed(path: Path, key: str, value, want: type, name: Optional[str] = None):
@@ -128,68 +131,55 @@ def _typed(path: Path, key: str, value, want: type, name: Optional[str] = None):
     raise ValueError(message)
 
 
-def _unreadable_key(yaml, node) -> str:
-    """The first top-level key of the mapping ``node`` whose value PyYAML
-    cannot build on its own, as " key 'name'" for a message, else ""."""
-    for key_node, value_node in node.value if isinstance(node, yaml.MappingNode) else ():
-        loader = yaml.SafeLoader("")
-        try:
-            loader.construct_document(value_node)
-        except (ValueError, yaml.YAMLError):
-            return f" key {key_node.value!r}"
-        finally:
-            loader.dispose()
-    return ""
+def _built(loader, node, where: str):
+    """``node`` built on its own by ``loader``, or the one-line error naming
+    ``where``: a value PyYAML cannot build, such as an integer past Python's
+    limit on the digits it reads; its advice to raise the limit is dropped."""
+    try:
+        return loader.construct_object(node, deep=True)
+    except ValueError as err:
+        raise ValueError(f"{where} cannot be read: {str(err).split(';')[0]}") from None
 
 
 def load_config(path: Path) -> RunConfig:
-    """Parse a flat YAML config file on top of the defaults.  A key given
-    twice is refused: PyYAML would keep its last value without a word."""
+    """Parse a flat YAML config file on top of the defaults, one top-level
+    key at a time in document order: each key is checked, its value built
+    and converted before the next key is read, so the first fault is the
+    one named.  A key given twice is refused: PyYAML would keep its last
+    value without a word."""
     import yaml  # here, so that a run without a config file never loads PyYAML
 
-    cfg = RunConfig()
+    given = {}  # each key's converted value
     with open(path, encoding="utf-8") as fh:
-        loader = yaml.SafeLoader(fh)  # what yaml.safe_load runs, keeping the node
+        loader = yaml.SafeLoader(fh)  # the loader yaml.safe_load runs, driven key by key
         try:
             node = loader.get_single_node()
-            data = None if node is None else loader.construct_document(node)
+            if node is None or node.tag == "tag:yaml.org,2002:null":
+                return RunConfig()
+            if not isinstance(node, yaml.MappingNode) or node.tag != "tag:yaml.org,2002:map":
+                raise ValueError(f"{path}: config must be a key-value mapping")
+            loader.flatten_mapping(node)  # merge keys (<<), as construct_document does
+            for key_node, value_node in node.value:
+                key = _built(loader, key_node, str(path))
+                if key not in _KNOWN_KEYS:  # compared, not hashed: a key may be a list
+                    raise ValueError(f"{path}: unknown key {key!r} (known keys: {_KNOWN_KEYS})")
+                if key in given:
+                    raise ValueError(f"{path}: key {key!r} is given more than once")
+                value = _built(loader, value_node, f"{path}: key {key!r}")
+                if key in _SCALAR_KEYS:
+                    value = _typed(path, key, value, _SCALAR_KEYS[key])
+                elif key in _LIST_KEYS:
+                    items = _typed(path, key, value, list, "a list of numbers")
+                    value = [_typed(path, f"{key}[{i}]", v, float) for i, v in enumerate(items)]
+                elif key == "output_dir":
+                    value = Path(_typed(path, key, value, str))
+                elif value is not None:  # a noise key
+                    value = _typed(path, key, value, float, "a number or null")
+                given[key] = value
         except yaml.YAMLError as err:
             detail = " ".join(str(err).split())  # PyYAML's message spans lines
             raise ValueError(f"{path}: not valid YAML: {detail}") from None
-        except ValueError as err:
-            # a value PyYAML cannot build, such as an integer past Python's
-            # limit on the digits it reads; its advice to raise the limit is dropped
-            where = f"{path}:{_unreadable_key(yaml, node)}"
-            raise ValueError(f"{where} cannot be read: {str(err).split(';')[0]}") from None
         finally:
             loader.dispose()
-    if data is None:
-        return cfg
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: config must be a key-value mapping")
-    keys = [key.value for key, _ in node.value]  # as written, repeats included
-    for i, key in enumerate(keys):
-        if key in keys[:i]:
-            raise ValueError(f"{path}: key {key!r} is given more than once")
-    updates = {}
-    noise_updates = {}
-    for key, value in data.items():
-        if key in _SCALAR_KEYS:
-            updates[key] = _typed(path, key, value, _SCALAR_KEYS[key])
-        elif key in _LIST_KEYS:
-            items = _typed(path, key, value, list, "a list of numbers")
-            updates[key] = [_typed(path, f"{key}[{i}]", v, float) for i, v in enumerate(items)]
-        elif key == "output_dir":
-            updates[key] = Path(_typed(path, key, value, str))
-        elif key in _NOISE_KEYS:
-            if value is not None:
-                value = _typed(path, key, value, float, "a number or null")
-            noise_updates[_NOISE_KEYS[key]] = value
-        else:
-            known = sorted(
-                list(_SCALAR_KEYS) + list(_LIST_KEYS) + ["output_dir"] + list(_NOISE_KEYS)
-            )
-            raise ValueError(f"{path}: unknown key {key!r} (known keys: {known})")
-    if noise_updates:
-        updates["noise"] = replace(cfg.noise, **noise_updates)
-    return replace(cfg, **updates)
+    noise = {_NOISE_KEYS[key]: given.pop(key) for key in _NOISE_KEYS if key in given}
+    return RunConfig(**given, noise=NoiseConfig(**noise))

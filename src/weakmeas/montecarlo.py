@@ -10,11 +10,11 @@ equal steps of any protocols share one read-only array per process.  Each
 shot evolves the electron-nuclear state through the steps, draws tunnel
 events and times, applies optional label errors, and records whether the
 shot passed post-selection plus the sampled tomography eigenvalue on each
-axis.  Dephasing is applied once, at tomography: each window's
-exp(-(t_m/T2*)^2) on the nuclear coherences commutes with every step,
-since pulses and windows act within each nuclear up/down block and no blip
-weight reads a coherence, so the factors multiply into one that scales
-the kept shots' sigma_x and sigma_y.
+axis.  Dephasing is applied once, at tomography: the quasi-static decay
+exp(-(T/T2*)^2) of the nuclear coherences over the windows' total time T
+commutes with every step, since pulses and windows act within each
+nuclear up/down block and no blip weight reads a coherence, so it is one
+factor that scales the kept shots' sigma_x and sigma_y.
 
 Reproducibility contract: shot ``i`` of a run with root seed ``s`` always
 uses the counter-based stream ``Philox(key=(s, i))``, so serial and
@@ -81,6 +81,7 @@ from .protocols import (
     PostSelectedState,
     TunnelModel,
     _bloch,
+    _no_blip_damping,
     _node_after_window,
     _node_blip_weight,
     _post_selected,
@@ -153,9 +154,11 @@ class Protocol:
 class NoiseConfig:
     """Phenomenological knobs; the all-off default reproduces the closed forms.
 
-    Each readout window of t_m ms multiplies the nuclear coherences by
-    exp(-(t_m/T2*)^2), which is 0 (full dephasing) once t_m/T2* is large,
-    also where the square overflows a float."""
+    T2* is Gaussian: the free-induction decay of a nuclear detuning that is
+    static within a shot and drawn as delta ~ N(0, 2/T2*^2) across shots.
+    After readout windows of total time T ms the nuclear coherences have
+    shrunk by exp(-(T/T2*)^2), which is 0 (full dephasing) once T/T2* is
+    large, also where the square overflows a float."""
 
     nuclear_dephasing_time: Optional[float] = None  # Gaussian T2*, in ms
     readout_false_negative: float = 0.0
@@ -230,12 +233,13 @@ class EnsembleStats:
 
 def _dephasing_factor(windows: Sequence[TunnelModel], t2star: Optional[float]) -> float:
     """The factor by which the windows' dephasing scales a kept shot's
-    nuclear sigma_x and sigma_y: the product of exp(-(t_m/T2*)^2) over the
-    windows, exactly 1.0 without T2*."""
+    nuclear sigma_x and sigma_y: the free-induction decay of a quasi-static
+    detuning, exp(-(T/T2*)^2) after the windows' total time T, exactly 1.0
+    without T2*."""
     if t2star is None:
         return 1.0
     try:
-        return math.prod(math.exp(-((w.t_m / t2star) ** 2)) for w in windows)
+        return math.exp(-((math.fsum(w.t_m for w in windows) / t2star) ** 2))
     except OverflowError:  # the square of a ratio past ~1.34e154; exp is 0.0 from ~27.3 on
         return 0.0
 
@@ -343,6 +347,9 @@ def _history_table(protocol: Protocol, noise: NoiseConfig) -> tuple[list, np.nda
             nodes = [_node_pulse(x, step) for x in nodes]
             continue
         p_blip = np.array([_node_blip_weight(x, step) for x in nodes])
+        # a no-blip child of zero trace has no weight, whatever rounding
+        # left of 1 - p_blip: no uniform may reach it
+        p_blip[[np.trace(x * _no_blip_damping(step)).real == 0.0 for x in nodes]] = 1.0
         # a uniform in [0, 1) falls below p_blip only if it is > 0, and at
         # or above it only if it is < 1
         reach = np.stack((p_blip < 1.0, (p_blip > 0.0) & (noise.readout_false_negative > 0.0)), 1)

@@ -7,9 +7,10 @@ the pure-statevector path that the engine dropped: the engine evolves
 every history as a 4x4 density matrix, so comparing it with this
 reference checks the engine's channel arithmetic against an independent
 one, not against a copy of itself.  It also dephases the nuclear
-coherences after every window (``_dephase_joint``), where the engine
-applies the product of those factors once at tomography.  The two agree
-on each shot's probabilities up to rounding, so they sample the same
+coherences after every window (``_dephase_joint``), by the part of the
+quasi-static decay exp(-(T/T2*)^2) that accrues over that window, where
+the engine applies the whole decay once at tomography.  The two agree on
+each shot's probabilities up to rounding, so they sample the same
 outcomes.
 ``sample_shot`` measures one tomography axis, so ``sample_columns``
 samples a protocol once per axis asked for, of x, y and z, and the engine
@@ -33,11 +34,14 @@ from weakmeas.qmath import _nuclear_reduced
 from weakmeas.spinsys import RotationPulse, pulse_unitary
 
 
-def _dephase_joint(joint: np.ndarray, duration: float, t2star: float) -> np.ndarray:
+def _dephase_joint(joint: np.ndarray, before: float, after: float, t2star: float) -> np.ndarray:
     """``joint`` with its nuclear coherence blocks scaled by
-    exp(-(duration/T2*)^2), 0.0 where the square overflows."""
+    exp(-(after^2 - before^2)/T2*^2), the decay of a quasi-static detuning
+    from elapsed time ``before`` to ``after``, 0.0 where a square
+    overflows.  The factors of successive windows multiply to
+    exp(-(T/T2*)^2) after their total time T."""
     try:
-        f = math.exp(-((duration / t2star) ** 2))
+        f = math.exp((before / t2star) ** 2 - (after / t2star) ** 2)
     except OverflowError:
         f = 0.0
     out = joint.copy()
@@ -98,6 +102,7 @@ def sample_shot(
     blips: list[bool] = []
     blip_times: list[Optional[float]] = []
     kept = True
+    elapsed = 0.0  # the time of the windows so far, in ms
 
     for step_index in range(n_steps):
         step = steps[step_index]
@@ -164,7 +169,9 @@ def sample_shot(
         blip_times.append(t_blip if (true_blip and observed_blip) else None)
 
         if noise.nuclear_dephasing_time is not None:
-            joint = _dephase_joint(joint, model.t_m, noise.nuclear_dephasing_time)
+            t2star = noise.nuclear_dephasing_time
+            joint = _dephase_joint(joint, elapsed, elapsed + model.t_m, t2star)
+        elapsed += model.t_m
 
         # every window keeps the shots that show no blip
         if observed_blip:

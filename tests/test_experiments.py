@@ -118,6 +118,12 @@ class TestDefaults:
             RunConfig(**bad)
 
 
+KNOWN_KEYS = [
+    "emit_svg", "experiment", "gamma_grid", "n_jobs", "n_shots", "noise_false_negative",
+    "noise_false_positive", "noise_t2star", "output_dir", "rng_seed", "t_m", "theta_grid",
+]
+
+
 class TestLoadConfig:
     def write(self, tmp_path, text) -> Path:
         p = tmp_path / "run.yaml"
@@ -187,15 +193,24 @@ class TestLoadConfig:
              "within the float range, not an integer of 401 digits"),
             (f"noise_t2star: 1{'0' * 400}\n", "key 'noise_t2star' must be a number "
              "within the float range, not an integer of 401 digits"),
+            # keys are read in document order: the first fault is named
+            (f"t_m: bad\nn_shots: 1{'0' * 5000}\n", "key 't_m' must be a number, not 'bad'"),
+            ("<<: {t_m: 2.0}\nt_m: 3.0\n", "key 't_m' is given more than once"),
+            ("n_shots: &n 5\nbogus: *n\n", f"unknown key 'bogus' (known keys: {KNOWN_KEYS})"),
+            ("? [a]\n: 1\n", f"unknown key ['a'] (known keys: {KNOWN_KEYS})"),
         ],
         ids=["float_exponent", "int_exponent", "bool_no_hint", "path_not_a_string",
              "list_item", "list_not_a_list", "noise_unsigned_exponent", "noise_quoted",
-             "int_beyond_float", "list_item_beyond_float", "noise_beyond_float"],
+             "int_beyond_float", "list_item_beyond_float", "noise_beyond_float",
+             "first_of_two_faults", "merged_key_repeated", "aliased_value_unknown_key",
+             "key_not_a_scalar"],
     )
     def test_type_error_names_the_value_and_its_yaml_spelling(self, tmp_path, text, message):
         """PyYAML loads a number without a dot, or with an unsigned
         exponent, as a string; the error names it and says how to write it.
-        An integer too large for a float is named by its length."""
+        An integer too large for a float is named by its length.  Of two
+        faults the first in document order is named; a key merged in with
+        ``<<`` counts as given, and a key that is not a name is unknown."""
         with pytest.raises(ValueError) as err:
             load_config(self.write(tmp_path, text))
         assert str(err.value) == f"{tmp_path / 'run.yaml'}: {message}"
@@ -206,8 +221,9 @@ class TestLoadConfig:
             ("n_shots", f"n_shots: 1{'0' * 5000}\n"),
             ("gamma_grid", f"gamma_grid: [0.5, 1{'0' * 5000}]\n"),
             ("noise_t2star", f"noise_t2star: 1{'0' * 5000}\n"),
+            ("n_shots", f"n_shots: 1{'0' * 5000}\nt_m: bad\n"),
         ],
-        ids=["scalar_key", "list_key", "noise_key"],
+        ids=["scalar_key", "list_key", "noise_key", "first_of_two_faults"],
     )
     def test_integer_too_long_to_read_names_the_key(self, tmp_path, key, text):
         """Python converts at most 4,300 digits of an integer from text by
@@ -230,13 +246,19 @@ class TestLoadConfig:
             load_config(p)
         assert str(err.value) == f"{p}: key 'n_shots' is given more than once"
 
-    def test_empty_file_keeps_defaults(self, tmp_path):
-        cfg = load_config(self.write(tmp_path, ""))
+    @pytest.mark.parametrize("text", ["", "~\n"], ids=["empty", "null"])
+    def test_empty_file_keeps_defaults(self, tmp_path, text):
+        cfg = load_config(self.write(tmp_path, text))
         assert cfg == RunConfig()
 
-    def test_unset_keys_keep_defaults(self, tmp_path):
-        cfg = load_config(self.write(tmp_path, "rng_seed: 2\n"))
-        assert cfg == replace(RunConfig(), rng_seed=2)
+    @pytest.mark.parametrize(
+        "text, changes",
+        [("rng_seed: 2\n", {"rng_seed": 2}), ("<<: {t_m: 2.0}\n", {"t_m": 2.0})],
+        ids=["plain", "merge_key"],
+    )
+    def test_unset_keys_keep_defaults(self, tmp_path, text, changes):
+        cfg = load_config(self.write(tmp_path, text))
+        assert cfg == replace(RunConfig(), **changes)
 
 
 class TestEmitPlot:
@@ -643,6 +665,25 @@ class TestPresets:
             trees.append({f.name: f.read_bytes() for f in out.iterdir()})
         assert trees[0].keys() == trees[1].keys()
         assert trees[0] != trees[1]
+
+    def test_fig2_two_windows_dephase_over_their_total_time(self, tmp_path):
+        """A Gaussian T2* is the decay of a quasi-static detuning, so it reads
+        the windows' total time.  At theta = 1e-9, t_m = 1 ms and T2* = 2 ms,
+        fig2 single's one window leaves sigma_x = exp(-1/4), and the two
+        windows of double and reversal exp(-(2 t_m/T2*)^2) = exp(-1), not
+        the per-window exp(-1/2) = 0.6065.  At 200,000 shots the standard
+        error is about 0.002."""
+        noise = mc.NoiseConfig(nuclear_dephasing_time=2.0)
+        config = RunConfig(experiment="fig2", theta_grid=[1e-9], t_m=1.0, n_shots=200_000,
+                           noise=noise, output_dir=tmp_path, emit_svg=False)
+        run_panels(config)
+        for variant, want in (("single", math.exp(-0.25)), ("double", math.exp(-1.0)),
+                              ("reversal", math.exp(-1.0))):
+            with open(tmp_path / f"fig2_{variant}_sigma_x.csv", newline="") as fh:
+                (row,) = csv.DictReader(fh)
+            assert float(row["analytic"]) == pytest.approx(1.0, abs=1e-12)
+            error = math.sqrt((1.0 - want**2) / int(row["n_kept"]))
+            assert float(row["mc_mean"]) == pytest.approx(want, abs=5.0 * error)
 
     @pytest.mark.parametrize("case", list(KNOB_CASES))
     def test_knob_moves_only_its_cells(self, tmp_path, capsys, case):

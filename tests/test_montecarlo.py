@@ -234,13 +234,34 @@ DOWN_ELECTRON = np.array([[0, 0], [0, 1]], dtype=complex)
 class TestDephasing:
     def test_frozen_factor(self):
         """One 1 ms window at T2* = 1 ms scales sigma_x and sigma_y by exp(-1);
-        two windows by the product of their factors."""
+        two windows by exp(-(T/T2*)^2) at their total time T."""
         window = TunnelModel(gamma_up_out=1.0, t_m=1.0)
         assert _dephasing_factor((window,), 1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
         second = TunnelModel.projective(0.5)
         assert _dephasing_factor((window, second), 2.0) == pytest.approx(
-            math.exp(-0.25) * math.exp(-0.0625), abs=1e-15
+            math.exp(-0.5625), abs=1e-15
         )
+
+    def test_factor_is_the_average_over_static_detunings(self):
+        """A Gaussian T2* is the free-induction decay of a detuning that is
+        static within a shot and drawn as delta ~ N(0, 2/T2*^2) across
+        shots.  Each window advances the nuclear coherence by its own phase
+        delta * t_m; the sigma_x of two kept windows, averaged over 400,000
+        sampled detunings, is the forced state's times the engine's one
+        factor, exp(-(T/T2*)^2) at total time T = 2.5 ms, not the
+        per-window product exp(-0.8125)."""
+        t2star = 2.0
+        windows = (TunnelModel(gamma_up_out=0.3, t_m=1.0), TunnelModel(gamma_up_out=0.8, t_m=1.5))
+        state = conditional_state(Protocol(windows), [NO_BLIP, NO_BLIP]).state
+        delta = np.random.default_rng(5).normal(0.0, math.sqrt(2.0) / t2star, 400_000)
+        phase = np.zeros_like(delta)
+        for window in windows:
+            phase += delta * window.t_m
+        sigma_x = 2.0 * (state.rho.matrix[0, 1] * np.exp(1j * phase)).real
+        error = sigma_x.std() / math.sqrt(len(delta))
+        want = 2.0 * state.rho.matrix[0, 1].real * _dephasing_factor(windows, t2star)
+        assert want == pytest.approx(math.exp(-1.5625), abs=1e-15)
+        assert sigma_x.mean() == pytest.approx(want, abs=5.0 * error)
 
     def test_no_t2star_is_exactly_one(self):
         windows = (TunnelModel(gamma_up_out=1.0, t_m=1e200), PROJECTIVE)
@@ -250,7 +271,7 @@ class TestDephasing:
     def test_populations_untouched(self):
         """The tests' per-window reference scales only the coherences."""
         m = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
-        out = ref._dephase_joint(np.kron(m, DOWN_ELECTRON), 2.0, 0.5)
+        out = ref._dephase_joint(np.kron(m, DOWN_ELECTRON), 1.0, 2.0, 0.5)
         nuclear = _nuclear_reduced(out)
         assert nuclear[0, 0].real == pytest.approx(0.7)
         assert nuclear[1, 1].real == pytest.approx(0.3)

@@ -422,6 +422,25 @@ class TestHistoryTable:
         assert got == ref.sample_columns(protocol, noise, 4, 0, 300)
         assert got.outcome.any() == bool(p_fn)  # kept only through a false negative
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p_fn", [0.0, 0.3])
+    def test_no_blip_child_of_zero_trace_is_unreachable(self, p_fn):
+        """An electron up for certain, in a state whose trace is one ulp
+        below 1, blips at a projective window with probability 1 - 2**-53
+        by rounding, yet its no-blip child has trace 0.  That child is
+        unreachable: its p_blip reads 1.0 and its index -1, with no 0/0, and
+        the shots run warning-free."""
+        nucleus = np.diag([0.1, np.nextafter(0.9, 0.0)])
+        initial = JointState(DensityMatrix(qmath.kron(nucleus, spinsys.PROJ_UP)))
+        protocol = mc.Protocol((TunnelModel.projective(1.0),), initial=initial)
+        noise = mc.NoiseConfig(readout_false_negative=p_fn)
+        (level,), p_plus = mc._history_table(protocol, noise)
+        assert level[1].tolist() == [1.0]
+        assert level[2].tolist() == ([-1, 0] if p_fn else [-1, -1])
+        assert not np.isnan(p_plus).any()
+        shots = mc.run_shots(protocol, noise, n_shots=300, rng_seed=4)
+        assert shots.outcome.any() == bool(p_fn)  # kept only through a false negative
+
     def test_a_range_evolves_its_histories_once(self, monkeypatch):
         """One range of three blocks calls each node helper as often as one
         block of the same protocol does."""
