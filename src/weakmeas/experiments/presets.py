@@ -229,12 +229,12 @@ def run_panels(config: RunConfig) -> list[Path]:
     The run lists each (sequence, sweep value) the selected panels read and
     simulates it once, for every axis, before anything is written: noise,
     shots and seed are fixed for a run, so equal keys are equal ensembles.
-    It cuts the shots into ``mc.shot_ranges(n_shots, n_jobs)``, so
-    ``--jobs`` counts processes as ``run_shots`` would, and a run whose
-    ensembles ``run_shots`` would not split forks nothing.  One
-    ``_parallel_map`` takes the ranges: each process runs its range at
-    every point, so it builds the Philox uniforms of that range alone, and
-    sends back counts and blip times.  This process adds up each point's
+    It cuts the shots into ``mc.shot_ranges(n_shots, n_jobs)``, at most
+    ``--jobs`` ranges and one per usable CPU, so a run whose ensembles
+    ``run_shots`` would not split forks nothing.  One ``_parallel_map``
+    runs each range in a process of its own, at every point, so a process
+    builds the Philox uniforms of its range alone, and sends back counts
+    and blip times.  This process adds up each point's
     counts and joins its times in range order, which is shot order, so the
     output bytes do not depend on ``n_jobs``; the tables compute the rest.
     """

@@ -53,16 +53,16 @@ reads the same seed and chunk ranges, so each chunk range's uniforms are
 generated once per process, kept as one read-only cache entry per range,
 and shared by every ensemble that reads them.
 
-``n_jobs`` cuts the shots into ``shot_ranges(n_shots, n_jobs)``, at most
-``n_jobs`` contiguous ranges, each of at least ``SHOT_BLOCK`` shots, since
-a smaller range saves less than its round trip through a worker costs.
-The ranges go through ``_parallel_map``, the one fork-and-join map of the
-package, which runs a lone range in the caller and otherwise shares them
-between the caller and up to one worker process per further range, as
-many as the CPUs allow, through one counter of claimed items.  A figure run
-makes one such map over the ranges of its shots, each range run at every
-sweep point with ``run_shots(..., start=a)`` and reduced to counts where
-it ran.  ``multiprocessing`` is imported only when a worker starts.
+``n_jobs`` cuts the shots into ``shot_ranges(n_shots, n_jobs)``: at most
+``n_jobs`` contiguous ranges and at most one per CPU this process may run
+on, each of at least ``SHOT_BLOCK`` shots, since a smaller range saves
+less than its round trip through a worker costs.  So the ranges are the
+processes: ``_parallel_map``, the one fork-and-join map of the package,
+runs the first range in the caller and each further range in a worker
+process of its own.  A figure run makes one such map over the ranges of
+its shots, each range run at every sweep point with
+``run_shots(..., start=a)`` and reduced to counts where it ran.
+``multiprocessing`` is imported only when a worker starts.
 """
 
 from __future__ import annotations
@@ -426,45 +426,34 @@ def _run_chunk(args) -> Shots:
     return shots
 
 
-def _claim(counter, n_items: int) -> Optional[int]:
-    """The next unclaimed index below ``n_items``, if one is left."""
-    with counter.get_lock():
-        i = counter.value
-        counter.value = i + 1
-    return i if i < n_items else None
-
-
-def _map_worker(fn, items: Sequence, counter, conn: Connection) -> None:
-    """Run the items this worker claims, then send ``([(index, result),
-    ...], error)`` once and exit."""
+def _map_worker(fn, item, conn: Connection) -> None:
+    """Run ``fn(item)``, then send ``(result, error)`` once and exit."""
     import signal  # here, so that importing the CLI does not load it
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
-    done, error = [], None
+    result, error = None, None
     try:
-        while (i := _claim(counter, len(items))) is not None:
-            done.append((i, fn(items[i])))
+        result = fn(item)
     except Exception as err:
         error = err
     try:
-        conn.send((done, error))
+        conn.send((result, error))
     except OSError:  # the caller stopped listening: it failed itself
         pass
     conn.close()
 
 
 def _parallel_map(fn, items: Sequence) -> list:
-    """``[fn(x) for x in items]`` over up to one process per item.
+    """``[fn(x) for x in items]`` over one process per item.
 
-    Starts ``min(len(items), CPUs this process may run on) - 1`` workers,
-    and none at all, nor ``multiprocessing``, when that is 0.  The caller
-    and the workers claim item indices from one shared counter, so
-    the caller runs every item a worker has not claimed, then waits for
-    each worker to send its results and any error once and exit.  A
-    worker's error is raised here, and a worker lost before it answered
-    raises ``RuntimeError``.  However the call ends, the counter is moved
-    past the end, so that no worker claims another item, and every worker
-    is joined before it returns.
+    The caller runs the first item and forks one worker for each further
+    item, which runs that item alone and sends its result and any error
+    once; a lone item forks nothing and does not import
+    ``multiprocessing``.  The callers pass no more items than
+    ``shot_ranges`` cuts, at most one per usable CPU.  A worker's error is
+    raised here, and a worker lost before it answered raises
+    ``RuntimeError``.  However the call ends, every worker is joined before
+    it returns.
 
     Workers start by the platform's default method, fork on Linux: two
     spawned workers took 0.45-0.65 s to start on a 2-vCPU machine, about as
@@ -474,43 +463,37 @@ def _parallel_map(fn, items: Sequence) -> list:
     them, which is why the ``gc.freeze`` docs advise freezing before
     ``fork``.
     """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    n_workers = min(len(items), cpus or 1) - 1
-    if n_workers <= 0:
+    if len(items) <= 1:
         return [fn(x) for x in items]
     import multiprocessing  # here, so that a run with no worker never loads it
 
     ctx = multiprocessing.get_context()
-    counter = ctx.Value("q", 0)
-    conns, procs, results = [], [], {}
+    conns, procs = [], []
     try:
-        for _ in range(n_workers):
+        for item in items[1:]:
             here, there = ctx.Pipe(duplex=False)
             conns.append(here)
-            proc = ctx.Process(target=_map_worker, args=(fn, items, counter, there), daemon=True)
+            proc = ctx.Process(target=_map_worker, args=(fn, item, there), daemon=True)
             try:
                 proc.start()
             finally:
                 there.close()
             procs.append(proc)
-        while (i := _claim(counter, len(items))) is not None:
-            results[i] = fn(items[i])
+        results = [fn(items[0])]
         for conn in conns:
             try:
-                done, error = conn.recv()
+                result, error = conn.recv()
             except EOFError:
                 raise RuntimeError("a worker process exited unexpectedly") from None
             if error is not None:
                 raise error
-            results.update(done)
+            results.append(result)
     finally:
-        with counter.get_lock():
-            counter.value = len(items)
         for conn in conns:
             conn.close()
         for proc in procs:
             proc.join()
-    return [results[i] for i in range(len(items))]
+    return results
 
 
 def _brief_int(n: int) -> str:
@@ -521,13 +504,22 @@ def _brief_int(n: int) -> str:
     return text if digits <= 20 else f"an integer of {digits} digits"
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def shot_ranges(n_shots: int, n_jobs: int) -> list[tuple[int, int]]:
     """Shots 0..n_shots-1 cut into contiguous ``(start, stop)`` ranges of
-    as equal sizes as can be, one per process of ``n_jobs``: at most
-    ``n_jobs`` of them, each of at least ``SHOT_BLOCK`` shots, and never
-    fewer than one.  A range smaller than a block saves less time than its
-    round trip through a worker costs."""
-    n = max(1, min(n_jobs, n_shots // SHOT_BLOCK))
+    as equal sizes as can be, one per process: at most ``n_jobs`` of them,
+    at most one per CPU this process may run on, each of at least
+    ``SHOT_BLOCK`` shots, and never fewer than one.  A range smaller than a
+    block saves less time than its round trip through a worker costs, and
+    a range beyond the CPUs only competes for them."""
+    n = max(1, min(n_jobs, _usable_cpus(), n_shots // SHOT_BLOCK))
     return [(n_shots * k // n, n_shots * (k + 1) // n) for k in range(n)]
 
 
@@ -542,8 +534,8 @@ def run_shots(
     """The outcomes of shots start..start+n_shots-1, in shot order.
 
     The shots are cut into ``shot_ranges(n_shots, n_jobs)``, each of at
-    least ``SHOT_BLOCK`` shots, and ``_parallel_map`` maps them over that
-    many processes; a lone range runs in this process.  The result is
+    least ``SHOT_BLOCK`` shots, and ``_parallel_map`` runs each range in a
+    process of its own; a lone range runs in this process.  The result is
     identical to the serial run, and shots a..b-1 of any run equal the run
     of those shots alone, because every shot has its own stream.
     ``rng_seed`` must be a key numpy's ``Philox`` takes, in [-2**63, 2**64);
@@ -554,6 +546,8 @@ def run_shots(
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
+    if n_jobs < 1:
+        raise ValueError("n_jobs must be >= 1")
     if not -(1 << 63) <= rng_seed <= _MASK64:
         raise ValueError(f"rng_seed is outside [-2**63, 2**64): {_brief_int(rng_seed)}")
     if start < 0 or start + n_shots > 1 << 64:

@@ -5,7 +5,6 @@ PASS/FAIL line per acceptance criterion."""
 import multiprocessing
 import os
 import re
-import time
 
 import pytest
 
@@ -55,23 +54,13 @@ def two_cpus(monkeypatch):
 @pytest.fixture
 def worker_chunks(monkeypatch, four_cpus):
     """A function giving how many items worker processes have run in the
-    ``_parallel_map`` calls returned so far.  In each call that starts a
-    worker, the first item this process takes is slowed, so that the worker
-    surely claims one."""
+    ``_parallel_map`` calls returned so far."""
     caller = os.getpid()
     parallel_map = mc._parallel_map
     count = {"workers": 0}
 
     def counted_map(fn, items):
-        slow = [len(items) > 1]
-
-        def tagged(item):
-            if os.getpid() == caller and slow[0]:
-                slow[0] = False
-                time.sleep(0.2)
-            return os.getpid(), fn(item)
-
-        pairs = parallel_map(tagged, items)
+        pairs = parallel_map(lambda item: (os.getpid(), fn(item)), items)
         count["workers"] += sum(pid != caller for pid, _ in pairs)
         return [result for _, result in pairs]
 

@@ -420,6 +420,16 @@ KNOB_CASES = {
          ("fig2_*_sigma_x.csv", ("sweep_value", "analytic", "n_kept", "n_total"))],
         [f"fig2_{variant}_sigma_x.csv" for variant in ("single", "double", "reversal")],
     ),
+    # the same in supp: the success tables count kept shots alone, and
+    # sigma_y is 0 for supp's states too
+    "t2star_moves_only_supp_sigma_x": (
+        ["supp", "--shots", "3000", "--grid", "9", "--seed", "2", "--no-svg"], None, [],
+        "noise_t2star: 0.5\n",
+        [("supp4_success_*.csv", None), ("supp[56]_*_sigma_[yz].csv", None),
+         ("supp[56]_*_sigma_x.csv", ("sweep_value", "analytic", "n_kept", "n_total"))],
+        ["supp5_expectations_single_sigma_x.csv", "supp5_expectations_double_sigma_x.csv",
+         "supp6_steering_sigma_x.csv"],
+    ),
     # without T2* no fig2 cell reads t_m: its windows are projective
     "t_m_without_t2star": (FIG2_KNOB, "t_m: 1.5\n", [], "t_m: 3.0\n", [("*", None)], []),
     "seed": (CUSTOM_KNOB, CUSTOM, ["--seed", "4"], None, [("*", ANALYTIC)], ["*"]),

@@ -124,6 +124,14 @@ class TestDeterminism:
         )
         run_shots(p, n_shots=8, rng_seed=-(2**63))
 
+    @pytest.mark.parametrize("n_jobs", [0, -3])
+    def test_jobs_must_be_positive(self, n_jobs):
+        """A non-positive job count is refused, as RunConfig refuses it,
+        not run serially."""
+        p = measure_protocol(math.pi / 2)
+        with pytest.raises(ValueError, match=r"^n_jobs must be >= 1$"):
+            run_shots(p, NO_NOISE, 100, 1, n_jobs)
+
     def test_parallel_matches_serial(self, worker_chunks):
         p = bell_window_protocol(gamma=1.0, t_m=1.5)
         n = 3 * SHOT_BLOCK + 7  # three chunks at n_jobs=3

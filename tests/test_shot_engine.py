@@ -2,8 +2,8 @@
 with the scalar ``sample_shot`` of ``reference_sampler``, the branch
 history table each range builds once and every block indexes, any split
 of the shots adding up to the whole run, byte-identical CSVs, one fork-and-join
-map per run that hands out ranges of shots, each run at every sweep point
-and sent back as counts, shares them with the caller and leaves no
+map per run over ranges of shots, at most one per CPU, each run in a process
+of its own at every sweep point and sent back as counts, that leaves no
 process behind, a CLI start and fig3 run that do not import scipy, a
 CLI start that imports neither PyYAML nor multiprocessing until a run
 reads a config or starts a worker (nor signal, which only a worker uses),
@@ -621,15 +621,14 @@ def test_no_worker_process_left_after_a_failed_run(tmp_path, monkeypatch, capsys
 @pytest.fixture
 def recording_map(monkeypatch, four_cpus):
     """Stands in for _parallel_map on four CPUs: records, for each call that
-    would start a worker, the processes the map would use (one per item, at
-    most one per CPU) and the items, and runs the items in this process, so
-    no worker starts."""
+    would start a worker, the processes the map would use (one per item)
+    and the items, and runs the items in this process, so no worker
+    starts."""
     calls = []
 
     def recording(fn, items):
-        processes = min(len(items), len(os.sched_getaffinity(0)))
-        if processes > 1:
-            calls.append((processes, items))
+        if len(items) > 1:
+            calls.append((len(items), items))
         return [fn(item) for item in items]
 
     monkeypatch.setattr(mc, "_parallel_map", recording)
@@ -729,25 +728,39 @@ def test_worker_answers_are_counts_and_blip_times(tmp_path, capsys, worker_chunk
 )
 def test_run_pool_workers_bounded(tmp_path, recording_map, capsys, shots, jobs, workers):
     """The run maps its points over as many processes as run_shots makes
-    chunks of --shots, at most --jobs and each of at least a block, and asks
-    for no second process at all when that is one."""
+    chunks of --shots, at most --jobs, at most one per CPU and each of at
+    least a block, and asks for no second process at all when that is one."""
     argv = ["fig2", "--variant", "single", "--grid", "3", "--no-svg", "--shots", str(shots)]
     assert main(argv + ["--jobs", str(jobs), "--out", str(tmp_path)]) == 0
     assert [n for n, _ in recording_map] == ([] if workers is None else [workers])
 
 
+def pin_cpus(monkeypatch, affinity: bool, cpus) -> None:
+    """This process may run on ``cpus`` CPUs, read from its affinity or,
+    without one, from ``cpu_count``."""
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
 @pytest.mark.parametrize(
-    "n_shots, counts",
+    "cpus, n_shots, counts",
     [
-        (1, {1: 1, 2: 1, 8: 1}),
-        (2 * mc.SHOT_BLOCK - 1, {1: 1, 2: 1, 64: 1}),
-        (2 * mc.SHOT_BLOCK, {1: 1, 2: 2, 3: 2, 64: 2}),
-        (10**6, {1: 1, 3: 3, 64: 64, 244: 244, 1000: 244}),
+        (1000, 1, {1: 1, 2: 1, 8: 1}),
+        (1000, 2 * mc.SHOT_BLOCK - 1, {1: 1, 2: 1, 64: 1}),
+        (1000, 2 * mc.SHOT_BLOCK, {1: 1, 2: 2, 3: 2, 64: 2}),
+        (1000, 10**6, {1: 1, 3: 3, 64: 64, 244: 244, 1000: 244}),
+        (2, 10**6, {1: 1, 2: 2, 3: 2, 64: 2}),
+        (1, 10**6, {1: 1, 2: 1, 64: 1}),
+        (4, 3 * mc.SHOT_BLOCK, {2: 2, 4: 3, 64: 3}),
     ],
 )
-def test_chunk_count(n_shots, counts):
-    """shot_ranges cuts at most n_jobs chunks, each of at least a block, and
-    at least one."""
+def test_chunk_count(monkeypatch, cpus, n_shots, counts):
+    """shot_ranges cuts at most n_jobs chunks, at most one per CPU this
+    process may run on, each of at least a block, and at least one."""
+    pin_cpus(monkeypatch, True, cpus)
     assert {n_jobs: len(mc.shot_ranges(n_shots, n_jobs)) for n_jobs in counts} == counts
 
 
@@ -790,22 +803,38 @@ def test_sub_block_run_starts_no_pool(tmp_path, recording_map, capsys):
 
 
 @pytest.mark.parametrize("affinity", [True, False])
-def test_map_starts_no_more_processes_than_cpus(monkeypatch, affinity):
-    """A map over far more items than CPUs starts one process per CPU this
-    process may run on, read from its affinity or, without one, cpu_count."""
-    if affinity:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    else:
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+def test_ranges_no_more_than_cpus(monkeypatch, affinity):
+    """shot_ranges cuts one range per CPU this process may run on when
+    n_jobs asks for more, reading them from its affinity or, without one,
+    cpu_count; a cpu_count of None means one CPU."""
+    pin_cpus(monkeypatch, affinity, 2)
+    block = mc.SHOT_BLOCK
+    assert mc.shot_ranges(8 * block, 8) == [(0, 4 * block), (4 * block, 8 * block)]
+    if not affinity:
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert mc.shot_ranges(8 * block, 8) == [(0, 8 * block)]
 
-    def slow_pid(_):
-        time.sleep(0.05)  # long enough for every started worker to claim an item
-        return os.getpid()
 
-    with time_limit(30):
-        pids = mc._parallel_map(slow_pid, list(range(8)))
-    assert len(pids) == 8 and len(set(pids)) <= 2
+@pytest.mark.parametrize("affinity", [True, False])
+def test_jobs_beyond_the_cpus_fork_one_worker_per_range(
+    tmp_path, capsys, monkeypatch, two_cpus, process_starts, affinity
+):
+    """fig2 at --jobs 8 on two CPUs maps two ranges, not eight, starts one
+    worker, and writes the bytes of --jobs 1."""
+    pin_cpus(monkeypatch, affinity, 2)
+    starts, maps = process_starts
+    shots = 8 * mc.SHOT_BLOCK
+    argv = ["fig2", "--variant", "single", "--grid", "3", "--no-svg", "--shots", str(shots)]
+    assert main(argv + ["--jobs", "8", "--out", str(tmp_path / "par")]) == 0
+    ((_, items, _),) = maps
+    assert items == [(0, shots // 2), (shots // 2, shots)]
+    assert len(starts) == 1
+    assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
+    assert len(maps) == 1 and len(starts) == 1
+    par, serial = (
+        {p.name: p.read_bytes() for p in (tmp_path / d).iterdir()} for d in ("par", "serial")
+    )
+    assert len(par) == 3 and par == serial
 
 
 @contextmanager
@@ -824,12 +853,12 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_caller_runs_the_chunks_of_a_stopped_worker(two_cpus):
-    """A worker that is not running costs the map nothing: while it is
-    stopped, the caller runs every item left unclaimed, and once the worker
-    runs again the map returns the serial result."""
+def test_stopped_worker_still_gives_the_serial_result(two_cpus):
+    """A worker stopped while the caller runs its own item, and resumed a
+    second later, still answers: the map waits for it and returns the
+    serial result."""
     caller = os.getpid()
-    in_caller, resumed, timers = [], [], []
+    resumed, timers = [], []
 
     def resume(pid):
         resumed.append(time.monotonic())
@@ -843,31 +872,26 @@ def test_caller_runs_the_chunks_of_a_stopped_worker(two_cpus):
             os.kill(worker.pid, signal.SIGSTOP)
             timers.append(threading.Timer(1.0, resume, (worker.pid,)))
             timers[0].start()
-        if os.getpid() == caller:
-            in_caller.append(time.monotonic())
         return x * x
 
-    items = list(range(20))
     try:
         with time_limit(30):
-            assert mc._parallel_map(square, items) == [x * x for x in items]
+            assert mc._parallel_map(square, [3, 4]) == [9, 16]
+        returned = time.monotonic()
     finally:
         for timer in timers:
             timer.join()
-    assert len(in_caller) >= len(items) - 1  # the worker ran at most its first item
-    assert max(in_caller) < resumed[0]
+    assert returned > resumed[0]
 
 
 def test_worker_error_reaches_the_caller(monkeypatch, four_cpus):
-    """A chunk that raises in a worker raises in the caller; the caller's
-    own chunk is slowed so that the worker surely claims one."""
+    """A chunk that raises in a worker raises in the caller."""
     caller = os.getpid()
     run_chunk = mc._run_chunk
 
     def failing_in_workers(chunk):
         if os.getpid() != caller:
             raise ValueError("failed in a worker")
-        time.sleep(0.2)
         return run_chunk(chunk)
 
     monkeypatch.setattr(mc, "_run_chunk", failing_in_workers)
@@ -878,7 +902,7 @@ def test_worker_error_reaches_the_caller(monkeypatch, four_cpus):
 
 def test_lost_worker_is_reported(two_cpus):
     """A worker killed before it answered makes the map raise RuntimeError
-    once the caller has run the items left."""
+    once the caller has run its own item."""
     caller = os.getpid()
     killed = []
 
@@ -893,7 +917,7 @@ def test_lost_worker_is_reported(two_cpus):
         return x
 
     with time_limit(30), pytest.raises(RuntimeError, match="exited unexpectedly"):
-        mc._parallel_map(kill_the_worker_first, list(range(8)))
+        mc._parallel_map(kill_the_worker_first, [0, 1])
     assert killed
 
 
