@@ -5,7 +5,10 @@ from the run's config: ``fig2`` names ``fig2`` or ``fig2_<variant>``,
 ``fig3`` names ``fig3_tunnel`` and ``supp`` names ``supp``; ``custom`` takes
 a config file and runs the experiment it names.
 Exit code 0 on success, 2 with a one-line diagnostic on any rejected
-input, a run too large to allocate included.
+input, a run too large to allocate included, 1 with a one-line diagnostic
+when a ``--jobs`` worker process is lost (killed, say, by the kernel's
+out-of-memory killer), and 130 with one line when the run is interrupted
+(Ctrl-C).
 
 ``entry`` is the process entry of both routes, the ``weakmeas`` console
 script and ``python -m weakmeas.experiments.cli``; ``main`` is the library
@@ -20,6 +23,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from ..montecarlo import WorkerLostError
 from .config import RunConfig, default_theta_grid, load_config
 from .presets import FIG2_VARIANTS, run_panels
 
@@ -115,13 +119,17 @@ def main(argv: list[str] | None = None) -> int:
         # numpy's MemoryError names the allocation it refused; Python's own is blank
         print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 2
+    except WorkerLostError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     for path in paths:
         print(path)
     return 0
 
 
 def entry() -> None:
-    """Run ``main`` on the command line and exit with its code.
+    """Run ``main`` on the command line and exit with its code; Ctrl-C
+    ends the run with one line and exit 130, not a traceback.
 
     Everything the imports built (numpy's heap and the package's, about
     22k objects) lives until exit, so it is moved out of the collector's
@@ -130,7 +138,12 @@ def entry() -> None:
     Objects made by the run itself are collected as usual.
     """
     gc.freeze()
-    sys.exit(main())
+    try:
+        code = main()
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        code = 130
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -102,6 +102,10 @@ class ProtocolError(ValueError):
     """Malformed protocol description."""
 
 
+class WorkerLostError(RuntimeError):
+    """A worker process of ``_parallel_map`` ended before it answered."""
+
+
 # A readout window is its TunnelModel.
 ProtocolStep = Union[RotationPulse, TunnelModel]
 
@@ -452,8 +456,10 @@ def _parallel_map(fn, items: Sequence) -> list:
     ``multiprocessing``.  The callers pass no more items than
     ``shot_ranges`` cuts, at most one per usable CPU.  A worker's error is
     raised here, and a worker lost before it answered raises
-    ``RuntimeError``.  However the call ends, every worker is joined before
-    it returns.
+    ``WorkerLostError``.  However the call ends, every worker is joined
+    before it returns; when it ends by an exception, ``KeyboardInterrupt``
+    included, the workers are terminated first, so none runs on to the end
+    of its item for a caller that no longer waits for it.
 
     Workers start by the platform's default method, fork on Linux: two
     spawned workers took 0.45-0.65 s to start on a 2-vCPU machine, about as
@@ -484,10 +490,14 @@ def _parallel_map(fn, items: Sequence) -> list:
             try:
                 result, error = conn.recv()
             except EOFError:
-                raise RuntimeError("a worker process exited unexpectedly") from None
+                raise WorkerLostError("a worker process exited unexpectedly") from None
             if error is not None:
                 raise error
             results.append(result)
+    except BaseException:
+        for proc in procs:
+            proc.terminate()  # harmless to one that answered: it is exiting anyway
+        raise
     finally:
         for conn in conns:
             conn.close()

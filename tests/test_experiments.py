@@ -410,12 +410,22 @@ ANALYTIC = ("analytic", "sigma_z_analytic", "inv_gamma_true")
 FIG2_KNOB = ["fig2", "--shots", "3000", "--grid", "9", "--seed", "2"]
 CUSTOM_KNOB = ["custom", "--shots", "300", "--grid", "5", "--seed", "3", "--no-svg"]
 CUSTOM = "experiment: custom\n"
+LABEL_ERRORS = "noise_false_negative: 0.2\nnoise_false_positive: 0.05\n"
 KNOB_CASES = {
     # dephasing scales the nuclear sigma_x and sigma_y alone, and sigma_y is
     # 0 for fig2's states: the sigma_y and sigma_z tables and every kept and
     # total count stay
     "t2star_moves_only_sigma_x": (
         FIG2_KNOB + ["--no-svg"], None, [], "noise_t2star: 0.5\n",
+        [("fig2_*_sigma_[yz].csv", None),
+         ("fig2_*_sigma_x.csv", ("sweep_value", "analytic", "n_kept", "n_total"))],
+        [f"fig2_{variant}_sigma_x.csv" for variant in ("single", "double", "reversal")],
+    ),
+    # the same under both label errors, where the history table branches on
+    # a flipped label
+    "t2star_moves_only_sigma_x_under_label_errors": (
+        ["fig2", "--shots", "8200", "--grid", "5", "--no-svg"], LABEL_ERRORS, [],
+        "noise_t2star: 0.5\n" + LABEL_ERRORS,
         [("fig2_*_sigma_[yz].csv", None),
          ("fig2_*_sigma_x.csv", ("sweep_value", "analytic", "n_kept", "n_total"))],
         [f"fig2_{variant}_sigma_x.csv" for variant in ("single", "double", "reversal")],
@@ -435,7 +445,7 @@ KNOB_CASES = {
     "seed": (CUSTOM_KNOB, CUSTOM, ["--seed", "4"], None, [("*", ANALYTIC)], ["*"]),
     "shots": (CUSTOM_KNOB, CUSTOM, ["--shots", "500"], None, [("*", ANALYTIC)], ["*"]),
     "label_errors": (
-        CUSTOM_KNOB, CUSTOM, [], CUSTOM + "noise_false_negative: 0.2\nnoise_false_positive: 0.05\n",
+        CUSTOM_KNOB, CUSTOM, [], CUSTOM + LABEL_ERRORS,
         [("*", ANALYTIC)], ["*"],
     ),
     "no_svg": (FIG2_KNOB, None, ["--no-svg"], None, [("*.csv", None)], ["*.svg"]),
@@ -824,10 +834,11 @@ class TestCli:
             (["fig3", "--shots", "2000"], "t_m: 1.0e-303\n"),
             (["fig3"], f"t_m: 1{'0' * 400}\n"),  # beyond the float range
             (["fig3"], "n_shots: 10\nn_shots: 20\n"),
+            (["fig3"], "t_m: 1e-3\n"),  # YAML 1.1 reads it as a string
         ],
         ids=["malformed_yaml", "seed_above_range", "seed_below_range",
              "seed_above_range_jobs2", "seed_below_range_jobs2", "blip_mle_t_m_too_short",
-             "t_m_beyond_float", "repeated_key"],
+             "t_m_beyond_float", "repeated_key", "t_m_exponent_string"],
     )
     def test_rejected_run_reports_one_line(self, tmp_path, capsys, argv, config):
         cfg = tmp_path / "bad.yaml"
@@ -934,7 +945,8 @@ class TestCli:
 
     def test_tiny_gamma_plots_finite_coordinates(self, tmp_path, capsys):
         """1/Gamma = 1e308 sets the top of the 1/Gamma plot; its ticks stay
-        finite, as does every other coordinate of the run's SVGs.  At
+        finite, as does every other coordinate of the run's SVGs, and the run
+        raises no warning.  At
         Gamma = 5.6e-309, 1/Gamma = 1.786e308 is finite but 5% above it is
         not, so that plot shows the data's unpadded range."""
         for gamma in ("1.0e-308", "5.6e-309"):
@@ -944,7 +956,9 @@ class TestCli:
             )
             out = tmp_path / gamma
             argv = ["custom", "--config", str(cfg), "--shots", "200", "--out", str(out)]
-            assert main(argv) == 0, gamma
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == 0, gamma
             svgs = sorted(out.glob("*.svg"))
             assert [p.name for p in svgs] == [
                 "fig3_tunnel_inv_gamma.svg", "fig3_tunnel_sigma_z.svg"
@@ -953,6 +967,28 @@ class TestCli:
                 doc = path.read_text(encoding="utf-8")
                 ET.fromstring(doc)
                 assert not re.search(r'="[^"]*(nan|inf)', doc), (gamma, path.name)
+
+    @pytest.mark.parametrize(
+        "config",
+        ["", LABEL_ERRORS + "noise_t2star: 1.0\n", "noise_false_negative: 1.0\n",
+         "noise_false_positive: 1.0\n", "noise_t2star: 1.0e-160\n"],
+        ids=["plain", "noisy", "fn_extreme", "fp_extreme", "t2star_overflows"],
+    )
+    def test_every_figure_runs_warning_free(self, tmp_path, capsys, config):
+        """Every panel runs without a warning and plots no nan or inf
+        coordinate: without noise, with all of it, at each label error's
+        extreme, and with a T2* whose (t_m/T2*)^2 overflows."""
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(CUSTOM + config, encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["custom", "--config", str(cfg), "--shots", "2000", "--grid", "9"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--out", str(out)]) == 0
+        svgs = list(out.glob("*.svg"))
+        assert svgs
+        for path in svgs:
+            assert not re.search(r'="[^"]*(nan|inf)', path.read_text(encoding="utf-8")), path.name
 
     @pytest.mark.parametrize(
         ("argv", "config", "t2star", "table"),

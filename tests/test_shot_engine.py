@@ -4,11 +4,13 @@ history table each range builds once and every block indexes, any split
 of the shots adding up to the whole run, byte-identical CSVs, one fork-and-join
 map per run over ranges of shots, at most one per CPU, each run in a process
 of its own at every sweep point and sent back as counts, that leaves no
-process behind, a CLI start and fig3 run that do not import scipy, a
-CLI start that imports neither PyYAML nor multiprocessing until a run
-reads a config or starts a worker (nor signal, which only a worker uses),
-and a CLI start that runs one BLAS thread unless the caller asks for
-more."""
+process behind, writes the bytes of --jobs 1 at any --jobs, and ends on
+one line when interrupted or a worker is lost, a CLI start and fig3 run
+that do not import scipy, a CLI start that imports neither PyYAML nor
+multiprocessing until a run reads a config or starts a worker (nor
+signal, which only a worker uses), a CLI start that runs one BLAS thread
+unless the caller asks for more, and a run whose bytes the BLAS thread
+count does not move."""
 
 import math
 import multiprocessing
@@ -18,6 +20,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
@@ -837,6 +840,46 @@ def test_jobs_beyond_the_cpus_fork_one_worker_per_range(
     assert len(par) == 3 and par == serial
 
 
+LABEL_ERRORS = "noise_false_negative: 0.2\nnoise_false_positive: 0.05\n"
+
+
+@pytest.mark.parametrize(
+    "argv, config, jobs",
+    [
+        (["custom", "--shots", "8200", "--grid", "3"], "experiment: custom\n", [2]),
+        # nine points' blip times, each joined over two ranges
+        (["fig3", "--shots", "8200"], LABEL_ERRORS, [2]),
+        (["fig2", "--shots", "8200", "--grid", "5", "--no-svg"],
+         "noise_t2star: 0.5\n" + LABEL_ERRORS, [2]),
+        # more than 16 Philox blocks; --jobs 64 asks for more ranges than CPUs
+        (["fig2", "--variant", "single", "--shots", "70000", "--grid", "3", "--no-svg"], None,
+         [3, 64]),
+    ],
+    ids=["custom", "fig3_label_errors", "fig2_t2star_label_errors", "fig2_70000_shots"],
+)
+def test_jobs_write_the_bytes_of_one_job(
+    tmp_path, capsys, four_cpus, worker_chunks, argv, config, jobs
+):
+    """Each --jobs value writes, warning-free, the files of --jobs 1 byte
+    for byte, cutting the ranges it would on four CPUs."""
+    if config is not None:
+        (tmp_path / "run.yaml").write_text(config, encoding="utf-8")
+        argv = argv + ["--config", str(tmp_path / "run.yaml")]
+
+    def tree(n):
+        out = tmp_path / f"jobs{n}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--jobs", str(n), "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    serial = tree(1)
+    assert serial
+    for n in jobs:
+        assert tree(n) == serial, n
+    assert worker_chunks() > 0
+
+
 @contextmanager
 def time_limit(seconds):
     """Fail with TimeoutError instead of hanging past ``seconds``."""
@@ -901,8 +944,8 @@ def test_worker_error_reaches_the_caller(monkeypatch, four_cpus):
 
 
 def test_lost_worker_is_reported(two_cpus):
-    """A worker killed before it answered makes the map raise RuntimeError
-    once the caller has run its own item."""
+    """A worker killed before it answered makes the map raise
+    WorkerLostError once the caller has run its own item."""
     caller = os.getpid()
     killed = []
 
@@ -916,9 +959,111 @@ def test_lost_worker_is_reported(two_cpus):
             killed.append(worker)
         return x
 
-    with time_limit(30), pytest.raises(RuntimeError, match="exited unexpectedly"):
+    with time_limit(30), pytest.raises(mc.WorkerLostError, match="exited unexpectedly"):
         mc._parallel_map(kill_the_worker_first, [0, 1])
     assert killed
+
+
+def test_lost_worker_ends_the_run_on_one_line(tmp_path, capsys, monkeypatch, two_cpus):
+    """A worker killed with SIGKILL during a --jobs 2 run ends it with exit
+    1 and one error line, not a traceback, and nothing written."""
+    caller = os.getpid()
+    parallel_map = mc._parallel_map
+    killed = []
+
+    def killing_map(fn, items):
+        def kill_the_worker_first(item):
+            if os.getpid() != caller:
+                time.sleep(30)  # the caller kills this worker meanwhile
+            elif not killed:
+                (worker,) = multiprocessing.active_children()
+                os.kill(worker.pid, signal.SIGKILL)
+                killed.append(worker)
+            return fn(item)
+
+        return parallel_map(kill_the_worker_first, items)
+
+    monkeypatch.setattr(mc, "_parallel_map", killing_map)
+    out = tmp_path / "out"
+    with time_limit(30):
+        assert main(SPLIT_FIG2 + ["--jobs", "2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: a worker process exited unexpectedly"]
+    assert killed and not out.exists()
+
+
+def child_env(openblas_threads: str | None = None) -> dict:
+    """This process's environment for a child interpreter that imports this
+    checkout's weakmeas, with OPENBLAS_NUM_THREADS set as given or unset:
+    this process imported weakmeas, which set the variable, and a child
+    that inherited it would pass a BLAS test without the package doing
+    anything."""
+    src = Path(weakmeas.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    return env
+
+
+# A --jobs run through the CLI's entry whose two ranges would each take a
+# minute; each range says so once it runs, a worker's after it has set
+# SIGINT aside.
+INTERRUPTED_RUN = """
+import os, time
+from weakmeas import montecarlo as mc
+from weakmeas.experiments import cli
+
+os.sched_getaffinity = lambda pid: {0, 1}  # two ranges on any machine
+parallel_map = mc._parallel_map
+
+def slow_map(fn, items):
+    def slow(item):
+        os.write(1, b"running\\n")
+        time.sleep(60)
+        return fn(item)
+
+    return parallel_map(slow, items)
+
+mc._parallel_map = slow_map
+cli.entry()
+"""
+
+
+def test_ctrl_c_ends_a_jobs_run_at_once(tmp_path):
+    """SIGINT sent to the process group of a --jobs 2 run, as Ctrl-C sends
+    it, ends the run at once, long before its ranges would: exit 130, one
+    line on stderr, nothing written, and no process of the group left."""
+    out = tmp_path / "out"
+    argv = SPLIT_FIG2 + ["--jobs", "2", "--out", str(out)]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", INTERRUPTED_RUN, *argv],
+        env=child_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    try:
+        with time_limit(30):
+            assert [proc.stdout.readline() for _ in range(2)] == [b"running\n"] * 2
+            sent = time.monotonic()
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate()
+            took = time.monotonic() - sent
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+            left = True
+        except ProcessLookupError:
+            left = False
+        proc.wait()
+    assert proc.returncode == 130
+    assert err.decode().splitlines() == ["error: interrupted"]
+    assert took < 10, took
+    assert not left
+    assert not out.exists()
 
 
 def test_chi2_quantile_constant():
@@ -930,9 +1075,6 @@ def test_chi2_quantile_constant():
 def test_cli_import_skips_scipy(tmp_path):
     """scipy is a test dependency only: neither starting the CLI nor a whole
     fig3 run (the blip-time MLE included) may load it."""
-    src = Path(weakmeas.__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     for run in (
         "",
         "weakmeas.experiments.cli.main(['fig3', '--no-svg', '--out', sys.argv[1]])\n",
@@ -944,7 +1086,7 @@ def test_cli_import_skips_scipy(tmp_path):
         )
         out = subprocess.run(
             [sys.executable, "-c", code, str(tmp_path)],
-            env=env,
+            env=child_env(),
             capture_output=True,
             text=True,
             check=True,
@@ -958,9 +1100,6 @@ def test_cli_loads_yaml_and_multiprocessing_on_demand(tmp_path):
     """Importing the CLI loads neither PyYAML, multiprocessing nor signal; a
     run with a config file at --jobs 2, split in two, then loads the first
     two and writes the bytes of the serial run."""
-    src = Path(weakmeas.__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     config = tmp_path / "run.yaml"
     config.write_text("rng_seed: 3\n", encoding="utf-8")
     argv = SPLIT_FIG2 + ["--config", str(config)]
@@ -974,7 +1113,7 @@ def test_cli_loads_yaml_and_multiprocessing_on_demand(tmp_path):
     )
     out = subprocess.run(
         [sys.executable, "-c", code, str(tmp_path / "par")],
-        env=env,
+        env=child_env(),
         capture_output=True,
         text=True,
         check=True,
@@ -993,14 +1132,6 @@ def test_cli_loads_yaml_and_multiprocessing_on_demand(tmp_path):
 def test_cli_import_runs_one_blas_thread(caller_value):
     """Importing the CLI leaves one OS thread: weakmeas sets
     OPENBLAS_NUM_THREADS to 1 before numpy loads, unless the caller set it."""
-    src = Path(weakmeas.__file__).resolve().parent.parent
-    env = dict(os.environ)
-    # this process imported weakmeas, which set the variable; a child that
-    # inherited it would pass without the package doing anything
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    if caller_value is not None:
-        env["OPENBLAS_NUM_THREADS"] = caller_value
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     code = (
         "import os, weakmeas.experiments.cli\n"
         "task = '/proc/self/task'\n"
@@ -1009,7 +1140,7 @@ def test_cli_import_runs_one_blas_thread(caller_value):
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env=env,
+        env=child_env(caller_value),
         capture_output=True,
         text=True,
         check=True,
@@ -1021,3 +1152,23 @@ def test_cli_import_runs_one_blas_thread(caller_value):
         if threads == "-1":
             pytest.skip("no /proc/self/task to count threads")
         assert threads == "1"
+
+
+def test_blas_thread_count_leaves_the_bytes(tmp_path):
+    """fig3 with dephasing writes the same bytes with OPENBLAS_NUM_THREADS=4
+    as with the variable unset, which weakmeas then sets to 1."""
+    config = tmp_path / "dephased.yaml"
+    config.write_text("noise_t2star: 2.0\n", encoding="utf-8")
+    trees = []
+    for threads in ("4", None):
+        out = tmp_path / f"blas_{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "weakmeas.experiments.cli", "fig3", "--shots", "10000",
+             "--config", str(config), "--out", str(out)],
+            env=child_env(threads),
+            capture_output=True,
+            check=True,
+            timeout=120,
+        )
+        trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert trees[0] and trees[0] == trees[1]
