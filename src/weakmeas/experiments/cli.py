@@ -5,7 +5,8 @@ from the run's config: ``fig2`` names ``fig2`` or ``fig2_<variant>``,
 ``fig3`` names ``fig3_tunnel`` and ``supp`` names ``supp``; ``custom`` takes
 a config file and runs the experiment it names.
 Exit code 0 on success, 2 with a one-line diagnostic on any rejected
-input, a run too large to allocate included, 1 with a one-line diagnostic
+input, a run too large to allocate included, or on an output file that
+cannot be written, 1 with a one-line diagnostic
 when a ``--jobs`` worker process is lost (killed, say, by the kernel's
 out-of-memory killer), and 130 with one line when the run is interrupted
 (Ctrl-C).

@@ -3,13 +3,17 @@ side by side, in tables of rows that map column names to values, written
 as CSV (17 significant digits, empty cells for flagged values) and
 optionally drawn from those rows as self-contained SVG plots.
 
-``PANELS`` lists every output; ``run_panels`` is the one run entry."""
+``PANELS`` lists every output; ``run_panels`` is the one run entry, and
+``_write_file`` the one way a document reaches the disk."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import math
 import operator
+import os
 from dataclasses import dataclass
 from functools import cache, partial, reduce
 from pathlib import Path
@@ -85,17 +89,32 @@ def _fmt(value) -> str:
     return f"{value:.17g}"
 
 
-def write_csv(path: Path, rows: Sequence[dict]) -> None:
-    """Write the first row's column names, then every row's values; no grid is empty."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _csv_text(rows: Sequence[dict]) -> str:
+    """The first row's column names, then every row's values; no grid is empty."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(rows[0])
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row.values()])
+    return buffer.getvalue()
+
+
+def _write_file(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all: into a temporary file
+    beside it, which then replaces ``path`` in one rename.  On any failure,
+    the directory's creation included, the temporary file is removed and
+    ``path`` is left as it was; an ``OSError`` names ``path``."""
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(rows[0])
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row.values()])
-    except OSError as err:
-        raise OSError(f"cannot write output file {path}: {err}") from err
+        path.parent.mkdir(parents=True, exist_ok=True)
+        temp.write_text(text, encoding="utf-8", newline="")
+        os.replace(temp, path)
+    except BaseException as err:  # Ctrl-C mid-write included
+        with contextlib.suppress(OSError):  # never made, or no directory to hold it
+            temp.unlink()
+        if isinstance(err, OSError):
+            raise OSError(f"cannot write output file {path}: {err}") from err
+        raise
 
 
 def fig2_pulse_sequence(variant: str, theta: float) -> list[tuple[float, Frequency]]:
@@ -237,6 +256,9 @@ def run_panels(config: RunConfig) -> list[Path]:
     and blip times.  This process adds up each point's
     counts and joins its times in range order, which is shot order, so the
     output bytes do not depend on ``n_jobs``; the tables compute the rest.
+    Every CSV and SVG is rendered to text before the first is written, and
+    each is written whole or not at all, so a failed write leaves the files
+    written before it and no partial file.
     """
     prefix = "" if config.experiment == "custom" else config.experiment
     selected = [panel for panel in PANELS if panel.name.startswith(prefix)]
@@ -249,22 +271,19 @@ def run_panels(config: RunConfig) -> list[Path]:
     points = {key: _sweep_point([parts[i] for parts in done]) for i, key in enumerate(keys)}
     # every document is rendered before any is written: a plot that
     # emit_plot refuses leaves no file behind
-    outputs = []
+    documents: list[tuple[Path, str]] = []
     for panel in selected:
         tabulate = _tunnel_table if panel.statistic == TUNNEL else _sweep_table
         table, plots = tabulate(config, panel, points)
-        svgs = [
-            (name, emit_plot(plot_points, style)) for name, plot_points, style in plots
-        ] if config.emit_svg else []
-        outputs.append((panel.name, table, svgs))
-    paths: list[Path] = []
-    for name, table, svgs in outputs:
-        paths.append(config.output_dir / f"{name}.csv")
-        write_csv(paths[-1], table)
-        for svg_name, doc in svgs:
-            paths.append(config.output_dir / f"{svg_name}.svg")
-            paths[-1].write_text(doc, encoding="utf-8")
-    return paths
+        documents.append((config.output_dir / f"{panel.name}.csv", _csv_text(table)))
+        if config.emit_svg:
+            documents += [
+                (config.output_dir / f"{name}.svg", emit_plot(plot_points, style))
+                for name, plot_points, style in plots
+            ]
+    for path, text in documents:
+        _write_file(path, text)
+    return [path for path, _ in documents]
 
 
 # A panel's CSV rows, and the (name, points, style) of each of its SVGs.

@@ -29,10 +29,12 @@ from weakmeas.experiments.config import (
     load_config,
 )
 from weakmeas.experiments.presets import (
+    _csv_text,
     _fmt,
+    _write_file,
     closed_form_tomography,
+    fig2_pulse_sequence,
     run_panels,
-    write_csv,
 )
 from weakmeas.experiments.svgplot import HEIGHT, MARGIN_B, MARGIN_T, PlotPoint, PlotStyle, emit_plot
 from weakmeas.spinsys import pulse_unitary
@@ -76,13 +78,21 @@ class TestDefaults:
         with pytest.raises(ValueError):
             default_theta_grid(1)
 
-    def test_run_config_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig(experiment="fig9_wishful")
-        with pytest.raises(ValueError):
-            RunConfig(n_shots=0)
-        with pytest.raises(ValueError):
-            RunConfig(t_m=-1.0)
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"experiment": "fig9_wishful"}, "unknown experiment"),
+            ({"n_shots": 0}, "n_shots must be >= 1"),
+            ({"t_m": -1.0}, "t_m must be finite and positive"),
+            ({"theta_grid": []}, "grids must be non-empty"),
+            ({"gamma_grid": []}, "grids must be non-empty"),
+            ({"n_jobs": 0}, "n_jobs must be >= 1"),
+        ],
+        ids=["experiment", "n_shots", "t_m", "empty_theta_grid", "empty_gamma_grid", "n_jobs"],
+    )
+    def test_run_config_validation(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(**bad)
 
     def test_run_config_bounds_shots_and_seed_by_64_bits(self):
         """Shot indices and the seed are Philox key words: n_shots up to
@@ -382,16 +392,36 @@ class TestCsv:
     def test_roundtrip_precision(self, tmp_path):
         path = tmp_path / "t.csv"
         value = 0.1234567890123456789
-        write_csv(path, [{"v": value}])
+        _write_file(path, _csv_text([{"v": value}]))
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert float(rows[1][0]) == value
 
-    def test_unwritable_path(self, tmp_path):
+    @pytest.mark.parametrize("name", ["x.csv", "x.svg"])
+    def test_unwritable_path(self, tmp_path, name):
+        """A directory that cannot be made is named in the error, and no
+        file is written."""
         target = tmp_path / "file"
         target.write_text("")
-        with pytest.raises(OSError):
-            write_csv(target / "x.csv", [{"v": 1.0}])
+        with pytest.raises(OSError, match="cannot write output file .*file/x"):
+            _write_file(target / name, "text")
+        assert os.listdir(tmp_path) == ["file"]
+
+    def test_interrupted_write_leaves_the_earlier_file(self, tmp_path, monkeypatch):
+        """Ctrl-C in the middle of a write goes on up as it is, and leaves
+        the file an earlier run wrote and no temporary file."""
+        (tmp_path / "x.svg").write_text("earlier", encoding="utf-8")
+        write_text = Path.write_text
+
+        def interrupted(self, text, *args, **kwargs):
+            write_text(self, text[:2], *args, **kwargs)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Path, "write_text", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            _write_file(tmp_path / "x.svg", "later")
+        assert os.listdir(tmp_path) == ["x.svg"]
+        assert (tmp_path / "x.svg").read_text(encoding="utf-8") == "earlier"
 
 
 # The knob-effect matrix: each case is a base run, one knob changed from
@@ -515,6 +545,10 @@ class TestPresets:
         assert pi_row["analytic"] == ""
         assert pi_row["mc_mean"] == ""
         assert int(pi_row["n_kept"]) == 0
+
+    def test_unknown_fig2_variant_is_refused(self):
+        with pytest.raises(ValueError, match="unknown fig2 variant 'triple'"):
+            fig2_pulse_sequence("triple", 0.5)
 
     def test_fig3_table(self, tmp_path):
         cfg = tiny_config(tmp_path, n_shots=400)

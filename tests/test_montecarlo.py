@@ -507,6 +507,21 @@ class TestGammaEstimator:
         with pytest.raises(NoInformationError):
             blip_mle(shots, 1.5)
 
+    @pytest.mark.parametrize(
+        "times, n_shots, end",
+        [
+            ([0.1], 10**12, "zero rate"),  # one blip in 10**12 shots
+            ([0.0, 0.0, 0.0], 3, "infinite rate"),  # every blip at the window's start
+        ],
+        ids=["zero_rate", "infinite_rate"],
+    )
+    def test_refuses_a_likelihood_maximized_at_a_bracket_end(self, times, n_shots, end):
+        """Where the likelihood rises all the way to an end of the rate
+        bracket there is no estimate to report: the MLE refuses with the
+        NoInformationError that a run turns into empty cells."""
+        with pytest.raises(NoInformationError, match=f"^likelihood is maximized at {end}$"):
+            estimate_gamma_from_blips(np.array(times), n_shots, 1.5, 0.5)
+
     @pytest.mark.parametrize("t_m", [1e-303, 5e-324])
     def test_refuses_a_window_whose_rate_bracket_overflows(self, t_m):
         """Below t_m of about 5.6e-303 the rate bracket 1e6 / t_m is

@@ -5,16 +5,18 @@ of the shots adding up to the whole run, byte-identical CSVs, one fork-and-join
 map per run over ranges of shots, at most one per CPU, each run in a process
 of its own at every sweep point and sent back as counts, that leaves no
 process behind, writes the bytes of --jobs 1 at any --jobs, and ends on
-one line when interrupted or a worker is lost, a CLI start and fig3 run
-that do not import scipy, a CLI start that imports neither PyYAML nor
-multiprocessing until a run reads a config or starts a worker (nor
-signal, which only a worker uses), a CLI start that runs one BLAS thread
-unless the caller asks for more, and a run whose bytes the BLAS thread
-count does not move."""
+one line, with no partial file, when interrupted, when a worker is lost or
+when a write fails, a CLI start and fig3 run that do not import scipy, a
+CLI start that imports neither PyYAML nor multiprocessing until a run
+reads a config or starts a worker (nor signal, which only a worker uses),
+a CLI start that runs one BLAS thread unless the caller asks for more, and
+a run whose bytes the BLAS thread count does not move."""
 
+import errno
 import math
 import multiprocessing
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -729,10 +731,10 @@ def test_worker_answers_are_counts_and_blip_times(tmp_path, capsys, worker_chunk
         (1, 8, None),
     ],
 )
-def test_run_pool_workers_bounded(tmp_path, recording_map, capsys, shots, jobs, workers):
-    """The run maps its points over as many processes as run_shots makes
-    chunks of --shots, at most --jobs, at most one per CPU and each of at
-    least a block, and asks for no second process at all when that is one."""
+def test_run_maps_one_process_per_shot_range(tmp_path, recording_map, capsys, shots, jobs, workers):
+    """The run maps its points over one process per shot range of --shots:
+    at most --jobs ranges, at most one per CPU and each of at least a
+    block; a run of one range asks for no second process at all."""
     argv = ["fig2", "--variant", "single", "--grid", "3", "--no-svg", "--shots", str(shots)]
     assert main(argv + ["--jobs", str(jobs), "--out", str(tmp_path)]) == 0
     assert [n for n, _ in recording_map] == ([] if workers is None else [workers])
@@ -781,8 +783,8 @@ def test_chunks_are_contiguous_blocks_and_more(recording_map, n_shots, n_jobs):
     assert min(b - a for a, b in bounds) >= mc.SHOT_BLOCK
 
 
-def test_worker_pool_is_shared_and_call_pools_bounded(recording_map):
-    """run_shots maps a split call over one process per chunk, and a
+def test_split_run_shots_maps_one_process_per_range(recording_map):
+    """run_shots maps a split call over one process per shot range, and a
     sub-block call over no second process."""
     protocol, noise = NAMED_CASES["bell window, dephasing"]
     serial = mc.run_shots(protocol, noise, SPLIT, 4)
@@ -792,7 +794,7 @@ def test_worker_pool_is_shared_and_call_pools_bounded(recording_map):
     assert [n for n, _ in recording_map] == [2]
 
 
-def test_sub_block_run_starts_no_pool(tmp_path, recording_map, capsys):
+def test_sub_block_run_starts_no_second_process(tmp_path, recording_map, capsys):
     """A custom run whose ensembles are all smaller than two blocks asks
     for no second process at --jobs 4 and writes the bytes of --jobs 1."""
     config = tmp_path / "custom.yaml"
@@ -1064,6 +1066,82 @@ def test_ctrl_c_ends_a_jobs_run_at_once(tmp_path):
     assert took < 10, took
     assert not left
     assert not out.exists()
+
+
+SMALL_FIG2 = ["fig2", "--variant", "single", "--grid", "5", "--shots", "50"]
+
+
+def written(argv: list[str], out: Path, capsys) -> dict[str, bytes]:
+    """The files a ``main`` run of ``argv`` writes to ``out``, by name in the
+    order it prints them, and their bytes."""
+    assert main(argv + ["--out", str(out)]) == 0
+    return {Path(line).name: Path(line).read_bytes() for line in capsys.readouterr().out.splitlines()}
+
+
+def run_under_file_size_limit(argv: list[str], limit: int) -> subprocess.CompletedProcess:
+    """``python -m weakmeas.experiments.cli`` on ``argv`` in a child that can
+    write no file past ``limit`` bytes.  RLIMIT_FSIZE is set and SIGXFSZ
+    ignored in the child alone, so a write past the limit fails with EFBIG
+    instead of killing it."""
+
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+
+    return subprocess.run(
+        [sys.executable, "-m", "weakmeas.experiments.cli", *argv],
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=limit_file_size,
+    )
+
+
+def first_past(files: dict[str, bytes], limit: int) -> int:
+    """The index of the first of ``files`` longer than ``limit`` bytes."""
+    return next(i for i, data in enumerate(files.values()) if len(data) > limit)
+
+
+def efbig_line(path: Path) -> str:
+    return f"error: cannot write output file {path}: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
+
+
+def test_write_past_the_file_size_limit_leaves_no_partial_file(tmp_path, capsys):
+    """A run that cannot write one SVG whole, its file size limit below that
+    SVG's size, exits 2 with one line naming it.  The files written before
+    it are whole, and neither a file at its path nor a temporary file is
+    left."""
+    files = written(SMALL_FIG2, tmp_path / "whole", capsys)
+    limit = max(map(len, files.values())) - 1
+    failed = first_past(files, limit)
+    names = list(files)
+    assert failed > 0 and names[failed].endswith(".svg")
+    out = tmp_path / "out"
+    proc = run_under_file_size_limit(SMALL_FIG2 + ["--out", str(out)], limit)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [efbig_line(out / names[failed])]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == dict(list(files.items())[:failed])
+
+
+def test_failed_rerun_leaves_the_earlier_file(tmp_path, capsys):
+    """A rerun at another seed over an earlier run's output, whose write of
+    one file fails, leaves that file and the ones after it byte for byte as
+    the earlier run wrote them; the files before it are the rerun's own."""
+    out = tmp_path / "out"
+    earlier = written(SMALL_FIG2, out, capsys)
+    rerun = written(SMALL_FIG2 + ["--seed", "2"], tmp_path / "rerun", capsys)
+    limit = max(map(len, rerun.values())) - 1
+    failed = first_past(rerun, limit)
+    names = list(rerun)
+    assert list(earlier) == names and failed > 0
+    assert earlier[names[failed]] != rerun[names[failed]]
+    proc = run_under_file_size_limit(SMALL_FIG2 + ["--seed", "2", "--out", str(out)], limit)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [efbig_line(out / names[failed])]
+    want = {name: (rerun if i < failed else earlier)[name] for i, name in enumerate(names)}
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == want
 
 
 def test_chi2_quantile_constant():

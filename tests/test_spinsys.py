@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from weakmeas import qmath, spinsys
-from weakmeas.qmath import _nuclear_reduced
+from weakmeas.qmath import DimensionError, _nuclear_reduced
 from weakmeas.spinsys import (
     Frequency,
     JointState,
+    NuclearState,
     RotationPulse,
     negativity,
     prepare_bell,
@@ -148,6 +149,27 @@ class TestPulseUnitary:
         assert not u.flags.writeable
         with pytest.raises(ValueError):
             u[0, 0] = 0.0
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: RotationPulse(Frequency.NU_E2, math.nan), ValueError,
+             "pulse angle must be finite"),
+            (lambda: RotationPulse(Frequency.ESR_BOTH, -math.inf), ValueError,
+             "pulse angle must be finite"),
+            (lambda: JointState(qmath.DensityMatrix(np.eye(2) / 2)), DimensionError,
+             "JointState requires a 4x4"),
+            (lambda: NuclearState(qmath.DensityMatrix(np.eye(4) / 4)), DimensionError,
+             "NuclearState requires a 2x2"),
+        ],
+        ids=["nan angle", "infinite angle", "2x2 joint state", "4x4 nuclear state"],
+    )
+    def test_each_invalid_input_raises_its_error(self, build, error, message):
+        with pytest.raises(error, match=message) as info:
+            build()
+        assert type(info.value) is error
 
 
 class TestPreparations:
