@@ -21,26 +21,29 @@ uses the counter-based stream ``Philox(key=(s, i))``, so serial and
 parallel runs (any worker count) give bit-identical aggregates.
 
 ``run_shots`` simulates shots in blocks of ``SHOT_BLOCK``: the uniforms of
-every shot come from one vectorised Philox4x64-10 pass, each shot keeps its
-own draw pointer, and the state is evolved once per range of shots for
-each distinct branch history (the state is a function of the outcomes
-drawn so far, not of the shot).  A window has two outcomes, no blip or a
-blip (the up electron tunneled out), so after k windows at most 2**k
-histories exist; a kept shot reaches a blip history only through a false
-negative, a real blip read as none.  Each range evolves every history a
-kept shot can reach into one ``_history_table`` before its first block,
-and each block only samples: per window it draws the blip against its
-shots' histories' probabilities and moves each kept shot to its child
-history, and at tomography it reads the final history's P(+1) on each
-axis.  Each history's state is the 4x4 electron-nuclear
-density matrix: a finite readout window leaves the nucleus mixed once the
-electron is traced out, so the pulse, the window and the tomography each
-have one arithmetic, and the histories depend on the protocol and the
-label-error rates alone.  The pulse is ``spinsys._node_pulse``, the window
-the helpers of ``protocols``, the package's one readout-window channel,
-which ``conditional_state`` forces an outcome through, and the tomography
-thresholds each history's ``protocols._bloch`` vector, the Bloch readout
-of ``tomography_expectations``; only the label errors and the dephasing
+every shot come from one vectorised Philox4x64-10 pass, and each block
+walks the protocol's steps once, carrying the branch histories its shots
+reach.  A window has two outcomes, no blip or a blip (the up electron
+tunneled out), and keeps the shots that show no blip; a kept shot reaches
+a blip history only through a false negative, a real blip read as none.
+The state is a function of the outcomes drawn so far, not of the shot, and
+so is the column of a shot's next uniform: at a window a shot reads its
+blip draw, its blip time only on a blip, and a label flip only where that
+flip's rate is above 0.  So each live history is its state, a mask of the
+block's rows in it and the column of their next uniform: at window w,
+counted from 0, a block carries at most min(2**w, its shots) histories,
+and one without false negatives.  A window draws each history's blip
+against its blip probability in that column, and evolves a child history
+only when its mask holds a shot; at tomography each final history's rows
+read their last column against its P(+1) on each axis.  Each history's
+state is the 4x4 electron-nuclear density matrix: a finite readout window
+leaves the nucleus mixed once the electron is traced out, so the pulse,
+the window and the tomography each have one arithmetic.  The pulse is
+``spinsys._node_pulse``, the window the helpers of ``protocols``, the
+package's one readout-window channel, which ``conditional_state`` forces
+an outcome through, and the tomography thresholds each history's
+``protocols._bloch`` vector, the Bloch readout of
+``tomography_expectations``; only the label errors and the dephasing
 factor at tomography are the engine's own.  Each range fills one
 ``Shots``, each block its own rows in place, one row per shot: its
 tomography outcomes on x, y and z (0 for a rejected shot) and the blip
@@ -121,13 +124,11 @@ class Protocol:
     dephasing as one factor at tomography, which a step that rotates the
     nucleus (an NMR pulse) would make wrong.
 
-    Each range of shots evolves every outcome history a kept shot can
-    reach, whether or not a shot reaches it: one history per window without
-    false negatives, and up to 2**windows with them, since then both the
-    blip and the no-blip history of each window can be kept.  No preset
-    has more than two windows; a protocol of many windows with false
-    negatives builds that many 4x4 states per range, however few shots it
-    runs."""
+    Each block of shots evolves only the outcome histories its shots
+    reach: one per window without false negatives, and with them at most
+    min(2**w, the block's shots) before window w, counted from 0, since
+    then both the blip and the no-blip history of each window can be
+    kept."""
 
     steps: tuple[ProtocolStep, ...]
     initial: JointState = field(default_factory=prepare_initial)
@@ -248,8 +249,8 @@ def _dephasing_factor(windows: Sequence[TunnelModel], t2star: Optional[float]) -
         return 0.0
 
 
-# Block engine: the shots of one block advance together.
-SHOT_BLOCK = 4096  # shots per block; bounds the engine's per-shot arrays
+# Block engine: the shots of one block walk the branch histories together.
+SHOT_BLOCK = 4096  # shots per block; bounds each history's row mask
 
 # Philox4x64-10 (Salmon et al., SC'11) exactly as numpy's ``Philox`` runs it.
 _MASK64 = (1 << 64) - 1
@@ -326,89 +327,78 @@ def _philox_uniforms(rng_seed: int, start: int, stop: int, n_draws: int) -> np.n
     return u
 
 
-# A node is the 4x4 joint density matrix shared by every shot with the
-# same outcomes so far; ``spinsys._node_pulse`` and the window helpers of
-# ``protocols`` evolve it, once per range into a ``_history_table`` that
-# every block of the range indexes.  Each shot therefore sees the
-# probabilities the scalar ``sample_shot`` in tests/reference_sampler.py
-# gives it on its own, up to rounding: that reference keeps a statevector
-# while the state stays pure, and dephases after every window, an
-# independent arithmetic for the same channels.
+# A branch history's state is the 4x4 joint density matrix shared by every
+# shot with the same outcomes so far; ``spinsys._node_pulse`` and the window
+# helpers of ``protocols`` evolve it, once per block for each history a shot
+# of the block reaches.  Each shot therefore sees the probabilities the
+# scalar ``sample_shot`` in tests/reference_sampler.py gives it on its own,
+# up to rounding: that reference keeps a statevector while the state stays
+# pure, and dephases after every window, an independent arithmetic for the
+# same channels.
 
 
-def _history_table(protocol: Protocol, noise: NoiseConfig) -> tuple[list, np.ndarray]:
-    """Every branch history a kept shot can reach, evolved once.
+def _shot_block(protocol: Protocol, noise: NoiseConfig, u: np.ndarray, out: Shots) -> None:
+    """Write the shots whose uniforms are the rows of ``u``, drawing from
+    them in a lone shot's order, into ``out``'s rows, which read 0, NaN.
 
-    Returns one ``(window, p_blip, child)`` per window: each history's blip
-    probability, and the history that key ``2 * history + blip`` leads to,
-    -1 where no kept shot goes (an outcome of no weight, or a blip without
-    false negatives).  Then each final history's P(+1) on x, y and z, the
-    dephasing factor applied."""
-    nodes = [protocol.initial.rho.matrix]
-    windows = []
+    Each live history is its state, the mask of the rows in it and the
+    column of their next uniform.  At a window its rows draw the blip at
+    column c, the blip time at c + 1, and a label flip where that flip's
+    rate is above 0: at c + 1 after no blip, at c + 2 after a blip."""
+    p_fn, p_fp = noise.readout_false_negative, noise.readout_false_positive
+    histories = [(protocol.initial.rho.matrix, np.ones(len(u), dtype=bool), 0)]
+    w = 0
     for step in protocol.steps:
         if type(step) is RotationPulse:
-            nodes = [_node_pulse(x, step) for x in nodes]
+            histories = [(_node_pulse(x, step), rows, c) for x, rows, c in histories]
             continue
-        p_blip = np.array([_node_blip_weight(x, step) for x in nodes])
-        # a no-blip child of zero trace has no weight, whatever rounding
-        # left of 1 - p_blip: no uniform may reach it
-        p_blip[[np.trace(x * _no_blip_damping(step)).real == 0.0 for x in nodes]] = 1.0
-        # a uniform in [0, 1) falls below p_blip only if it is > 0, and at
-        # or above it only if it is < 1
-        reach = np.stack((p_blip < 1.0, (p_blip > 0.0) & (noise.readout_false_negative > 0.0)), 1)
-        windows.append((step, p_blip, np.where(reach.ravel(), np.cumsum(reach) - 1, -1)))
-        keys = np.flatnonzero(reach).tolist()
-        nodes = [_node_after_window(nodes[k // 2], step, k % 2) for k in keys]
-    bloch = np.array([_bloch(_nuclear_reduced(x)) for x in nodes]).reshape(-1, 3)
+        children = []
+        for x, rows, c in histories:
+            p_blip = _node_blip_weight(x, step)
+            # a no-blip child of zero trace has no weight, whatever rounding
+            # left of 1 - p_blip: no uniform may reach it
+            if np.trace(x * _no_blip_damping(step)).real == 0.0:
+                p_blip = 1.0
+            # a uniform in [0, 1) falls below p_blip only if it is > 0, and
+            # at or above it only if it is < 1
+            blip = u[:, c] < p_blip
+            recorded = rows & blip
+            # every window keeps the shots that show no blip: the rows of
+            # the history that are not in its subset ``recorded``
+            kept = rows ^ recorded
+            if p_fp > 0.0:  # a false positive rejects a no-blip shot
+                kept &= u[:, c + 1] >= p_fp
+            if kept.any():
+                children.append((_node_after_window(x, step, 0), kept, c + 1 + (p_fp > 0.0)))
+            if p_fn > 0.0:  # a false negative keeps a blip shot, its time unrecorded
+                hidden = recorded & (u[:, c + 2] < p_fn)
+                recorded ^= hidden  # hidden is a subset of recorded
+                if hidden.any():
+                    children.append((_node_after_window(x, step, 1), hidden, c + 3))
+            recorded = np.flatnonzero(recorded)
+            if math.isinf(step.gamma_up_out):  # projective: the formula gives +0.0
+                out.blip_times[recorded, w] = 0.0
+            elif recorded.size:
+                # inverse CDF of the tunnel time on [0, t_m] given a blip; q
+                # is the blip probability within the window.  math, not
+                # numpy: np.log1p can differ in the last bit.
+                gamma = step.gamma_up_out
+                q = -math.expm1(-gamma * step.t_m)
+                out.blip_times[recorded, w] = [
+                    -math.log1p(-r * q) / gamma for r in u[recorded, c + 1].tolist()
+                ]
+        histories = children
+        w += 1
     # every kept shot passed every window, so each dephased its coherence
     # by the same factor
-    bloch[:, :2] *= _dephasing_factor(protocol.windows, noise.nuclear_dephasing_time)
-    return windows, (1.0 + bloch) / 2.0
-
-
-def _shot_block(table: tuple, noise: NoiseConfig, uniforms: np.ndarray, out: Shots) -> None:
-    """Write the shots whose uniforms are the rows of ``uniforms``, drawing
-    from them in a lone shot's order, into ``out``'s rows, which read 0, NaN.
-    ``table`` is the protocol's ``_history_table``."""
-    windows, p_plus = table
-    p_fn, p_fp = noise.readout_false_negative, noise.readout_false_positive
-    flip = p_fn > 0.0 or p_fp > 0.0
-    n, n_draws = uniforms.shape
-    u = uniforms.ravel()
-    # shots still kept: block row, branch history, index of next draw in u
-    rows = np.arange(n)
-    node = np.zeros(n, dtype=np.intp)
-    cursor = rows * n_draws
-    for w, (step, p_blip, child) in enumerate(windows):
-        blip = u[cursor] < p_blip[node]
-        cursor += 1
-        t_draw = u[cursor]
-        cursor += blip
-        observed = blip
-        if flip:
-            flip_p = np.where(blip, p_fn, p_fp)
-            drawn = flip_p > 0.0
-            observed = blip ^ (drawn & (u[cursor] < flip_p))
-            cursor += drawn
-        recorded = np.flatnonzero(blip & observed)
-        if math.isinf(step.gamma_up_out):  # projective: the formula gives +0.0
-            out.blip_times[rows.take(recorded), w] = 0.0
-        elif recorded.size:
-            # inverse CDF of the tunnel time on [0, t_m] given a blip; q is
-            # the blip probability within the window.  math, not numpy:
-            # np.log1p can differ in the last bit.
-            gamma = step.gamma_up_out
-            q = -math.expm1(-gamma * step.t_m)
-            out.blip_times[rows.take(recorded), w] = [
-                -math.log1p(-x * q) / gamma for x in t_draw.take(recorded).tolist()
-            ]
-        kept = np.flatnonzero(~observed)  # every window keeps the shots that show no blip
-        rows, cursor = rows.take(kept), cursor.take(kept)
-        node = child[2 * node.take(kept) + blip.take(kept)]
-    # a draw in [0, 1) needs no clipping against P(+1), and one draw serves
-    # every axis
-    out.outcome[rows] = np.where(u[cursor][:, None] < p_plus[node], 1, -1)
+    factor = _dephasing_factor(protocol.windows, noise.nuclear_dephasing_time)
+    for x, rows, c in histories:
+        bloch = np.array(_bloch(_nuclear_reduced(x)))
+        bloch[:2] *= factor
+        # a draw in [0, 1) needs no clipping against P(+1), and one draw
+        # serves every axis; rows are written faster by index than by mask
+        rows = np.flatnonzero(rows)
+        out.outcome[rows] = np.where(u[rows, c][:, None] < (1.0 + bloch) / 2.0, 1, -1)
 
 
 def _draws_per_shot(protocol: Protocol, noise: NoiseConfig) -> int:
@@ -423,10 +413,9 @@ def _run_chunk(args) -> Shots:
     u = _philox_uniforms(rng_seed, start, stop, _draws_per_shot(protocol, noise))
     n = stop - start
     shots = Shots(np.zeros((n, 3), dtype=np.int8), np.full((n, len(protocol.windows)), np.nan))
-    table = _history_table(protocol, noise)
     for a in range(0, n, SHOT_BLOCK):
         b = a + SHOT_BLOCK
-        _shot_block(table, noise, u[a:b], Shots(shots.outcome[a:b], shots.blip_times[a:b]))
+        _shot_block(protocol, noise, u[a:b], Shots(shots.outcome[a:b], shots.blip_times[a:b]))
     return shots
 
 

@@ -1,6 +1,6 @@
 """Block shot engine tests: its Philox uniforms, shot-for-shot equality
 with the scalar ``sample_shot`` of ``reference_sampler``, the branch
-history table each range builds once and every block indexes, any split
+histories each block walks, evolving only those its shots reach, any split
 of the shots adding up to the whole run, byte-identical CSVs, one fork-and-join
 map per run over ranges of shots, at most one per CPU, each run in a process
 of its own at every sweep point and sent back as counts, that leaves no
@@ -13,6 +13,7 @@ a CLI start that runs one BLAS thread unless the caller asks for more, and
 a run whose bytes the BLAS thread count does not move."""
 
 import errno
+import itertools
 import math
 import multiprocessing
 import os
@@ -23,6 +24,7 @@ import sys
 import threading
 import time
 import warnings
+from collections import Counter
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
@@ -42,7 +44,6 @@ from weakmeas.protocols import (
     NO_BLIP,
     ImpossibleBranchError,
     TunnelModel,
-    tomography_expectations,
 )
 from weakmeas.qmath import DensityMatrix
 from weakmeas.spinsys import (
@@ -334,136 +335,140 @@ TABLE_CASES = {
 }
 
 
-def table_histories(table):
-    """The outcomes of each history of each window's table level, then of
-    each final history, read by walking the child indices."""
-    levels, _ = table
-    histories = [()]
-    walked = []
-    for _, p_blip, child in levels:
-        assert len(histories) == len(p_blip) and len(child) == 2 * len(p_blip)
-        walked.append(histories)
-        following = [None] * int(np.count_nonzero(child >= 0))
-        for key in np.flatnonzero(child >= 0).tolist():
-            following[child[key]] = histories[key // 2] + (BLIP if key % 2 else NO_BLIP,)
-        histories = following
-    return walked, histories
+@pytest.fixture
+def evolved_children(monkeypatch):
+    """Each child history the engine evolves, as (window, blip): the
+    windows its parent passed, counted from 0, and its outcome.  A state's
+    window count follows it through ``_node_pulse`` and
+    ``_node_after_window``; every state they return is kept, so that no
+    ``id`` is reused."""
+    windows_passed, states, calls = {}, [], []
+
+    def pulse(joint, step, _fn=mc._node_pulse):
+        new = _fn(joint, step)
+        windows_passed[id(new)] = windows_passed.get(id(joint), 0)
+        states.append(new)
+        return new
+
+    def after_window(joint, model, blip, _fn=mc._node_after_window):
+        w = windows_passed.get(id(joint), 0)
+        calls.append((w, blip))
+        new = _fn(joint, model, blip)
+        windows_passed[id(new)] = w + 1
+        states.append(new)
+        return new
+
+    monkeypatch.setattr(mc, "_node_pulse", pulse)
+    monkeypatch.setattr(mc, "_node_after_window", after_window)
+    return calls
 
 
-class TestHistoryTable:
-    """A range evolves each branch history a kept shot can reach once, into
-    a table every block of the range indexes."""
+class TestHistoryWalk:
+    """Each block walks the branch histories its shots reach, and evolves
+    a child history only where a shot of the block goes."""
 
     @pytest.mark.parametrize("name", list(TABLE_CASES))
-    def test_child_is_minus_one_exactly_where_no_kept_shot_goes(self, name):
-        """A no-blip child is missing exactly where the blip is certain, a
-        blip child where the blip is impossible or there are no false
-        negatives; the others are numbered 0, 1, ... in key order."""
+    def test_a_child_is_evolved_only_where_a_shot_reaches_it(self, name, evolved_children):
+        """No blip child is evolved without false negatives, and a block of
+        one shot evolves one child at each window the shot passes and none
+        once it is rejected."""
         protocol, noise = TABLE_CASES[name]
-        levels, _ = mc._history_table(protocol, noise)
-        for _, p_blip, child in levels:
-            no_blip, blip = child[0::2], child[1::2]
-            assert np.array_equal(no_blip < 0, 1.0 - p_blip <= 0.0)
-            assert np.array_equal(blip < 0, (p_blip <= 0.0) | (noise.readout_false_negative == 0.0))
-            assert np.array_equal(child[child >= 0], np.arange(np.count_nonzero(child >= 0)))
+        n_windows = len(protocol.windows)
+        mc._run_chunk((protocol, noise, 2, 0, 300))
+        if noise.readout_false_negative == 0.0:
+            assert all(blip == 0 for _, blip in evolved_children)
+        for i in range(10):
+            evolved_children.clear()
+            shot = mc._run_chunk((protocol, noise, 2, i, i + 1))
+            passed = len(evolved_children)
+            assert [w for w, _ in evolved_children] == list(range(passed))
+            assert (passed == n_windows) == bool(shot.outcome.any())
 
     @pytest.mark.parametrize("name", list(TABLE_CASES))
-    def test_histories_are_bounded(self, name):
-        """Before window w, and at the end, where w is the window count,
-        there are at most 2**w histories with false negatives and one
-        without."""
+    def test_histories_are_bounded(self, name, evolved_children):
+        """At window w, counted from 0, a block evolves at most 2**(w+1)
+        children with false negatives and one without, and never more than
+        it has shots."""
         protocol, noise = TABLE_CASES[name]
-        table = mc._history_table(protocol, noise)
-        walked, final = table_histories(table)
         bound = 2 if noise.readout_false_negative > 0.0 else 1
-        for w, histories in enumerate(walked + [final]):
-            assert len(histories) <= bound**w
-        assert table[1].shape == (len(final), 3)
+        for n in (3, 600):
+            evolved_children.clear()
+            mc._run_chunk((protocol, noise, 2, 0, n))
+            for w, count in Counter(window for window, _ in evolved_children).items():
+                assert count <= min(bound ** (w + 1), n)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("name", list(TABLE_CASES))
-    def test_no_entry_is_nan(self, name):
+    def test_block_runs_warning_free(self, name):
+        """No history's arithmetic warns, a 0/0 included, and the block
+        equals the reference shot for shot."""
         protocol, noise = TABLE_CASES[name]
-        levels, p_plus = mc._history_table(protocol, noise)
-        assert not np.isnan(p_plus).any()
-        assert not any(np.isnan(p_blip).any() for _, p_blip, _ in levels)
+        got = mc._run_chunk((protocol, noise, 11, 0, 300))
+        assert got == ref.sample_columns(protocol, noise, 11, 0, 300)
 
     @pytest.mark.parametrize("name", list(NAMED_CASES))
-    def test_final_history_is_its_forced_outcomes(self, name):
-        """Each final history's P(+1) is that of ``conditional_state`` forced
-        through its outcomes, dephased once, where that history's weight is
-        not too small for ``conditional_state`` to force."""
+    def test_final_history_is_its_forced_outcomes(self, name, monkeypatch):
+        """Each nuclear state read at tomography is that of
+        ``conditional_state`` forced through some outcome tuple."""
+        read = []
+
+        def bloch(nuc, _fn=mc._bloch):
+            read.append(nuc)
+            return _fn(nuc)
+
+        monkeypatch.setattr(mc, "_bloch", bloch)
         protocol, noise = NAMED_CASES[name]
-        table = mc._history_table(protocol, noise)
-        _, final = table_histories(table)
-        factor = mc._dephasing_factor(protocol.windows, noise.nuclear_dephasing_time)
-        forced = 0
-        for outcomes, p_plus in zip(final, table[1]):
+        mc._run_chunk((protocol, noise, 17, 0, 600))
+        forced = []
+        for outcomes in itertools.product((NO_BLIP, BLIP), repeat=len(protocol.windows)):
             try:
-                state = mc.conditional_state(protocol, outcomes).state
+                forced.append(mc.conditional_state(protocol, outcomes).state.rho.matrix)
             except ImpossibleBranchError:
                 continue
-            forced += 1
-            bloch = tomography_expectations(state)
-            sigma = (bloch.sigma_x * factor, bloch.sigma_y * factor, bloch.sigma_z)
-            want = (1.0 + np.array(sigma)) / 2.0
-            assert p_plus == pytest.approx(want, abs=1e-12)
-        assert forced > 0
+        assert read
+        for nuc in read:
+            assert any(np.allclose(nuc, want, rtol=0.0, atol=1e-12) for want in forced)
 
     @pytest.mark.parametrize("p_fn", [0.0, 0.3])
-    def test_certain_blip_leaves_no_no_blip_child(self, p_fn):
+    def test_certain_blip_leaves_no_no_blip_child(self, p_fn, evolved_children):
         """A projective window on an up electron blips with probability
-        exactly 1.0: it leaves no no-blip child, and no history at all
-        without false negatives, and the range still matches the reference
-        shot for shot."""
+        exactly 1.0: it evolves no no-blip child, and the range still
+        matches the reference shot for shot."""
         initial = JointState(DensityMatrix(qmath.kron(spinsys.PROJ_UP, spinsys.PROJ_UP)))
         steps = (TunnelModel.projective(1.0), RotationPulse(Frequency.NU_E1, 0.7))
         protocol = mc.Protocol(steps, initial=initial)
         noise = mc.NoiseConfig(readout_false_negative=p_fn)
-        (level,), p_plus = mc._history_table(protocol, noise)
-        assert level[1].tolist() == [1.0]
-        assert level[2].tolist() == ([-1, 0] if p_fn else [-1, -1])
-        assert p_plus.shape == ((1, 3) if p_fn else (0, 3))
         got = mc._run_chunk((protocol, noise, 4, 0, 300))
+        assert all(blip for _, blip in evolved_children)  # no no-blip child
         assert got == ref.sample_columns(protocol, noise, 4, 0, 300)
         assert got.outcome.any() == bool(p_fn)  # kept only through a false negative
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("p_fn", [0.0, 0.3])
-    def test_no_blip_child_of_zero_trace_is_unreachable(self, p_fn):
+    def test_no_blip_child_of_zero_trace_is_unreachable(self, p_fn, evolved_children):
         """An electron up for certain, in a state whose trace is one ulp
         below 1, blips at a projective window with probability 1 - 2**-53
         by rounding, yet its no-blip child has trace 0.  That child is
-        unreachable: its p_blip reads 1.0 and its index -1, with no 0/0, and
-        the shots run warning-free."""
+        unreachable: it is never evolved, with no 0/0, and the shots run
+        warning-free."""
         nucleus = np.diag([0.1, np.nextafter(0.9, 0.0)])
         initial = JointState(DensityMatrix(qmath.kron(nucleus, spinsys.PROJ_UP)))
         protocol = mc.Protocol((TunnelModel.projective(1.0),), initial=initial)
         noise = mc.NoiseConfig(readout_false_negative=p_fn)
-        (level,), p_plus = mc._history_table(protocol, noise)
-        assert level[1].tolist() == [1.0]
-        assert level[2].tolist() == ([-1, 0] if p_fn else [-1, -1])
-        assert not np.isnan(p_plus).any()
         shots = mc.run_shots(protocol, noise, n_shots=300, rng_seed=4)
+        assert all(blip for _, blip in evolved_children)  # no no-blip child
         assert shots.outcome.any() == bool(p_fn)  # kept only through a false negative
 
-    def test_a_range_evolves_its_histories_once(self, monkeypatch):
-        """One range of three blocks calls each node helper as often as one
-        block of the same protocol does."""
-        calls = {}
-        for name in ("_node_pulse", "_node_blip_weight", "_node_after_window"):
-
-            def counted(*args, _fn=getattr(mc, name), _name=name):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _fn(*args)
-
-            monkeypatch.setattr(mc, name, counted)
-        protocol, noise = NAMED_CASES["two finite windows, both kept"]
-        counts = []
-        for n in (mc.SHOT_BLOCK, 3 * mc.SHOT_BLOCK):
-            calls.clear()
-            mc._run_chunk((protocol, noise, 1, 0, n))
-            counts.append(dict(calls))
-        assert len(counts[0]) == 3 and counts[0] == counts[1]
+    def test_many_windows_evolve_only_the_histories_shots_reach(self, evolved_children):
+        """Fourteen windows with false negatives can reach 2**15 - 2
+        histories, but 200 shots evolve at most one child per shot and
+        window, and still match the reference shot for shot."""
+        pulse = RotationPulse(Frequency.NU_E2, 0.7)
+        protocol = mc.Protocol((pulse, TunnelModel(1.0, 1.0)) * 14)
+        noise = mc.NoiseConfig(readout_false_negative=0.2)
+        got = mc.run_shots(protocol, noise, 200, 3)
+        assert len(evolved_children) <= 14 * 200
+        assert got == ref.run_shots(protocol, noise, 200, 3)
 
 
 @settings(deadline=None, max_examples=40)
