@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from ..montecarlo import WorkerLostError
@@ -42,20 +42,25 @@ def _integer(text: str) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    """The flags every subcommand takes.  Each flag that overrides a
+    ``RunConfig`` field stores into that field's name, which ``--help``
+    shows as its metavar; ``--grid`` stores a point count for
+    ``theta_grid``."""
     parser.add_argument("--config", type=Path, help="YAML config file")
-    parser.add_argument("--out", type=Path, help="output directory")
-    parser.add_argument("--seed", type=_integer, help="root RNG seed")
-    parser.add_argument("--shots", type=_integer, help="Monte Carlo shots per point")
+    parser.add_argument("--out", dest="output_dir", type=Path, help="output directory")
+    parser.add_argument("--seed", dest="rng_seed", type=_integer, help="root RNG seed")
+    parser.add_argument("--shots", dest="n_shots", type=_integer,
+                        help="Monte Carlo shots per point")
     parser.add_argument("--grid", type=_integer, help="number of theta grid points")
     parser.add_argument(
-        "--jobs", type=_integer,
+        "--jobs", dest="n_jobs", type=_integer,
         help="processes, this one included, that share the shots, each running "
         "one range of them at every sweep point; at most one per CPU this process "
         "may run on",
     )
     svg = parser.add_mutually_exclusive_group()
-    svg.add_argument("--svg", dest="svg", action="store_true", default=None)
-    svg.add_argument("--no-svg", dest="svg", action="store_false", default=None)
+    svg.add_argument("--svg", dest="emit_svg", action="store_true", default=None)
+    svg.add_argument("--no-svg", dest="emit_svg", action="store_false", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,20 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig() if args.config is None else load_config(args.config)
-    overrides = {}
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    if args.seed is not None:
-        overrides["rng_seed"] = args.seed
-    if args.shots is not None:
-        overrides["n_shots"] = args.shots
+    given = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     if args.grid is not None:
-        overrides["theta_grid"] = default_theta_grid(args.grid)
-    if args.jobs is not None:
-        overrides["n_jobs"] = args.jobs
-    if args.svg is not None:
-        overrides["emit_svg"] = args.svg
-    return replace(cfg, **overrides)
+        given["theta_grid"] = default_theta_grid(args.grid)
+    return replace(cfg, **{name: value for name, value in given.items() if value is not None})
 
 
 def _experiment(args: argparse.Namespace, cfg: RunConfig) -> str:

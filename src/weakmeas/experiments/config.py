@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from ..montecarlo import NoiseConfig, _brief_int
+from ..montecarlo import NoiseConfig, _brief_int, _check_run
 
 EXPERIMENTS = (
     "fig2",
@@ -66,12 +66,9 @@ class RunConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.n_shots < 1:
-            raise ValueError("n_shots must be >= 1")
         if self.n_shots >= 1 << 64:  # shot indices are a Philox key word
             raise ValueError(f"n_shots is not below 2**64: {_brief_int(self.n_shots)}")
-        if not -(1 << 63) <= self.rng_seed < 1 << 64:  # a key Philox takes
-            raise ValueError(f"rng_seed is outside [-2**63, 2**64): {_brief_int(self.rng_seed)}")
+        _check_run(self.n_shots, self.rng_seed, self.n_jobs)
         if not self.theta_grid or self.gamma_grid == []:
             raise ValueError("parameter grids must be non-empty")
         if not (math.isfinite(self.t_m) and self.t_m > 0):
@@ -86,8 +83,6 @@ class RunConfig:
             raise ValueError("theta_grid entries must be finite")
         if not math.isfinite(max(self.theta_grid) - min(self.theta_grid)):  # a plot's x span
             raise ValueError("theta_grid must span a finite max - min")
-        if self.n_jobs < 1:
-            raise ValueError("n_jobs must be >= 1")
 
 
 _SCALAR_KEYS = {

@@ -139,7 +139,7 @@ class Protocol:
             if not isinstance(step, (RotationPulse, TunnelModel)):
                 raise ProtocolError(f"a step must be a RotationPulse or TunnelModel: {step!r}")
 
-    @property
+    @cached_property
     def windows(self) -> tuple[TunnelModel, ...]:
         return tuple(s for s in self.steps if isinstance(s, TunnelModel))
 
@@ -503,6 +503,18 @@ def _brief_int(n: int) -> str:
     return text if digits <= 20 else f"an integer of {digits} digits"
 
 
+def _check_run(n_shots: int, rng_seed: int, n_jobs: int) -> None:
+    """Refuse a run's shot count, seed or process count, in that order:
+    at least one shot, a seed that is a key numpy's ``Philox`` takes, in
+    [-2**63, 2**64), and at least one process."""
+    if n_shots < 1:
+        raise ValueError("n_shots must be >= 1")
+    if not -(1 << 63) <= rng_seed <= _MASK64:
+        raise ValueError(f"rng_seed is outside [-2**63, 2**64): {_brief_int(rng_seed)}")
+    if n_jobs < 1:
+        raise ValueError("n_jobs must be >= 1")
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity where the platform
     has one, else the machine's count."""
@@ -543,12 +555,7 @@ def run_shots(
     float64 uniforms would pass numpy's largest array, np.intp's maximum of
     bytes, is refused before anything is allocated.
     """
-    if n_shots < 1:
-        raise ValueError("n_shots must be >= 1")
-    if n_jobs < 1:
-        raise ValueError("n_jobs must be >= 1")
-    if not -(1 << 63) <= rng_seed <= _MASK64:
-        raise ValueError(f"rng_seed is outside [-2**63, 2**64): {_brief_int(rng_seed)}")
+    _check_run(n_shots, rng_seed, n_jobs)
     if start < 0 or start + n_shots > 1 << 64:
         raise ValueError(
             f"shots start..start + n_shots - 1 are outside [0, 2**64): "

@@ -19,7 +19,7 @@ import pytest
 
 import weakmeas
 from weakmeas import montecarlo as mc, protocols
-from weakmeas.experiments.cli import main
+from weakmeas.experiments.cli import _build_config, build_parser, main
 from weakmeas.experiments.config import (
     DEFAULT_T_M,
     EXPERIMENTS,
@@ -451,7 +451,7 @@ KNOB_CASES = {
          ("fig2_*_sigma_x.csv", ("sweep_value", "analytic", "n_kept", "n_total"))],
         [f"fig2_{variant}_sigma_x.csv" for variant in ("single", "double", "reversal")],
     ),
-    # the same under both label errors, where the history table branches on
+    # the same under both label errors, where the history walk branches on
     # a flipped label
     "t2star_moves_only_sigma_x_under_label_errors": (
         ["fig2", "--shots", "8200", "--grid", "5", "--no-svg"], LABEL_ERRORS, [],
@@ -814,6 +814,36 @@ class TestCli:
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 3
         assert all(Path(line).exists() for line in out)
+
+    @pytest.mark.parametrize(
+        "flags, file_svg, changed",
+        [
+            ([], "true", {}),
+            (["--out", "flag_out"], "true", {"output_dir": Path("flag_out")}),
+            (["--seed", "5"], "true", {"rng_seed": 5}),
+            (["--shots", "7"], "true", {"n_shots": 7}),
+            (["--jobs", "3"], "true", {"n_jobs": 3}),
+            (["--grid", "4"], "true", {"theta_grid": default_theta_grid(4)}),
+            (["--svg"], "false", {"emit_svg": True}),
+            (["--no-svg"], "true", {"emit_svg": False}),
+        ],
+        ids=["none", "out", "seed", "shots", "jobs", "grid", "svg", "no_svg"],
+    )
+    def test_flag_overrides_only_its_field(self, tmp_path, flags, file_svg, changed):
+        """Each flag replaces the one config value it names, and every other
+        value the file sets survives."""
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(
+            f"output_dir: file_out\nrng_seed: 11\nn_shots: 33\nn_jobs: 2\n"
+            f"theta_grid: [0.0, 1.0, 2.0]\nemit_svg: {file_svg}\n",
+            encoding="utf-8",
+        )
+        from_file = load_config(cfg)
+        for name in ("output_dir", "rng_seed", "n_shots", "n_jobs", "theta_grid"):
+            assert getattr(from_file, name) != getattr(RunConfig(), name), name
+        assert all(getattr(from_file, name) != value for name, value in changed.items())
+        args = build_parser().parse_args(["custom", "--config", str(cfg), *flags])
+        assert _build_config(args) == replace(from_file, **changed)
 
     def test_custom_requires_config(self, tmp_path, capsys):
         rc = main(["custom", "--out", str(tmp_path)])
