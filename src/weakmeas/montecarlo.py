@@ -43,10 +43,12 @@ the window and the tomography each have one arithmetic.  The pulse is
 package's one readout-window channel, which ``conditional_state`` forces
 an outcome through, and the tomography thresholds each history's
 ``protocols._bloch`` vector, the Bloch readout of
-``tomography_expectations``; only the label errors and the dephasing
-factor at tomography are the engine's own.  Each range fills one
-``Shots``, each block its own rows in place, one row per shot: its
-tomography outcomes on x, y and z (0 for a rejected shot) and the blip
+``tomography_expectations``; the window's blip weight is also the rule
+for an impossible no-blip branch, exactly 1.0 where that child has zero
+trace.  Only the blip-time draw, the label errors and the dephasing factor
+at tomography are the engine's own.  Each range fills one ``Shots``,
+each block its own rows in place, one row per shot: its tomography
+outcomes on x, y and z (0 for a rejected shot) and the blip
 time of each window (NaN where none was recorded or the shot was rejected
 before it; 0.0 at a projective window, whose electron tunnels at once).
 
@@ -84,7 +86,6 @@ from .protocols import (
     PostSelectedState,
     TunnelModel,
     _bloch,
-    _no_blip_damping,
     _node_after_window,
     _node_blip_weight,
     _post_selected,
@@ -313,7 +314,11 @@ def _philox_block(rng_seed: int, start: int, stop: int, n_draws: int) -> np.ndar
 # Every ensemble of a run reads the same seed and chunk ranges, so each
 # (seed, start, stop, draws) is generated once per process, one entry per
 # chunk whatever its length, and shared read-only; a run touches a few
-# entries per chunk, one per draw count.  Each entry is built block by block
+# entries per chunk, one per draw count.  An entry is (stop - start) x
+# draws float64: row j is shot start + j, and column k its draw k, the same
+# float whatever the width.  ``_draws_per_shot`` gives the width, 1 + W * s
+# for W windows and s = 1, 2 or 3 columns a window may advance a kept shot,
+# so 8 * (1 + W * s) bytes per shot.  Each entry is built block by block
 # so that the Philox temporaries stay at SHOT_BLOCK rows.  Forked workers
 # start from the parent's cache and fill their own.
 @lru_cache(maxsize=16)
@@ -344,7 +349,9 @@ def _shot_block(protocol: Protocol, noise: NoiseConfig, u: np.ndarray, out: Shot
     Each live history is its state, the mask of the rows in it and the
     column of their next uniform.  At a window its rows draw the blip at
     column c, the blip time at c + 1, and a label flip where that flip's
-    rate is above 0: at c + 1 after no blip, at c + 2 after a blip."""
+    rate is above 0: at c + 1 after no blip, at c + 2 after a blip.  So a
+    no-blip child reads on from c + 1, or c + 2 after a flip draw, and a
+    hidden blip from c + 3, which ``_draws_per_shot`` counts."""
     p_fn, p_fp = noise.readout_false_negative, noise.readout_false_positive
     histories = [(protocol.initial.rho.matrix, np.ones(len(u), dtype=bool), 0)]
     w = 0
@@ -355,10 +362,6 @@ def _shot_block(protocol: Protocol, noise: NoiseConfig, u: np.ndarray, out: Shot
         children = []
         for x, rows, c in histories:
             p_blip = _node_blip_weight(x, step)
-            # a no-blip child of zero trace has no weight, whatever rounding
-            # left of 1 - p_blip: no uniform may reach it
-            if np.trace(x * _no_blip_damping(step)).real == 0.0:
-                p_blip = 1.0
             # a uniform in [0, 1) falls below p_blip only if it is > 0, and
             # at or above it only if it is < 1
             blip = u[:, c] < p_blip
@@ -402,10 +405,14 @@ def _shot_block(protocol: Protocol, noise: NoiseConfig, u: np.ndarray, out: Shot
 
 
 def _draws_per_shot(protocol: Protocol, noise: NoiseConfig) -> int:
-    """The uniforms a shot may read: per window at most blip?, when and a
-    label flip; then the tomography."""
-    flip = noise.readout_false_negative > 0.0 or noise.readout_false_positive > 0.0
-    return 1 + len(protocol.windows) * (2 + flip)
+    """The width of a shot's row of uniforms, 1 + W * s for W windows: the
+    columns ``_shot_block`` steps through.  A kept shot moves from column c
+    to at most c + s at each window, and reads column c once more at
+    tomography.  s is 3 with false negatives (a hidden blip: its blip
+    draw, the unread time draw and the false negative), 2 with false
+    positives alone (a no-blip and its flip draw), else 1 (a no-blip)."""
+    p_fn, p_fp = noise.readout_false_negative, noise.readout_false_positive
+    return 1 + len(protocol.windows) * (3 if p_fn > 0.0 else 2 if p_fp > 0.0 else 1)
 
 
 def _run_chunk(args) -> Shots:

@@ -13,7 +13,10 @@ raw-array helpers ``_no_blip_damping``, ``_node_blip_weight`` and
 branch history with them, and ``weak_electron_window``,
 ``weak_nuclear_measure`` (a projective window), ``steering_scan`` and
 ``montecarlo.conditional_state`` force an outcome through the same
-arithmetic.  So the closed forms of pulse sequences
+arithmetic.  ``_node_blip_weight`` is also the one rule for an impossible
+no-blip branch: it returns exactly 1.0 where the no-blip child has zero
+trace, so no uniform reaches that child and no forced outcome gets a
+rounding residue as its weight.  So the closed forms of pulse sequences
 (``closed_form_sequence``, ``sigma_z_noblip``, the success probabilities)
 and the statevector path of the tests' reference sampler stay the
 independent oracles of that channel.  ``_bloch`` is the one Bloch
@@ -158,7 +161,11 @@ def _no_blip_damping(model: TunnelModel) -> np.ndarray:
 
 
 def _node_blip_weight(joint: np.ndarray, model: TunnelModel) -> float:
-    """Probability that the up electron tunnels out: a blip."""
+    """Probability that the up electron tunnels out: a blip.  Exactly 1.0
+    where the no-blip child has zero trace, whatever rounding left of the
+    product: that branch is impossible."""
+    if np.trace(joint * _no_blip_damping(model)).real == 0.0:
+        return 1.0
     return (joint[0, 0].real + joint[2, 2].real) * (1.0 - model.survival_up)
 
 

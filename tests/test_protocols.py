@@ -330,6 +330,20 @@ class TestWeakElectronWindow:
         with pytest.raises(ImpossibleBranchError):
             weak_electron_window(state, model, BLIP)
 
+    def test_zero_trace_no_blip_child_leaves_a_certain_blip(self):
+        """An electron up for certain, in a state whose trace is one ulp
+        below 1, blips at a projective window with a product that rounds
+        to 1 - 2**-53, yet its no-blip child has trace 0.  The channel's
+        blip weight is then exactly 1.0, the blip branch is certain, and
+        the no-blip branch stays impossible."""
+        nucleus = np.diag([0.1, np.nextafter(0.9, 0.0)])
+        state = JointState(DensityMatrix(qmath.kron(nucleus, PROJ_UP)))
+        model = TunnelModel.projective(1.0)
+        assert _node_blip_weight(state.rho.matrix, model) == 1.0
+        assert weak_electron_window(state, model, BLIP).success_probability == 1.0
+        with pytest.raises(ImpossibleBranchError):
+            weak_electron_window(state, model, NO_BLIP)
+
     def test_unknown_outcome(self):
         with pytest.raises(ValueError):
             weak_electron_window(

@@ -1,7 +1,8 @@
 """Block shot engine tests: its Philox uniforms, shot-for-shot equality
 with the scalar ``sample_shot`` of ``reference_sampler``, the branch
-histories each block walks, evolving only those its shots reach, any split
-of the shots adding up to the whole run, byte-identical CSVs, one fork-and-join
+histories each block walks, evolving only those its shots reach, a row
+of uniforms as wide as the widest path a shot can take, any split of the
+shots adding up to the whole run, byte-identical CSVs, one fork-and-join
 map per run over ranges of shots, at most one per CPU, each run in a process
 of its own at every sweep point and sent back as counts, that leaves no
 process behind, writes the bytes of --jobs 1 at any --jobs, and ends on
@@ -469,6 +470,66 @@ class TestHistoryWalk:
         got = mc.run_shots(protocol, noise, 200, 3)
         assert len(evolved_children) <= 14 * 200
         assert got == ref.run_shots(protocol, noise, 200, 3)
+
+
+# One protocol under each label setting.  Its electron pulses act whatever
+# the nucleus, so every history blips at each window with a probability
+# strictly between 0 and 1, and every path of outcomes can be taken.
+TWO_ROTATED_WINDOWS = mc.Protocol(
+    (
+        RotationPulse(Frequency.ESR_BOTH, 1.0),
+        TunnelModel(1.0, 1.0),
+        RotationPulse(Frequency.ESR_BOTH, 0.7),
+        TunnelModel(2.0, 0.5),
+    )
+)
+LABEL_CASES = {
+    f"two rotated windows, label errors: {name}": (
+        TWO_ROTATED_WINDOWS,
+        mc.NoiseConfig(readout_false_negative=p_fn, readout_false_positive=p_fp),
+    )
+    for name, p_fn, p_fp in [
+        ("none", 0.0, 0.0),
+        ("p_fp only", 0.0, 0.1),
+        ("p_fn only", 0.2, 0.0),
+        ("both", 0.2, 0.1),
+    ]
+}
+ROW_CASES = {**NAMED_CASES, **LABEL_CASES}
+
+
+class TestRowWidth:
+    """A shot's row of uniforms is ``_draws_per_shot`` columns wide: the
+    columns the widest path through ``_shot_block`` steps through."""
+
+    @pytest.mark.parametrize("name", list(ROW_CASES))
+    def test_row_is_as_wide_as_the_widest_path(self, name):
+        """The widest path advances a shot the most columns at every
+        window: with false negatives a hidden blip (every draw 0.0), else a
+        kept no-blip (every draw the largest float below 1).  A row of
+        ``_draws_per_shot`` uniforms runs it, and where its outcomes can
+        happen the shot is kept and a row one column narrower raises
+        IndexError."""
+        protocol, noise = ROW_CASES[name]
+        hidden_blips = noise.readout_false_negative > 0.0
+        draw = 0.0 if hidden_blips else np.nextafter(1.0, 0.0)
+        n_windows = len(protocol.windows)
+
+        def run(width):
+            out = mc.Shots(np.zeros((1, 3), dtype=np.int8), np.full((1, n_windows), np.nan))
+            mc._shot_block(protocol, noise, np.full((1, width), draw), out)
+            return out
+
+        width = mc._draws_per_shot(protocol, noise)
+        shot = run(width)
+        try:
+            mc.conditional_state(protocol, [BLIP if hidden_blips else NO_BLIP] * n_windows)
+        except ImpossibleBranchError:
+            assert name not in LABEL_CASES
+            return
+        assert shot.outcome.all()
+        with pytest.raises(IndexError):
+            run(width - 1)
 
 
 @settings(deadline=None, max_examples=40)
@@ -1039,6 +1100,34 @@ cli.entry()
 """
 
 
+def group_report(pgid: int) -> str:
+    """One line per process of group ``pgid``: its pid and command, and its
+    state, wait channel and ignored and blocked signal masks as
+    /proc/<pid>/stat, wchan and status show them.  A SIGTERM inherited as
+    ignored shows in SigIgn; it is the signal ``terminate`` sends."""
+    lines = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            text = stat.read_text()
+            name_end = text.rindex(")") + 1  # "pid (comm)", comm may hold ")"
+            fields = text[name_end:].split()
+            if int(fields[2]) != pgid:  # field 5, the process group
+                continue
+            status = dict(
+                line.split(":\t", 1)
+                for line in (stat.parent / "status").read_text().splitlines()
+                if ":\t" in line
+            )
+            wchan = (stat.parent / "wchan").read_text() or "0"
+        except (OSError, ValueError):  # the process exited meanwhile
+            continue
+        lines.append(
+            f"{text[:name_end]} state {fields[0]} wchan {wchan} "
+            f"SigIgn {status.get('SigIgn')} SigBlk {status.get('SigBlk')}"
+        )
+    return "\n".join(lines) or "(none)"
+
+
 def test_ctrl_c_ends_a_jobs_run_at_once(tmp_path):
     """SIGINT sent to the process group of a --jobs 2 run, as Ctrl-C sends
     it, ends the run at once, long before its ranges would: exit 130, one
@@ -1059,6 +1148,10 @@ def test_ctrl_c_ends_a_jobs_run_at_once(tmp_path):
             os.killpg(proc.pid, signal.SIGINT)
             _, err = proc.communicate()
             took = time.monotonic() - sent
+    except TimeoutError as timeout:
+        raise TimeoutError(
+            f"{timeout}; processes left in the group:\n{group_report(proc.pid)}"
+        ) from None
     finally:
         try:
             os.killpg(proc.pid, signal.SIGKILL)
