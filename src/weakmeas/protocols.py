@@ -11,25 +11,25 @@ that forces one names it so.  It has one implementation, the private
 raw-array helpers ``_no_blip_damping``, ``_node_blip_weight`` and
 ``_node_after_window``: the shot engine in ``montecarlo`` evolves every
 branch history with them, and ``weak_electron_window``,
-``weak_nuclear_measure`` (a projective window), ``steering_scan`` and
+``weak_nuclear_measure`` (a projective window) and
 ``montecarlo.conditional_state`` force an outcome through the same
 arithmetic.  ``_node_blip_weight`` is also the one rule for an impossible
 no-blip branch: it returns exactly 1.0 where the no-blip child has zero
 trace, so no uniform reaches that child and no forced outcome gets a
-rounding residue as its weight.  So the closed forms of pulse sequences
-(``closed_form_sequence``, ``sigma_z_noblip``, the success probabilities)
-and the statevector path of the tests' reference sampler stay the
-independent oracles of that channel.  ``_bloch`` is the one Bloch
-readout, of ``tomography_expectations`` and of the engine's tomography.
-The validated state types are built only at the public functions'
-boundaries.
+rounding residue as its weight.  So the closed forms
+(``closed_form_sequence``, ``steering_scan``, ``sigma_z_noblip``, the
+success probabilities) and the statevector path of the tests' reference
+sampler stay the independent oracles of that channel.  ``_bloch`` is the
+one Bloch readout, of ``tomography_expectations`` and of the engine's
+tomography.  The validated state types are built only at the public
+functions' boundaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import cos, exp, inf, isfinite, log, sqrt
+from math import cos, exp, inf, isfinite, log, sin, sqrt
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .spinsys import (
     NuclearState,
     RotationPulse,
     _node_pulse,
-    prepare_bell,
 )
 
 ZERO_BRANCH_TOL = 1e-15
@@ -325,10 +324,12 @@ def steering_scan(theta: float) -> TomographyResult:
 
     Bell state, unconditional electron rotation by theta, post-selection on
     electron down: the nuclear state tracks the rotated electron
-    measurement basis (sigma_z = -cos(theta) up to the axis convention).
+    measurement basis, the Bloch vector (-sin theta, 0, -cos theta).  This
+    is the closed form; ``weak_nuclear_measure(prepare_bell(),
+    RotationPulse(Frequency.ESR_BOTH, theta))`` forces the same outcome
+    through the readout window.
     """
-    pulse = RotationPulse(Frequency.ESR_BOTH, theta)
-    return tomography_expectations(weak_nuclear_measure(prepare_bell(), pulse).state)
+    return TomographyResult(-sin(theta), 0.0, -cos(theta))
 
 
 def tunnel_rate_limits(sigma_z: float, t_m: float, p_fn: float = 0.0, p_fp: float = 0.0) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import weakmeas
-from weakmeas import montecarlo as mc, protocols
+from weakmeas import montecarlo as mc, protocols, spinsys
 from weakmeas.experiments.cli import _build_config, build_parser, main
 from weakmeas.experiments.config import (
     DEFAULT_T_M,
@@ -29,8 +29,11 @@ from weakmeas.experiments.config import (
     load_config,
 )
 from weakmeas.experiments.presets import (
+    FIG2_VARIANTS,
+    STEERING,
     _csv_text,
     _fmt,
+    _success_probability,
     _write_file,
     closed_form_tomography,
     fig2_pulse_sequence,
@@ -783,6 +786,38 @@ class TestPresets:
     def test_analytic_none_only_at_impossible(self):
         assert closed_form_tomography("reversal", math.pi) is None
         assert closed_form_tomography("reversal", 1.0) is not None
+
+    def test_analytic_columns_run_no_engine_arithmetic(self, monkeypatch):
+        """Every analytic column is a formula: with the shot engine's node
+        arithmetic (the pulse, the window's blip weight and its state after
+        the window) raising at every binding, the closed forms of every
+        theta panel on the default grid and fig3's sigma_z on the default
+        rates still compute.  Only ``protocols._bloch`` is shared."""
+        class EngineArithmetic(Exception):
+            pass
+
+        def engine(*args):
+            raise EngineArithmetic(args)
+
+        bell = spinsys.prepare_bell()
+        pulse = spinsys.RotationPulse(spinsys.Frequency.ESR_BOTH, 1.0)
+        for module, names in (
+            (spinsys, ("_node_pulse",)),
+            (protocols, ("_node_pulse", "_node_blip_weight", "_node_after_window")),
+            (mc, ("_node_pulse", "_node_blip_weight", "_node_after_window")),
+        ):
+            for name in names:
+                monkeypatch.setattr(module, name, engine)
+        with pytest.raises(EngineArithmetic):  # the forced-outcome channel
+            protocols.weak_nuclear_measure(bell, pulse)
+        closed_form_tomography.cache_clear()
+        for theta in default_theta_grid():
+            for sequence in (*FIG2_VARIANTS, STEERING):
+                closed_form_tomography(sequence, theta)
+            for variant in FIG2_VARIANTS:
+                _success_probability(variant, theta)
+        for gamma in default_gamma_grid(DEFAULT_T_M):
+            protocols.sigma_z_noblip(math.pi, protocols.TunnelModel(gamma, DEFAULT_T_M))
 
 
     def test_run_panels_writes_the_config_experiment(self, tmp_path):

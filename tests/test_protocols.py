@@ -486,15 +486,28 @@ class TestSteeringScan:
         assert steering_scan(math.pi).sigma_z == pytest.approx(1.0, abs=1e-12)
 
     @staticmethod
-    def assert_closed_form(thetas):
-        """supp6's analytic column runs the readout-window arithmetic of the
-        shot engine; it equals (-sin theta, 0, -cos theta) to 1e-12."""
+    def steered(theta: float) -> NuclearState:
+        """The forced-outcome channel: the Bell pair's electron rotated by
+        theta, then a projective window kept on no-blip."""
+        pulse = RotationPulse(Frequency.ESR_BOTH, theta)
+        return weak_nuclear_measure(prepare_bell(), pulse).state
+
+    @classmethod
+    def assert_closed_form(cls, thetas):
+        """``steering_scan`` is the closed form (-sin theta, 0, -cos theta),
+        bit for bit, so supp6's analytic column shares no arithmetic with
+        the shot engine; the channel the engine runs, pulse and readout
+        window on the Bell pair, equals it to 1e-12."""
         for theta in thetas:
+            want = (-math.sin(theta), 0.0, -math.cos(theta))
             result = steering_scan(theta)
-            assert result.sigma_z == pytest.approx(-math.cos(theta), abs=1e-12)
-            assert result.sigma_x == pytest.approx(-math.sin(theta), abs=1e-12)
-            assert result.sigma_y == pytest.approx(0.0, abs=1e-12)
-            assert result.bloch_norm_sq == pytest.approx(1.0, abs=1e-12)
+            got = (result.sigma_x, result.sigma_y, result.sigma_z)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+            channel = tomography_expectations(cls.steered(theta))
+            assert channel.sigma_x == pytest.approx(want[0], abs=1e-12)
+            assert channel.sigma_y == pytest.approx(want[1], abs=1e-12)
+            assert channel.sigma_z == pytest.approx(want[2], abs=1e-12)
+            assert channel.bloch_norm_sq == pytest.approx(1.0, abs=1e-12)
 
     def test_closed_form_grid(self):
         self.assert_closed_form(default_theta_grid())  # the figure's 41 angles
@@ -511,6 +524,7 @@ class TestSteeringScan:
         bell = prepare_bell()
         assert qmath.purity(bell.rho) == pytest.approx(1.0)
         for theta in (0.4, 1.7, 3.0, 5.1):
+            assert qmath.purity(self.steered(theta).rho) == pytest.approx(1.0, abs=1e-10)
             assert steering_scan(theta).bloch_norm_sq == pytest.approx(
                 1.0, abs=1e-10
             )

@@ -448,8 +448,9 @@ class TestHistoryWalk:
     @pytest.mark.parametrize("p_fn", [0.0, 0.3])
     def test_no_blip_child_of_zero_trace_is_unreachable(self, p_fn, evolved_children):
         """An electron up for certain, in a state whose trace is one ulp
-        below 1, blips at a projective window with probability 1 - 2**-53
-        by rounding, yet its no-blip child has trace 0.  That child is
+        below 1, meets a projective window: the blip product rounds to
+        1 - 2**-53, but the no-blip child has trace 0, so
+        ``_node_blip_weight`` returns exactly 1.0.  That child is
         unreachable: it is never evolved, with no 0/0, and the shots run
         warning-free."""
         nucleus = np.diag([0.1, np.nextafter(0.9, 0.0)])
