@@ -6,7 +6,7 @@ import os
 # One BLAS thread, set before numpy loads OpenBLAS.  Every BLAS/LAPACK call
 # in the package works on 2x2 or 4x4 operands: the ``@`` products of
 # ``spinsys._node_pulse`` and ``qmath.purity``, ``np.linalg.eigvalsh`` in
-# ``qmath._eigenvalues`` and ``spinsys.negativity``, and ``np.linalg.eigh``
+# ``qmath.DensityMatrix`` and ``spinsys.negativity``, and ``np.linalg.eigh``
 # in ``Protocol.initial_statevector``; the shot engine is elementwise
 # numpy.  None of them can use a second thread, but a pthreads
 # OpenBLAS starts its pool at load and the idle threads spin for about

@@ -40,8 +40,9 @@ state is the 4x4 electron-nuclear density matrix: a finite readout window
 leaves the nucleus mixed once the electron is traced out, so the pulse,
 the window and the tomography each have one arithmetic.  The pulse is
 ``spinsys._node_pulse``, the window the helpers of ``protocols``, the
-package's one readout-window channel, which ``conditional_state`` forces
-an outcome through, and the tomography thresholds each history's
+package's one readout-window channel (``conditional_state`` forces
+outcomes through them by ``protocols._force_outcomes``, the one
+forced-outcome walk), and the tomography thresholds each history's
 ``protocols._bloch`` vector, the Bloch readout of
 ``tomography_expectations``; the window's blip weight is also the rule
 for an impossible no-blip branch, exactly 1.0 where that child has zero
@@ -81,15 +82,13 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 import numpy as np
 
 from .protocols import (
-    BLIP,
-    NO_BLIP,
     PostSelectedState,
+    ProtocolError,
     TunnelModel,
     _bloch,
+    _force_outcomes,
     _node_after_window,
     _node_blip_weight,
-    _post_selected,
-    _window_outcome,
 )
 from .qmath import _nuclear_reduced
 from .spinsys import JointState, RotationPulse, _node_pulse, prepare_initial
@@ -100,10 +99,6 @@ if TYPE_CHECKING:
 
 class NoInformationError(ValueError):
     """An estimator was asked to run on data that carries no information."""
-
-
-class ProtocolError(ValueError):
-    """Malformed protocol description."""
 
 
 class WorkerLostError(RuntimeError):
@@ -602,26 +597,15 @@ def conditional_state(
     """Deterministic evolution with forced readout outcomes.
 
     Forces one outcome ("no_blip" or "blip") per readout window through the
-    shot engine's window arithmetic, as ``protocols.weak_electron_window``
-    does, reloading a down electron after each, and returns the final
-    nuclear state with the joint probability of that outcome sequence.
-    Noise is not applied.
+    shot engine's window arithmetic, reloading a down electron after each,
+    and returns the final nuclear state with the joint probability of that
+    outcome sequence.  It is one call of ``protocols``' forced-outcome walk,
+    the one that ``weak_electron_window`` and ``weak_nuclear_measure`` make,
+    so all three raise the same ``ProtocolError`` for an outcome count that
+    does not match the windows or an outcome other than those two.  Noise
+    is not applied.
     """
-    outcomes = list(window_outcomes)
-    if len(outcomes) != len(protocol.windows):
-        raise ProtocolError("need one forced outcome per readout window")
-    joint = protocol.initial.rho.matrix
-    probability = 1.0
-    for step in protocol.steps:
-        if isinstance(step, RotationPulse):
-            joint = _node_pulse(joint, step)
-            continue
-        outcome = outcomes.pop(0)
-        if outcome not in (NO_BLIP, BLIP):
-            raise ProtocolError(f"unknown forced outcome {outcome!r}")
-        joint, weight = _window_outcome(joint, step, outcome)
-        probability *= weight
-    return _post_selected(joint, probability)
+    return _force_outcomes(protocol.initial.rho.matrix, protocol.steps, window_outcomes)
 
 
 # 95% quantile of the chi-squared law with one degree of freedom: the exact

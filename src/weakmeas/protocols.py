@@ -10,13 +10,17 @@ The readout window has two outcomes, ``NO_BLIP`` (no tunnel event) or
 that forces one names it so.  It has one implementation, the private
 raw-array helpers ``_no_blip_damping``, ``_node_blip_weight`` and
 ``_node_after_window``: the shot engine in ``montecarlo`` evolves every
-branch history with them, and ``weak_electron_window``,
-``weak_nuclear_measure`` (a projective window) and
-``montecarlo.conditional_state`` force an outcome through the same
-arithmetic.  ``_node_blip_weight`` is also the one rule for an impossible
-no-blip branch: it returns exactly 1.0 where the no-blip child has zero
-trace, so no uniform reaches that child and no forced outcome gets a
-rounding residue as its weight.  So the closed forms
+branch history with them.  Forcing outcomes has one implementation too,
+the walk ``_force_outcomes``: it takes a state through pulses and windows,
+forces each window's outcome through the same arithmetic, refuses an
+outcome that is neither ``NO_BLIP`` nor ``BLIP`` or a branch of zero
+probability, and validates the nuclear state at the end.
+``weak_electron_window`` (one window), ``weak_nuclear_measure`` (a pulse,
+then a projective window) and ``montecarlo.conditional_state`` (a whole
+protocol) are each one call of it.  ``_node_blip_weight`` is also the one
+rule for an impossible no-blip branch: it returns exactly 1.0 where the
+no-blip child has zero trace, so no uniform reaches that child and no
+forced outcome gets a rounding residue as its weight.  So the closed forms
 (``closed_form_sequence``, ``steering_scan``, ``sigma_z_noblip``, the
 success probabilities) and the statevector path of the tests' reference
 sampler stay the independent oracles of that channel.  ``_bloch`` is the
@@ -30,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import cos, exp, inf, isfinite, log, sin, sqrt
+from typing import Sequence
 
 import numpy as np
 
@@ -59,6 +64,10 @@ class MeasurementTooWeakError(ValueError):
 
 class ProjectiveLimitError(ValueError):
     """Tunnel-rate inversion got sigma_z at or past its projective end: 1/Gamma -> 0."""
+
+
+class ProtocolError(ValueError):
+    """Malformed protocol description."""
 
 
 @dataclass(frozen=True)
@@ -179,25 +188,31 @@ def _node_after_window(joint: np.ndarray, model: TunnelModel, blip: int) -> np.n
     return _embed_nuclear(qmath._nuclear_reduced(joint / w))
 
 
-def _window_outcome(
-    joint: np.ndarray, model: TunnelModel, outcome: str
-) -> tuple[np.ndarray, float]:
-    """The state after a window forced to ``outcome``, electron reloaded
-    down, and the outcome's probability."""
-    if outcome not in (NO_BLIP, BLIP):
-        raise ValueError(f"unknown outcome {outcome!r}")
-    blip = outcome == BLIP
-    w_blip = _node_blip_weight(joint, model)
-    weight = w_blip if blip else 1.0 - w_blip
-    if weight < ZERO_BRANCH_TOL:
-        raise ImpossibleBranchError(f"{outcome} branch probability {weight} is numerically zero")
-    return _node_after_window(joint, model, blip), weight
-
-
-def _post_selected(joint: np.ndarray, weight: float) -> PostSelectedState:
-    """The validated nuclear state of ``joint`` with its branch weight."""
-    nuclear = qmath._nuclear_reduced(joint)
-    return PostSelectedState(NuclearState(DensityMatrix(nuclear)), weight)
+def _force_outcomes(joint: np.ndarray, steps: tuple, outcomes: Sequence[str]) -> PostSelectedState:
+    """The forced-outcome walk: ``joint`` evolved through ``steps``, each
+    window forced to the next of ``outcomes`` and its electron reloaded
+    down, as the validated nuclear state with the joint probability of the
+    outcomes."""
+    outcomes = list(outcomes)
+    if len(outcomes) != sum(isinstance(step, TunnelModel) for step in steps):
+        raise ProtocolError("need one forced outcome per readout window")
+    probability = 1.0
+    for step in steps:
+        if not isinstance(step, TunnelModel):
+            joint = _node_pulse(joint, step)
+            continue
+        outcome = outcomes.pop(0)
+        if outcome not in (NO_BLIP, BLIP):
+            raise ProtocolError(f"unknown outcome {outcome!r}")
+        blip = outcome == BLIP
+        w_blip = _node_blip_weight(joint, step)
+        w = w_blip if blip else 1.0 - w_blip
+        if w < ZERO_BRANCH_TOL:
+            raise ImpossibleBranchError(f"{outcome} branch probability {w} is numerically zero")
+        joint = _node_after_window(joint, step, blip)
+        probability *= w
+    nuclear = DensityMatrix(qmath._nuclear_reduced(joint))
+    return PostSelectedState(NuclearState(nuclear), probability)
 
 
 def weak_nuclear_measure(
@@ -207,9 +222,7 @@ def weak_nuclear_measure(
     electron readout, post-selection on ``outcome``, electron traced out.
     The readout is a projective window: an up electron always tunnels, so
     ``no_blip`` keeps the down electron and ``blip`` the up one."""
-    return _post_selected(
-        *_window_outcome(_node_pulse(state.rho.matrix, pulse), _PROJECTIVE, outcome)
-    )
+    return _force_outcomes(state.rho.matrix, (pulse, _PROJECTIVE), [outcome])
 
 
 def closed_form_sequence(
@@ -265,7 +278,7 @@ def weak_electron_window(
     nuclear state left after the ionization (the electron is subsequently
     reloaded as down by the sequence driver).
     """
-    return _post_selected(*_window_outcome(state.rho.matrix, model, outcome))
+    return _force_outcomes(state.rho.matrix, (model,), [outcome])
 
 
 def sigma_z_noblip(theta: float, model: TunnelModel) -> float:

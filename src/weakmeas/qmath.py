@@ -54,19 +54,6 @@ def _is_hermitian(m: np.ndarray, tol: float) -> bool:
     return float(np.max(np.abs(m - m.conj().T))) <= tol
 
 
-def _eigenvalues(a: np.ndarray) -> list[float]:
-    """Ascending real eigenvalues of a matrix already checked to be a
-    finite Hermitian 2x2 or 4x4.  Dimension 2 is solved in closed form;
-    dimension 4 goes through LAPACK."""
-    if a.shape[0] == 2:
-        tr = (a[0, 0] + a[1, 1]).real
-        det = (a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]).real
-        disc = max(tr * tr / 4.0 - det, 0.0)
-        r = np.sqrt(disc)
-        return [tr / 2.0 - r, tr / 2.0 + r]
-    return [float(x) for x in np.linalg.eigvalsh(a)]
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """Validated density matrix: Hermitian, unit trace, positive semidefinite."""
@@ -82,7 +69,7 @@ class DensityMatrix:
             raise NotHermitianError("density matrix must be Hermitian")
         if abs(np.trace(m) - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace is {np.trace(m)}, expected 1")
-        if min(_eigenvalues(m)) < -PSD_TOL:
+        if np.linalg.eigvalsh(m)[0] < -PSD_TOL:
             raise ValueError("density matrix has a negative eigenvalue")
         m = m.copy()
         m.flags.writeable = False

@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_sampler as ref
+from weakmeas import protocols
 from weakmeas.montecarlo import (
     CHI2_1DOF_95,
     NO_NOISE,
@@ -28,6 +30,7 @@ from weakmeas.montecarlo import (
 from weakmeas.protocols import (
     BLIP,
     NO_BLIP,
+    ImpossibleBranchError,
     TunnelModel,
     _no_blip_damping,
     _node_after_window,
@@ -45,6 +48,7 @@ from weakmeas.spinsys import (
     RotationPulse,
     _node_pulse,
     prepare_bell,
+    prepare_initial,
 )
 
 PROJECTIVE = TunnelModel.projective(1.0)
@@ -234,6 +238,63 @@ class TestForcedOutcomes:
         w = conditional_state(p, [NO_BLIP]).success_probability
         w += conditional_state(p, [BLIP]).success_probability
         assert w == pytest.approx(1.0, abs=1e-12)
+
+    def test_every_entry_refuses_an_unknown_outcome_alike(self):
+        """The three forcing entries are one walk, so an electron spin, not
+        a window outcome, is refused by each with the same error."""
+        entries = [
+            lambda o: protocols.weak_nuclear_measure(
+                prepare_initial(), RotationPulse(Frequency.NU_E2, 1.1), o
+            ),
+            lambda o: protocols.weak_electron_window(prepare_bell(), TunnelModel(1.0, 1.5), o),
+            lambda o: conditional_state(bell_window_protocol(gamma=1.0, t_m=1.5), [o]),
+        ]
+        for entry in entries:
+            with pytest.raises(ProtocolError, match="unknown outcome 'down'"):
+                entry("down")
+        assert ProtocolError is protocols.ProtocolError
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        theta=st.floats(0.0, 2 * math.pi),
+        freq=st.sampled_from(Frequency),
+        outcome=st.sampled_from([NO_BLIP, BLIP]),
+        bell=st.booleans(),
+        gamma=st.floats(1e-3, 1e3),
+        t_m=st.floats(1e-3, 10.0),
+    )
+    def test_public_channels_are_conditional_state_bit_for_bit(
+        self, theta, freq, outcome, bell, gamma, t_m
+    ):
+        """``weak_nuclear_measure`` is a pulse and a projective window, and
+        ``weak_electron_window`` one window, forced exactly as
+        ``conditional_state`` forces that protocol: the same state bytes
+        and probability, or the same impossible branch."""
+        state = prepare_bell() if bell else prepare_initial()
+        pulse = RotationPulse(freq, theta)
+        model = TunnelModel(gamma, t_m)
+        pairs = [
+            (
+                lambda: protocols.weak_nuclear_measure(state, pulse, outcome),
+                Protocol((pulse, TunnelModel.projective(t_m)), initial=state),
+            ),
+            (
+                lambda: protocols.weak_electron_window(state, model, outcome),
+                Protocol((model,), initial=state),
+            ),
+        ]
+        for channel, protocol in pairs:
+            try:
+                direct = channel()
+            except ImpossibleBranchError:
+                with pytest.raises(ImpossibleBranchError):
+                    conditional_state(protocol, [outcome])
+                continue
+            forced = conditional_state(protocol, [outcome])
+            assert forced.state.rho.matrix.tobytes() == direct.state.rho.matrix.tobytes()
+            assert float(forced.success_probability).hex() == float(
+                direct.success_probability
+            ).hex()
 
 
 DOWN_ELECTRON = np.array([[0, 0], [0, 1]], dtype=complex)

@@ -11,7 +11,6 @@ from weakmeas.qmath import (
     DensityMatrix,
     DimensionError,
     NotHermitianError,
-    _eigenvalues,
     _nuclear_reduced,
     purity,
 )
@@ -97,10 +96,10 @@ class TestPartialTrace:
 
 class TestHermitianEigenvalues:
     def test_identity(self):
-        assert _eigenvalues(I2.astype(complex)) == [1, 1]
+        assert np.linalg.eigvalsh(I2.astype(complex)).tolist() == [1, 1]
 
     def test_pauli_x(self):
-        assert np.allclose(_eigenvalues(X), [-1, 1])
+        assert np.allclose(np.linalg.eigvalsh(X), [-1, 1])
 
     def test_partial_transpose_negative_eigenvalue(self):
         # entangled post-rotation state: its electron partial transpose has
@@ -118,7 +117,7 @@ class TestHermitianEigenvalues:
             dtype=complex,
         )
         pt = partial_transpose_by_index(joint)
-        eigs = _eigenvalues(pt)
+        eigs = np.linalg.eigvalsh(pt)
         oracle = char_poly_eigs_oracle(pt)
         assert np.allclose(eigs, oracle, atol=1e-8)
         assert eigs[0] < -1e-3
@@ -128,7 +127,7 @@ class TestHermitianEigenvalues:
     def test_residual_4x4(self):
         rng = np.random.default_rng(11)
         m = random_density(rng, 4)
-        for lam in _eigenvalues(m):
+        for lam in np.linalg.eigvalsh(m):
             # eigenvalue must make the shifted matrix singular
             assert abs(np.linalg.det(m - lam * np.eye(4))) < 1e-12
 
@@ -181,6 +180,24 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("smallest, refused", [(-2e-9, True), (-5e-10, False)])
+    def test_negative_eigenvalue_tolerance(self, dim, smallest, refused):
+        """A rotated spectrum whose smallest eigenvalue is -2e-9 is refused,
+        one at -5e-10 is accepted: PSD_TOL is 1e-9 in both dimensions."""
+        spectrum = np.full(dim, (1.0 - smallest) / (dim - 1))
+        spectrum[0] = smallest
+        rng = np.random.default_rng(dim)
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        m = (q * spectrum) @ q.conj().T
+        m = (m + m.conj().T) / 2
+        assert np.linalg.eigvalsh(m)[0] == pytest.approx(smallest, abs=1e-14)
+        if refused:
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                DensityMatrix(m)
+        else:
+            assert DensityMatrix(m).dim == dim
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             DensityMatrix(np.array([[0.5, 0.5], [0, 0.5]], dtype=complex))
@@ -219,7 +236,7 @@ class TestProperties:
     @settings(deadline=None, max_examples=60)
     @given(density_matrices(4))
     def test_eigenvalue_sum_is_trace(self, m):
-        eigs = _eigenvalues(m)
+        eigs = np.linalg.eigvalsh(m)
         assert abs(sum(eigs) - np.trace(m).real) < 1e-10
         assert min(eigs) >= -1e-9
 
@@ -227,5 +244,5 @@ class TestProperties:
     @given(density_matrices(2))
     def test_purity_one_iff_max_eigenvalue_one(self, m):
         rho = DensityMatrix(m)
-        top = max(_eigenvalues(rho.matrix))
+        top = max(np.linalg.eigvalsh(rho.matrix))
         assert (abs(purity(rho) - 1.0) < 1e-9) == (abs(top - 1.0) < 1e-9)
