@@ -334,7 +334,8 @@ def _philox_uniforms(rng_seed: int, start: int, stop: int, n_draws: int) -> np.n
 # scalar ``sample_shot`` in tests/reference_sampler.py gives it on its own,
 # up to rounding: that reference keeps a statevector while the state stays
 # pure, and dephases after every window, an independent arithmetic for the
-# same channels.
+# same channels.  Of the engine's code it uses only ``spinsys.pulse_unitary``
+# and the record types: its reload and electron trace are its own.
 
 
 def _shot_block(protocol: Protocol, noise: NoiseConfig, u: np.ndarray, out: Shots) -> None:
@@ -450,7 +451,11 @@ def _parallel_map(fn, items: Sequence) -> list:
     ``WorkerLostError``.  However the call ends, every worker is joined
     before it returns; when it ends by an exception, ``KeyboardInterrupt``
     included, the workers are terminated first, so none runs on to the end
-    of its item for a caller that no longer waits for it.
+    of its item for a caller that no longer waits for it.  Where the
+    platform can block signals, a worker's start holds Ctrl-C until the
+    worker is recorded: a ``KeyboardInterrupt`` raised after the fork but
+    before ``start`` returned would leave a worker that nothing
+    terminates.  The worker inherits SIGINT blocked, and ignores it anyway.
 
     Workers start by the platform's default method, fork on Linux: two
     spawned workers took 0.45-0.65 s to start on a 2-vCPU machine, about as
@@ -463,19 +468,25 @@ def _parallel_map(fn, items: Sequence) -> list:
     if len(items) <= 1:
         return [fn(x) for x in items]
     import multiprocessing  # here, so that a run with no worker never loads it
+    import signal
 
     ctx = multiprocessing.get_context()
+    hold = hasattr(signal, "pthread_sigmask")  # POSIX only
     conns, procs = [], []
     try:
         for item in items[1:]:
             here, there = ctx.Pipe(duplex=False)
             conns.append(here)
             proc = ctx.Process(target=_map_worker, args=(fn, item, there), daemon=True)
+            if hold:
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
             try:
                 proc.start()
+                procs.append(proc)
             finally:
                 there.close()
-            procs.append(proc)
+                if hold:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         results = [fn(items[0])]
         for conn in conns:
             try:

@@ -41,6 +41,7 @@ import numpy as np
 from . import qmath
 from .qmath import DensityMatrix
 from .spinsys import (
+    PROJ_DOWN,
     Frequency,
     JointState,
     NuclearState,
@@ -145,16 +146,6 @@ class TomographyResult:
         return self.sigma_x**2 + self.sigma_y**2 + self.sigma_z**2
 
 
-def _embed_nuclear(nuc: np.ndarray) -> np.ndarray:
-    """Joint state with the given nuclear 2x2 and a fresh down electron."""
-    out = np.zeros((4, 4), dtype=complex)
-    out[1, 1] = nuc[0, 0]
-    out[1, 3] = nuc[0, 1]
-    out[3, 1] = nuc[1, 0]
-    out[3, 3] = nuc[1, 1]
-    return out
-
-
 # The tunnel model is hashable, so each window's matrix is built once per
 # process; it is read-only because every protocol shares it.
 @cache
@@ -179,13 +170,16 @@ def _node_blip_weight(joint: np.ndarray, model: TunnelModel) -> float:
 
 def _node_after_window(joint: np.ndarray, model: TunnelModel, blip: int) -> np.ndarray:
     """State after a window with no blip (0) or with the up electron
-    tunneled out (1), the electron reloaded down."""
+    tunneled out (1), the electron reloaded down: ``kron(nuclear,
+    PROJ_DOWN)``, the construction ``spinsys.prepare_initial`` uses."""
     if blip:
         nuc = joint.reshape(2, 2, 2, 2)[:, 0, :, 0]
-        return _embed_nuclear(nuc / (nuc[0, 0].real + nuc[1, 1].real))
-    joint = joint * _no_blip_damping(model)
-    w = (joint[0, 0] + joint[1, 1] + joint[2, 2] + joint[3, 3]).real
-    return _embed_nuclear(qmath._nuclear_reduced(joint / w))
+        nuc = nuc / (nuc[0, 0].real + nuc[1, 1].real)
+    else:
+        joint = joint * _no_blip_damping(model)
+        w = (joint[0, 0] + joint[1, 1] + joint[2, 2] + joint[3, 3]).real
+        nuc = qmath._nuclear_reduced(joint / w)
+    return qmath.kron(nuc, PROJ_DOWN)
 
 
 def _force_outcomes(joint: np.ndarray, steps: tuple, outcomes: Sequence[str]) -> PostSelectedState:

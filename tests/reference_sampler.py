@@ -29,9 +29,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from weakmeas import montecarlo as mc
-from weakmeas.protocols import _embed_nuclear
-from weakmeas.qmath import _nuclear_reduced
 from weakmeas.spinsys import RotationPulse, pulse_unitary
+
+
+def _reload_down(nuc: np.ndarray) -> np.ndarray:
+    """Joint state of the nuclear 2x2 ``nuc`` beside a down electron."""
+    return np.kron(nuc, np.diag([0.0, 1.0]))
+
+
+def _electron_trace(joint: np.ndarray) -> np.ndarray:
+    """The nuclear 2x2 of a joint 4x4: its electron partial trace."""
+    return np.trace(joint.reshape(2, 2, 2, 2), axis1=1, axis2=3)
 
 
 def _dephase_joint(joint: np.ndarray, before: float, after: float, t2star: float) -> np.ndarray:
@@ -137,7 +145,7 @@ def sample_shot(
                 psi = np.array([0.0, a0 / norm, 0.0, a1 / norm], dtype=complex)
             else:
                 nuc = joint.reshape(2, 2, 2, 2)[:, 0, :, 0]
-                joint = _embed_nuclear(nuc / (nuc[0, 0].real + nuc[1, 1].real))
+                joint = _reload_down(nuc / (nuc[0, 0].real + nuc[1, 1].real))
         else:
             # amplitude damping of the surviving branches
             if psi is not None:
@@ -149,14 +157,14 @@ def sample_shot(
                     # a later reload makes the nuclear state mixed
                     if step_index + 1 < n_steps:
                         joint = np.outer(psi, psi.conj())
-                        joint = _embed_nuclear(_nuclear_reduced(joint))
+                        joint = _reload_down(_electron_trace(joint))
                         psi = None
                 else:
                     psi = np.array([0.0, psi[1], 0.0, psi[3]], dtype=complex)
             else:
                 joint = joint * np.outer(damping, damping)
                 w = (joint[0, 0] + joint[1, 1] + joint[2, 2] + joint[3, 3]).real
-                joint = _embed_nuclear(_nuclear_reduced(joint / w))
+                joint = _reload_down(_electron_trace(joint / w))
 
         # label error: the classified outcome, not the state, is flipped
         flip_p = (
@@ -185,7 +193,7 @@ def sample_shot(
             n01 = psi[0] * psi[2].conjugate() + psi[1] * psi[3].conjugate()
             n11 = 1.0 - n00
         else:
-            nuc = _nuclear_reduced(joint)
+            nuc = _electron_trace(joint)
             n00, n11, n01 = nuc[0, 0].real, nuc[1, 1].real, nuc[0, 1]
         if axis == "z":
             expectation = n00 - n11

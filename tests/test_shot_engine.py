@@ -1033,6 +1033,36 @@ def test_lost_worker_is_reported(two_cpus):
     assert killed
 
 
+def test_ctrl_c_during_a_workers_start_stops_that_worker(monkeypatch):
+    """A KeyboardInterrupt raised in the caller after a worker's fork but
+    before its start returns, where a Ctrl-C during the fork raises it,
+    still ends that worker: the map terminates and reaps it.  The child
+    never sees that SIGINT, and multiprocessing does not list it yet, so
+    ``no_worker_left_running`` cannot see it; its pid can."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the interrupt is injected into the fork start method")
+    from multiprocessing import popen_fork
+
+    launch, forked = popen_fork.Popen._launch, []
+
+    def interrupted_launch(self, process_obj):
+        launch(self, process_obj)  # the child never returns from it
+        forked.append(self.pid)
+        signal.raise_signal(signal.SIGINT)
+
+    monkeypatch.setattr(popen_fork.Popen, "_launch", interrupted_launch)
+    with time_limit(30), pytest.raises(KeyboardInterrupt):
+        mc._parallel_map(time.sleep, [0, 30])
+    (pid,) = forked
+    try:
+        left = os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:  # reaped by the map
+        return
+    if left == (0, 0):  # still running its 30 s item
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    pytest.fail(f"worker {pid} was not reaped: waitpid gave {left}")
+
 def test_lost_worker_ends_the_run_on_one_line(tmp_path, capsys, monkeypatch, two_cpus):
     """A worker killed with SIGKILL during a --jobs 2 run ends it with exit
     1 and one error line, not a traceback, and nothing written."""
