@@ -83,6 +83,8 @@ class RunConfig:
             raise ValueError("theta_grid entries must be finite")
         if not math.isfinite(max(self.theta_grid) - min(self.theta_grid)):  # a plot's x span
             raise ValueError("theta_grid must span a finite max - min")
+        # -0.0 becomes 0.0: a run keys its points by angle, and -0.0 == 0.0
+        object.__setattr__(self, "theta_grid", [t + 0.0 for t in self.theta_grid])
 
 
 _SCALAR_KEYS = {

@@ -75,6 +75,13 @@ class SweepPoint:
     stats: dict[str, mc.EnsembleStats]
     blip_times: Optional[np.ndarray] = None
 
+    def __add__(self, other: "SweepPoint") -> "SweepPoint":
+        """The point of this shot range followed by ``other``'s: each axis's
+        counts added up and any blip times joined, in that order."""
+        stats = {axis: s + other.stats[axis] for axis, s in self.stats.items()}
+        times = (self.blip_times, other.blip_times)
+        return SweepPoint(stats, None if times[0] is None else np.concatenate(times))
+
 
 Points = dict[tuple[str, float], SweepPoint]  # the run's points by (sequence, value)
 
@@ -219,26 +226,18 @@ def _sweep_protocol(sequence: str, value: float, t_m: float) -> mc.Protocol:
 
 
 def _run_range(config: RunConfig, work: Sequence[tuple], bounds: tuple[int, int]) -> list:
-    """Shots a..b-1 of every (key, protocol) point of ``work``, reduced to
-    what ``_sweep_point`` adds up: per point, the statistics of each axis
-    and, at a Gamma point, the recorded blip times."""
+    """Shots a..b-1 of every (key, protocol) point of ``work``, as one
+    ``SweepPoint`` per point: the statistics of each axis and, at a Gamma
+    point, the recorded blip times."""
     a, b = bounds
-    parts = []
+    points = []
     for (sequence, _), protocol in work:
         shots = mc.run_shots(protocol, config.noise, b - a, config.rng_seed, 1, start=a)
         stats = {axis: mc.stats_from_records(shots, axis) for axis in AXES}
         times = mc.recorded_blip_times(shots) if sequence == BELL_WINDOW else None
-        parts.append((stats, times))
+        points.append(SweepPoint(stats, times))
         del shots  # before the next point's columns are built
-    return parts
-
-
-def _sweep_point(parts: Sequence[tuple]) -> SweepPoint:
-    """The ``SweepPoint`` of one (sequence, sweep value) from its ranges' parts,
-    in range order: each axis's counts added up and any blip times joined."""
-    stats = {axis: reduce(operator.add, (s[axis] for s, _ in parts)) for axis in parts[0][0]}
-    times = [t for _, t in parts]
-    return SweepPoint(stats, None if times[0] is None else np.concatenate(times))
+    return points
 
 
 def run_panels(config: RunConfig) -> list[Path]:
@@ -268,7 +267,7 @@ def run_panels(config: RunConfig) -> list[Path]:
     work = [(key, _sweep_protocol(*key, config.t_m)) for key in keys]
     ranges = mc.shot_ranges(config.n_shots, config.n_jobs)
     done = mc._parallel_map(partial(_run_range, config, work), ranges)
-    points = {key: _sweep_point([parts[i] for parts in done]) for i, key in enumerate(keys)}
+    points = {key: reduce(operator.add, ranged) for key, ranged in zip(keys, zip(*done))}
     # every document is rendered before any is written: a plot that
     # emit_plot refuses leaves no file behind
     documents: list[tuple[Path, str]] = []
@@ -304,8 +303,7 @@ def _sweep_table(config: RunConfig, panel: Panel, points: Points) -> Table:
     mean -+ SE."""
     table = []
     for theta in config.theta_grid:
-        point = points[(panel.sequence, theta)]
-        stats = point.stats[panel.axis]
+        stats = points[(panel.sequence, theta)].stats[panel.axis]
         if panel.statistic == KEPT:
             analytic = _success_probability(panel.sequence, theta)
             value = stats.success_fraction

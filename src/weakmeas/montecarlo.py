@@ -44,12 +44,12 @@ package's one readout-window channel (``conditional_state`` forces
 outcomes through them by ``protocols._force_outcomes``, the one
 forced-outcome walk), and the tomography thresholds each history's
 ``protocols._bloch`` vector, the Bloch readout of
-``tomography_expectations``; the window's blip weight is also the rule
-for an impossible no-blip branch, exactly 1.0 where that child has zero
-trace.  Only the blip-time draw, the label errors and the dephasing factor
-at tomography are the engine's own.  Each range fills one ``Shots``,
-each block its own rows in place, one row per shot: its tomography
-outcomes on x, y and z (0 for a rejected shot) and the blip
+``tomography_expectations``; the window's blip weight is the Born rule
+over the state's trace, so it is exactly 1.0 where the no-blip child has
+zero trace.  Only the blip-time draw, the label errors and the dephasing
+factor at tomography are the engine's own.  Each range fills one
+``Shots``, each block its own rows in place, one row per shot: its
+tomography outcomes on x, y and z (0 for a rejected shot) and the blip
 time of each window (NaN where none was recorded or the shot was rejected
 before it; 0.0 at a projective window, whose electron tunnels at once).
 
@@ -450,12 +450,15 @@ def _parallel_map(fn, items: Sequence) -> list:
     raised here, and a worker lost before it answered raises
     ``WorkerLostError``.  However the call ends, every worker is joined
     before it returns; when it ends by an exception, ``KeyboardInterrupt``
-    included, the workers are terminated first, so none runs on to the end
-    of its item for a caller that no longer waits for it.  Where the
-    platform can block signals, a worker's start holds Ctrl-C until the
-    worker is recorded: a ``KeyboardInterrupt`` raised after the fork but
-    before ``start`` returned would leave a worker that nothing
-    terminates.  The worker inherits SIGINT blocked, and ignores it anyway.
+    included, the workers are killed first, so none runs on to the end of
+    its item for a caller that no longer waits for it.  Killed, not
+    terminated: a run started with SIGTERM ignored passes that to its
+    workers, which would ignore ``terminate`` and hold the join until
+    their items end.  Where the platform can block signals, a worker's
+    start holds Ctrl-C until the worker is recorded: a
+    ``KeyboardInterrupt`` raised after the fork but before ``start``
+    returned would leave a worker that nothing kills.  The worker inherits
+    SIGINT blocked, and ignores it anyway.
 
     Workers start by the platform's default method, fork on Linux: two
     spawned workers took 0.45-0.65 s to start on a 2-vCPU machine, about as
@@ -498,7 +501,7 @@ def _parallel_map(fn, items: Sequence) -> list:
             results.append(result)
     except BaseException:
         for proc in procs:
-            proc.terminate()  # harmless to one that answered: it is exiting anyway
+            proc.kill()  # harmless to one that answered: it is exiting anyway
         raise
     finally:
         for conn in conns:

@@ -17,10 +17,10 @@ outcome that is neither ``NO_BLIP`` nor ``BLIP`` or a branch of zero
 probability, and validates the nuclear state at the end.
 ``weak_electron_window`` (one window), ``weak_nuclear_measure`` (a pulse,
 then a projective window) and ``montecarlo.conditional_state`` (a whole
-protocol) are each one call of it.  ``_node_blip_weight`` is also the one
-rule for an impossible no-blip branch: it returns exactly 1.0 where the
-no-blip child has zero trace, so no uniform reaches that child and no
-forced outcome gets a rounding residue as its weight.  So the closed forms
+protocol) are each one call of it.  ``_node_blip_weight`` is the Born
+rule over the state's trace, so where the no-blip child has zero trace it
+is up / up, exactly 1.0: no uniform reaches that child and no forced
+outcome gets a rounding residue as its weight.  So the closed forms
 (``closed_form_sequence``, ``steering_scan``, ``sigma_z_noblip``, the
 success probabilities) and the statevector path of the tests' reference
 sampler stay the independent oracles of that channel.  ``_bloch`` is the
@@ -160,12 +160,13 @@ def _no_blip_damping(model: TunnelModel) -> np.ndarray:
 
 
 def _node_blip_weight(joint: np.ndarray, model: TunnelModel) -> float:
-    """Probability that the up electron tunnels out: a blip.  Exactly 1.0
-    where the no-blip child has zero trace, whatever rounding left of the
-    product: that branch is impossible."""
-    if np.trace(joint * _no_blip_damping(model)).real == 0.0:
-        return 1.0
-    return (joint[0, 0].real + joint[2, 2].real) * (1.0 - model.survival_up)
+    """Probability that the up electron tunnels out, a blip: the Born rule,
+    its up population times 1 - survival_up over the state's trace.  Where
+    the no-blip child has zero trace, the up electron always tunnels and
+    nothing is down, so the weight is up / up, exactly 1.0: that branch is
+    impossible, however far rounding left the trace from 1."""
+    up = joint[0, 0].real + joint[2, 2].real
+    return up * (1.0 - model.survival_up) / (up + (joint[1, 1].real + joint[3, 3].real))
 
 
 def _node_after_window(joint: np.ndarray, model: TunnelModel, blip: int) -> np.ndarray:

@@ -32,7 +32,7 @@ def no_worker_left_running():
     yield
     left = multiprocessing.active_children()
     for proc in left:
-        proc.terminate()
+        proc.kill()
         proc.join(timeout=10)
     assert not left, f"worker processes left running: {left}"
 

@@ -828,6 +828,26 @@ class TestPresets:
         assert [p.name for p in paths] == names
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
 
+    def test_signed_zero_angles_write_the_same_bytes_in_either_order(self, tmp_path):
+        """A theta grid that holds -0.0 and 0.0 writes the same CSVs in
+        either order: -0.0 is the angle 0.0, so neither a point's key nor
+        a cached closed form takes the sign of whichever comes first."""
+
+        def csvs(name, grid):
+            out = tmp_path / name
+            out.mkdir()
+            closed_form_tomography.cache_clear()
+            run_panels(tiny_config(out, experiment="supp6_steering", theta_grid=grid,
+                                   emit_svg=False))
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        first = csvs("first", [-0.0, 0.0, 1.0])
+        assert first == csvs("second", [0.0, -0.0, 1.0])
+        with open(tmp_path / "first" / "supp6_steering_sigma_x.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        # -sin(0.0) is -0.0
+        assert [(row["sweep_value"], row["analytic"]) for row in rows[:2]] == [("0", "-0")] * 2
+
 
 class TestCli:
     def test_fig2_run(self, tmp_path, capsys):

@@ -18,6 +18,7 @@ from weakmeas.protocols import (
     TomographyResult,
     TunnelModel,
     _no_blip_damping,
+    _node_after_window,
     _node_blip_weight,
     closed_form_sequence,
     extract_tunnel_rate,
@@ -38,6 +39,7 @@ from weakmeas.spinsys import (
     JointState,
     NuclearState,
     RotationPulse,
+    _node_pulse,
     prepare_bell,
     prepare_initial,
 )
@@ -240,6 +242,67 @@ class TestTunnelModel:
             basis[i, i] = 1.0
             w_blip = _node_blip_weight(basis, model)
             assert damping[i, i] + w_blip == pytest.approx(1.0, abs=1e-15)
+
+
+WINDOWS = st.one_of(
+    st.builds(TunnelModel, gamma_up_out=st.floats(1e-3, 1e3), t_m=st.floats(0.0, 5.0)),
+    st.builds(TunnelModel.projective, st.floats(5e-324, 1e3)),
+)
+
+
+def trace_free_blip_weight(joint, model):
+    """The window's blip weight as it was before it read the state's
+    trace: exactly 1.0 where the no-blip child has zero trace, else the
+    up population times 1 - survival_up."""
+    if np.trace(joint * _no_blip_damping(model)).real == 0.0:
+        return 1.0
+    return (joint[0, 0].real + joint[2, 2].real) * (1.0 - model.survival_up)
+
+
+@st.composite
+def window_inputs(draw):
+    """A joint state A A^dagger / Tr, with its electron possibly up or
+    down for certain, then maybe reloaded after a window and maybe
+    pulsed, and the window that reads it."""
+    entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32))
+    re, im = np.array(entries).reshape(2, 4, 4)
+    a = re + 1j * im
+    electron = draw(st.sampled_from([None, 0, 1]))  # None, or the level left empty: 0 up, 1 down
+    if electron is not None:
+        a[electron::2] = 0.0
+    rho = a @ a.conj().T
+    trace = np.trace(rho).real
+    assume(trace > 1e-6)
+    joint = (rho + rho.conj().T) / (2.0 * trace)
+    model = draw(WINDOWS)
+    reload = draw(st.sampled_from([None, 0, 1]))  # none, or the window's outcome
+    if reload is not None:
+        weight = trace_free_blip_weight(joint, model)
+        assume((weight if reload else 1.0 - weight) > 1e-6)
+        joint = _node_after_window(joint, model, reload)
+    if draw(st.booleans()):
+        pulse = RotationPulse(draw(st.sampled_from(Frequency)), draw(st.floats(0.0, 2.0 * math.pi)))
+        joint = _node_pulse(joint, pulse)
+    return joint, model
+
+
+class TestBlipWeight:
+    @settings(deadline=None, max_examples=500)
+    @given(window_inputs())
+    def test_born_rule_is_the_trace_free_weight(self, inputs):
+        """The blip weight lies in [0, 1] and is the weight that did not
+        read the state's trace, up to the few epsilon by which rounding
+        leaves that trace off 1; it is exactly 1.0 where the no-blip child
+        has zero trace and exactly 0.0 where nothing is up."""
+        joint, model = inputs
+        weight = _node_blip_weight(joint, model)
+        want = trace_free_blip_weight(joint, model)
+        assert 0.0 <= weight <= 1.0
+        assert abs(weight - want) <= 4.0 * np.finfo(float).eps * want
+        if np.trace(joint * _no_blip_damping(model)).real == 0.0:
+            assert weight == 1.0
+        if joint[0, 0].real + joint[2, 2].real == 0.0:
+            assert weight == 0.0
 
 
 class TestWeakElectronWindow:

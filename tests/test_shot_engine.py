@@ -763,9 +763,10 @@ def test_one_map_over_shot_ranges(tmp_path, capsys, worker_chunks, process_start
 
 
 def test_worker_answers_are_counts_and_blip_times(tmp_path, capsys, worker_chunks, process_starts):
-    """What a range sends back, also from a worker, is per point the
-    EnsembleStats of each axis and, at a Gamma point alone, the 1-D array
-    of the blip times its range recorded: no Shots column crosses a pipe."""
+    """What a range sends back, also from a worker, is per point a
+    SweepPoint: the EnsembleStats of each axis and, at a Gamma point alone,
+    the 1-D array of the blip times its range recorded: no Shots column
+    crosses a pipe."""
     _, maps = process_starts
     config = tmp_path / "run.yaml"
     config.write_text(
@@ -779,7 +780,9 @@ def test_worker_answers_are_counts_and_blip_times(tmp_path, capsys, worker_chunk
     assert len(work) == 4 * 2 + 2
     for (a, b), answer in zip(ranges, answers):
         assert len(answer) == len(work)
-        for ((sequence, _), protocol), (stats, times) in zip(work, answer):
+        for ((sequence, _), protocol), point in zip(work, answer):
+            assert type(point) is presets.SweepPoint
+            stats, times = point.stats, point.blip_times
             assert list(stats) == list(presets.AXES)
             assert all(type(s) is mc.EnsembleStats and s.n_total == b - a for s in stats.values())
             if sequence == presets.BELL_WINDOW:
@@ -1036,7 +1039,7 @@ def test_lost_worker_is_reported(two_cpus):
 def test_ctrl_c_during_a_workers_start_stops_that_worker(monkeypatch):
     """A KeyboardInterrupt raised in the caller after a worker's fork but
     before its start returns, where a Ctrl-C during the fork raises it,
-    still ends that worker: the map terminates and reaps it.  The child
+    still ends that worker: the map kills and reaps it.  The child
     never sees that SIGINT, and multiprocessing does not list it yet, so
     ``no_worker_left_running`` cannot see it; its pid can."""
     if multiprocessing.get_start_method() != "fork":
@@ -1135,7 +1138,7 @@ def group_report(pgid: int) -> str:
     """One line per process of group ``pgid``: its pid and command, and its
     state, wait channel and ignored and blocked signal masks as
     /proc/<pid>/stat, wchan and status show them.  A SIGTERM inherited as
-    ignored shows in SigIgn; it is the signal ``terminate`` sends."""
+    ignored shows in SigIgn; ``terminate`` would not end such a worker."""
     lines = []
     for stat in Path("/proc").glob("[0-9]*/stat"):
         try:
@@ -1159,10 +1162,15 @@ def group_report(pgid: int) -> str:
     return "\n".join(lines) or "(none)"
 
 
-def test_ctrl_c_ends_a_jobs_run_at_once(tmp_path):
+@pytest.mark.parametrize(
+    "sigterm", [signal.SIG_DFL, signal.SIG_IGN], ids=["sigterm_default", "sigterm_ignored"]
+)
+def test_ctrl_c_ends_a_jobs_run_at_once(tmp_path, sigterm):
     """SIGINT sent to the process group of a --jobs 2 run, as Ctrl-C sends
     it, ends the run at once, long before its ranges would: exit 130, one
-    line on stderr, nothing written, and no process of the group left."""
+    line on stderr, nothing written, and no process of the group left.
+    So too for a run started with SIGTERM ignored, as under ``trap '' TERM``:
+    its workers inherit that, so a SIGTERM would not stop them."""
     out = tmp_path / "out"
     argv = SPLIT_FIG2 + ["--jobs", "2", "--out", str(out)]
     proc = subprocess.Popen(
@@ -1171,6 +1179,7 @@ def test_ctrl_c_ends_a_jobs_run_at_once(tmp_path):
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         start_new_session=True,
+        preexec_fn=lambda: signal.signal(signal.SIGTERM, sigterm),
     )
     try:
         with time_limit(30):
