@@ -24,7 +24,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from ..montecarlo import WorkerLostError
+from ..montecarlo import SHOT_BLOCK, WorkerLostError
 from .config import RunConfig, default_theta_grid, load_config
 from .presets import FIG2_VARIANTS, run_panels
 
@@ -56,7 +56,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--jobs", dest="n_jobs", type=_integer,
         help="processes, this one included, that share the shots, each running "
         "one range of them at every sweep point; at most one per CPU this process "
-        "may run on",
+        f"may run on, and each gets at least one {SHOT_BLOCK}-shot block, so a run of "
+        f"fewer than {2 * SHOT_BLOCK} shots uses one process whatever --jobs says",
     )
     svg = parser.add_mutually_exclusive_group()
     svg.add_argument("--svg", dest="emit_svg", action="store_true", default=None)

@@ -66,7 +66,7 @@ class Panel:
     style: Optional[PlotStyle] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepPoint:
     """What the shots of one (sequence, sweep value) show: each axis's
     statistics and, at a Gamma point, the recorded blip times in shot order

@@ -130,6 +130,10 @@ class Protocol:
     initial: JointState = field(default_factory=prepare_initial)
 
     def __post_init__(self):
+        if not isinstance(self.initial, JointState):
+            raise ProtocolError(
+                f"Protocol.initial must be a JointState, not {type(self.initial).__name__}"
+            )
         object.__setattr__(self, "steps", tuple(self.steps))
         for step in self.steps:
             if not isinstance(step, (RotationPulse, TunnelModel)):

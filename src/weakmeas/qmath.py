@@ -6,6 +6,14 @@ dimension checks and tolerances the rest of the package relies on.  The
 joint-system basis order is |up-n,up-e>, |up-n,down-e>, |down-n,up-e>,
 |down-n,down-e| (nucleus is the slow index), and nuclear 2x2 matrices use
 (up, down).
+
+A record of the package whose field is an array compares and hashes by
+identity, as ``DensityMatrix`` does, unless it defines its own ``__eq__``:
+a generated one would compare arrays and raise.  So the records built on
+a ``DensityMatrix`` compare their states by identity, and two states are
+equal in value when ``np.array_equal(a.matrix, b.matrix)``.
+``montecarlo.Shots`` defines its own, since serial and parallel runs are
+compared.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ def _is_hermitian(m: np.ndarray, tol: float) -> bool:
     return float(np.max(np.abs(m - m.conj().T))) <= tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated density matrix: Hermitian, unit trace, positive semidefinite."""
 

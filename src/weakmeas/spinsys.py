@@ -35,6 +35,18 @@ PROJ_UP = np.outer(KET_UP, KET_UP.conj())
 PROJ_DOWN = np.outer(KET_DOWN, KET_DOWN.conj())
 
 
+class FieldTypeError(TypeError):
+    """A record's field holds a value of the wrong type; the message names
+    the field."""
+
+
+def _check_rho(state) -> None:
+    if not isinstance(state.rho, DensityMatrix):
+        raise FieldTypeError(
+            f"{type(state).__name__}.rho must be a DensityMatrix, not {type(state.rho).__name__}"
+        )
+
+
 class Frequency(enum.Enum):
     """Drive frequency of a rotation pulse."""
 
@@ -51,6 +63,11 @@ class RotationPulse:
     angle: float
 
     def __post_init__(self):
+        # pulse_unitary would read any other drive as ESR_BOTH
+        if not isinstance(self.frequency, Frequency):
+            raise FieldTypeError(
+                f"RotationPulse.frequency must be a Frequency, not {self.frequency!r}"
+            )
         if not isfinite(self.angle):
             raise ValueError("pulse angle must be finite")
 
@@ -62,6 +79,7 @@ class JointState:
     rho: DensityMatrix
 
     def __post_init__(self):
+        _check_rho(self)
         if self.rho.dim != 4:
             raise DimensionError("JointState requires a 4x4 density matrix")
 
@@ -73,6 +91,7 @@ class NuclearState:
     rho: DensityMatrix
 
     def __post_init__(self):
+        _check_rho(self)
         if self.rho.dim != 2:
             raise DimensionError("NuclearState requires a 2x2 density matrix")
 

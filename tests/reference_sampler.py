@@ -11,7 +11,12 @@ coherences after every window (``_dephase_joint``), by the part of the
 quasi-static decay exp(-(T/T2*)^2) that accrues over that window, where
 the engine applies the whole decay once at tomography.  The two agree on
 each shot's probabilities up to rounding, so they sample the same
-outcomes.
+outcomes.  Given a static ``detuning`` delta instead, a shot stays on its
+statevector path and its nuclear coherence takes the phase delta * T of
+the windows' total time T before tomography; ``sample_detuned`` draws
+delta ~ N(0, 2/T2*^2) per shot, the quasi-static noise whose average is
+the engine's factor exp(-(T/T2*)^2), from a generator of its own, so the
+shots' Philox streams are read as without it.
 ``sample_shot`` measures one tomography axis, so ``sample_columns``
 samples a protocol once per axis asked for, of x, y and z, and the engine
 must give the same outcomes in one pass.  The helpers turn records into
@@ -22,6 +27,7 @@ read records.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -87,9 +93,12 @@ def sample_shot(
     noise: mc.NoiseConfig = mc.NO_NOISE,
     rng_seed: int = 0,
     shot_index: int = 0,
+    detuning: Optional[float] = None,
 ) -> ShotRecord:
     """Simulate one trajectory with its tomography on ``axis``;
-    deterministic given (rng_seed, shot_index).
+    deterministic given (rng_seed, shot_index).  A ``detuning`` delta, in
+    rad/ms, turns the nuclear coherence by the phase delta * T over the
+    windows' total time T before tomography; it reads no draw.
 
     Zero-dephasing trajectories stay pure, so the hot path evolves a
     4-amplitude statevector and only falls back to a density matrix when
@@ -195,6 +204,8 @@ def sample_shot(
         else:
             nuc = _electron_trace(joint)
             n00, n11, n01 = nuc[0, 0].real, nuc[1, 1].real, nuc[0, 1]
+        if detuning is not None:
+            n01 = n01 * cmath.exp(-1j * detuning * elapsed)
         if axis == "z":
             expectation = n00 - n11
         elif axis == "x":
@@ -229,6 +240,18 @@ def to_shots(records: Sequence[ShotRecord], n_windows: int) -> mc.Shots:
     return mc.Shots(
         np.array([[r.nuclear_outcome or 0] for r in records], dtype=np.int8), blip_times
     )
+
+
+def sample_detuned(protocol, axis, t2star, rng_seed, start, stop, detuning_seed):
+    """Shots start..stop-1 as ``ShotRecord``s, with their tomography on
+    ``axis`` and no noise but a static detuning per shot, delta ~
+    N(0, 2/T2*^2), drawn in shot order from
+    ``np.random.default_rng(detuning_seed)``."""
+    deltas = np.random.default_rng(detuning_seed).normal(0.0, math.sqrt(2) / t2star, stop - start)
+    return [
+        sample_shot(protocol, axis, mc.NO_NOISE, rng_seed, i, delta)
+        for i, delta in zip(range(start, stop), deltas)
+    ]
 
 
 def sample_columns(protocol, noise, rng_seed, start, stop, axes="xyz") -> mc.Shots:

@@ -1,6 +1,7 @@
 """Trajectory sampler tests: determinism, agreement with the closed forms,
 noise knobs, the shot columns and the estimators that read them."""
 
+import functools
 import itertools
 import math
 
@@ -90,6 +91,20 @@ class TestProtocolValidation:
         for steps in ((bad,), (bad, PROJECTIVE), (RotationPulse(Frequency.NU_E2, 1.0), bad)):
             with pytest.raises(ProtocolError, match="RotationPulse or TunnelModel"):
                 Protocol(steps=steps)
+
+    @pytest.mark.parametrize(
+        "bad, name",
+        [("x", "str"), (None, "NoneType"), (np.eye(4) / 4, "ndarray"),
+         (DensityMatrix(np.eye(4) / 4), "DensityMatrix")],
+        ids=["str", "None", "raw array", "bare density matrix"],
+    )
+    def test_rejects_an_initial_state_that_is_not_a_joint_state(self, bad, name):
+        """A foreign initial state is refused when the protocol is built,
+        not in ``run_shots`` or ``conditional_state`` with an
+        AttributeError."""
+        message = f"Protocol.initial must be a JointState, not {name}$"
+        with pytest.raises(ProtocolError, match=message):
+            Protocol((PROJECTIVE,), initial=bad)
 
     def test_windows_property(self):
         p = measure_protocol(1.0, n=3)
@@ -299,6 +314,21 @@ class TestForcedOutcomes:
 
 DOWN_ELECTRON = np.array([[0, 0], [0, 1]], dtype=complex)
 
+# fig2 single at theta = pi/2 and t_m = 1 ms: the kept nucleus has
+# sigma_x = 2 sqrt(2)/3, and T2* = 1.2 ms scales it by exp(-(1/1.2)^2)
+DETUNED_T2STAR, DETUNED_SHOTS, DETUNED_SEED = 1.2, 40_000, 3
+
+
+@functools.cache
+def detuned_fig2_single():
+    """The protocol, and the reference's x records of its shots, each
+    turned by its own sampled static detuning."""
+    protocol = measure_protocol(math.pi / 2)
+    records = ref.sample_detuned(
+        protocol, "x", DETUNED_T2STAR, DETUNED_SEED, 0, DETUNED_SHOTS, detuning_seed=11
+    )
+    return protocol, records
+
 
 class TestDephasing:
     def test_frozen_factor(self):
@@ -331,6 +361,51 @@ class TestDephasing:
         want = 2.0 * state.rho.matrix[0, 1].real * _dephasing_factor(windows, t2star)
         assert want == pytest.approx(math.exp(-1.5625), abs=1e-15)
         assert sigma_x.mean() == pytest.approx(want, abs=5.0 * error)
+
+    def test_sampled_detunings_give_the_closed_form_decay(self):
+        """A third check of the Gaussian T2*, sharing no arithmetic with the
+        engine's factor: the reference keeps each shot's statevector and
+        turns its nuclear coherence by delta * T, delta ~ N(0, 2/T2*^2) per
+        shot.  Each kept shot then reads +1 on x with probability
+        (1 + sigma_x exp(-(T/T2*)^2))/2 on average over delta, independently
+        of the others: an exact two-sided binomial test of the +1 count at
+        alpha = 1e-6."""
+        binom = pytest.importorskip("scipy.stats").binom
+        protocol, records = detuned_fig2_single()
+        closed = protocols.tomography_expectations(
+            closed_form_sequence([(math.pi / 2, Frequency.NU_E2)]).state
+        )
+        assert closed.sigma_x == pytest.approx(2.0 * math.sqrt(2.0) / 3.0, abs=1e-12)
+        total_time = sum(window.t_m for window in protocol.windows)
+        p = (1.0 + closed.sigma_x * math.exp(-((total_time / DETUNED_T2STAR) ** 2))) / 2.0
+        kept = [r.nuclear_outcome for r in records if r.kept]
+        n, k = len(kept), kept.count(1)
+        assert n > 29_000  # three in four shots are kept
+        alpha = 1e-6
+        assert binom.cdf(k, n, p) > alpha / 2 and binom.sf(k - 1, n, p) > alpha / 2
+
+    def test_sampled_detunings_agree_with_the_engine_shot_for_shot(self):
+        """The detunings come from a generator apart from the shots' Philox
+        streams, so the reference keeps exactly the engine's shots, and each
+        kept shot's x reading compares its last uniform with (1 + sigma_x
+        cos(delta T))/2 where the engine compares it with (1 + sigma_x
+        exp(-(T/T2*)^2))/2.  The two thresholds have the same mean over
+        delta, so a shot read +1 by one and -1 by the other is as likely
+        either way: an exact two-sided binomial test (McNemar's) of those
+        discordant shots at p = 1/2 and alpha = 1e-6."""
+        binom = pytest.importorskip("scipy.stats").binom
+        protocol, records = detuned_fig2_single()
+        noise = NoiseConfig(nuclear_dephasing_time=DETUNED_T2STAR)
+        engine = run_shots(protocol, noise, DETUNED_SHOTS, DETUNED_SEED).outcome[:, 0]
+        reference = np.array([r.nuclear_outcome or 0 for r in records])
+        assert np.array_equal(engine != 0, reference != 0)  # the same shots kept
+        engine_only = int(np.sum((engine == 1) & (reference == -1)))
+        reference_only = int(np.sum((engine == -1) & (reference == 1)))
+        n = engine_only + reference_only
+        assert n > 3000  # cos(delta T) spreads the reference's thresholds widely
+        alpha = 1e-6
+        assert binom.cdf(engine_only, n, 0.5) > alpha / 2
+        assert binom.sf(engine_only - 1, n, 0.5) > alpha / 2
 
     def test_no_t2star_is_exactly_one(self):
         windows = (TunnelModel(gamma_up_out=1.0, t_m=1e200), PROJECTIVE)

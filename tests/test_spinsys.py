@@ -8,6 +8,7 @@ import pytest
 from weakmeas import qmath, spinsys
 from weakmeas.qmath import DimensionError, _nuclear_reduced
 from weakmeas.spinsys import (
+    FieldTypeError,
     Frequency,
     JointState,
     NuclearState,
@@ -163,8 +164,24 @@ class TestValidation:
              "JointState requires a 4x4"),
             (lambda: NuclearState(qmath.DensityMatrix(np.eye(4) / 4)), DimensionError,
              "NuclearState requires a 2x2"),
+            (lambda: RotationPulse("nu_e2", 1.0), FieldTypeError,
+             "RotationPulse.frequency must be a Frequency, not 'nu_e2'"),
+            (lambda: RotationPulse(None, 1.0), FieldTypeError,
+             "RotationPulse.frequency must be a Frequency, not None"),
+            (lambda: RotationPulse(2, 1.0), FieldTypeError,
+             "RotationPulse.frequency must be a Frequency, not 2"),
+            (lambda: JointState(np.eye(4) / 4), FieldTypeError,
+             "JointState.rho must be a DensityMatrix, not ndarray"),
+            (lambda: JointState(None), FieldTypeError,
+             "JointState.rho must be a DensityMatrix, not NoneType"),
+            (lambda: NuclearState(np.eye(2) / 2), FieldTypeError,
+             "NuclearState.rho must be a DensityMatrix, not ndarray"),
+            (lambda: NuclearState(None), FieldTypeError,
+             "NuclearState.rho must be a DensityMatrix, not NoneType"),
         ],
-        ids=["nan angle", "infinite angle", "2x2 joint state", "4x4 nuclear state"],
+        ids=["nan angle", "infinite angle", "2x2 joint state", "4x4 nuclear state",
+             "frequency string", "frequency None", "frequency int", "joint raw array",
+             "joint None", "nuclear raw array", "nuclear None"],
     )
     def test_each_invalid_input_raises_its_error(self, build, error, message):
         with pytest.raises(error, match=message) as info:
